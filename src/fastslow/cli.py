@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -161,7 +160,7 @@ def _cmd_gap_check(cfg: ExperimentConfig):
     return series, [("gap_note", gm.GAP_FORMULA_NOTE)], {"x": "zeta_inv", "y": ["term1", "term2"]}
 
 
-def _cmd_manifold_galerkin(cfg: ExperimentConfig, threads=1):
+def _cmd_manifold_galerkin(cfg: ExperimentConfig):
     study = cfg.study
     split = gm.splitting_parameters(float(study["zeta_inv"]), cfg.model)
     lips = study.get("lipschitz")
@@ -185,7 +184,10 @@ def _cmd_manifold_galerkin(cfg: ExperimentConfig, threads=1):
     amp = float(study.get("sample_amplitude", 0.02))
     rng = cfg.rng()
     samples = [amp * rng.standard_normal(split.k0) for _ in range(n_samples)]
-    kwargs = dict(
+    graph = gm.lyapunov_perron_sweep(
+        samples,
+        cfg.model,
+        split,
         t_back=study.get("t_back"),
         n_t=int(study.get("n_t", 512)),
         tol=float(study.get("tol", 1e-8)),
@@ -193,13 +195,7 @@ def _cmd_manifold_galerkin(cfg: ExperimentConfig, threads=1):
         gap_report=gaprep,
         clip_bound=clip_bound,
     )
-    solve = lambda v0: gm.lyapunov_perron_fixed_point(v0, cfg.model, split, **kwargs)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(solve, samples))
-    else:
-        points = [solve(v0) for v0 in samples]
-    graph = gm.ManifoldGraph(k0=split.k0, points=points)
+    points = graph.points
 
     def slow_norm(p):
         emb = np.zeros(p.grid.N)
@@ -236,7 +232,7 @@ def _cmd_initial_layer(cfg: ExperimentConfig):
     return series, [], None
 
 
-def run(cfg: ExperimentConfig, out_dir, threads: int = 1, quiet: bool = False) -> int:
+def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
     """Dispatch one validated config; writes CSV (and optional SVG)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -245,7 +241,7 @@ def run(cfg: ExperimentConfig, out_dir, threads: int = 1, quiet: bool = False) -
         "limit": _cmd_limit,
         "converge": _cmd_converge,
         "manifold-linear": _cmd_manifold_linear,
-        "manifold-galerkin": lambda c: _cmd_manifold_galerkin(c, threads),
+        "manifold-galerkin": _cmd_manifold_galerkin,
         "gap-check": _cmd_gap_check,
         "initial-layer": _cmd_initial_layer,
     }
@@ -277,12 +273,17 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the YAML config")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility and ignored: every command runs in one thread",
+    )
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, seed_override=args.seed)
-        return run(cfg, args.out, threads=max(1, args.threads), quiet=args.quiet)
+        return run(cfg, args.out, quiet=args.quiet)
     except (ConfigurationError, ShapeError, DomainError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

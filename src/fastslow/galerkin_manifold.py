@@ -12,9 +12,13 @@ trajectory (u, v_F, v_S) on [-T_back, 0] to
 with lam_u = -(d+delta) mu - m/eps (m = 1 nonlinear, 2 linear) and
 lam_v = -d mu, all kernels applied mode-wise exactly and the sources
 reconstructed piecewise-linearly between grid points (exponential
-trapezoid weights).  Convergence and the observed contraction factor are
-measured in the weighted sup norm sup_t e^{-eta t} (||u||_H2 + ||v_F||_H2 +
-||v_S||_H2).
+trapezoid weights).  On the time grid each integral becomes a first-order
+linear recurrence per mode, forward in time for u and v_F and backward for
+v_S; the recurrences are evaluated as log-depth prefix scans over the time
+nodes (Blelloch 1990), not node by node, and only over the Galerkin band of
+retained modes, since the sources vanish above it.  Convergence and the
+observed contraction factor are measured in the weighted sup norm
+sup_t e^{-eta t} (||u||_H2 + ||v_F||_H2 + ||v_S||_H2).
 """
 
 from __future__ import annotations
@@ -238,32 +242,58 @@ def _sources(params: ModelParams, grid: Grid, U, V, n_modes, clip_bound=None):
     return n_u, psi
 
 
+def _linear_scan(a, x):
+    """In place, x[j] = a x[j-1] + x[j] along axis 0, for j = 1, 2, ... in turn.
+
+    Evaluated as ceil(log2 n) doubling passes x[s:] += a^s x[:-s] for
+    s = 1, 2, 4, ... (an inclusive prefix scan of the first-order linear
+    recurrence), so there is no Python loop over the rows.  a^s is formed
+    as exp(s log a), not by repeated squaring, whose rounding doubles with
+    every pass, and only for s < n: a growing factor never forms an unused
+    power that could overflow.
+    """
+    n = x.shape[0]
+    with np.errstate(divide="ignore"):  # a = 0 where a stiff decay underflowed
+        log_a = np.log(a)
+    s = 1
+    while s < n:
+        x[s:] += np.exp(s * log_a) * x[:-s]
+        s *= 2
+    return x
+
+
+def _trapezoid_weights(lam, h):
+    """Exponential trapezoid weights (wA, wB) of the left and right source node."""
+    z = lam * h
+    return h * (_phi1(z) - _phi2(z)), h * _phi2(z)
+
+
 def _convolve_forward(lam, h, F):
     """I(t_j) = int_{-T}^{t_j} e^{lam (t_j - s)} F(s) ds with F piecewise linear.
 
     ``lam`` has shape (K,), ``F`` shape (n_t, K); returns the same shape.
+    The recurrence I_j = e^{lam h} I_{j-1} + wA F_{j-1} + wB F_j from I_0 = 0
+    is evaluated as a log-depth scan over the time nodes.
     """
-    z = lam * h
-    decay = np.exp(z)
-    wA = h * (_phi1(z) - _phi2(z))
-    wB = h * _phi2(z)
-    out = np.zeros_like(F)
-    for j in range(1, F.shape[0]):
-        out[j] = decay * out[j - 1] + wA * F[j - 1] + wB * F[j]
-    return out
+    wA, wB = _trapezoid_weights(lam, h)
+    out = np.empty_like(F)
+    out[0] = 0.0
+    out[1:] = wA * F[:-1] + wB * F[1:]
+    return _linear_scan(np.exp(lam * h), out)
 
 
 def _propagate_slow_backward(lam, h, v0, F):
-    """Solve v' = lam v + F backward from v(0) = v0 on the slow block."""
-    z = lam * h
-    grow = np.exp(-z)
-    wA = h * (_phi1(z) - _phi2(z))
-    wB = h * _phi2(z)
-    out = np.zeros_like(F)
-    out[-1] = v0
-    for j in range(F.shape[0] - 1, 0, -1):
-        out[j - 1] = grow * (out[j] - wA * F[j - 1] - wB * F[j])
-    return out
+    """Solve v' = lam v + F backward from v(0) = v0 on the slow block.
+
+    The recurrence v_{j-1} = e^{-lam h} (v_j - wA F_{j-1} - wB F_j) is
+    evaluated as a log-depth scan in reversed time.
+    """
+    wA, wB = _trapezoid_weights(lam, h)
+    grow = np.exp(-lam * h)
+    rev = np.empty_like(F)
+    rev[0] = v0
+    rev[1:] = (-grow * (wA * F[:-1] + wB * F[1:]))[::-1]
+    return _linear_scan(grow, rev)[::-1]
 
 
 def lyapunov_perron_fixed_point(
@@ -314,7 +344,7 @@ def lyapunov_perron_fixed_point(
     needed = math.log(10.0 / tol) / slowest
     if t_back is None:
         t_back = max(20.0 * eps * math.log(1.0 / tol), needed)
-    if math.exp(-slowest * t_back) > tol / 10.0:
+    elif math.exp(-slowest * t_back) > tol / 10.0:
         raise HorizonError(
             f"t_back={t_back:.4g} leaves truncation tail "
             f"{math.exp(-slowest * t_back):.2e} > tol/10={tol / 10:.2e}"
@@ -328,6 +358,7 @@ def lyapunov_perron_fixed_point(
     nw = _h2_weights(grid)
     slow = slice(0, k0)
     fast = slice(k0, n_modes)
+    band = slice(0, n_modes)
 
     v0 = _embed_slow(grid, v0_S, k0)
     U = np.zeros((n_t, grid.N))
@@ -347,8 +378,8 @@ def lyapunov_perron_fixed_point(
     iterations = 0
     for iterations in range(1, max_iter + 1):
         n_u, psi = _sources(params, grid, U, V, n_modes, clip_bound)
-        U_new = _convolve_forward(lam_u, h, n_u)
-        U_new[:, n_modes:] = 0.0
+        U_new = np.zeros_like(U)
+        U_new[:, band] = _convolve_forward(lam_u[band], h, n_u[:, band])
         S = -params.delta * grid.mu * U + psi
         V_new = np.zeros_like(V)
         V_new[:, fast] = _convolve_forward(lam_v[fast], h, S[:, fast])

@@ -22,6 +22,8 @@ from fastslow.errors import (
     HorizonError,
     SplittingError,
 )
+from fastslow.galerkin_manifold import _convolve_forward, _propagate_slow_backward
+from fastslow.integrator import _phi1, _phi2
 
 
 def linear_params(eps=0.01, delta=0.001, d=1.0):
@@ -190,6 +192,17 @@ def test_lp_horizon_error_when_explicit_t_back_too_short():
         )
 
 
+def test_lp_default_horizon_accepted_at_tol_1e_8():
+    # the default t_back = log(10/tol)/slowest leaves a tail exp(-slowest t_back)
+    # that rounds just above tol/10; only an explicit t_back is checked
+    p, _ = small_nonlinear()
+    split = splitting_parameters(26.0, p)
+    pt = lyapunov_perron_fixed_point(
+        np.full(split.k0, 0.01), p, split, n_t=256, tol=1e-8, clip_bound=1.0
+    )
+    assert pt.converged
+
+
 def test_lp_noncontraction_raises_with_report():
     # large slow data + quadratic feedback without the cut-off diverges
     p = ModelParams(d=1.0, delta=1e-4, eps=0.01, kappa=3e-5, a=1.0, b=1.0, c=1.0)
@@ -276,6 +289,86 @@ def test_lp_local_invariance_of_graph():
         pt_now = lyapunov_perron_fixed_point(v_slow_now, p, split, n_t=2048, tol=tol)
         defect = np.max(np.abs(s.u.coeffs - pt_now.u_coeffs))
         assert defect <= 10 * tol  # discrete local invariance
+
+
+# ---------------------------------------------------------------------------
+# recurrence scans against the node-by-node loops they replace
+
+
+def loop_convolve_forward(lam, h, F):
+    z = lam * h
+    decay = np.exp(z)
+    wA = h * (_phi1(z) - _phi2(z))
+    wB = h * _phi2(z)
+    out = np.zeros_like(F)
+    for j in range(1, F.shape[0]):
+        out[j] = decay * out[j - 1] + wA * F[j - 1] + wB * F[j]
+    return out
+
+
+def loop_propagate_slow_backward(lam, h, v0, F):
+    z = lam * h
+    grow = np.exp(-z)
+    wA = h * (_phi1(z) - _phi2(z))
+    wB = h * _phi2(z)
+    out = np.zeros_like(F)
+    out[-1] = v0
+    for j in range(F.shape[0] - 1, 0, -1):
+        out[j - 1] = grow * (out[j] - wA * F[j - 1] - wB * F[j])
+    return out
+
+
+# float64 rounding accumulated over the log2(n_t) passes of the scan, relative
+# per mode column to the largest value of the envelope: the loop run on
+# absolute data, which bounds every partial sum of either evaluation order.
+# The loop's own values can cancel far below the loop's rounding error.
+SCAN_RTOL = 1e-13
+
+
+def assert_columns_close(new, ref, envelope):
+    assert np.all(np.isfinite(new))
+    assert np.all(np.abs(new - ref) <= SCAN_RTOL * np.max(envelope, axis=0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n_t", [8, 9, 257, 2048])
+def test_convolve_forward_scan_matches_loop(n_t):
+    rng = np.random.default_rng(n_t)
+    for K in (1, 5, 20):
+        for first in (0.0, -1e3, None):  # lam = 0; lam h = -1e3, where decay is 0
+            h = 10.0 ** rng.uniform(-4, -1)
+            z = -(10.0 ** rng.uniform(-6, 3, K))
+            if first is not None:
+                z[0] = first
+            lam = z / h
+            F = rng.standard_normal((n_t, K))
+            assert_columns_close(
+                _convolve_forward(lam, h, F),
+                loop_convolve_forward(lam, h, F),
+                loop_convolve_forward(lam, h, np.abs(F)),
+            )
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n_t", [8, 9, 257, 2048])
+def test_propagate_slow_backward_scan_matches_loop(n_t):
+    # growing slow modes: up to e^40 over the horizon, and one column near
+    # e^600, where a factor power beyond the horizon would overflow
+    rng = np.random.default_rng(n_t)
+    for K in (1, 5, 20):
+        for first in (0.0, -600.0 / (n_t - 1), None):
+            h = 10.0 ** rng.uniform(-4, -1)
+            z = -rng.uniform(0.0, 40.0 / (n_t - 1), K)
+            if first is not None:
+                z[0] = first
+            lam = z / h
+            v0 = rng.standard_normal(K)
+            F = rng.standard_normal((n_t, K))
+            assert_columns_close(
+                _propagate_slow_backward(lam, h, v0, F),
+                loop_propagate_slow_backward(lam, h, v0, F),
+                loop_propagate_slow_backward(lam, h, np.abs(v0), -np.abs(F)),
+            )
 
 
 # ---------------------------------------------------------------------------
