@@ -32,7 +32,7 @@ from .models import lipschitz_estimates
 from .output import emit_csv, emit_svg
 from .rates import convergence_study
 from .reduction import initial_layer, solve_limit_system, theoretical_constants
-from .spectral_core import SpectralField
+from .spectral_core import SpectralField, _sobolev_squares
 
 __all__ = ["main", "run"]
 
@@ -43,11 +43,14 @@ def _traj_series(traj):
         "u_L2": [], "v_L2": [], "u_H2": [], "v_H2": [],
         "u1_linf": list(traj.u1_linf), "u2_linf": list(traj.u2_linf),
     }
-    for s in traj.states:
-        cols["u_L2"].append(s.u.sobolev_norm(0))
-        cols["v_L2"].append(s.v.sobolev_norm(0))
-        cols["u_H2"].append(s.u.sobolev_norm(2))
-        cols["v_H2"].append(s.v.sobolev_norm(2))
+    # one sample row at a time: a whole-trajectory reduction would hold
+    # several temporaries the size of the trajectory itself
+    for row in traj.coeffs:
+        sq0, _, sq2 = _sobolev_squares(traj.grid, row, 2)
+        cols["u_L2"].append(float(np.sqrt(sq0[0])))
+        cols["v_L2"].append(float(np.sqrt(sq0[1])))
+        cols["u_H2"].append(float(np.sqrt(sq2[0])))
+        cols["v_H2"].append(float(np.sqrt(sq2[1])))
     return cols
 
 

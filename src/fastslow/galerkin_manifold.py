@@ -36,7 +36,7 @@ from .errors import (
     SplittingError,
 )
 from .integrator import FastSlowState, _phi1, _phi2, simulate
-from .models import ModelParams
+from .models import ModelParams, node_remainder
 from .reduction import critical_map_u_of_v
 from .spectral_core import Grid, SpectralField, _forward, _inverse, build_grid
 
@@ -119,7 +119,6 @@ class GapReport:
     total: float
     parameter_inequality_value: float
     small_ratio_ok: bool          # eps * zeta_inv < (1 - L_f) / 4
-    delta_over_eps_sqrt_zeta: float
     passes: bool
 
 
@@ -150,7 +149,6 @@ def validate_assumptions(
     )
     total = term1 + term2
     small_ratio_ok = eps * split.zeta_inv < (1.0 - L_f) / 4.0
-    delta_ratio = delta / (eps * math.sqrt(split.zeta_inv))
     passes = bool(total < 1.0 and param_ineq < 0.0 and small_ratio_ok)
     return GapReport(
         eps=eps,
@@ -166,7 +164,6 @@ def validate_assumptions(
         total=total,
         parameter_inequality_value=param_ineq,
         small_ratio_ok=small_ratio_ok,
-        delta_over_eps_sqrt_zeta=delta_ratio,
         passes=passes,
     )
 
@@ -230,10 +227,7 @@ def _sources(params: ModelParams, grid: Grid, U, V, n_modes, clip_bound=None):
         if clip_bound is not None:
             up = np.clip(up, -clip_bound, clip_bound)
             vp = np.clip(vp, -clip_bound, clip_bound)
-        lv = params.a - params.b * up - params.c * vp
-        n_u_nodes = (params.kappa / params.eps) * (vp - up) ** 2 + lv * up
-        psi_nodes = lv * vp
-        out = _forward(np.stack([n_u_nodes, psi_nodes]))[:, :, : grid.N]
+        out = _forward(np.stack(node_remainder(params, up, vp)))[:, :, : grid.N]
         n_u, psi = out[0], out[1]
     n_u = n_u.copy()
     psi = psi.copy()
@@ -511,13 +505,12 @@ def attraction_projection(
     if dt is None:
         dt = min(0.5 * params.eps, tau / 200.0)
     traj = simulate(FastSlowState(u0, v0, 0.0), params, T=tau, dt=dt, sample_every=10**9)
-    end = traj.final()
-    mask = np.arange(grid.N) >= k0
+    u_end, v_end = traj.coeffs[-1]
     return AttractionSample(
         grid=grid,
-        v_slow=end.v.coeffs[:k0].copy(),
-        u_coeffs=end.u.coeffs.copy(),
-        v_fast_coeffs=np.where(mask, end.v.coeffs, 0.0),
+        v_slow=v_end[:k0].copy(),
+        u_coeffs=u_end.copy(),
+        v_fast_coeffs=np.where(np.arange(grid.N) >= k0, v_end, 0.0),
         tau=tau,
     )
 

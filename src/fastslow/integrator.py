@@ -11,8 +11,12 @@ is treated linearly and the remainder
 
     N(u, v) = (kappa f~(u, v)/eps + phi(u, v),  psi(u, v))
 
-is integrated by a second-order exponential Runge-Kutta rule with weights
-h*phi1(h M_k) and h*phi2(h M_k).
+is integrated by a second-order exponential Runge-Kutta rule (Cox &
+Matthews 2002) with weights h*phi1(h M_k) and h*phi2(h M_k).
+
+That step (``_etd2_step``) and one time loop (``_time_loop``) serve both
+``simulate`` and ``reduction.solve_limit_system``, whose scalar symbol is a
+(1, 1, N) propagator; N is evaluated by ``models.node_remainder``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .models import ModelParams
+from .models import ModelParams, node_remainder
 from .spectral_core import Grid, SpectralField, _forward, _inverse
 
 __all__ = [
@@ -166,7 +170,9 @@ class FastSlowState:
 class ModePropagator:
     """Per-mode exact propagator E = exp(dt M_k) with ETD weight matrices.
 
-    Arrays have shape (2, 2, N).  ``W1 = dt phi1(dt M)``, ``W2 = dt phi2(dt M)``.
+    Arrays have shape (n, n, N) for a system of n fields: (2, 2, N) for the
+    full system, (1, 1, N) for the scalar limit system.
+    ``W1 = dt phi1(dt M)``, ``W2 = dt phi2(dt M)``.
     """
 
     dt: float
@@ -175,16 +181,10 @@ class ModePropagator:
     W1: np.ndarray
     W2: np.ndarray
 
-    def mode_matrix(self, k: int) -> np.ndarray:
-        return self.M[:, :, k].copy()
 
-    def apply(self, P: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.stack(
-            [
-                P[0, 0] * y[0] + P[0, 1] * y[1],
-                P[1, 0] * y[0] + P[1, 1] * y[1],
-            ]
-        )
+def _apply(P: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-mode matrix-vector product of P (n, n, N) with y (n, N)."""
+    return (P * y).sum(axis=1)
 
 
 def _system_matrices(params: ModelParams, grid: Grid) -> np.ndarray:
@@ -226,23 +226,55 @@ def _remainder(params: ModelParams, grid: Grid, y: np.ndarray) -> np.ndarray:
     if params.is_linear:
         return np.zeros_like(y)
     vals = _inverse(y, n_nodes=grid.padded_size)
-    up, vp = vals[0], vals[1]
-    lv = params.a - params.b * up - params.c * vp
-    n_u = (params.kappa / params.eps) * (vp - up) ** 2 + lv * up
-    n_v = lv * vp
-    return _forward(np.stack([n_u, n_v]))[:, : grid.N]
+    return _forward(np.stack(node_remainder(params, vals[0], vals[1])))[:, : grid.N]
 
 
-def _check_state(y: np.ndarray, t: float):
-    if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > BLOWUP_LIMIT:
-        raise DivergenceError(f"state diverged at t={t:.6g}", t=t)
+def _etd2_step(y: np.ndarray, prop: ModePropagator, remainder) -> np.ndarray:
+    """One exponential RK2 step (Cox & Matthews 2002) of y' = M y + N(y)."""
+    n0 = remainder(y)
+    a = _apply(prop.E, y) + _apply(prop.W1, n0)
+    na = remainder(a)
+    return a + _apply(prop.W2, na - n0)
 
 
-def _step_array(y, params, grid, prop):
-    n0 = _remainder(params, grid, y)
-    a = prop.apply(prop.E, y) + prop.apply(prop.W1, n0)
-    na = _remainder(params, grid, a)
-    return a + prop.apply(prop.W2, na - n0)
+def _step_count(T: float, dt: float) -> tuple:
+    """Number of steps and the step shrunk so that they land exactly on T."""
+    n_steps = max(1, math.ceil(T / dt - 1e-9))
+    return n_steps, T / n_steps
+
+
+def _time_loop(grid, y0, t0, n_steps, prop, remainder, sample_every, record, what="state"):
+    """Step y0 ``n_steps`` times from t0 and record every ``sample_every``-th state.
+
+    ``record`` maps a state array to its (u, v) amplitude pair of shape
+    (2, N), which is stored with the node-wise sups of u and v - u.  The
+    initial and the final state are always recorded.
+    """
+    n_samples = 1 + n_steps // sample_every + (n_steps % sample_every != 0)
+    times = np.empty(n_samples)
+    coeffs = np.empty((n_samples, 2, grid.N))
+    u1_linf = np.empty(n_samples)
+    u2_linf = np.empty(n_samples)
+
+    def store(i, t, y):
+        times[i] = t
+        coeffs[i] = record(y)
+        vals = _inverse(coeffs[i])
+        u1_linf[i] = np.max(np.abs(vals[0]))
+        u2_linf[i] = np.max(np.abs(vals[1] - vals[0]))
+
+    store(0, t0, y0)
+    i = 0
+    y = y0
+    for step in range(1, n_steps + 1):
+        y = _etd2_step(y, prop, remainder)
+        t = t0 + step * prop.dt
+        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > BLOWUP_LIMIT:
+            raise DivergenceError(f"{what} diverged at t={t:.6g}", t=t)
+        if step % sample_every == 0 or step == n_steps:
+            i += 1
+            store(i, t, y)
+    return Trajectory(grid, times, coeffs, u1_linf, u2_linf)
 
 
 def etd_step(state: FastSlowState, params: ModelParams, dt: float, c_t: float = DEFAULT_CT) -> FastSlowState:
@@ -254,41 +286,28 @@ def etd_step(state: FastSlowState, params: ModelParams, dt: float, c_t: float = 
     """
     if dt <= 0:
         raise ConfigurationError(f"time step must be positive, got {dt}")
-    if not params.is_linear and dt > c_t * params.eps * (1 + 1e-12):
-        raise ConfigurationError(
-            f"dt={dt} exceeds the stability bound {c_t}*eps={c_t * params.eps}"
-        )
-    grid = state.u.grid
-    prop = linear_propagator(params, grid, dt)
-    y = np.stack([state.u.coeffs, state.v.coeffs])
-    y = _step_array(y, params, grid, prop)
-    t = state.t + dt
-    _check_state(y, t)
-    return FastSlowState(SpectralField(grid, y[0]), SpectralField(grid, y[1]), t)
+    return simulate(state, params, dt, dt=dt, c_t=c_t).final()
 
 
 @dataclass
 class Trajectory:
-    """Sampled states plus the running node-wise sup of u1 = u and u2 = v - u."""
+    """Sampled states plus the running node-wise sup of u1 = u and u2 = v - u.
 
+    ``coeffs[n, 0]`` and ``coeffs[n, 1]`` are the cosine amplitudes of u and
+    v at ``times[n]``; ``coeffs`` has shape (n_samples, 2, N).
+    """
+
+    grid: Grid
     times: np.ndarray
-    states: list
+    coeffs: np.ndarray
     u1_linf: np.ndarray
     u2_linf: np.ndarray
 
-    @property
-    def grid(self) -> Grid:
-        return self.states[0].u.grid
-
     def final(self) -> FastSlowState:
-        return self.states[-1]
-
-
-def _linf_pair(y: np.ndarray) -> tuple:
-    vals = _inverse(y)
-    u1 = np.max(np.abs(vals[0]))
-    u2 = np.max(np.abs(vals[1] - vals[0]))
-    return float(u1), float(u2)
+        u, v = self.coeffs[-1]
+        return FastSlowState(
+            SpectralField(self.grid, u), SpectralField(self.grid, v), float(self.times[-1])
+        )
 
 
 def simulate(
@@ -309,32 +328,18 @@ def simulate(
     if sample_every < 1:
         raise ConfigurationError(f"sample_every must be a positive integer")
     grid = state0.u.grid
-    y = np.stack([state0.u.coeffs, state0.v.coeffs])
-    u1, u2 = _linf_pair(y)
-    times = [state0.t]
-    states = [state0]
-    linf1, linf2 = [u1], [u2]
-    if T == 0:
-        return Trajectory(np.asarray(times), states, np.asarray(linf1), np.asarray(linf2))
-    if dt is None:
-        dt = min(c_t * params.eps, T / 1000.0) if not params.is_linear else T / 1000.0
-    n_steps = max(1, math.ceil(T / dt - 1e-9))
-    dt = T / n_steps
-    if not params.is_linear and dt > c_t * params.eps * (1 + 1e-12):
-        raise ConfigurationError(
-            f"dt={dt} exceeds the stability bound {c_t}*eps={c_t * params.eps}"
-        )
-    prop = linear_propagator(params, grid, dt)
-    for step in range(1, n_steps + 1):
-        y = _step_array(y, params, grid, prop)
-        t = state0.t + step * dt
-        _check_state(y, t)
-        if step % sample_every == 0 or step == n_steps:
-            u1, u2 = _linf_pair(y)
-            times.append(t)
-            states.append(
-                FastSlowState(SpectralField(grid, y[0]), SpectralField(grid, y[1]), t)
+    y0 = np.stack([state0.u.coeffs, state0.v.coeffs])
+    n_steps, prop = 0, None
+    if T > 0:
+        if dt is None:
+            dt = min(c_t * params.eps, T / 1000.0) if not params.is_linear else T / 1000.0
+        n_steps, dt = _step_count(T, dt)
+        if not params.is_linear and dt > c_t * params.eps * (1 + 1e-12):
+            raise ConfigurationError(
+                f"dt={dt} exceeds the stability bound {c_t}*eps={c_t * params.eps}"
             )
-            linf1.append(u1)
-            linf2.append(u2)
-    return Trajectory(np.asarray(times), states, np.asarray(linf1), np.asarray(linf2))
+        prop = linear_propagator(params, grid, dt)
+    return _time_loop(
+        grid, y0, state0.t, n_steps, prop,
+        lambda y: _remainder(params, grid, y), sample_every, record=lambda y: y,
+    )

@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 RATIO_SWITCH = 1e-8  # |v| below this: ratio defect switches to the affine defect
-ASYMPTOTIC_REGIME = 0.1  # eps*delta*mu <= this counts as the small-coupling regime
 
 
 def _require_linear(params: ModelParams):
@@ -60,7 +59,6 @@ class ModeSpectrum:
     fast_rate: float
     slope: float
     asymptotic_slow_rate: float
-    in_small_coupling_regime: bool
 
 
 def mode_spectrum(params: ModelParams, k: int) -> ModeSpectrum:
@@ -86,7 +84,6 @@ def mode_spectrum(params: ModelParams, k: int) -> ModeSpectrum:
         fast_rate=w_minus / (2 * eps),
         slope=slope,
         asymptotic_slow_rate=asym,
-        in_small_coupling_regime=bool(x <= ASYMPTOTIC_REGIME),
     )
 
 

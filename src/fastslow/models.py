@@ -122,15 +122,16 @@ def eval_reaction(params: ModelParams, x, y) -> ReactionEval:
     )
 
 
-def _grad_one_norm_max(grad_fns, corners):
-    """Largest l1 norm of an affine gradient over the given corner set."""
-    best = 0.0
-    arg = corners[0]
-    for x, y in corners:
-        val = sum(abs(fn(x, y)) for fn in grad_fns)
-        if val > best:
-            best, arg = val, (x, y)
-    return best, arg
+def node_remainder(params: ModelParams, x, y):
+    """The remainder (kappa f~(x, y)/eps + phi(x, y), psi(x, y)) at node values.
+
+    This is the part of the nonlinear kind's right-hand side that the
+    exponential steppers and the Lyapunov-Perron map treat explicitly (the
+    -x/eps part of g is linear); every solver evaluates it here, on the
+    padded nodes, and transforms the result back.
+    """
+    lv = params.a - params.b * x - params.c * y
+    return (params.kappa / params.eps) * (y - x) ** 2 + lv * x, lv * y
 
 
 def lipschitz_estimates(params: ModelParams, M: float, constants=None):
@@ -159,12 +160,7 @@ def lipschitz_estimates(params: ModelParams, M: float, constants=None):
         constants = theoretical_constants(params, M)
     L_f = params.kappa * 12.0 * constants.C_star * constants.K_M
     K0 = constants.K0
-    corners = [(0.0, 0.0), (0.0, K0), (K0, 0.0), (K0, K0)]
-    a, b, c = params.a, params.b, params.c
-    L_phi, _ = _grad_one_norm_max(
-        [lambda x, y: a - 2 * b * x - c * y, lambda x, y: -c * x], corners
-    )
-    L_psi, _ = _grad_one_norm_max(
-        [lambda x, y: -b * y, lambda x, y: a - b * x - 2 * c * y], corners
-    )
+    r = eval_reaction(params, [0.0, 0.0, K0, K0], [0.0, K0, 0.0, K0])
+    L_phi = float(np.max(np.abs(r.phi1) + np.abs(r.phi2)))
+    L_psi = float(np.max(np.abs(r.psi1) + np.abs(r.psi2)))
     return L_f, L_phi, L_psi

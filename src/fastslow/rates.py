@@ -24,7 +24,7 @@ from .errors import ConfigurationError, DivergenceError, ShapeError
 from .integrator import FastSlowState, Trajectory, simulate
 from .models import ModelParams
 from .reduction import initial_layer, solve_limit_system
-from .spectral_core import SpectralField
+from .spectral_core import SpectralField, _sobolev_squares
 
 __all__ = [
     "ErrorNorms",
@@ -50,26 +50,32 @@ class ErrorNorms:
 def trajectory_error_norms(
     traj_eps: Trajectory, traj_limit: Trajectory, t_skip: float = 0.0
 ) -> ErrorNorms:
-    """Error norms between two trajectories sampled at identical times.
+    """Error norms between two trajectories sampled at identical, uniformly
+    spaced times on one grid.
 
     The limit trajectory's u-component must already be the algebraic
     reconstruction h_kappa(v) (solve_limit_system stores it that way).
     """
     ta, tb = traj_eps.times, traj_limit.times
+    if traj_eps.grid != traj_limit.grid:
+        raise ShapeError("trajectories live on different grids")
     if len(ta) != len(tb) or np.max(np.abs(ta - tb)) > 1e-10 * max(1.0, ta[-1]):
         raise ShapeError("trajectories are sampled at different times")
     if len(ta) < 2:
         raise ShapeError("need at least two samples")
-    l2 = np.empty(len(ta))
-    h1sq = np.empty(len(ta))
-    h2 = np.empty(len(ta))
-    for n, (se, sl) in enumerate(zip(traj_eps.states, traj_limit.states)):
-        U = se.u - sl.u
-        V = se.v - sl.v
-        l2[n] = U.sobolev_norm(0) + V.sobolev_norm(0)
-        h1sq[n] = U.sobolev_norm(1) ** 2 + V.sobolev_norm(1) ** 2
-        h2[n] = U.sobolev_norm(2) + V.sobolev_norm(2)
-    dt = float(ta[1] - ta[0])
+    steps = np.diff(ta)
+    dt = float(steps[0])
+    if np.max(np.abs(steps - dt)) > 1e-9 * abs(dt):
+        raise ShapeError("error norms need uniformly spaced sample times")
+    # squared L2, H1, H2 norms of U and V per sample, shape (n_samples, 2) each
+    sq0, sq1, sq2 = _sobolev_squares(
+        traj_eps.grid, traj_eps.coeffs - traj_limit.coeffs, 2
+    )
+    l2 = np.sqrt(sq0).sum(axis=1)
+    # float_power squares through libm pow, as Python's float ** 2 does,
+    # so E_L2H1 keeps the bits of summing squared per-field H1 norms
+    h1sq = np.float_power(np.sqrt(sq1), 2).sum(axis=1)
+    h2 = np.sqrt(sq2).sum(axis=1)
     post = ta >= t_skip - 1e-12
     if not np.any(post):
         post = np.zeros_like(post)

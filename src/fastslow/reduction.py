@@ -11,8 +11,10 @@ v + (1 - sqrt(4 kappa v + 1)) / (2 kappa), and to the kappa = 1 expression
 
     dv/dt = d v_xx + psi(h_kappa(v), v)
 
-is integrated by the same exponential stepper as the full system, with the
-scalar per-mode symbol -d mu_k.
+is integrated by the same exponential RK2 step and the same time loop as
+the full system (``integrator._etd2_step`` and ``integrator._time_loop``),
+with the scalar per-mode symbol -d mu_k as a (1, 1, N) propagator and the
+remainder psi(h_kappa(v), v) taken from ``models.node_remainder``.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, DomainError
-from .integrator import FastSlowState, Trajectory, _phi1, _phi2
-from .models import ModelParams
+from .errors import ConfigurationError, DomainError
+from .integrator import ModePropagator, Trajectory, _phi1, _phi2, _step_count, _time_loop
+from .models import ModelParams, node_remainder
 from .spectral_core import Grid, SpectralField, _forward, _inverse, nonlinear_eval
 
 __all__ = [
@@ -39,7 +41,6 @@ __all__ = [
 ]
 
 NODE_TOL = 1e-12
-BLOWUP_LIMIT = 1e8
 
 
 def _critical_pointwise(v: np.ndarray, kappa: float) -> np.ndarray:
@@ -240,12 +241,23 @@ def sharp_embedding_constant_numeric(L, n_modes=256, n_trials=2000, rng=None, n_
 
 
 def _limit_remainder(params: ModelParams, grid: Grid, v: np.ndarray) -> np.ndarray:
+    """Coefficients of psi(h_kappa(v), v), dealiased; v has shape (1, N)."""
     if params.is_linear:
         return np.zeros_like(v)
     vp = _inverse(v, n_nodes=grid.padded_size)
-    up = _critical_pointwise(vp, params.kappa)
-    psi = (params.a - params.b * up - params.c * vp) * vp
-    return _forward(psi)[: grid.N]
+    psi = node_remainder(params, _critical_pointwise(vp, params.kappa), vp)[1]
+    return _forward(psi)[:, : grid.N]
+
+
+def _limit_pair(params: ModelParams, grid: Grid, v: np.ndarray) -> np.ndarray:
+    """The (u, v) amplitude pair of a limit state v (shape (1, N)), u = h_kappa(v)."""
+    if params.is_linear:
+        return np.concatenate([0.5 * v, v])
+    # permissive reconstruction: v may dip below zero at roundoff scale
+    # when it touches the axis; the pointwise map clips there
+    vp = _inverse(v[0], n_nodes=grid.padded_size)
+    u = _forward(_critical_pointwise(vp, params.kappa))[: grid.N]
+    return np.stack([u, v[0]])
 
 
 def solve_limit_system(
@@ -265,8 +277,7 @@ def solve_limit_system(
     """
     if T < 0:
         raise ConfigurationError(f"final time must be >= 0, got T={T}")
-    vals = v_in.values()
-    if np.min(vals) < -NODE_TOL:
+    if np.min(v_in.values()) < -NODE_TOL:
         raise DomainError("limit system requires v_in >= 0 pointwise")
     if constants is not None and not constants.kappa_ok:
         warnings.warn(
@@ -275,46 +286,19 @@ def solve_limit_system(
             stacklevel=2,
         )
     grid = v_in.grid
-    if params.is_linear:
-        lam = -(params.d + params.delta / 2.0) * grid.mu
-    else:
-        lam = -params.d * grid.mu
-
-    def u_of(vf: SpectralField) -> SpectralField:
+    n_steps, prop = 0, None
+    if T > 0:
+        n_steps, dt = _step_count(T, dt)
         if params.is_linear:
-            return SpectralField(grid, 0.5 * vf.coeffs)
-        # permissive reconstruction: v may dip below zero at roundoff scale
-        # when it touches the axis; the pointwise map clips there
-        return nonlinear_eval([vf], lambda w: _critical_pointwise(w, params.kappa))
-
-    times = [0.0]
-    states = [FastSlowState(u_of(v_in), v_in, 0.0)]
-    linf1 = [float(np.max(np.abs(states[0].u.values())))]
-    linf2 = [float(np.max(np.abs(vals - states[0].u.values())))]
-    if T == 0:
-        return Trajectory(np.asarray(times), states, np.asarray(linf1), np.asarray(linf2))
-
-    n_steps = max(1, math.ceil(T / dt - 1e-9))
-    dt = T / n_steps
-    z = dt * lam
-    E = np.exp(z)
-    W1 = dt * _phi1(z)
-    W2 = dt * _phi2(z)
-    y = v_in.coeffs.copy()
-    for step in range(1, n_steps + 1):
-        n0 = _limit_remainder(params, grid, y)
-        a = E * y + W1 * n0
-        na = _limit_remainder(params, grid, a)
-        y = a + W2 * (na - n0)
-        t = step * dt
-        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > BLOWUP_LIMIT:
-            raise DivergenceError(f"limit system diverged at t={t:.6g}", t=t)
-        if step % sample_every == 0 or step == n_steps:
-            vf = SpectralField(grid, y)
-            uf = u_of(vf)
-            times.append(t)
-            states.append(FastSlowState(uf, vf, t))
-            uv, vv = uf.values(), vf.values()
-            linf1.append(float(np.max(np.abs(uv))))
-            linf2.append(float(np.max(np.abs(vv - uv))))
-    return Trajectory(np.asarray(times), states, np.asarray(linf1), np.asarray(linf2))
+            lam = -(params.d + params.delta / 2.0) * grid.mu
+        else:
+            lam = -params.d * grid.mu
+        z = (dt * lam)[None, None]
+        prop = ModePropagator(
+            dt=dt, M=lam[None, None], E=np.exp(z), W1=dt * _phi1(z), W2=dt * _phi2(z)
+        )
+    return _time_loop(
+        grid, v_in.coeffs[None], 0.0, n_steps, prop,
+        lambda v: _limit_remainder(params, grid, v), sample_every,
+        record=lambda v: _limit_pair(params, grid, v), what="limit system",
+    )

@@ -186,16 +186,23 @@ def sobolev_norm(w: SpectralField, order: int) -> float:
     """
     if order not in (0, 1, 2):
         raise ConfigurationError(f"Sobolev order must be 0, 1 or 2, got {order}")
-    L = w.grid.L
-    c2 = w.coeffs**2
-    weights = np.full(w.grid.N, L / 2.0)
-    weights[0] = L
-    total = np.sum(weights * c2)
+    return float(np.sqrt(_sobolev_squares(w.grid, w.coeffs, order)[order]))
+
+
+def _sobolev_squares(grid: Grid, coeffs: np.ndarray, order: int) -> list:
+    """Squared L2, .., H^order norms of amplitude arrays along the last axis."""
+    c2 = coeffs**2
+    weights = np.full(grid.N, grid.L / 2.0)
+    weights[0] = grid.L
+    total = np.sum(weights * c2, axis=-1)
+    out = [total]
     if order >= 1:
-        total += np.sum(weights[1:] * w.grid.mu[1:] * c2[1:])
+        total = total + np.sum(weights[1:] * grid.mu[1:] * c2[..., 1:], axis=-1)
+        out.append(total)
     if order == 2:
-        total += np.sum(weights[1:] * w.grid.mu[1:] ** 2 * c2[1:])
-    return float(np.sqrt(total))
+        total = total + np.sum(weights[1:] * grid.mu[1:] ** 2 * c2[..., 1:], axis=-1)
+        out.append(total)
+    return out
 
 
 def nonlinear_eval(fields, F) -> SpectralField:

@@ -46,7 +46,7 @@ def test_propagator_eigenvalues_match_mode_rates():
     prop = linear_propagator(p, g, 0.05)
     sp = mode_spectrum(p, 2)
     assert abs(sp.Omega - np.sqrt(4.0016)) < 1e-12
-    ev = np.sort(np.linalg.eigvals(prop.mode_matrix(2)).real)
+    ev = np.sort(np.linalg.eigvals(prop.M[:, :, 2]).real)
     assert np.max(np.abs(ev - np.sort([sp.fast_rate, sp.slow_rate]))) < 1e-12
 
 
@@ -56,7 +56,7 @@ def test_propagator_mode_zero_no_cross_diffusion():
     g = build_grid(np.pi, 16)
     p = linear_params(eps=0.2, delta=0.0)
     prop = linear_propagator(p, g, 0.3)
-    M = prop.mode_matrix(0)
+    M = prop.M[:, :, 0]
     assert np.allclose(M, [[-10.0, 5.0], [0.0, 0.0]])
     assert abs(prop.E[1, 0, 0]) < 1e-15
     assert abs(prop.E[1, 1, 0] - 1.0) < 1e-15
@@ -129,7 +129,7 @@ def test_mode_zero_conservation_reactions_off():
             0.0,
         )
         traj = simulate(s0, p, T=1.0, dt=0.02, sample_every=10)
-        m0 = [s.v.coeffs[0] for s in traj.states]
+        m0 = list(traj.coeffs[:, 1, 0])
         assert max(abs(m - m0[0]) for m in m0) < 1e-10
 
 
@@ -138,7 +138,8 @@ def test_simulate_t_zero_returns_initial_state():
     rng = np.random.default_rng(2)
     s0 = random_state(g, rng)
     traj = simulate(s0, nonlinear_params(), T=0.0)
-    assert len(traj.states) == 1 and traj.states[0] is s0
+    assert len(traj.times) == 1 and traj.times[0] == s0.t
+    assert np.array_equal(traj.coeffs[0], np.stack([s0.u.coeffs, s0.v.coeffs]))
 
 
 def test_energy_sup_bound_along_trajectory():
@@ -191,7 +192,7 @@ def test_nonlinear_mode_matrix_form():
     k = 3
     mu = k**2
     expected = np.array([[-(1.0 + 0.01) * mu - 1 / 0.05, 0.0], [-0.01 * mu, -mu]])
-    assert np.allclose(prop.mode_matrix(k), expected)
+    assert np.allclose(prop.M[:, :, k], expected)
 
 
 def test_matrix_function_confluent_fallback():
@@ -245,3 +246,41 @@ def test_divergence_error_carries_time():
     with pytest.raises(DivergenceError) as err:
         simulate(s0, p, T=2.0, dt=0.02)
     assert err.value.t is not None and 0 < err.value.t <= 2.0
+
+
+@pytest.mark.parametrize("kind", ["nonlinear", "linear"])
+def test_off_stride_final_sample_full_and_limit(kind):
+    # T = 0.37 at dt = 0.004 takes 93 steps; stride 7 samples steps 0, 7, ..,
+    # 91 and then the off-stride final step 93
+    from fastslow import critical_map_u_of_v, solve_limit_system
+
+    g = build_grid(np.pi, 32)
+    if kind == "linear":
+        p = linear_params(eps=0.05, delta=0.01)
+    else:
+        p = nonlinear_params(eps=0.01, delta=0.001, kappa=0.5)
+    x = g.nodes
+    s0 = FastSlowState(
+        SpectralField.from_values(g, 0.2 * (1 + np.cos(x))),
+        SpectralField.from_values(g, 0.6 * (1 + np.cos(x))),
+        0.0,
+    )
+    full = simulate(s0, p, T=0.37, dt=0.004, sample_every=7)
+    limit = solve_limit_system(s0.v, p, T=0.37, dt=0.004, sample_every=7)
+    for traj in (full, limit):
+        assert len(traj.times) == 15
+        assert traj.coeffs.shape == (15, 2, g.N)
+        assert traj.u1_linf.shape == traj.u2_linf.shape == (15,)
+        assert traj.times[-1] == 0.37
+    assert np.array_equal(full.times, limit.times)
+    assert np.allclose(np.diff(full.times[:-1]), 7 * 0.37 / 93, rtol=1e-12)
+    for u, v in limit.coeffs:
+        if kind == "linear":
+            expected = 0.5 * v
+        else:
+            expected = critical_map_u_of_v(SpectralField(g, v), p.kappa).coeffs
+        assert np.array_equal(u, expected)
+    end = full.final()
+    assert end.t == 0.37
+    assert np.array_equal(end.u.coeffs, full.coeffs[-1, 0])
+    assert np.array_equal(end.v.coeffs, full.coeffs[-1, 1])

@@ -3,6 +3,7 @@ import pytest
 
 from fastslow import ModelParams, eval_reaction, lipschitz_estimates
 from fastslow.errors import ConfigurationError
+from fastslow.models import node_remainder
 from fastslow.reduction import critical_map_u_of_v
 
 
@@ -123,3 +124,19 @@ def test_params_validation():
         ModelParams(d=1.0, delta=0.0, eps=0.1, model_kind="cubic")
     # reactions-off and kappa = 0 degenerate cases are allowed
     ModelParams(d=1.0, delta=0.0, eps=0.1, kappa=0.0, a=0.0, b=0.0, c=0.0)
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [{}, {"kappa": 0.0}, {"a": 0.0, "b": 0.0, "c": 0.0}, {"kappa": 3.7, "eps": 1e-4, "a": 2.0}],
+)
+def test_node_remainder_matches_eval_reaction(kw):
+    # the solvers' remainder is (kappa f~ / eps + phi, psi) of the reaction terms
+    p = nonlinear(**kw)
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-1.0, 2.0, 96)
+    y = rng.uniform(-1.0, 2.0, 96)
+    r = eval_reaction(p, x, y)
+    n_u, n_v = node_remainder(p, x, y)
+    np.testing.assert_allclose(n_u, (p.kappa / p.eps) * r.f_tilde + r.phi, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(n_v, r.psi, rtol=1e-14, atol=0)

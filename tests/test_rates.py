@@ -10,6 +10,7 @@ from fastslow import (
     Trajectory,
     build_grid,
     closed_form_solution,
+    cosine_transform,
     convergence_study,
     critical_map_u_of_v,
     simulate,
@@ -20,14 +21,14 @@ from fastslow.errors import ConfigurationError, ShapeError
 
 
 def make_traj(grid, times, u_vals, v_vals):
-    states = [
-        FastSlowState(
-            SpectralField.from_values(grid, u), SpectralField.from_values(grid, v), t
-        )
-        for t, u, v in zip(times, u_vals, v_vals)
-    ]
+    coeffs = np.array(
+        [
+            [cosine_transform(grid, u), cosine_transform(grid, v)]
+            for u, v in zip(u_vals, v_vals)
+        ]
+    )
     z = np.zeros(len(times))
-    return Trajectory(np.asarray(times), states, z, z)
+    return Trajectory(grid, np.asarray(times), coeffs, z, z)
 
 
 def test_identical_trajectories_zero_error():
@@ -60,6 +61,23 @@ def test_mismatched_sampling_rejected():
     tb = make_traj(g, [0.0, 0.4], [np.zeros(16)] * 2, [np.zeros(16)] * 2)
     with pytest.raises(ShapeError):
         trajectory_error_norms(ta, tb)
+
+
+def test_non_uniform_sample_times_rejected():
+    # 93 steps with stride 7: the last sample interval is 2 steps, not 7, and
+    # a Riemann sum with one dt would weight it wrongly
+    g = build_grid(np.pi, 16)
+    p = ModelParams(d=1.0, delta=0.001, eps=0.01, kappa=1e-3, a=1.0, b=1.0, c=1.0)
+    v_in = SpectralField.from_values(g, 0.5 * (1.0 + np.cos(g.nodes)))
+    u_in = critical_map_u_of_v(v_in, p.kappa)
+    traj = simulate(FastSlowState(u_in, v_in, 0.0), p, T=0.37, dt=0.004, sample_every=7)
+    limit = solve_limit_system(v_in, p, T=0.37, dt=0.004, sample_every=7)
+    with pytest.raises(ShapeError):
+        trajectory_error_norms(traj, limit)
+    # the same run on whole strides (98 steps) is accepted
+    traj = simulate(FastSlowState(u_in, v_in, 0.0), p, T=0.37, dt=0.37 / 98, sample_every=7)
+    limit = solve_limit_system(v_in, p, T=0.37, dt=0.37 / 98, sample_every=7)
+    assert trajectory_error_norms(traj, limit).E_L2H1 > 0.0
 
 
 def test_error_norms_match_per_mode_closed_form_oracle():
@@ -96,22 +114,10 @@ def test_error_norms_match_per_mode_closed_form_oracle():
     expected = (np.max(l2), math.sqrt(np.sum(dt * h1s)), np.max(h2))
 
     ta = Trajectory(
-        times,
-        [
-            FastSlowState(SpectralField(g, u), SpectralField(g, v), t)
-            for t, (u, v) in zip(times, states_eps)
-        ],
-        np.zeros(len(times)),
-        np.zeros(len(times)),
+        g, times, np.array(states_eps), np.zeros(len(times)), np.zeros(len(times))
     )
     tb = Trajectory(
-        times,
-        [
-            FastSlowState(SpectralField(g, u), SpectralField(g, v), t)
-            for t, (u, v) in zip(times, states_lim)
-        ],
-        np.zeros(len(times)),
-        np.zeros(len(times)),
+        g, times, np.array(states_lim), np.zeros(len(times)), np.zeros(len(times))
     )
     norms = trajectory_error_norms(ta, tb)
     assert abs(norms.E_LinfL2 - expected[0]) < 1e-10
@@ -170,7 +176,9 @@ def test_resolution_independence():
             g, 0.35 * (1.0 + 0.6 * np.cos(g.nodes) + 0.2 * np.cos(2 * g.nodes))
         )
         u_in = critical_map_u_of_v(v_in, p0.kappa)
-        dt = 0.5 * p0.eps
+        # the step count is rounded up to whole sampling strides, so that the
+        # sample times are uniform, as the error norms require
+        dt = 0.1 / (5 * math.ceil(0.1 / (0.5 * p0.eps) / 5))
         traj = simulate(FastSlowState(u_in, v_in, 0.0), p0, T=0.1, dt=dt, sample_every=5)
         limit = solve_limit_system(v_in, p0, T=0.1, dt=traj.times[1] / 5, sample_every=5)
         norms = trajectory_error_norms(traj, limit)

@@ -136,8 +136,8 @@ def test_limit_system_zero_stays_zero():
     g = build_grid(np.pi, 16)
     p = ModelParams(d=1.0, delta=0.0, eps=0.01, kappa=1.0, a=1.0, b=1.0, c=1.0)
     traj = solve_limit_system(SpectralField.zero(g), p, T=0.5, dt=0.01)
-    for s in traj.states:
-        assert np.max(np.abs(s.v.coeffs)) < 1e-14
+    for v in traj.coeffs[:, 1]:
+        assert np.max(np.abs(v)) < 1e-14
 
 
 def test_limit_system_logistic_oracle():
@@ -158,8 +158,8 @@ def test_limit_system_sup_bound():
     v0 = SpectralField.from_values(g, 0.5 * (1.0 + np.cos(g.nodes)))
     bound = np.max(v0.values()) + p.a / p.c
     traj = solve_limit_system(v0, p, T=2.0, dt=0.005, sample_every=20)
-    for s in traj.states:
-        vals = s.v.values()
+    for v in traj.coeffs[:, 1]:
+        vals = SpectralField(g, v).values()
         assert np.max(vals) <= bound + 1e-8
         assert np.min(vals) >= -1e-8
 
