@@ -14,16 +14,22 @@ is treated linearly and the remainder
 is integrated by a second-order exponential Runge-Kutta rule (Cox &
 Matthews 2002) with weights h*phi1(h M_k) and h*phi2(h M_k).
 
-That step (``_etd2_step``) and one time loop (``_time_loop``) serve both
-``simulate`` and ``reduction.solve_limit_system``, whose scalar symbol is a
-(1, 1, N) propagator; N is evaluated by ``models.node_remainder``.
+That step (``_etd2_step``) and one time loop (``_time_loop``) serve every
+solver.  The loop steps a stack of systems ("blocks") that share the step:
+``simulate`` is the one-block case (u, v), ``reduction.solve_limit_system``
+the one-block case v with a (1, 1, N) propagator, and a member of
+``rates.convergence_study`` steps both systems together as the rows
+(u, v, v_lim) with a block-diagonal propagator, so that one transform pair
+per remainder serves both.  N is evaluated on the padded nodes by each
+block's node map (``models.node_remainder`` for the full system).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable
 
 import numpy as np
 
@@ -221,12 +227,71 @@ def linear_propagator(params: ModelParams, grid: Grid, dt: float) -> ModePropaga
     return _cached_propagator(params, grid, float(dt))
 
 
-def _remainder(params: ModelParams, grid: Grid, y: np.ndarray) -> np.ndarray:
-    """Coefficients of the nonlinear remainder N(u, v), dealiased."""
-    if params.is_linear:
-        return np.zeros_like(y)
+@dataclass(frozen=True)
+class _Block:
+    """One system stepped by ``_time_loop``, owning ``size`` rows of the stacked state.
+
+    ``prop`` is its (size, size, N) propagator (None when no step is taken);
+    ``node_map`` overwrites the padded node values of its rows with its
+    remainder at those nodes (None: the remainder is zero); ``record`` maps
+    its rows to the stored (u, v) amplitude pair of shape (2, N); ``what``
+    names it in a divergence error.
+    """
+
+    size: int
+    prop: ModePropagator | None
+    node_map: Callable | None
+    record: Callable
+    what: str
+
+
+def _full_node_map(params: ModelParams, vals: np.ndarray) -> None:
+    vals[0], vals[1] = node_remainder(params, vals[0], vals[1])
+
+
+def _full_block(params: ModelParams, grid: Grid, dt: float | None, c_t: float = DEFAULT_CT) -> _Block:
+    """The full system (u, v) as a block of ``_time_loop``; dt None takes no step."""
+    prop = None
+    if dt is not None:
+        if not params.is_linear and dt > c_t * params.eps * (1 + 1e-12):
+            raise ConfigurationError(
+                f"dt={dt} exceeds the stability bound {c_t}*eps={c_t * params.eps}"
+            )
+        prop = linear_propagator(params, grid, dt)
+    node_map = None if params.is_linear else partial(_full_node_map, params)
+    return _Block(2, prop, node_map, record=lambda y: y, what="state")
+
+
+def _block_diagonal(props) -> ModePropagator:
+    """One propagator for systems stepped together: their blocks on the diagonal."""
+    n = sum(p.E.shape[0] for p in props)
+
+    def stack(name):
+        out = np.zeros((n, n, props[0].E.shape[-1]))
+        i = 0
+        for p in props:
+            k = p.E.shape[0]
+            out[i : i + k, i : i + k] = getattr(p, name)
+            i += k
+        return out
+
+    return ModePropagator(
+        dt=props[0].dt, M=stack("M"), E=stack("E"), W1=stack("W1"), W2=stack("W2")
+    )
+
+
+def _remainder(grid: Grid, node_maps, y: np.ndarray) -> np.ndarray:
+    """Dealiased remainder coefficients of all rows of y in one transform pair.
+
+    ``node_maps`` pairs each block's rows with its node map (None: zero).
+    """
     vals = _inverse(y, n_nodes=grid.padded_size)
-    return _forward(np.stack(node_remainder(params, vals[0], vals[1])))[:, : grid.N]
+    for rows, node_map in node_maps:
+        if node_map is None:
+            vals[rows] = 0.0
+        else:
+            node_map(vals[rows])
+    return _forward(vals)[:, : grid.N]
 
 
 def _etd2_step(y: np.ndarray, prop: ModePropagator, remainder) -> np.ndarray:
@@ -243,25 +308,47 @@ def _step_count(T: float, dt: float) -> tuple:
     return n_steps, T / n_steps
 
 
-def _time_loop(grid, y0, t0, n_steps, prop, remainder, sample_every, record, what="state"):
-    """Step y0 ``n_steps`` times from t0 and record every ``sample_every``-th state.
+def _time_loop(grid, y0, t0, n_steps, blocks, sample_every) -> list:
+    """Step the stacked state y0 ``n_steps`` times from t0; one Trajectory per block.
 
-    ``record`` maps a state array to its (u, v) amplitude pair of shape
-    (2, N), which is stored with the node-wise sups of u and v - u.  The
-    initial and the final state are always recorded.
+    The blocks own consecutive rows of y0 and share every step: one
+    block-diagonal propagator and one transform pair per remainder serve
+    them all.  Each block records every ``sample_every``-th state, and the
+    initial and the final one, as its (u, v) amplitude pair with the
+    node-wise sups of u and v - u.  A step whose state leaves
+    |y| <= BLOWUP_LIMIT (or is not finite) raises ``DivergenceError`` named
+    after the first block that left it; a non-finite value spreads to every
+    block through the zeros of the block-diagonal propagator, so it is
+    named after the first block.
     """
+    rows, start = [], 0
+    for block in blocks:
+        rows.append(slice(start, start + block.size))
+        start += block.size
+    if all(block.node_map is None for block in blocks):
+        remainder = np.zeros_like
+    else:
+        node_maps = [(r, block.node_map) for r, block in zip(rows, blocks)]
+        remainder = partial(_remainder, grid, node_maps)
+    prop = None
+    if n_steps:
+        props = [block.prop for block in blocks]
+        prop = props[0] if len(props) == 1 else _block_diagonal(props)
+
     n_samples = 1 + n_steps // sample_every + (n_steps % sample_every != 0)
     times = np.empty(n_samples)
-    coeffs = np.empty((n_samples, 2, grid.N))
-    u1_linf = np.empty(n_samples)
-    u2_linf = np.empty(n_samples)
+    samples = [
+        (np.empty((n_samples, 2, grid.N)), np.empty(n_samples), np.empty(n_samples))
+        for _ in blocks
+    ]
 
     def store(i, t, y):
         times[i] = t
-        coeffs[i] = record(y)
-        vals = _inverse(coeffs[i])
-        u1_linf[i] = np.max(np.abs(vals[0]))
-        u2_linf[i] = np.max(np.abs(vals[1] - vals[0]))
+        for block, r, (coeffs, u1_linf, u2_linf) in zip(blocks, rows, samples):
+            coeffs[i] = block.record(y[r])
+            vals = _inverse(coeffs[i])
+            u1_linf[i] = np.max(np.abs(vals[0]))
+            u2_linf[i] = np.max(np.abs(vals[1] - vals[0]))
 
     store(0, t0, y0)
     i = 0
@@ -269,12 +356,16 @@ def _time_loop(grid, y0, t0, n_steps, prop, remainder, sample_every, record, wha
     for step in range(1, n_steps + 1):
         y = _etd2_step(y, prop, remainder)
         t = t0 + step * prop.dt
-        if not np.all(np.isfinite(y)) or np.max(np.abs(y)) > BLOWUP_LIMIT:
+        if not np.max(np.abs(y)) <= BLOWUP_LIMIT:
+            what = next(
+                block.what for block, r in zip(blocks, rows)
+                if not np.max(np.abs(y[r])) <= BLOWUP_LIMIT
+            )
             raise DivergenceError(f"{what} diverged at t={t:.6g}", t=t)
         if step % sample_every == 0 or step == n_steps:
             i += 1
             store(i, t, y)
-    return Trajectory(grid, times, coeffs, u1_linf, u2_linf)
+    return [Trajectory(grid, times.copy(), *arrays) for arrays in samples]
 
 
 def etd_step(state: FastSlowState, params: ModelParams, dt: float, c_t: float = DEFAULT_CT) -> FastSlowState:
@@ -329,17 +420,10 @@ def simulate(
         raise ConfigurationError(f"sample_every must be a positive integer")
     grid = state0.u.grid
     y0 = np.stack([state0.u.coeffs, state0.v.coeffs])
-    n_steps, prop = 0, None
+    n_steps = 0
     if T > 0:
         if dt is None:
             dt = min(c_t * params.eps, T / 1000.0) if not params.is_linear else T / 1000.0
         n_steps, dt = _step_count(T, dt)
-        if not params.is_linear and dt > c_t * params.eps * (1 + 1e-12):
-            raise ConfigurationError(
-                f"dt={dt} exceeds the stability bound {c_t}*eps={c_t * params.eps}"
-            )
-        prop = linear_propagator(params, grid, dt)
-    return _time_loop(
-        grid, y0, state0.t, n_steps, prop,
-        lambda y: _remainder(params, grid, y), sample_every, record=lambda y: y,
-    )
+    block = _full_block(params, grid, dt if n_steps else None, c_t)
+    return _time_loop(grid, y0, state0.t, n_steps, [block], sample_every)[0]

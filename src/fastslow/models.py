@@ -122,16 +122,28 @@ def eval_reaction(params: ModelParams, x, y) -> ReactionEval:
     )
 
 
+def _competition(params: ModelParams, x, y):
+    """The Lotka-Volterra factor a - b x - c y of phi = (.) x and psi = (.) y."""
+    return params.a - params.b * x - params.c * y
+
+
 def node_remainder(params: ModelParams, x, y):
     """The remainder (kappa f~(x, y)/eps + phi(x, y), psi(x, y)) at node values.
 
     This is the part of the nonlinear kind's right-hand side that the
     exponential steppers and the Lyapunov-Perron map treat explicitly (the
     -x/eps part of g is linear); every solver evaluates it here, on the
-    padded nodes, and transforms the result back.
+    padded nodes, and transforms the result back.  The limit system's
+    remainder is its second component alone, ``node_psi``.
     """
-    lv = params.a - params.b * x - params.c * y
+    lv = _competition(params, x, y)
     return (params.kappa / params.eps) * (y - x) ** 2 + lv * x, lv * y
+
+
+def node_psi(params: ModelParams, x, y):
+    """psi(x, y) = (a - b x - c y) y at node values, the second component of
+    ``node_remainder`` computed alone."""
+    return _competition(params, x, y) * y
 
 
 def lipschitz_estimates(params: ModelParams, M: float, constants=None):

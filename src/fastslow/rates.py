@@ -1,7 +1,8 @@
 """Error norms between fast-slow and limit trajectories, and rate fitting.
 
 A convergence study runs the full system and the reduced system on the same
-grid with the same time step and sample times, measures
+grid with the same time step and sample times (each member steps both in
+one time loop, ``reduction._simulate_with_limit``), measures
 
     E_LinfL2 = max_n ( ||U(t_n)||_L2 + ||V(t_n)||_L2 ),
     E_L2H1   = ( sum_n dt ( ||U||_H1^2 + ||V||_H1^2 ) )^(1/2),
@@ -21,9 +22,9 @@ from dataclasses import dataclass, field, replace as dc_replace
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, ShapeError
-from .integrator import FastSlowState, Trajectory, simulate
+from .integrator import FastSlowState, Trajectory
 from .models import ModelParams
-from .reduction import initial_layer, solve_limit_system
+from .reduction import _simulate_with_limit, initial_layer
 from .spectral_core import SpectralField, _sobolev_squares
 
 __all__ = [
@@ -146,9 +147,9 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Run the eps sweep and fit convergence orders.
 
-    For each eps the full system and the limit system are integrated with
-    the same time step dt = dt_factor * eps (shrunk to land on T) and
-    compared at the same ~n_samples sample times.  ``delta_rule`` is
+    For each eps the full system and the limit system are integrated
+    together, with the same time step dt = dt_factor * eps (shrunk to land
+    on T), and compared at the same ~n_samples sample times.  ``delta_rule`` is
     {"type": "power", "p": 1.5} (default), {"type": "fixed", "value": v} or
     {"type": "zero"}.  Divergent runs are recorded and skipped by the fit.
     """
@@ -174,8 +175,9 @@ def convergence_study(
             # land the step count on a multiple of the sampling stride
             n_steps = sample_every * math.ceil(n_steps / sample_every)
             dt = T / n_steps
-            traj = simulate(FastSlowState(u_in, v_in, 0.0), p, T, dt=dt, sample_every=sample_every)
-            limit = solve_limit_system(v_in, p, T, dt=dt, sample_every=sample_every)
+            traj, limit = _simulate_with_limit(
+                FastSlowState(u_in, v_in, 0.0), p, T, dt, sample_every
+            )
             norms = trajectory_error_norms(traj, limit, t_skip=LAYER_SKIP_FACTOR * eps)
             runs.append(
                 ConvergenceRun(eps, delta, eps_in, norms, time.perf_counter() - start)

@@ -13,8 +13,10 @@ v + (1 - sqrt(4 kappa v + 1)) / (2 kappa), and to the kappa = 1 expression
 
 is integrated by the same exponential RK2 step and the same time loop as
 the full system (``integrator._etd2_step`` and ``integrator._time_loop``),
-with the scalar per-mode symbol -d mu_k as a (1, 1, N) propagator and the
-remainder psi(h_kappa(v), v) taken from ``models.node_remainder``.
+as a one-row block with the scalar per-mode symbol -d mu_k as a (1, 1, N)
+propagator and the remainder psi(h_kappa(v), v) from ``models.node_psi``.
+A convergence member steps it in the one loop together with the full
+system (``_simulate_with_limit``), sharing every transform pair.
 """
 
 from __future__ import annotations
@@ -22,12 +24,23 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .integrator import ModePropagator, Trajectory, _phi1, _phi2, _step_count, _time_loop
-from .models import ModelParams, node_remainder
+from .integrator import (
+    FastSlowState,
+    ModePropagator,
+    Trajectory,
+    _Block,
+    _full_block,
+    _phi1,
+    _phi2,
+    _step_count,
+    _time_loop,
+)
+from .models import ModelParams, node_psi
 from .spectral_core import Grid, SpectralField, _forward, _inverse, nonlinear_eval
 
 __all__ = [
@@ -240,13 +253,25 @@ def sharp_embedding_constant_numeric(L, n_modes=256, n_trials=2000, rng=None, n_
 # limit system
 
 
-def _limit_remainder(params: ModelParams, grid: Grid, v: np.ndarray) -> np.ndarray:
-    """Coefficients of psi(h_kappa(v), v), dealiased; v has shape (1, N)."""
+def _limit_propagator(params: ModelParams, grid: Grid, dt: float) -> ModePropagator:
+    """The (1, 1, N) propagator of the limit system's per-mode symbol.
+
+    The symbol is -d mu_k, or -(d + delta/2) mu_k for the linear kind, whose
+    limit step is then exact.
+    """
     if params.is_linear:
-        return np.zeros_like(v)
-    vp = _inverse(v, n_nodes=grid.padded_size)
-    psi = node_remainder(params, _critical_pointwise(vp, params.kappa), vp)[1]
-    return _forward(psi)[:, : grid.N]
+        lam = -(params.d + params.delta / 2.0) * grid.mu
+    else:
+        lam = -params.d * grid.mu
+    z = (dt * lam)[None, None]
+    return ModePropagator(
+        dt=dt, M=lam[None, None], E=np.exp(z), W1=dt * _phi1(z), W2=dt * _phi2(z)
+    )
+
+
+def _limit_node_map(params: ModelParams, v: np.ndarray) -> None:
+    # psi(h_kappa(v), v) in place of the padded node values of v
+    v[...] = node_psi(params, _critical_pointwise(v, params.kappa), v)
 
 
 def _limit_pair(params: ModelParams, grid: Grid, v: np.ndarray) -> np.ndarray:
@@ -258,6 +283,24 @@ def _limit_pair(params: ModelParams, grid: Grid, v: np.ndarray) -> np.ndarray:
     vp = _inverse(v[0], n_nodes=grid.padded_size)
     u = _forward(_critical_pointwise(vp, params.kappa))[: grid.N]
     return np.stack([u, v[0]])
+
+
+def _limit_block(params: ModelParams, grid: Grid, dt: float | None) -> _Block:
+    """The limit system v as a one-row block of ``_time_loop``; dt None takes no step."""
+    return _Block(
+        1,
+        None if dt is None else _limit_propagator(params, grid, dt),
+        None if params.is_linear else partial(_limit_node_map, params),
+        record=partial(_limit_pair, params, grid),
+        what="limit system",
+    )
+
+
+def _check_limit_data(T: float, v_in: SpectralField) -> None:
+    if T < 0:
+        raise ConfigurationError(f"final time must be >= 0, got T={T}")
+    if np.min(v_in.values()) < -NODE_TOL:
+        raise DomainError("limit system requires v_in >= 0 pointwise")
 
 
 def solve_limit_system(
@@ -275,30 +318,33 @@ def solve_limit_system(
     exact).  Returns a trajectory whose u-component is h_kappa(v) at every
     sample.
     """
-    if T < 0:
-        raise ConfigurationError(f"final time must be >= 0, got T={T}")
-    if np.min(v_in.values()) < -NODE_TOL:
-        raise DomainError("limit system requires v_in >= 0 pointwise")
+    _check_limit_data(T, v_in)
     if constants is not None and not constants.kappa_ok:
         warnings.warn(
             "kappa exceeds the admissibility bound; the critical manifold "
             "theory does not certify this run",
             stacklevel=2,
         )
-    grid = v_in.grid
-    n_steps, prop = 0, None
-    if T > 0:
-        n_steps, dt = _step_count(T, dt)
-        if params.is_linear:
-            lam = -(params.d + params.delta / 2.0) * grid.mu
-        else:
-            lam = -params.d * grid.mu
-        z = (dt * lam)[None, None]
-        prop = ModePropagator(
-            dt=dt, M=lam[None, None], E=np.exp(z), W1=dt * _phi1(z), W2=dt * _phi2(z)
-        )
-    return _time_loop(
-        grid, v_in.coeffs[None], 0.0, n_steps, prop,
-        lambda v: _limit_remainder(params, grid, v), sample_every,
-        record=lambda v: _limit_pair(params, grid, v), what="limit system",
-    )
+    n_steps, dt = _step_count(T, dt) if T > 0 else (0, None)
+    block = _limit_block(params, v_in.grid, dt)
+    return _time_loop(v_in.grid, v_in.coeffs[None], 0.0, n_steps, [block], sample_every)[0]
+
+
+def _simulate_with_limit(
+    state0: FastSlowState, params: ModelParams, T: float, dt: float, sample_every: int
+) -> tuple:
+    """The trajectories ``simulate(state0, params, T, dt=dt, sample_every=..)``
+    and ``solve_limit_system(state0.v, params, T, dt, sample_every)``, stepped
+    together.
+
+    Both systems take the same steps, so one ``_time_loop`` steps the stacked
+    state (u, v, v_lim) and every transform pair serves both.  Each
+    trajectory is bit-for-bit the one its own solver returns, except that
+    both start at state0.t (solve_limit_system starts at 0).
+    """
+    _check_limit_data(T, state0.v)
+    grid = state0.u.grid
+    n_steps, dt = _step_count(T, dt) if T > 0 else (0, None)
+    blocks = [_full_block(params, grid, dt), _limit_block(params, grid, dt)]
+    y0 = np.stack([state0.u.coeffs, state0.v.coeffs, state0.v.coeffs])
+    return tuple(_time_loop(grid, y0, state0.t, n_steps, blocks, sample_every))

@@ -131,12 +131,83 @@ def test_gap_check_failing_still_exit_0(tmp_path):
     assert "false" in body.split("\n")[1]
 
 
+def determinism_payloads():
+    simulate = {
+        "spec_version": 1,
+        "command": "simulate",
+        "seed": 2,
+        "model": base_model(eps=0.05, delta=0.01),
+        "grid": {"L": math.pi, "N": 32},
+        "time": {"T": 0.1, "dt": 0.004, "sample_every": 7},
+        "initial": {"preset": "cosine"},
+        "output": {"csv": "out.csv"},
+    }
+    galerkin = {
+        "spec_version": 1,
+        "command": "manifold-galerkin",
+        "seed": 6,
+        "model": base_model(kind="linear", eps=0.01, delta=0.001),
+        "study": {
+            "zeta_inv": 10.0,
+            "lipschitz": [0.5, 0.0, 0.0],
+            "n_graph_samples": 2,
+            "sample_amplitude": 0.5,
+            "n_t": 256,
+            "tol": 1.0e-8,
+        },
+        "output": {"csv": "out.csv"},
+    }
+    linear = {
+        "spec_version": 1,
+        "command": "manifold-linear",
+        "seed": 4,
+        "model": base_model(kind="linear", eps=0.1, delta=0.1),
+        "grid": {"L": math.pi, "N": 32},
+        "time": {"T": 1.0},
+        "study": {"modes": [1, 2, 3, 4]},
+        "output": {"csv": "out.csv"},
+    }
+    layer = {
+        "spec_version": 1,
+        "command": "initial-layer",
+        "seed": 8,
+        "model": base_model(eps=0.01),
+        "grid": {"L": math.pi, "N": 32},
+        "initial": {"preset": "cosine"},
+        "output": {"csv": "out.csv"},
+    }
+    return {
+        "gap-check": {**gap_check_payload(), "output": {"csv": "out.csv"}},
+        "simulate": simulate,
+        "limit": {**simulate, "command": "limit"},
+        "converge": {**converge_payload(), "output": {"csv": "out.csv"}},
+        "manifold-galerkin": galerkin,
+        "initial-layer": layer,
+        "manifold-linear": linear,
+    }
+
+
+def without_wall_clock(text):
+    # converge's wall_s column is the one CSV value that may differ between runs
+    rows = [r.split(",") for r in text.strip().split("\n")]
+    if "wall_s" not in rows[0]:
+        return rows
+    idx = rows[0].index("wall_s")
+    return [[c for i, c in enumerate(r) if i != idx or len(r) != len(rows[0])] for r in rows]
+
+
 def test_cli_determinism_byte_identical(tmp_path):
-    cfg = write_config(tmp_path, gap_check_payload())
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["--config", cfg, "--out", str(out_a), "--quiet"]) == 0
-    assert main(["--config", cfg, "--out", str(out_b), "--quiet"]) == 0
-    assert (out_a / "gap.csv").read_bytes() == (out_b / "gap.csv").read_bytes()
+    # every command, run twice, writes the same bytes
+    for command, payload in determinism_payloads().items():
+        cfg = write_config(tmp_path, payload, name=f"{command}.yaml")
+        out_a, out_b = tmp_path / command / "a", tmp_path / command / "b"
+        assert main(["--config", cfg, "--out", str(out_a), "--quiet"]) == 0, command
+        assert main(["--config", cfg, "--out", str(out_b), "--quiet"]) == 0, command
+        a, b = (out_a / "out.csv").read_bytes(), (out_b / "out.csv").read_bytes()
+        if command == "converge":
+            assert without_wall_clock(a.decode()) == without_wall_clock(b.decode())
+        else:
+            assert a == b, command
 
 
 def converge_payload():
@@ -171,13 +242,7 @@ def test_converge_csv_structure(tmp_path):
     # deterministic apart from the wall-clock column
     out_b = tmp_path / "b"
     assert main(["--config", cfg, "--out", str(out_b), "--quiet"]) == 0
-
-    def strip_wall(text):
-        rows = [r.split(",") for r in text.strip().split("\n")]
-        idx = rows[0].index("wall_s")
-        return [[c for i, c in enumerate(r) if i != idx] for r in rows]
-
-    assert strip_wall((tmp_path / "conv.csv").read_text()) == strip_wall(
+    assert without_wall_clock((tmp_path / "conv.csv").read_text()) == without_wall_clock(
         (out_b / "conv.csv").read_text()
     )
     root = ET.parse(tmp_path / "conv.svg").getroot()

@@ -248,6 +248,73 @@ def test_divergence_error_carries_time():
     assert err.value.t is not None and 0 < err.value.t <= 2.0
 
 
+def failing_after(fn, n_good, bad):
+    """``fn`` for its first ``n_good`` calls, then every output filled with ``bad``."""
+    calls = []
+
+    def wrapped(*args):
+        out = fn(*args)
+        calls.append(1)
+        if len(calls) <= n_good:
+            return out
+        if isinstance(out, tuple):
+            return tuple(np.full_like(o, bad) for o in out)
+        return np.full_like(out, bad)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("system", ["full", "limit"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("n_good", [6, 7])
+def test_non_finite_remainder_raises_with_its_step_time(monkeypatch, system, bad, n_good):
+    # two remainder evaluations per step: a bad 7th or 8th one spoils step 4
+    from fastslow import integrator, reduction, solve_limit_system
+
+    g = build_grid(np.pi, 16)
+    p = nonlinear_params(eps=0.05, kappa=0.5)
+    v0 = SpectralField.from_values(g, 0.5 * (1.0 + np.cos(g.nodes)))
+    # the spoiled step does arithmetic on nan and inf on purpose
+    with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore"):
+        if system == "full":
+            monkeypatch.setattr(
+                integrator, "node_remainder", failing_after(integrator.node_remainder, n_good, bad)
+            )
+            simulate(FastSlowState(0.5 * v0, v0, 0.0), p, T=0.1, dt=0.01)
+        else:
+            monkeypatch.setattr(
+                reduction, "node_psi", failing_after(reduction.node_psi, n_good, bad)
+            )
+            solve_limit_system(v0, p, T=0.1, dt=0.01)
+    assert err.value.t == 4 * (0.1 / 10)
+    assert str(err.value).startswith("state" if system == "full" else "limit system")
+
+
+@pytest.mark.parametrize(
+    "spoiled, named",
+    [(["full"], "state"), (["limit"], "limit system"), (["full", "limit"], "state")],
+)
+def test_paired_run_names_the_system_that_diverged(monkeypatch, spoiled, named):
+    # a huge but finite remainder from the 7th evaluation on pushes step 4
+    # past the blow-up bound in the spoiled systems only
+    from fastslow import integrator, reduction
+    from fastslow.reduction import _simulate_with_limit
+
+    g = build_grid(np.pi, 16)
+    p = nonlinear_params(eps=0.05, kappa=0.5)
+    v0 = SpectralField.from_values(g, 0.5 * (1.0 + np.cos(g.nodes)))
+    if "full" in spoiled:
+        monkeypatch.setattr(
+            integrator, "node_remainder", failing_after(integrator.node_remainder, 6, 1e12)
+        )
+    if "limit" in spoiled:
+        monkeypatch.setattr(reduction, "node_psi", failing_after(reduction.node_psi, 6, 1e12))
+    with pytest.raises(DivergenceError) as err:
+        _simulate_with_limit(FastSlowState(0.5 * v0, v0, 0.0), p, 0.1, 0.01, 1)
+    assert err.value.t == 4 * (0.1 / 10)
+    assert str(err.value) == f"{named} diverged at t=0.04"
+
+
 @pytest.mark.parametrize("kind", ["nonlinear", "linear"])
 def test_off_stride_final_sample_full_and_limit(kind):
     # T = 0.37 at dt = 0.004 takes 93 steps; stride 7 samples steps 0, 7, ..,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from fastslow import (
     trajectory_error_norms,
 )
 from fastslow.errors import ConfigurationError, ShapeError
+from fastslow.rates import LAYER_SKIP_FACTOR, fit_order
 
 
 def make_traj(grid, times, u_vals, v_vals):
@@ -201,3 +203,48 @@ def test_plateau_flag_with_fixed_initial_layer():
     errors = [r.norms.E_LinfL2 for r in rep.runs]
     assert rep.plateau
     assert max(errors) / min(errors) < 3.0  # no eps-proportional decay
+
+
+@pytest.mark.parametrize("kind", ["nonlinear", "linear"])
+@pytest.mark.parametrize("n", [8, 64])
+def test_study_members_equal_separate_solver_runs(kind, n):
+    # each member steps both systems in one loop; its norms must be exactly
+    # those of the two public solvers run apart with the same dt and stride
+    g = build_grid(math.pi, n)
+    if kind == "linear":
+        p = ModelParams(d=1.0, delta=0.1, eps=0.1, model_kind="linear")
+    else:
+        p = ModelParams(d=1.0, delta=0.0, eps=1e-2, kappa=1e-3, a=1.0, b=1.0, c=1.0)
+    v_in = SpectralField.from_values(g, 0.5 * (1.0 + 0.6 * np.cos(g.nodes)))
+    u_in = critical_map_u_of_v(v_in, p.kappa) if kind == "nonlinear" else 0.5 * v_in
+    eps_list, T, n_samples = [1e-2, 3e-3], 0.1, 20
+    rep = convergence_study(
+        p, u_in, v_in, eps_list, T=T, delta_rule={"type": "fixed", "value": 1e-3},
+        n_samples=n_samples,
+    )
+    for run, eps in zip(rep.runs, eps_list):
+        q = dataclasses.replace(p, eps=eps, delta=1e-3)
+        dt = 0.5 * eps if kind == "nonlinear" else T / 2000.0
+        n_steps = math.ceil(T / dt - 1e-9)
+        stride = max(1, n_steps // n_samples)
+        dt = T / (stride * math.ceil(n_steps / stride))
+        traj = simulate(FastSlowState(u_in, v_in, 0.0), q, T, dt=dt, sample_every=stride)
+        limit = solve_limit_system(v_in, q, T, dt=dt, sample_every=stride)
+        assert run.failure is None
+        assert run.norms == trajectory_error_norms(traj, limit, t_skip=LAYER_SKIP_FACTOR * eps)
+
+
+def test_diverging_member_recorded_and_left_out_of_the_fit():
+    # c = 0 removes the Lotka-Volterra saturation: at a = 40 the smallest eps
+    # blows up before T while the other two members finish
+    g = build_grid(math.pi, 16)
+    p = ModelParams(d=1.0, delta=0.0, eps=0.1, kappa=1.0, a=40.0, b=0.0, c=0.0)
+    v_in = SpectralField.from_values(g, np.ones(16))
+    u_in = SpectralField.from_values(g, 0.5 * np.ones(16))
+    rep = convergence_study(p, u_in, v_in, [0.1, 0.03, 0.01], T=0.1, delta_rule={"type": "zero"})
+    ok, bad = rep.runs[:2], rep.runs[2]
+    assert bad.norms is None
+    assert bad.failure.startswith("state diverged at t=")
+    assert all(r.norms is not None and r.failure is None for r in ok)
+    order, _ = fit_order([r.eps for r in ok], [r.norms.E_LinfL2 for r in ok])
+    assert rep.orders["E_LinfL2"] == order
