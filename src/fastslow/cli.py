@@ -136,16 +136,23 @@ def _cmd_manifold_linear(cfg: ExperimentConfig):
     return series, [], {"x": "k", "y": ["slope_gap", "slope_gap_bound"]}
 
 
-def _cmd_gap_check(cfg: ExperimentConfig):
-    study = cfg.study
-    split = gm.splitting_parameters(float(study["zeta_inv"]), cfg.model)
-    lips = study.get("lipschitz")
+def _lipschitz_budgets(cfg: ExperimentConfig):
+    """The budgets (L_f, L_phi, L_psi) and the constants chain they came from.
+
+    ``study.lipschitz`` is taken as given (the chain is then None);
+    otherwise the chain is evaluated at radius ``study.M`` (default 1).
+    """
+    lips = cfg.study.get("lipschitz")
     if lips is not None:
-        lips = tuple(float(v) for v in lips)
-    else:
-        M = float(study.get("M", 1.0))
-        constants = theoretical_constants(cfg.model, M, rng=cfg.rng())
-        lips = lipschitz_estimates(cfg.model, M, constants=constants)
+        return tuple(float(v) for v in lips), None
+    M = float(cfg.study.get("M", 1.0))
+    constants = theoretical_constants(cfg.model, M, rng=cfg.rng())
+    return lipschitz_estimates(cfg.model, M, constants=constants), constants
+
+
+def _cmd_gap_check(cfg: ExperimentConfig):
+    split = gm.splitting_parameters(float(cfg.study["zeta_inv"]), cfg.model)
+    lips, _ = _lipschitz_budgets(cfg)
     rep = gm.validate_assumptions(cfg.model, split, lips)
     series = {
         "eps": [rep.eps],
@@ -166,16 +173,10 @@ def _cmd_gap_check(cfg: ExperimentConfig):
 def _cmd_manifold_galerkin(cfg: ExperimentConfig):
     study = cfg.study
     split = gm.splitting_parameters(float(study["zeta_inv"]), cfg.model)
-    lips = study.get("lipschitz")
+    lips, constants = _lipschitz_budgets(cfg)
     clip_bound = study.get("clip_bound")
-    if lips is not None:
-        lips = tuple(float(v) for v in lips)
-    else:
-        M = float(study.get("M", 1.0))
-        constants = theoretical_constants(cfg.model, M, rng=cfg.rng())
-        lips = lipschitz_estimates(cfg.model, M, constants=constants)
-        if clip_bound is None and not cfg.model.is_linear:
-            clip_bound = constants.K0
+    if clip_bound is None and constants is not None and not cfg.model.is_linear:
+        clip_bound = constants.K0
     gaprep = gm.validate_assumptions(cfg.model, split, lips)
     if not gaprep.passes:
         raise ContractionError(

@@ -9,15 +9,19 @@ trajectory (u, v_F, v_S) on [-T_back, 0] to
     v_F(t) = int_{-T}^t exp(lam_v (t-s)) (delta A u + psi)_F(s) ds,
     v_S(t) = exp(lam_v t) v0 + int_0^t exp(lam_v (t-s)) (delta A u + psi)_S(s) ds,
 
-with lam_u = -(d+delta) mu - m/eps (m = 1 nonlinear, 2 linear) and
-lam_v = -d mu, all kernels applied mode-wise exactly and the sources
-reconstructed piecewise-linearly between grid points (exponential
-trapezoid weights).  On the time grid each integral becomes a first-order
-linear recurrence per mode, forward in time for u and v_F and backward for
-v_S; the recurrences are evaluated as log-depth prefix scans over the time
-nodes (Blelloch 1990), not node by node, and only over the Galerkin band of
-retained modes, since the sources vanish above it.  Convergence and the
-observed contraction factor are measured in the weighted sup norm
+with lam_u = -(d+delta) mu - m/eps (m = 1 nonlinear, 2 linear), lam_v = -d mu
+and the coupling delta A = -delta mu read from the full system's per-mode
+symbol (``integrator._system_matrices``).  All kernels are applied
+mode-wise exactly; the sources (N_u, psi) are the time loop's remainder
+(``integrator._full_node_map`` in place of the padded node values, through
+``spectral_core._dealiased``), reconstructed piecewise-linearly between grid
+points (exponential trapezoid weights).  On the time grid each
+integral becomes a first-order linear recurrence per mode, forward in time
+for u and v_F and backward for v_S; the recurrences are evaluated as
+log-depth prefix scans over the time nodes (Blelloch 1990), not node by
+node, and only over the Galerkin band of retained modes, since the sources
+vanish above it.  Convergence and the observed contraction factor are
+measured in the weighted sup norm
 sup_t e^{-eta t} (||u||_H2 + ||v_F||_H2 + ||v_S||_H2).
 """
 
@@ -35,10 +39,10 @@ from .errors import (
     HorizonError,
     SplittingError,
 )
-from .integrator import FastSlowState, _phi1, _phi2, simulate
-from .models import ModelParams, node_remainder
+from .integrator import FastSlowState, _full_node_map, _phi1, _phi2, _system_matrices, simulate
+from .models import ModelParams
 from .reduction import critical_map_u_of_v
-from .spectral_core import Grid, SpectralField, _forward, _inverse, build_grid
+from .spectral_core import Grid, SpectralField, _dealiased, build_grid
 
 __all__ = [
     "SplittingParams",
@@ -222,13 +226,14 @@ def _sources(params: ModelParams, grid: Grid, U, V, n_modes, clip_bound=None):
         n_u = V / params.eps
         psi = np.zeros_like(V)
     else:
-        vals = _inverse(np.stack([U, V]), n_nodes=grid.padded_size)
-        up, vp = vals[0], vals[1]
-        if clip_bound is not None:
-            up = np.clip(up, -clip_bound, clip_bound)
-            vp = np.clip(vp, -clip_bound, clip_bound)
-        out = _forward(np.stack(node_remainder(params, up, vp)))[:, :, : grid.N]
-        n_u, psi = out[0], out[1]
+        def node_map(vals):
+            # in place: extra temporaries of this (2, n_t, 3N/2) size raised
+            # the page faults of a sweep by about two thirds
+            if clip_bound is not None:
+                np.clip(vals, -clip_bound, clip_bound, out=vals)
+            return _full_node_map(params, vals)
+
+        n_u, psi = _dealiased(grid, np.stack([U, V]), node_map)
     n_u = n_u.copy()
     psi = psi.copy()
     n_u[:, n_modes:] = 0.0
@@ -328,16 +333,15 @@ def lyapunov_perron_fixed_point(
     n_modes = min(grid.N, k0 + fast_band)
     if n_modes <= k0:
         raise ConfigurationError("truncation leaves no fast v-modes")
-    eps = params.eps
-    m_diag = 2.0 if params.is_linear else 1.0
-    lam_u = -(params.d + params.delta) * grid.mu - m_diag / eps
-    lam_v = -params.d * grid.mu
+    M = _system_matrices(params, grid)
+    lam_u, lam_v, coupling = M[0, 0], M[1, 1], M[1, 0]
 
-    # horizon: every retained decaying kernel must reach tol/10 over t_back
-    slowest = min(m_diag / eps, params.d * grid.mu[k0])
+    # horizon: every retained decaying kernel must reach tol/10 over t_back;
+    # the slowest are u's mode 0 and v's first fast mode
+    slowest = float(min(-lam_u[0], -lam_v[k0]))
     needed = math.log(10.0 / tol) / slowest
     if t_back is None:
-        t_back = max(20.0 * eps * math.log(1.0 / tol), needed)
+        t_back = max(20.0 * params.eps * math.log(1.0 / tol), needed)
     elif math.exp(-slowest * t_back) > tol / 10.0:
         raise HorizonError(
             f"t_back={t_back:.4g} leaves truncation tail "
@@ -374,7 +378,7 @@ def lyapunov_perron_fixed_point(
         n_u, psi = _sources(params, grid, U, V, n_modes, clip_bound)
         U_new = np.zeros_like(U)
         U_new[:, band] = _convolve_forward(lam_u[band], h, n_u[:, band])
-        S = -params.delta * grid.mu * U + psi
+        S = coupling * U + psi
         V_new = np.zeros_like(V)
         V_new[:, fast] = _convolve_forward(lam_v[fast], h, S[:, fast])
         V_new[:, slow] = _propagate_slow_backward(lam_v[slow], h, v0[slow], S[:, slow])

@@ -15,27 +15,29 @@ is integrated by a second-order exponential Runge-Kutta rule (Cox &
 Matthews 2002) with weights h*phi1(h M_k) and h*phi2(h M_k).
 
 That step (``_etd2_step``) and one time loop (``_time_loop``) serve every
-solver.  The loop steps a stack of systems ("blocks") that share the step:
-``simulate`` is the one-block case (u, v), ``reduction.solve_limit_system``
-the one-block case v with a (1, 1, N) propagator, and a member of
-``rates.convergence_study`` steps both systems together as the rows
-(u, v, v_lim) with a block-diagonal propagator, so that one transform pair
-per remainder serves both.  N is evaluated on the padded nodes by each
-block's node map (``models.node_remainder`` for the full system).
+solver.  The loop steps one stacked state with one propagator and one node
+map over all its rows, and records only the sampled amplitudes; the solvers
+build their ``Trajectory`` from them.  ``simulate`` steps the rows (u, v)
+with the (2, 2, N) propagator, ``reduction.solve_limit_system`` the row v
+with a (1, 1, N) one, and a member of ``rates.convergence_study`` steps the
+rows (u, v, v_lim) with the block-diagonal propagator of both, so that one
+transform pair per remainder serves both systems.  Every propagator comes
+from ``_propagator``, and N is evaluated on the padded nodes through
+``spectral_core._dealiased`` (``models.node_remainder`` for the full
+system).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Callable
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
 from .models import ModelParams, node_remainder
-from .spectral_core import Grid, SpectralField, _forward, _inverse
+from .spectral_core import Grid, SpectralField, _dealiased, _inverse
 
 __all__ = [
     "FastSlowState",
@@ -121,12 +123,15 @@ def _dphi2(z):
 
 
 def _matrix_function(Z, f, df):
-    """Apply a scalar function to a stack of real 2x2 matrices.
+    """Apply a scalar function to a stack of real 1x1 or 2x2 matrices.
 
-    ``Z`` has shape (2, 2, n).  Uses the closed form through the two (real)
-    eigenvalues; falls back to the confluent first-order formula when the
-    eigenvalue gap is below EIGEN_GAP_CUTOFF.
+    ``Z`` has shape (1, 1, n) or (2, 2, n).  A 1x1 stack is f(Z); a 2x2 one
+    uses the closed form through the two (real) eigenvalues and falls back
+    to the confluent first-order formula when the eigenvalue gap is below
+    EIGEN_GAP_CUTOFF.
     """
+    if Z.shape[0] == 1:
+        return f(Z)
     A, B = Z[0, 0], Z[0, 1]
     C, D = Z[1, 0], Z[1, 1]
     half_tr = 0.5 * (A + D)
@@ -177,7 +182,8 @@ class ModePropagator:
     """Per-mode exact propagator E = exp(dt M_k) with ETD weight matrices.
 
     Arrays have shape (n, n, N) for a system of n fields: (2, 2, N) for the
-    full system, (1, 1, N) for the scalar limit system.
+    full system, (1, 1, N) for the scalar limit system, and (3, 3, N) for
+    both stepped together.
     ``W1 = dt phi1(dt M)``, ``W2 = dt phi2(dt M)``.
     """
 
@@ -206,18 +212,18 @@ def _system_matrices(params: ModelParams, grid: Grid) -> np.ndarray:
     return M
 
 
-@lru_cache(maxsize=32)
-def _cached_propagator(params: ModelParams, grid: Grid, dt: float) -> ModePropagator:
-    M = _system_matrices(params, grid)
+def _propagator(M: np.ndarray, dt: float) -> ModePropagator:
+    """E = exp(dt M) and the ETD weights of a per-mode symbol M of shape (n, n, N), n <= 2."""
     Z = dt * M
-    if dt == 0.0:
-        eye = np.zeros_like(M)
-        eye[0, 0] = eye[1, 1] = 1.0
-        return ModePropagator(dt=dt, M=M, E=eye, W1=np.zeros_like(M), W2=np.zeros_like(M))
     E = _matrix_function(Z, np.exp, np.exp)
     W1 = dt * _matrix_function(Z, _phi1, _dphi1)
     W2 = dt * _matrix_function(Z, _phi2, _dphi2)
     return ModePropagator(dt=dt, M=M, E=E, W1=W1, W2=W2)
+
+
+@lru_cache(maxsize=32)
+def _cached_propagator(params: ModelParams, grid: Grid, dt: float) -> ModePropagator:
+    return _propagator(_system_matrices(params, grid), dt)
 
 
 def linear_propagator(params: ModelParams, grid: Grid, dt: float) -> ModePropagator:
@@ -227,71 +233,32 @@ def linear_propagator(params: ModelParams, grid: Grid, dt: float) -> ModePropaga
     return _cached_propagator(params, grid, float(dt))
 
 
-@dataclass(frozen=True)
-class _Block:
-    """One system stepped by ``_time_loop``, owning ``size`` rows of the stacked state.
-
-    ``prop`` is its (size, size, N) propagator (None when no step is taken);
-    ``node_map`` overwrites the padded node values of its rows with its
-    remainder at those nodes (None: the remainder is zero); ``record`` maps
-    its rows to the stored (u, v) amplitude pair of shape (2, N); ``what``
-    names it in a divergence error.
-    """
-
-    size: int
-    prop: ModePropagator | None
-    node_map: Callable | None
-    record: Callable
-    what: str
+def _full_propagator(params: ModelParams, grid: Grid, dt: float, c_t: float = DEFAULT_CT) -> ModePropagator:
+    """The full system's propagator, after the nonlinear kind's bound dt <= c_t eps."""
+    if not params.is_linear and dt > c_t * params.eps * (1 + 1e-12):
+        raise ConfigurationError(
+            f"dt={dt} exceeds the stability bound {c_t}*eps={c_t * params.eps}"
+        )
+    return linear_propagator(params, grid, dt)
 
 
-def _full_node_map(params: ModelParams, vals: np.ndarray) -> None:
+def _full_node_map(params: ModelParams, vals: np.ndarray) -> np.ndarray:
+    """node_remainder(u, v) in place of the node values of the first two rows (u, v)."""
     vals[0], vals[1] = node_remainder(params, vals[0], vals[1])
-
-
-def _full_block(params: ModelParams, grid: Grid, dt: float | None, c_t: float = DEFAULT_CT) -> _Block:
-    """The full system (u, v) as a block of ``_time_loop``; dt None takes no step."""
-    prop = None
-    if dt is not None:
-        if not params.is_linear and dt > c_t * params.eps * (1 + 1e-12):
-            raise ConfigurationError(
-                f"dt={dt} exceeds the stability bound {c_t}*eps={c_t * params.eps}"
-            )
-        prop = linear_propagator(params, grid, dt)
-    node_map = None if params.is_linear else partial(_full_node_map, params)
-    return _Block(2, prop, node_map, record=lambda y: y, what="state")
+    return vals
 
 
 def _block_diagonal(props) -> ModePropagator:
     """One propagator for systems stepped together: their blocks on the diagonal."""
-    n = sum(p.E.shape[0] for p in props)
-
-    def stack(name):
-        out = np.zeros((n, n, props[0].E.shape[-1]))
-        i = 0
-        for p in props:
-            k = p.E.shape[0]
-            out[i : i + k, i : i + k] = getattr(p, name)
-            i += k
-        return out
-
-    return ModePropagator(
-        dt=props[0].dt, M=stack("M"), E=stack("E"), W1=stack("W1"), W2=stack("W2")
-    )
-
-
-def _remainder(grid: Grid, node_maps, y: np.ndarray) -> np.ndarray:
-    """Dealiased remainder coefficients of all rows of y in one transform pair.
-
-    ``node_maps`` pairs each block's rows with its node map (None: zero).
-    """
-    vals = _inverse(y, n_nodes=grid.padded_size)
-    for rows, node_map in node_maps:
-        if node_map is None:
-            vals[rows] = 0.0
-        else:
-            node_map(vals[rows])
-    return _forward(vals)[:, : grid.N]
+    n = sum(p.M.shape[0] for p in props)
+    out = {name: np.zeros((n, n, props[0].M.shape[-1])) for name in ("M", "E", "W1", "W2")}
+    i = 0
+    for p in props:
+        k = p.M.shape[0]
+        for name, arr in out.items():
+            arr[i : i + k, i : i + k] = getattr(p, name)
+        i += k
+    return ModePropagator(dt=props[0].dt, **out)
 
 
 def _etd2_step(y: np.ndarray, prop: ModePropagator, remainder) -> np.ndarray:
@@ -308,64 +275,42 @@ def _step_count(T: float, dt: float) -> tuple:
     return n_steps, T / n_steps
 
 
-def _time_loop(grid, y0, t0, n_steps, blocks, sample_every) -> list:
-    """Step the stacked state y0 ``n_steps`` times from t0; one Trajectory per block.
+def _time_loop(grid, y0, t0, n_steps, prop, node_map, what, sample_every) -> tuple:
+    """Step the stacked state y0 (rows, N) ``n_steps`` times from t0.
 
-    The blocks own consecutive rows of y0 and share every step: one
-    block-diagonal propagator and one transform pair per remainder serve
-    them all.  Each block records every ``sample_every``-th state, and the
-    initial and the final one, as its (u, v) amplitude pair with the
-    node-wise sups of u and v - u.  A step whose state leaves
+    Every step applies the one propagator ``prop`` to all rows, and every
+    remainder is one transform pair for all rows, with ``node_map``
+    overwriting their padded node values by the remainder there (None: the
+    remainder is zero).  Returns the sample times and the sampled states,
+    shape (n_samples, rows, N): every ``sample_every``-th state, and the
+    initial and the final one.  A step whose state leaves
     |y| <= BLOWUP_LIMIT (or is not finite) raises ``DivergenceError`` named
-    after the first block that left it; a non-finite value spreads to every
-    block through the zeros of the block-diagonal propagator, so it is
-    named after the first block.
+    ``what[r]`` after the first row r that left it; a non-finite value
+    spreads to every row through the zeros of a block-diagonal propagator,
+    so it is named after the first row.
     """
-    rows, start = [], 0
-    for block in blocks:
-        rows.append(slice(start, start + block.size))
-        start += block.size
-    if all(block.node_map is None for block in blocks):
+    if sample_every < 1:
+        raise ConfigurationError(f"sample_every must be a positive integer, got {sample_every}")
+    if node_map is None:
         remainder = np.zeros_like
     else:
-        node_maps = [(r, block.node_map) for r, block in zip(rows, blocks)]
-        remainder = partial(_remainder, grid, node_maps)
-    prop = None
-    if n_steps:
-        props = [block.prop for block in blocks]
-        prop = props[0] if len(props) == 1 else _block_diagonal(props)
-
+        remainder = partial(_dealiased, grid, node_map=node_map)
     n_samples = 1 + n_steps // sample_every + (n_steps % sample_every != 0)
     times = np.empty(n_samples)
-    samples = [
-        (np.empty((n_samples, 2, grid.N)), np.empty(n_samples), np.empty(n_samples))
-        for _ in blocks
-    ]
-
-    def store(i, t, y):
-        times[i] = t
-        for block, r, (coeffs, u1_linf, u2_linf) in zip(blocks, rows, samples):
-            coeffs[i] = block.record(y[r])
-            vals = _inverse(coeffs[i])
-            u1_linf[i] = np.max(np.abs(vals[0]))
-            u2_linf[i] = np.max(np.abs(vals[1] - vals[0]))
-
-    store(0, t0, y0)
+    samples = np.empty((n_samples,) + y0.shape)
+    times[0], samples[0] = t0, y0
     i = 0
     y = y0
     for step in range(1, n_steps + 1):
         y = _etd2_step(y, prop, remainder)
         t = t0 + step * prop.dt
         if not np.max(np.abs(y)) <= BLOWUP_LIMIT:
-            what = next(
-                block.what for block, r in zip(blocks, rows)
-                if not np.max(np.abs(y[r])) <= BLOWUP_LIMIT
-            )
-            raise DivergenceError(f"{what} diverged at t={t:.6g}", t=t)
+            row = next(r for r in range(len(y)) if not np.max(np.abs(y[r])) <= BLOWUP_LIMIT)
+            raise DivergenceError(f"{what[row]} diverged at t={t:.6g}", t=t)
         if step % sample_every == 0 or step == n_steps:
             i += 1
-            store(i, t, y)
-    return [Trajectory(grid, times.copy(), *arrays) for arrays in samples]
+            times[i], samples[i] = t, y
+    return times, samples
 
 
 def etd_step(state: FastSlowState, params: ModelParams, dt: float, c_t: float = DEFAULT_CT) -> FastSlowState:
@@ -382,17 +327,32 @@ def etd_step(state: FastSlowState, params: ModelParams, dt: float, c_t: float = 
 
 @dataclass
 class Trajectory:
-    """Sampled states plus the running node-wise sup of u1 = u and u2 = v - u.
+    """Sampled states of the fast-slow pair.
 
     ``coeffs[n, 0]`` and ``coeffs[n, 1]`` are the cosine amplitudes of u and
-    v at ``times[n]``; ``coeffs`` has shape (n_samples, 2, N).
+    v at ``times[n]``; ``coeffs`` has shape (n_samples, 2, N).  The
+    node-wise sups ``u1_linf`` of u1 = u and ``u2_linf`` of u2 = v - u per
+    sample are computed from ``coeffs`` on first access.
     """
 
     grid: Grid
     times: np.ndarray
     coeffs: np.ndarray
-    u1_linf: np.ndarray
-    u2_linf: np.ndarray
+
+    @cached_property
+    def _sups(self) -> np.ndarray:
+        # one sample at a time: the node values of all samples at once would
+        # be a temporary as large as the trajectory
+        vals = (_inverse(row) for row in self.coeffs)
+        return np.array([(np.max(np.abs(u)), np.max(np.abs(v - u))) for u, v in vals]).T
+
+    @property
+    def u1_linf(self) -> np.ndarray:
+        return self._sups[0]
+
+    @property
+    def u2_linf(self) -> np.ndarray:
+        return self._sups[1]
 
     def final(self) -> FastSlowState:
         u, v = self.coeffs[-1]
@@ -416,14 +376,16 @@ def simulate(
     """
     if T < 0:
         raise ConfigurationError(f"final time must be >= 0, got T={T}")
-    if sample_every < 1:
-        raise ConfigurationError(f"sample_every must be a positive integer")
     grid = state0.u.grid
-    y0 = np.stack([state0.u.coeffs, state0.v.coeffs])
-    n_steps = 0
+    n_steps, prop = 0, None
     if T > 0:
         if dt is None:
             dt = min(c_t * params.eps, T / 1000.0) if not params.is_linear else T / 1000.0
         n_steps, dt = _step_count(T, dt)
-    block = _full_block(params, grid, dt if n_steps else None, c_t)
-    return _time_loop(grid, y0, state0.t, n_steps, [block], sample_every)[0]
+        prop = _full_propagator(params, grid, dt, c_t)
+    node_map = None if params.is_linear else partial(_full_node_map, params)
+    y0 = np.stack([state0.u.coeffs, state0.v.coeffs])
+    times, samples = _time_loop(
+        grid, y0, state0.t, n_steps, prop, node_map, ("state", "state"), sample_every
+    )
+    return Trajectory(grid, times, samples)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, ShapeError
-from .integrator import FastSlowState, Trajectory
+from .integrator import FastSlowState, Trajectory, _step_count
 from .models import ModelParams
 from .reduction import _simulate_with_limit, initial_layer
 from .spectral_core import SpectralField, _sobolev_squares
@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 LAYER_SKIP_FACTOR = 5.0  # post-layer norms use samples with t >= 5 eps
+FIT_NORMS = ("E_LinfL2", "E_L2H1", "E_LinfH2", "E_LinfH2_postlayer")  # orders fitted
 
 
 @dataclass(frozen=True)
@@ -119,9 +120,6 @@ class ConvergenceReport:
     fit_residual: float = float("nan")
     plateau: bool = False
 
-    def column(self, name):
-        return [getattr(r.norms, name) for r in self.runs if r.norms is not None]
-
 
 def _delta_of(eps, delta_rule):
     kind = delta_rule.get("type", "power")
@@ -143,7 +141,6 @@ def convergence_study(
     delta_rule=None,
     dt_factor: float = 0.5,
     n_samples: int = 100,
-    fit_norms=("E_LinfL2", "E_L2H1", "E_LinfH2", "E_LinfH2_postlayer"),
 ) -> ConvergenceReport:
     """Run the eps sweep and fit convergence orders.
 
@@ -170,7 +167,7 @@ def convergence_study(
             else:
                 eps_in = initial_layer(u_in, v_in, p.kappa).eps_in
             dt = dt_factor * eps if not p.is_linear else T / 2000.0
-            n_steps = max(1, math.ceil(T / dt - 1e-9))
+            n_steps, _ = _step_count(T, dt)
             sample_every = max(1, n_steps // n_samples)
             # land the step count on a multiple of the sampling stride
             n_steps = sample_every * math.ceil(n_steps / sample_every)
@@ -191,7 +188,7 @@ def convergence_study(
     if len(ok) >= 2:
         eps_ok = [r.eps for r in ok]
         residuals = []
-        for name in fit_norms:
+        for name in FIT_NORMS:
             vals = [getattr(r.norms, name) for r in ok]
             if min(vals) <= 0.0:
                 continue

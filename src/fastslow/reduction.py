@@ -13,10 +13,12 @@ v + (1 - sqrt(4 kappa v + 1)) / (2 kappa), and to the kappa = 1 expression
 
 is integrated by the same exponential RK2 step and the same time loop as
 the full system (``integrator._etd2_step`` and ``integrator._time_loop``),
-as a one-row block with the scalar per-mode symbol -d mu_k as a (1, 1, N)
-propagator and the remainder psi(h_kappa(v), v) from ``models.node_psi``.
-A convergence member steps it in the one loop together with the full
-system (``_simulate_with_limit``), sharing every transform pair.
+as one row v with the (1, 1, N) propagator of the scalar per-mode symbol
+-d mu_k and the remainder psi(h_kappa(v), v) from ``models.node_psi``.  A
+convergence member steps it in the one loop together with the full system
+(``_simulate_with_limit``), sharing every transform pair.  The loop records
+v only; the trajectory's u = h_kappa(v) is reconstructed from the sampled
+v afterwards, one sample at a time.
 """
 
 from __future__ import annotations
@@ -33,15 +35,15 @@ from .integrator import (
     FastSlowState,
     ModePropagator,
     Trajectory,
-    _Block,
-    _full_block,
-    _phi1,
-    _phi2,
+    _block_diagonal,
+    _full_node_map,
+    _full_propagator,
+    _propagator,
     _step_count,
     _time_loop,
 )
 from .models import ModelParams, node_psi
-from .spectral_core import Grid, SpectralField, _forward, _inverse, nonlinear_eval
+from .spectral_core import Grid, SpectralField, _dealiased, nonlinear_eval
 
 __all__ = [
     "ConstantsReport",
@@ -263,37 +265,33 @@ def _limit_propagator(params: ModelParams, grid: Grid, dt: float) -> ModePropaga
         lam = -(params.d + params.delta / 2.0) * grid.mu
     else:
         lam = -params.d * grid.mu
-    z = (dt * lam)[None, None]
-    return ModePropagator(
-        dt=dt, M=lam[None, None], E=np.exp(z), W1=dt * _phi1(z), W2=dt * _phi2(z)
-    )
+    return _propagator(lam[None, None], dt)
 
 
-def _limit_node_map(params: ModelParams, v: np.ndarray) -> None:
-    # psi(h_kappa(v), v) in place of the padded node values of v
-    v[...] = node_psi(params, _critical_pointwise(v, params.kappa), v)
+def _limit_node_map(params: ModelParams, vals: np.ndarray) -> np.ndarray:
+    """psi(h_kappa(v), v) in place of the node values of the last row v."""
+    vals[-1] = node_psi(params, _critical_pointwise(vals[-1], params.kappa), vals[-1])
+    return vals
 
 
-def _limit_pair(params: ModelParams, grid: Grid, v: np.ndarray) -> np.ndarray:
-    """The (u, v) amplitude pair of a limit state v (shape (1, N)), u = h_kappa(v)."""
+def _paired_node_map(params: ModelParams, vals: np.ndarray) -> np.ndarray:
+    """The full remainder on the rows (u, v) and the limit one on v_lim."""
+    return _limit_node_map(params, _full_node_map(params, vals))
+
+
+def _limit_trajectory(params: ModelParams, grid: Grid, times, v: np.ndarray) -> Trajectory:
+    """The trajectory of sampled limit states v (n_samples, N), with u = h_kappa(v)."""
+    coeffs = np.empty((len(v), 2, grid.N))
+    coeffs[:, 1] = v
     if params.is_linear:
-        return np.concatenate([0.5 * v, v])
-    # permissive reconstruction: v may dip below zero at roundoff scale
-    # when it touches the axis; the pointwise map clips there
-    vp = _inverse(v[0], n_nodes=grid.padded_size)
-    u = _forward(_critical_pointwise(vp, params.kappa))[: grid.N]
-    return np.stack([u, v[0]])
-
-
-def _limit_block(params: ModelParams, grid: Grid, dt: float | None) -> _Block:
-    """The limit system v as a one-row block of ``_time_loop``; dt None takes no step."""
-    return _Block(
-        1,
-        None if dt is None else _limit_propagator(params, grid, dt),
-        None if params.is_linear else partial(_limit_node_map, params),
-        record=partial(_limit_pair, params, grid),
-        what="limit system",
-    )
+        coeffs[:, 0] = 0.5 * v
+    else:
+        # permissive reconstruction: v may dip below zero at roundoff scale
+        # when it touches the axis; the pointwise map clips there
+        h = partial(_critical_pointwise, kappa=params.kappa)
+        for n, row in enumerate(v):
+            coeffs[n, 0] = _dealiased(grid, row, h)
+    return Trajectory(grid, times, coeffs)
 
 
 def _check_limit_data(T: float, v_in: SpectralField) -> None:
@@ -325,9 +323,14 @@ def solve_limit_system(
             "theory does not certify this run",
             stacklevel=2,
         )
+    grid = v_in.grid
     n_steps, dt = _step_count(T, dt) if T > 0 else (0, None)
-    block = _limit_block(params, v_in.grid, dt)
-    return _time_loop(v_in.grid, v_in.coeffs[None], 0.0, n_steps, [block], sample_every)[0]
+    prop = _limit_propagator(params, grid, dt) if n_steps else None
+    node_map = None if params.is_linear else partial(_limit_node_map, params)
+    times, samples = _time_loop(
+        grid, v_in.coeffs[None], 0.0, n_steps, prop, node_map, ("limit system",), sample_every
+    )
+    return _limit_trajectory(params, grid, times, samples[:, 0])
 
 
 def _simulate_with_limit(
@@ -338,13 +341,24 @@ def _simulate_with_limit(
     together.
 
     Both systems take the same steps, so one ``_time_loop`` steps the stacked
-    state (u, v, v_lim) and every transform pair serves both.  Each
-    trajectory is bit-for-bit the one its own solver returns, except that
-    both start at state0.t (solve_limit_system starts at 0).
+    state (u, v, v_lim) with the block-diagonal propagator of both, and every
+    transform pair serves both.  Each trajectory is bit-for-bit the one its
+    own solver returns, except that both start at state0.t
+    (solve_limit_system starts at 0).
     """
     _check_limit_data(T, state0.v)
     grid = state0.u.grid
     n_steps, dt = _step_count(T, dt) if T > 0 else (0, None)
-    blocks = [_full_block(params, grid, dt), _limit_block(params, grid, dt)]
+    prop = None
+    if n_steps:
+        props = [_full_propagator(params, grid, dt), _limit_propagator(params, grid, dt)]
+        prop = _block_diagonal(props)
+    node_map = None if params.is_linear else partial(_paired_node_map, params)
     y0 = np.stack([state0.u.coeffs, state0.v.coeffs, state0.v.coeffs])
-    return tuple(_time_loop(grid, y0, state0.t, n_steps, blocks, sample_every))
+    times, samples = _time_loop(
+        grid, y0, state0.t, n_steps, prop, node_map,
+        ("state", "state", "limit system"), sample_every,
+    )
+    return Trajectory(grid, times, samples[:, :2]), _limit_trajectory(
+        params, grid, times, samples[:, 2]
+    )

@@ -10,6 +10,11 @@ in (every basis function has vanishing derivative at both ends), and
 quadratic products dealias exactly under 3/2 zero padding: a product of two
 fields with modes < N produces modes < 2N - 1, which on the padded grid of
 3N/2 nodes alias only onto modes >= N + 2, i.e. outside the retained band.
+
+Every dealiased pointwise map (``nonlinear_eval``, the remainder of the time
+loop, the limit system's u = h_kappa(v), and the Lyapunov-Perron sources)
+goes through one helper, ``_dealiased``: pad to the 3N/2 nodes, map the node
+values, transform back and truncate to the N retained modes.
 """
 
 from __future__ import annotations
@@ -68,11 +73,6 @@ class Grid:
     @property
     def padded_size(self) -> int:
         return (3 * self.N) // 2
-
-    @property
-    def padded_nodes(self) -> np.ndarray:
-        m = self.padded_size
-        return self.L * (np.arange(m) + 0.5) / m
 
 
 def build_grid(L: float, N: int) -> Grid:
@@ -150,9 +150,6 @@ class SpectralField:
     def values(self) -> np.ndarray:
         return _inverse(self.coeffs)
 
-    def padded_values(self) -> np.ndarray:
-        return _inverse(self.coeffs, n_nodes=self.grid.padded_size)
-
     def sobolev_norm(self, order: int) -> float:
         return sobolev_norm(self, order)
 
@@ -205,6 +202,18 @@ def _sobolev_squares(grid: Grid, coeffs: np.ndarray, order: int) -> list:
     return out
 
 
+def _dealiased(grid: Grid, coeffs: np.ndarray, node_map) -> np.ndarray:
+    """Amplitudes of a pointwise map of fields given by their amplitudes.
+
+    ``coeffs`` (..., N) is evaluated on the 3N/2 padded nodes, ``node_map``
+    takes those node values and returns the mapped ones (it may overwrite
+    its argument and return it), and the result is transformed back and
+    truncated to N modes.  Exact for quadratic maps.
+    """
+    vals = _inverse(coeffs, n_nodes=grid.padded_size)
+    return _forward(node_map(vals))[..., : grid.N]
+
+
 def nonlinear_eval(fields, F) -> SpectralField:
     """Dealiased pointwise evaluation F(w_1, .., w_m) -> SpectralField.
 
@@ -213,12 +222,14 @@ def nonlinear_eval(fields, F) -> SpectralField:
     """
     fields = list(fields)
     grid = _require_same_grid(*fields)
-    padded = [f.padded_values() for f in fields]
-    result = np.asarray(F(*padded), dtype=float)
-    if result.shape != padded[0].shape:
-        raise ShapeError("pointwise map must preserve the node-value shape")
-    coeffs = _forward(result)[: grid.N]
-    return SpectralField(grid, coeffs)
+
+    def node_map(vals):
+        result = np.asarray(F(*vals), dtype=float)
+        if result.shape != vals[0].shape:
+            raise ShapeError("pointwise map must preserve the node-value shape")
+        return result
+
+    return SpectralField(grid, _dealiased(grid, np.stack([f.coeffs for f in fields]), node_map))
 
 
 def laplacian_symbol(grid: Grid, k: int) -> float:

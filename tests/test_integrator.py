@@ -347,7 +347,30 @@ def test_off_stride_final_sample_full_and_limit(kind):
         else:
             expected = critical_map_u_of_v(SpectralField(g, v), p.kappa).coeffs
         assert np.array_equal(u, expected)
+    for traj in (full, limit):
+        for n, (u, v) in enumerate(traj.coeffs):
+            u_vals = SpectralField(g, u).values()
+            v_vals = SpectralField(g, v).values()
+            assert traj.u1_linf[n] == np.max(np.abs(u_vals))
+            assert traj.u2_linf[n] == np.max(np.abs(v_vals - u_vals))
     end = full.final()
     assert end.t == 0.37
     assert np.array_equal(end.u.coeffs, full.coeffs[-1, 0])
     assert np.array_equal(end.v.coeffs, full.coeffs[-1, 1])
+
+
+@pytest.mark.parametrize("solver", ["simulate", "solve_limit_system", "_simulate_with_limit"])
+def test_sample_every_below_one_rejected(solver):
+    from fastslow.reduction import _simulate_with_limit, solve_limit_system
+
+    g = build_grid(np.pi, 16)
+    p = nonlinear_params()
+    v0 = SpectralField.from_values(g, 0.5 * (1.0 + np.cos(g.nodes)))
+    s0 = FastSlowState(0.5 * v0, v0, 0.0)
+    with pytest.raises(ConfigurationError):
+        if solver == "simulate":
+            simulate(s0, p, T=0.1, dt=0.01, sample_every=0)
+        elif solver == "solve_limit_system":
+            solve_limit_system(v0, p, T=0.1, dt=0.01, sample_every=0)
+        else:
+            _simulate_with_limit(s0, p, 0.1, 0.01, 0)

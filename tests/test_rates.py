@@ -29,8 +29,7 @@ def make_traj(grid, times, u_vals, v_vals):
             for u, v in zip(u_vals, v_vals)
         ]
     )
-    z = np.zeros(len(times))
-    return Trajectory(grid, np.asarray(times), coeffs, z, z)
+    return Trajectory(grid, np.asarray(times), coeffs)
 
 
 def test_identical_trajectories_zero_error():
@@ -115,12 +114,8 @@ def test_error_norms_match_per_mode_closed_form_oracle():
             h2[n] += math.sqrt(np.sum(w * (1 + g.mu + g.mu**2) * diff**2))
     expected = (np.max(l2), math.sqrt(np.sum(dt * h1s)), np.max(h2))
 
-    ta = Trajectory(
-        g, times, np.array(states_eps), np.zeros(len(times)), np.zeros(len(times))
-    )
-    tb = Trajectory(
-        g, times, np.array(states_lim), np.zeros(len(times)), np.zeros(len(times))
-    )
+    ta = Trajectory(g, times, np.array(states_eps))
+    tb = Trajectory(g, times, np.array(states_lim))
     norms = trajectory_error_norms(ta, tb)
     assert abs(norms.E_LinfL2 - expected[0]) < 1e-10
     assert abs(norms.E_L2H1 - expected[1]) < 1e-10
@@ -208,8 +203,11 @@ def test_plateau_flag_with_fixed_initial_layer():
 @pytest.mark.parametrize("kind", ["nonlinear", "linear"])
 @pytest.mark.parametrize("n", [8, 64])
 def test_study_members_equal_separate_solver_runs(kind, n):
-    # each member steps both systems in one loop; its norms must be exactly
-    # those of the two public solvers run apart with the same dt and stride
+    # each member steps both systems in one loop; its trajectories and norms
+    # must be exactly those of the two public solvers run apart with the same
+    # dt and stride
+    from fastslow.reduction import _simulate_with_limit
+
     g = build_grid(math.pi, n)
     if kind == "linear":
         p = ModelParams(d=1.0, delta=0.1, eps=0.1, model_kind="linear")
@@ -232,6 +230,12 @@ def test_study_members_equal_separate_solver_runs(kind, n):
         limit = solve_limit_system(v_in, q, T, dt=dt, sample_every=stride)
         assert run.failure is None
         assert run.norms == trajectory_error_norms(traj, limit, t_skip=LAYER_SKIP_FACTOR * eps)
+        paired = _simulate_with_limit(FastSlowState(u_in, v_in, 0.0), q, T, dt, stride)
+        for together, apart in zip(paired, (traj, limit)):
+            assert np.array_equal(together.times, apart.times)
+            assert np.array_equal(together.coeffs, apart.coeffs)
+            assert np.array_equal(together.u1_linf, apart.u1_linf)
+            assert np.array_equal(together.u2_linf, apart.u2_linf)
 
 
 def test_diverging_member_recorded_and_left_out_of_the_fit():
