@@ -19,9 +19,10 @@ points (exponential trapezoid weights).  On the time grid each
 integral becomes a first-order linear recurrence per mode, forward in time
 for u and v_F and backward for v_S; the recurrences are evaluated as
 log-depth prefix scans over the time nodes (Blelloch 1990), not node by
-node, and only over the Galerkin band of retained modes, since the sources
-vanish above it.  Convergence and the observed contraction factor are
-measured in the weighted sup norm
+node.  The iterate (U, V) lives on the Galerkin band of n_modes retained
+modes as one (2, n_t, n_modes) array, since the sources vanish above it; a
+graph point is padded to all N modes.  Convergence and the observed
+contraction factor are measured in the weighted sup norm
 sup_t e^{-eta t} (||u||_H2 + ||v_F||_H2 + ||v_S||_H2).
 """
 
@@ -131,7 +132,6 @@ def validate_assumptions(
     split: SplittingParams,
     lips,
     C_A: float = 1.0,
-    M_A: float = 1.0,
     omega_A: float = 0.0,
 ) -> GapReport:
     """Evaluate the spectral-gap condition with the given Lipschitz budgets.
@@ -214,31 +214,25 @@ def _embed_slow(grid: Grid, v_slow: np.ndarray, k0: int) -> np.ndarray:
     return out
 
 
-def _sources(params: ModelParams, grid: Grid, U, V, n_modes, clip_bound=None):
-    """Coefficient sources (N_u, psi) of the backward trajectories, dealiased
-    and projected onto the Galerkin band.
+def _sources(params: ModelParams, grid: Grid, Y, clip_bound=None):
+    """Coefficient sources (N_u, psi) of the backward trajectories Y = (U, V)
+    on the Galerkin band, dealiased.
 
     ``clip_bound`` saturates the node values before the nonlinearity is
     applied (the cut-off that makes the quadratic terms globally Lipschitz);
     backward trajectories of the slow block grow under the heat group, so
     without it large slow data diverges under quadratic feedback."""
     if params.is_linear:
-        n_u = V / params.eps
-        psi = np.zeros_like(V)
-    else:
-        def node_map(vals):
-            # in place: extra temporaries of this (2, n_t, 3N/2) size raised
-            # the page faults of a sweep by about two thirds
-            if clip_bound is not None:
-                np.clip(vals, -clip_bound, clip_bound, out=vals)
-            return _full_node_map(params, vals)
+        return Y[1] / params.eps, np.zeros_like(Y[1])
 
-        n_u, psi = _dealiased(grid, np.stack([U, V]), node_map)
-    n_u = n_u.copy()
-    psi = psi.copy()
-    n_u[:, n_modes:] = 0.0
-    psi[:, n_modes:] = 0.0
-    return n_u, psi
+    def node_map(vals):
+        # in place: extra temporaries of this (2, n_t, 3N/2) size raised
+        # the page faults of a sweep by about two thirds
+        if clip_bound is not None:
+            np.clip(vals, -clip_bound, clip_bound, out=vals)
+        return _full_node_map(params, vals)
+
+    return _dealiased(grid, Y, node_map)
 
 
 def _linear_scan(a, x):
@@ -334,7 +328,7 @@ def lyapunov_perron_fixed_point(
     if n_modes <= k0:
         raise ConfigurationError("truncation leaves no fast v-modes")
     M = _system_matrices(params, grid)
-    lam_u, lam_v, coupling = M[0, 0], M[1, 1], M[1, 0]
+    lam_u, lam_v, coupling = M[0, 0, :n_modes], M[1, 1, :n_modes], M[1, 0, :n_modes]
 
     # horizon: every retained decaying kernel must reach tol/10 over t_back;
     # the slowest are u's mode 0 and v's first fast mode
@@ -353,20 +347,19 @@ def lyapunov_perron_fixed_point(
     h = t_back / (n_t - 1)
     t_nodes = -t_back + h * np.arange(n_t)
     weights = np.exp(-split.eta * t_nodes)  # eta < 0: weights <= 1, peak at t = 0
-    nw = _h2_weights(grid)
     slow = slice(0, k0)
     fast = slice(k0, n_modes)
-    band = slice(0, n_modes)
+    nw = _h2_weights(grid)[:n_modes]
+    v0 = _embed_slow(grid, v0_S, k0)[slow]
 
-    v0 = _embed_slow(grid, v0_S, k0)
-    U = np.zeros((n_t, grid.N))
-    V = np.zeros((n_t, grid.N))
-    V[:, slow] = np.exp(np.outer(t_nodes, lam_v[slow])) * v0[slow]
+    # Y = (U, V): band amplitudes of the backward trajectories, (2, n_t, n_modes)
+    Y = np.zeros((2, n_t, n_modes))
+    Y[1, :, slow] = np.exp(np.outer(t_nodes, lam_v[slow])) * v0
 
-    def weighted_distance(dU, dV):
-        nu = np.sqrt((dU**2) @ nw)
-        nvf = np.sqrt((dV[:, fast] ** 2) @ nw[fast])
-        nvs = np.sqrt((dV[:, slow] ** 2) @ nw[slow])
+    def weighted_distance(dY):
+        nu = np.sqrt((dY[0] ** 2) @ nw)
+        nvf = np.sqrt((dY[1, :, fast] ** 2) @ nw[fast])
+        nvs = np.sqrt((dY[1, :, slow] ** 2) @ nw[slow])
         return float(np.max(weights * (nu + nvf + nvs)))
 
     ratios = []
@@ -375,15 +368,14 @@ def lyapunov_perron_fixed_point(
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        n_u, psi = _sources(params, grid, U, V, n_modes, clip_bound)
-        U_new = np.zeros_like(U)
-        U_new[:, band] = _convolve_forward(lam_u[band], h, n_u[:, band])
-        S = coupling * U + psi
-        V_new = np.zeros_like(V)
-        V_new[:, fast] = _convolve_forward(lam_v[fast], h, S[:, fast])
-        V_new[:, slow] = _propagate_slow_backward(lam_v[slow], h, v0[slow], S[:, slow])
-        dist = weighted_distance(U_new - U, V_new - V)
-        U, V = U_new, V_new
+        n_u, psi = _sources(params, grid, Y, clip_bound)
+        Y_new = np.empty_like(Y)
+        Y_new[0] = _convolve_forward(lam_u, h, n_u)
+        S = coupling * Y[0] + psi
+        Y_new[1, :, fast] = _convolve_forward(lam_v[fast], h, S[:, fast])
+        Y_new[1, :, slow] = _propagate_slow_backward(lam_v[slow], h, v0, S[:, slow])
+        dist = weighted_distance(Y_new - Y)
+        Y = Y_new
         if not np.isfinite(dist):
             raise ContractionError(
                 "Lyapunov-Perron iterate overflowed", gap_report=gap_report
@@ -402,11 +394,12 @@ def lyapunov_perron_fixed_point(
             converged = True
             break
     contraction = max(ratios[1:], default=(ratios[0] if ratios else 0.0))
+    u_end, v_end = Y[:, -1]
     return ManifoldPoint(
         grid=grid,
         v_slow=np.asarray(v0_S, dtype=float).copy(),
-        u_coeffs=U[-1].copy(),
-        v_fast_coeffs=np.where(np.arange(grid.N) >= k0, V[-1], 0.0),
+        u_coeffs=np.pad(u_end, (0, grid.N - n_modes)),
+        v_fast_coeffs=np.pad(v_end[fast], (k0, grid.N - n_modes)),
         iterations=iterations,
         contraction=float(contraction),
         converged=converged,

@@ -233,11 +233,11 @@ def linear_propagator(params: ModelParams, grid: Grid, dt: float) -> ModePropaga
     return _cached_propagator(params, grid, float(dt))
 
 
-def _full_propagator(params: ModelParams, grid: Grid, dt: float, c_t: float = DEFAULT_CT) -> ModePropagator:
-    """The full system's propagator, after the nonlinear kind's bound dt <= c_t eps."""
-    if not params.is_linear and dt > c_t * params.eps * (1 + 1e-12):
+def _full_propagator(params: ModelParams, grid: Grid, dt: float) -> ModePropagator:
+    """The full system's propagator, after the nonlinear kind's bound dt <= DEFAULT_CT eps."""
+    if not params.is_linear and dt > DEFAULT_CT * params.eps * (1 + 1e-12):
         raise ConfigurationError(
-            f"dt={dt} exceeds the stability bound {c_t}*eps={c_t * params.eps}"
+            f"dt={dt} exceeds the stability bound {DEFAULT_CT}*eps={DEFAULT_CT * params.eps}"
         )
     return linear_propagator(params, grid, dt)
 
@@ -313,16 +313,16 @@ def _time_loop(grid, y0, t0, n_steps, prop, node_map, what, sample_every) -> tup
     return times, samples
 
 
-def etd_step(state: FastSlowState, params: ModelParams, dt: float, c_t: float = DEFAULT_CT) -> FastSlowState:
+def etd_step(state: FastSlowState, params: ModelParams, dt: float) -> FastSlowState:
     """One second-order exponential Runge-Kutta step.
 
-    For the nonlinear kind dt must satisfy dt <= c_t * eps (explicit
+    For the nonlinear kind dt must satisfy dt <= DEFAULT_CT * eps (explicit
     treatment of the kappa f~/eps term); the linear kind has no restriction
     and the step is exact.
     """
     if dt <= 0:
         raise ConfigurationError(f"time step must be positive, got {dt}")
-    return simulate(state, params, dt, dt=dt, c_t=c_t).final()
+    return simulate(state, params, dt, dt=dt).final()
 
 
 @dataclass
@@ -367,12 +367,12 @@ def simulate(
     T: float,
     dt: float | None = None,
     sample_every: int = 1,
-    c_t: float = DEFAULT_CT,
 ) -> Trajectory:
     """Integrate to time T, recording every ``sample_every``-th step.
 
-    dt defaults to min(c_t * eps, T/1000) and is shrunk so that an integer
-    number of steps lands exactly on T.  The final state is always recorded.
+    dt defaults to min(DEFAULT_CT eps, T/1000) and is shrunk so that an
+    integer number of steps lands exactly on T.  The final state is always
+    recorded.
     """
     if T < 0:
         raise ConfigurationError(f"final time must be >= 0, got T={T}")
@@ -380,9 +380,9 @@ def simulate(
     n_steps, prop = 0, None
     if T > 0:
         if dt is None:
-            dt = min(c_t * params.eps, T / 1000.0) if not params.is_linear else T / 1000.0
+            dt = min(DEFAULT_CT * params.eps, T / 1000.0) if not params.is_linear else T / 1000.0
         n_steps, dt = _step_count(T, dt)
-        prop = _full_propagator(params, grid, dt, c_t)
+        prop = _full_propagator(params, grid, dt)
     node_map = None if params.is_linear else partial(_full_node_map, params)
     y0 = np.stack([state0.u.coeffs, state0.v.coeffs])
     times, samples = _time_loop(

@@ -14,7 +14,9 @@ fields with modes < N produces modes < 2N - 1, which on the padded grid of
 Every dealiased pointwise map (``nonlinear_eval``, the remainder of the time
 loop, the limit system's u = h_kappa(v), and the Lyapunov-Perron sources)
 goes through one helper, ``_dealiased``: pad to the 3N/2 nodes, map the node
-values, transform back and truncate to the N retained modes.
+values, transform back and truncate.  Band in, band out: the first K <= N
+amplitudes give the first K of the result (the Lyapunov-Perron sweep passes
+its Galerkin band, every other caller all N).
 """
 
 from __future__ import annotations
@@ -205,13 +207,14 @@ def _sobolev_squares(grid: Grid, coeffs: np.ndarray, order: int) -> list:
 def _dealiased(grid: Grid, coeffs: np.ndarray, node_map) -> np.ndarray:
     """Amplitudes of a pointwise map of fields given by their amplitudes.
 
-    ``coeffs`` (..., N) is evaluated on the 3N/2 padded nodes, ``node_map``
-    takes those node values and returns the mapped ones (it may overwrite
-    its argument and return it), and the result is transformed back and
-    truncated to N modes.  Exact for quadratic maps.
+    ``coeffs`` (..., K) holds the first K <= N amplitudes (the rest zero) and
+    is evaluated on the 3N/2 padded nodes, ``node_map`` takes those node
+    values and returns the mapped ones (it may overwrite its argument and
+    return it), and the result is transformed back and truncated to the same
+    K modes.  Exact for quadratic maps.
     """
     vals = _inverse(coeffs, n_nodes=grid.padded_size)
-    return _forward(node_map(vals))[..., : grid.N]
+    return _forward(node_map(vals))[..., : coeffs.shape[-1]]
 
 
 def nonlinear_eval(fields, F) -> SpectralField:

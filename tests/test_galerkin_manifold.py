@@ -203,6 +203,25 @@ def test_lp_default_horizon_accepted_at_tol_1e_8():
     assert pt.converged
 
 
+def test_lp_graph_point_padded_from_the_band():
+    # the iterate lives on the n_modes band; the graph point is N wide, with
+    # u zero above the band and v_fast zero outside [k0, n_modes)
+    p, consts = small_nonlinear()
+    split = splitting_parameters(26.0, p)
+    k0, n_modes = split.k0, split.k0 + 7
+    pt = lyapunov_perron_fixed_point(
+        np.full(k0, 0.02), p, split, fast_band=7, n_t=256, tol=1e-8, clip_bound=consts.K0
+    )
+    N = pt.grid.N
+    assert pt.converged and n_modes < N
+    assert pt.u_coeffs.shape == pt.v_fast_coeffs.shape == (N,)
+    assert np.all(pt.u_coeffs[n_modes:] == 0.0)
+    assert np.all(pt.v_fast_coeffs[:k0] == 0.0)
+    assert np.all(pt.v_fast_coeffs[n_modes:] == 0.0)
+    assert np.any(pt.u_coeffs[:n_modes] != 0.0)
+    assert np.any(pt.v_fast_coeffs[k0:n_modes] != 0.0)
+
+
 def test_lp_noncontraction_raises_with_report():
     # large slow data + quadratic feedback without the cut-off diverges
     p = ModelParams(d=1.0, delta=1e-4, eps=0.01, kappa=3e-5, a=1.0, b=1.0, c=1.0)
