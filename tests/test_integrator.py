@@ -315,6 +315,38 @@ def test_paired_run_names_the_system_that_diverged(monkeypatch, spoiled, named):
     assert str(err.value) == f"{named} diverged at t=0.04"
 
 
+@pytest.mark.parametrize(
+    "map_name, row, named",
+    [("_full_node_map", 0, "state"), ("_limit_node_map", -1, "limit system")],
+    ids=["u", "v_lim"],
+)
+@pytest.mark.parametrize("n_good", [6, 7])
+def test_paired_run_names_the_row_that_went_non_finite(monkeypatch, map_name, row, named, n_good):
+    # a nan written to one node row by the 7th or 8th remainder spoils step 4;
+    # the block-diagonal product spreads it to every row of the new state
+    from fastslow import reduction
+    from fastslow.reduction import _simulate_with_limit
+
+    node_map = getattr(reduction, map_name)
+    calls = []
+
+    def spoiled(params, vals):
+        out = node_map(params, vals)
+        calls.append(1)
+        if len(calls) > n_good:
+            out[row] = np.nan
+        return out
+
+    monkeypatch.setattr(reduction, map_name, spoiled)
+    g = build_grid(np.pi, 16)
+    p = nonlinear_params(eps=0.05, kappa=0.5)
+    v0 = SpectralField.from_values(g, 0.5 * (1.0 + np.cos(g.nodes)))
+    with pytest.raises(DivergenceError) as err, np.errstate(invalid="ignore"):
+        _simulate_with_limit(FastSlowState(0.5 * v0, v0, 0.0), p, 0.1, 0.01, 1)
+    assert err.value.t == 4 * (0.1 / 10)
+    assert str(err.value) == f"{named} diverged at t=0.04"
+
+
 @pytest.mark.parametrize("kind", ["nonlinear", "linear"])
 def test_off_stride_final_sample_full_and_limit(kind):
     # T = 0.37 at dt = 0.004 takes 93 steps; stride 7 samples steps 0, 7, ..,

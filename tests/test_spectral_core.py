@@ -10,7 +10,7 @@ from fastslow import (
     sobolev_norm,
 )
 from fastslow.errors import ConfigurationError, ShapeError
-from fastslow.spectral_core import _dealiased
+from fastslow.spectral_core import _MATRIX_MAX_N, _dealiased
 
 
 def quadrature_coeff(fn, k, L, n=200001):
@@ -215,6 +215,50 @@ def test_dealiased_band_in_band_out(K, node_map):
     out = _dealiased(g, band, node_map)
     assert out.shape == band.shape
     assert np.array_equal(out, _dealiased(g, full, node_map)[..., :K])
+
+
+def quadratic_map(vals):
+    return (vals[0] - vals[1]) ** 2 + vals * vals[1]
+
+
+@pytest.mark.parametrize("N", [8, 16, 64, 128, 256])
+@pytest.mark.parametrize("width", ["full", "band"])
+def test_dealiased_matches_padded_cosine_sums(N, width):
+    # oracle: explicit cosine sums at the 3N/2 padded nodes, the quadratic
+    # map there, and the midpoint quadrature of the projection integrals,
+    # which is exact for the modes < 2N - 1 of the product
+    g = build_grid(np.pi, N)
+    K = N if width == "full" else N // 4
+    rng = np.random.default_rng(N)
+    coeffs = rng.standard_normal((2, 3, K)) * np.exp(-4.0 * np.arange(K) / K)
+    P = g.padded_size
+    x = g.L * (np.arange(P) + 0.5) / P
+    basis = np.cos(np.outer(np.arange(K), x) * np.pi / g.L)
+    vals = np.einsum("...k,kj->...j", coeffs, basis)
+    weights = np.full(K, 2.0 / P)
+    weights[0] = 1.0 / P
+    expected = np.einsum("...j,kj->...k", quadratic_map(vals), basis) * weights
+    out = _dealiased(g, coeffs, quadratic_map)
+    assert out.shape == expected.shape
+    assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("N", [8, _MATRIX_MAX_N, 2 * _MATRIX_MAX_N])
+@pytest.mark.parametrize("width", ["full", "band"])
+@pytest.mark.parametrize("rows", [1, 2, 3, 5])
+def test_dealiased_rows_independent_of_their_stack(N, width, rows):
+    # each row of a stacked call equals its single-row call bit for bit, on
+    # both sides of the matrix-path threshold
+    g = build_grid(np.pi, N)
+    K = N if width == "full" else N // 4
+    coeffs = np.random.default_rng(rows).standard_normal((rows, K))
+
+    def node_map(vals):
+        return vals * vals + vals
+
+    out = _dealiased(g, coeffs, node_map)
+    for r in range(rows):
+        assert np.array_equal(out[r], _dealiased(g, coeffs[r], node_map))
 
 
 def test_laplacian_symbol_values():
