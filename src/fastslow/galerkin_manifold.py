@@ -15,13 +15,17 @@ symbol (``integrator._system_matrices``).  All kernels are applied
 mode-wise exactly; the sources (N_u, psi) are the time loop's remainder
 (``integrator._full_node_map`` in place of the padded node values, through
 ``spectral_core._dealiased``), reconstructed piecewise-linearly between grid
-points (exponential trapezoid weights).  On the time grid each
+points (exponential trapezoid weights).  The sources are evaluated in
+blocks of time nodes whose padded node values stay in cache; the bits are
+those of one call over all nodes, because ``_dealiased`` transforms every
+row on its own and the node map is pointwise.  On the time grid each
 integral becomes a first-order linear recurrence per mode, forward in time
 for u and v_F and backward for v_S; the recurrences are evaluated as
 log-depth prefix scans over the time nodes (Blelloch 1990), not node by
-node.  The iterate (U, V) lives on the Galerkin band of n_modes retained
-modes as one (2, n_t, n_modes) array, since the sources vanish above it; a
-graph point is padded to all N modes.  Convergence and the observed
+node, with their weights and factor powers set up once per graph point
+(``_scan_kernel``).  The iterate (U, V) lives on the Galerkin band of
+n_modes retained modes as one (2, n_t, n_modes) array, since the sources
+vanish above it; a graph point is padded to all N modes.  Convergence and the observed
 contraction factor are measured in the weighted sup norm
 sup_t e^{-eta t} (||u||_H2 + ||v_F||_H2 + ||v_S||_H2).
 """
@@ -59,6 +63,9 @@ __all__ = [
     "attraction_projection",
     "resolvent_bound_check",
 ]
+
+# Byte budget of one block of ``_sources``' padded node values (both fields).
+_SOURCE_BLOCK_BYTES = 256 * 1024
 
 GAP_FORMULA_NOTE = (
     "splitting formulas give N_S - N_F = k0 - 2 (not k0); implemented as written"
@@ -214,6 +221,12 @@ def _embed_slow(grid: Grid, v_slow: np.ndarray, k0: int) -> np.ndarray:
     return out
 
 
+def _source_block_rows(grid: Grid) -> int:
+    """Time nodes per block of ``_sources``: both fields' padded node values
+    of one block fit in _SOURCE_BLOCK_BYTES."""
+    return max(1, _SOURCE_BLOCK_BYTES // (2 * 8 * grid.padded_size))
+
+
 def _sources(params: ModelParams, grid: Grid, Y, clip_bound=None):
     """Coefficient sources (N_u, psi) of the backward trajectories Y = (U, V)
     on the Galerkin band, dealiased.
@@ -221,72 +234,105 @@ def _sources(params: ModelParams, grid: Grid, Y, clip_bound=None):
     ``clip_bound`` saturates the node values before the nonlinearity is
     applied (the cut-off that makes the quadratic terms globally Lipschitz);
     backward trajectories of the slow block grow under the heat group, so
-    without it large slow data diverges under quadratic feedback."""
+    without it large slow data diverges under quadratic feedback.
+
+    The time nodes are evaluated in blocks of ``_source_block_rows(grid)``,
+    whose padded node values stay in cache through the clip and the
+    remainder's passes; the whole (2, n_t, 3N/2) node array would stream
+    from memory on every pass.  The bits are those of one call over all
+    nodes: ``_dealiased`` transforms each row on its own (``_rowwise``, or
+    the DCT pair along the last axis) and the node map is pointwise."""
     if params.is_linear:
         return Y[1] / params.eps, np.zeros_like(Y[1])
 
     def node_map(vals):
-        # in place: extra temporaries of this (2, n_t, 3N/2) size raised
-        # the page faults of a sweep by about two thirds
+        # in place: extra temporaries of the node values' size raise the
+        # page faults of a sweep
         if clip_bound is not None:
             np.clip(vals, -clip_bound, clip_bound, out=vals)
         return _full_node_map(params, vals)
 
-    return _dealiased(grid, Y, node_map)
+    out = np.empty_like(Y)
+    rows = _source_block_rows(grid)
+    for i in range(0, Y.shape[1], rows):
+        out[:, i : i + rows] = _dealiased(grid, Y[:, i : i + rows], node_map)
+    return out
 
 
-def _linear_scan(a, x):
+@dataclass(frozen=True)
+class _ScanKernel:
+    """The per-sweep constants of one recurrence, set up once per graph point.
+
+    ``wA``, ``wB`` are the exponential trapezoid weights of the left and
+    right source node, ``factor`` the per-step factor e^{lam h} (forward) or
+    e^{-lam h} (backward) and ``powers`` its powers for s = 1, 2, 4, .. < n_t,
+    the factors of ``_linear_scan``'s passes.
+    """
+
+    wA: np.ndarray
+    wB: np.ndarray
+    factor: np.ndarray
+    powers: tuple
+
+
+def _scan_kernel(lam, h, n_t, backward=False) -> _ScanKernel:
+    """The kernel of the recurrence over n_t nodes with step h and rates lam.
+
+    a^s is formed as exp(s log a), not by repeated squaring, whose rounding
+    doubles with every pass, and only for s < n_t: a growing factor never
+    forms an unused power that could overflow.
+    """
+    z = lam * h
+    factor = np.exp(-z if backward else z)
+    with np.errstate(divide="ignore"):  # a = 0 where a stiff decay underflowed
+        log_a = np.log(factor)
+    powers = []
+    s = 1
+    while s < n_t:
+        powers.append(np.exp(s * log_a))
+        s *= 2
+    return _ScanKernel(h * (_phi1(z) - _phi2(z)), h * _phi2(z), factor, tuple(powers))
+
+
+def _linear_scan(powers, x):
     """In place, x[j] = a x[j-1] + x[j] along axis 0, for j = 1, 2, ... in turn.
 
     Evaluated as ceil(log2 n) doubling passes x[s:] += a^s x[:-s] for
     s = 1, 2, 4, ... (an inclusive prefix scan of the first-order linear
-    recurrence), so there is no Python loop over the rows.  a^s is formed
-    as exp(s log a), not by repeated squaring, whose rounding doubles with
-    every pass, and only for s < n: a growing factor never forms an unused
-    power that could overflow.
+    recurrence), so there is no Python loop over the rows; ``powers`` holds
+    a^s for every s < n (``_scan_kernel``).
     """
-    n = x.shape[0]
-    with np.errstate(divide="ignore"):  # a = 0 where a stiff decay underflowed
-        log_a = np.log(a)
     s = 1
-    while s < n:
-        x[s:] += np.exp(s * log_a) * x[:-s]
+    for a_s in powers:
+        x[s:] += a_s * x[:-s]
         s *= 2
     return x
 
 
-def _trapezoid_weights(lam, h):
-    """Exponential trapezoid weights (wA, wB) of the left and right source node."""
-    z = lam * h
-    return h * (_phi1(z) - _phi2(z)), h * _phi2(z)
-
-
-def _convolve_forward(lam, h, F):
+def _convolve_forward(kernel: _ScanKernel, F):
     """I(t_j) = int_{-T}^{t_j} e^{lam (t_j - s)} F(s) ds with F piecewise linear.
 
-    ``lam`` has shape (K,), ``F`` shape (n_t, K); returns the same shape.
-    The recurrence I_j = e^{lam h} I_{j-1} + wA F_{j-1} + wB F_j from I_0 = 0
-    is evaluated as a log-depth scan over the time nodes.
+    ``F`` has shape (n_t, K) for the K rates of ``kernel``; returns the same
+    shape.  The recurrence I_j = e^{lam h} I_{j-1} + wA F_{j-1} + wB F_j
+    from I_0 = 0 is evaluated as a log-depth scan over the time nodes.
     """
-    wA, wB = _trapezoid_weights(lam, h)
     out = np.empty_like(F)
     out[0] = 0.0
-    out[1:] = wA * F[:-1] + wB * F[1:]
-    return _linear_scan(np.exp(lam * h), out)
+    out[1:] = kernel.wA * F[:-1] + kernel.wB * F[1:]
+    return _linear_scan(kernel.powers, out)
 
 
-def _propagate_slow_backward(lam, h, v0, F):
+def _propagate_slow_backward(kernel: _ScanKernel, v0, F):
     """Solve v' = lam v + F backward from v(0) = v0 on the slow block.
 
     The recurrence v_{j-1} = e^{-lam h} (v_j - wA F_{j-1} - wB F_j) is
-    evaluated as a log-depth scan in reversed time.
+    evaluated as a log-depth scan in reversed time; ``kernel`` is the
+    backward one.
     """
-    wA, wB = _trapezoid_weights(lam, h)
-    grow = np.exp(-lam * h)
     rev = np.empty_like(F)
     rev[0] = v0
-    rev[1:] = (-grow * (wA * F[:-1] + wB * F[1:]))[::-1]
-    return _linear_scan(grow, rev)[::-1]
+    rev[1:] = (-kernel.factor * (kernel.wA * F[:-1] + kernel.wB * F[1:]))[::-1]
+    return _linear_scan(kernel.powers, rev)[::-1]
 
 
 def lyapunov_perron_fixed_point(
@@ -362,6 +408,9 @@ def lyapunov_perron_fixed_point(
         nvs = np.sqrt((dY[1, :, slow] ** 2) @ nw[slow])
         return float(np.max(weights * (nu + nvf + nvs)))
 
+    kernel_u = _scan_kernel(lam_u, h, n_t)
+    kernel_vf = _scan_kernel(lam_v[fast], h, n_t)
+    kernel_vs = _scan_kernel(lam_v[slow], h, n_t, backward=True)
     ratios = []
     prev_dist = None
     bad_streak = 0
@@ -370,10 +419,10 @@ def lyapunov_perron_fixed_point(
     for iterations in range(1, max_iter + 1):
         n_u, psi = _sources(params, grid, Y, clip_bound)
         Y_new = np.empty_like(Y)
-        Y_new[0] = _convolve_forward(lam_u, h, n_u)
+        Y_new[0] = _convolve_forward(kernel_u, n_u)
         S = coupling * Y[0] + psi
-        Y_new[1, :, fast] = _convolve_forward(lam_v[fast], h, S[:, fast])
-        Y_new[1, :, slow] = _propagate_slow_backward(lam_v[slow], h, v0, S[:, slow])
+        Y_new[1, :, fast] = _convolve_forward(kernel_vf, S[:, fast])
+        Y_new[1, :, slow] = _propagate_slow_backward(kernel_vs, v0, S[:, slow])
         dist = weighted_distance(Y_new - Y)
         Y = Y_new
         if not np.isfinite(dist):

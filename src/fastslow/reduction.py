@@ -171,12 +171,15 @@ def _estimate_smoothing_constant(d, L, rng, n_fields=200, n_modes=48, fine=512, 
     w_l2 = np.sqrt((L / 2) * np.sum(coeffs**2, axis=1))
     w_linf = np.max(np.abs(coeffs @ cos_tab), axis=1)
     s = -coeffs * (k * np.pi / L)  # sine amplitudes of w_x
+    # one buffer for the node values of every t: a fresh array of this size
+    # each time can be mapped anew by the allocator, one page fault per page
+    vals = np.empty((n_fields, fine))
     best = 0.0
     for t in t_grid:
         decay = np.exp(-d * (k * np.pi / L) ** 2 * t)
         st = s * decay
         n_l2 = np.sqrt((L / 2) * np.sum(st**2, axis=1))
-        n_linf = np.max(np.abs(st @ sin_tab), axis=1)
+        n_linf = np.max(np.abs(np.matmul(st, sin_tab, out=vals), out=vals), axis=1)
         scale = math.sqrt(t) * math.exp(lam1 * t)
         best = max(best, float(np.max(n_l2 / w_l2)) * scale)
         best = max(best, float(np.max(n_linf / w_linf)) * scale)

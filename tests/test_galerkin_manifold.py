@@ -22,8 +22,16 @@ from fastslow.errors import (
     HorizonError,
     SplittingError,
 )
-from fastslow.galerkin_manifold import _convolve_forward, _propagate_slow_backward
-from fastslow.integrator import _phi1, _phi2
+from fastslow import galerkin_manifold
+from fastslow.galerkin_manifold import (
+    _convolve_forward,
+    _propagate_slow_backward,
+    _scan_kernel,
+    _source_block_rows,
+    _sources,
+)
+from fastslow.integrator import _full_node_map, _phi1, _phi2
+from fastslow.spectral_core import _MATRIX_MAX_N, _dealiased
 
 
 def linear_params(eps=0.01, delta=0.001, d=1.0):
@@ -222,6 +230,49 @@ def test_lp_graph_point_padded_from_the_band():
     assert np.any(pt.v_fast_coeffs[k0:n_modes] != 0.0)
 
 
+# n_t as (multiple of the block rows B, offset): 8, B-1, B, B+1, 2B+3, 2048
+BLOCK_CASES = [(0, 8), (1, -1), (1, 0), (1, 1), (2, 3), (0, 2048)]
+
+
+@pytest.mark.parametrize("N", [64, 256])  # the matrix and the DCT transform path
+@pytest.mark.parametrize(
+    "blocks, extra", BLOCK_CASES, ids=["8", "B-1", "B", "B+1", "2B+3", "2048"]
+)
+def test_sources_in_time_blocks_equal_one_call(monkeypatch, N, blocks, extra):
+    # the blocked sources tile the time nodes once, in blocks of at most B
+    # rows, and equal one _dealiased call over all nodes bit for bit
+    assert 64 <= _MATRIX_MAX_N < 256
+    p, consts = small_nonlinear()
+    grid = build_grid(p.L, N)
+    rows = _source_block_rows(grid)
+    n_t = blocks * rows + extra
+    rng = np.random.default_rng(N + n_t)
+    Y = rng.standard_normal((2, n_t, 20)) * (0.8 / (1.0 + np.arange(20)))
+    seen = []
+
+    def spy(grid, coeffs, node_map):
+        seen.append(coeffs.shape[1])
+        return _dealiased(grid, coeffs, node_map)
+
+    results = {}
+    for clip in (None, consts.K0):
+
+        def node_map(vals, clip=clip):
+            if clip is not None:
+                np.clip(vals, -clip, clip, out=vals)
+            return _full_node_map(p, vals)
+
+        whole = _dealiased(grid, Y, node_map)
+        seen.clear()
+        with monkeypatch.context() as m:
+            m.setattr(galerkin_manifold, "_dealiased", spy)
+            results[clip] = _sources(p, grid, Y, clip)
+        assert sum(seen) == n_t and max(seen) <= rows
+        assert results[clip].shape == Y.shape
+        assert np.array_equal(results[clip], whole)
+    assert not np.array_equal(results[None], results[consts.K0])  # the clip is active
+
+
 def test_lp_noncontraction_raises_with_report():
     # large slow data + quadratic feedback without the cut-off diverges
     p = ModelParams(d=1.0, delta=1e-4, eps=0.01, kappa=3e-5, a=1.0, b=1.0, c=1.0)
@@ -362,7 +413,7 @@ def test_convolve_forward_scan_matches_loop(n_t):
             lam = z / h
             F = rng.standard_normal((n_t, K))
             assert_columns_close(
-                _convolve_forward(lam, h, F),
+                _convolve_forward(_scan_kernel(lam, h, n_t), F),
                 loop_convolve_forward(lam, h, F),
                 loop_convolve_forward(lam, h, np.abs(F)),
             )
@@ -384,7 +435,7 @@ def test_propagate_slow_backward_scan_matches_loop(n_t):
             v0 = rng.standard_normal(K)
             F = rng.standard_normal((n_t, K))
             assert_columns_close(
-                _propagate_slow_backward(lam, h, v0, F),
+                _propagate_slow_backward(_scan_kernel(lam, h, n_t, backward=True), v0, F),
                 loop_propagate_slow_backward(lam, h, v0, F),
                 loop_propagate_slow_backward(lam, h, np.abs(v0), -np.abs(F)),
             )
