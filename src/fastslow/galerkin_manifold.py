@@ -241,7 +241,7 @@ def _sources(params: ModelParams, grid: Grid, Y, clip_bound=None):
     remainder's passes; the whole (2, n_t, 3N/2) node array would stream
     from memory on every pass.  The bits are those of one call over all
     nodes: ``_dealiased`` transforms each row on its own (``_rowwise``, or
-    the DCT pair along the last axis) and the node map is pointwise."""
+    the real FFT pair along the last axis) and the node map is pointwise."""
     if params.is_linear:
         return Y[1] / params.eps, np.zeros_like(Y[1])
 

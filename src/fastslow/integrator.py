@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
 from .models import ModelParams, node_remainder
-from .spectral_core import Grid, SpectralField, _dealiased, _inverse
+from .spectral_core import Grid, SpectralField, _dealiased, _permuted_inverse
 
 __all__ = [
     "FastSlowState",
@@ -363,8 +363,9 @@ class Trajectory:
     @cached_property
     def _sups(self) -> np.ndarray:
         # one sample at a time: the node values of all samples at once would
-        # be a temporary as large as the trajectory
-        vals = (_inverse(row) for row in self.coeffs)
+        # be a temporary as large as the trajectory.  A sup does not depend
+        # on the node order, so the values stay in permuted order.
+        vals = (_permuted_inverse(row, self.grid.N) for row in self.coeffs)
         return np.array([(np.max(np.abs(u)), np.max(np.abs(v - u))) for u, v in vals]).T
 
     @property

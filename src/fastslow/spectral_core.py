@@ -18,8 +18,15 @@ values, transform back and truncate.  Band in, band out: the first K <= N
 amplitudes give the first K of the result (the Lyapunov-Perron sweep passes
 its Galerkin band, every other caller all N).  On grids up to
 N = _MATRIX_MAX_N the two transforms of ``_dealiased`` are products with
-matrices built once per N, since there a DCT call costs more in dispatch
-than the product costs in arithmetic; larger grids call the DCT pair.
+matrices built once per N, since there a transform call costs more in
+dispatch than the product costs in arithmetic.
+
+The cosine transforms are numpy's real FFT pair after Makhoul's even/odd
+node permutation (IEEE Trans. ASSP 28, 1980): the even nodes in order, then
+the odd ones backwards, plus one twiddle multiply per amplitude.  Larger
+grids keep the padded node values of ``_dealiased`` in that permuted order,
+so every node map must be pointwise: it sees the nodes in an order that is
+not the order of x.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct
 
 from .errors import ConfigurationError, ShapeError
 
@@ -89,24 +95,71 @@ def build_grid(L: float, N: int) -> Grid:
     return Grid(L=float(L), N=int(N))
 
 
+@lru_cache(maxsize=None)
+def _twiddles(p: int) -> tuple:
+    """Twiddle factors of the cosine pair on p nodes in permuted order.
+
+    With W_k = exp(-i pi k / 2p), k = 0 .. p/2: ``inverse`` = (p/2) conj(W_k),
+    p at k = 0, turns amplitudes into the half spectrum whose ``irfft`` gives
+    the node values; ``forward`` = (2/p) W_k, 1/p at k = 0, turns the
+    ``rfft`` of node values into amplitudes (see ``_permuted_forward``).
+    """
+    w = np.exp(-0.5j * np.pi / p * np.arange(p // 2 + 1))
+    inverse = 0.5 * p * np.conj(w)
+    inverse[0] = p
+    forward = (2.0 / p) * w
+    forward[0] = 1.0 / p
+    # cached and shared by every caller: read-only
+    inverse.flags.writeable = forward.flags.writeable = False
+    return inverse, forward
+
+
+def _permuted_inverse(coeffs: np.ndarray, p: int) -> np.ndarray:
+    """Values at p >= K nodes, in permuted order, of the K amplitudes ``coeffs``.
+
+    The half spectrum is Z_k = t_k (c_k - i c_{p-k}), k = 0 .. p/2, with c_j
+    zero for j >= K; the c_{p-k} term is present only for K > p/2.
+    """
+    k, h = coeffs.shape[-1], p // 2
+    z = np.zeros(coeffs.shape[:-1] + (h + 1,), dtype=complex)
+    z.real[..., :k] = coeffs[..., : h + 1]
+    if k > h:
+        z.imag[..., p - k + 1 :] = -coeffs[..., h:k][..., ::-1]
+    z *= _twiddles(p)[0]
+    return np.fft.irfft(z, n=p)
+
+
+def _permuted_forward(vals: np.ndarray, k: int) -> np.ndarray:
+    """The first k <= p amplitudes of the values ``vals`` at p nodes in permuted order.
+
+    With T = (2/p) W rfft(vals) (1/p at mode 0), amplitude j is Re T_j for
+    j <= p/2 and -Im T_{p-j} above.
+    """
+    p = vals.shape[-1]
+    h = p // 2
+    t = np.fft.rfft(vals)
+    t *= _twiddles(p)[1]
+    out = np.empty(vals.shape[:-1] + (k,))
+    out[..., : h + 1] = t.real[..., :k]
+    if k > h + 1:
+        out[..., h + 1 :] = -t.imag[..., p - k + 1 : h][..., ::-1]
+    return out
+
+
 def _forward(values: np.ndarray) -> np.ndarray:
-    # DCT-II, then rescale so coeffs are plain cosine amplitudes.
-    n = values.shape[-1]
-    coeffs = dct(values, type=2, axis=-1) / n
-    coeffs[..., 0] *= 0.5
-    return coeffs
+    # node values in natural order -> all N amplitudes
+    permuted = np.concatenate([values[..., ::2], values[..., ::-2]], axis=-1)
+    return _permuted_forward(permuted, values.shape[-1])
 
 
-def _inverse(coeffs: np.ndarray, n_nodes=None) -> np.ndarray:
-    # DCT-III evaluates w_0 + sum w_k cos(.) after halving the k >= 1 amplitudes.
-    scaled = np.array(coeffs, dtype=float, copy=True)
-    scaled[..., 1:] *= 0.5
-    if n_nodes is not None and n_nodes > scaled.shape[-1]:
-        pad = n_nodes - scaled.shape[-1]
-        scaled = np.concatenate(
-            [scaled, np.zeros(scaled.shape[:-1] + (pad,))], axis=-1
-        )
-    return dct(scaled, type=3, axis=-1)
+def _inverse(coeffs: np.ndarray) -> np.ndarray:
+    # all N amplitudes -> node values in natural order
+    n = coeffs.shape[-1]
+    permuted = _permuted_inverse(coeffs, n)
+    values = np.empty_like(permuted)
+    values[..., ::2] = permuted[..., : n // 2]
+    values[..., ::-2] = permuted[..., n // 2 :]
+    return values
 
 
 def cosine_transform(grid: Grid, data, direction: str = "forward"):
@@ -249,21 +302,24 @@ def _dealiased(grid: Grid, coeffs: np.ndarray, node_map) -> np.ndarray:
     K modes.  Exact for quadratic maps.
 
     Up to N = _MATRIX_MAX_N the transforms are products with the first K
-    rows and columns of ``_padded_matrices(N)``: on these grids a DCT call
-    costs more in dispatch than the product costs in arithmetic (at N = 256
-    the DCT pair is already faster on one to three rows).  The products are
-    taken one row at a time (``_rowwise``), because a plain stacked product
-    rounds a row differently depending on the rows stacked with it: the
-    paired converge members would then differ from the separate solver runs,
-    and a band call from the N-wide one.  Larger grids call the DCT pair,
-    whose two matrices would take about 200 MB each at N = 4096.
+    rows and columns of ``_padded_matrices(N)``: on these grids a transform
+    call costs more in dispatch than the product costs in arithmetic (at
+    N = 256 the transform pair is already faster on one to three rows).  The
+    products are taken one row at a time (``_rowwise``), because a plain
+    stacked product rounds a row differently depending on the rows stacked
+    with it: the paired converge members would then differ from the
+    separate solver runs, and a band call from the N-wide one.  Larger grids
+    call the real FFT pair; their two matrices would take about 200 MB each
+    at N = 4096.  There ``node_map`` sees the padded nodes in the permuted
+    order of ``_permuted_inverse``, not in the order of x, so it must be
+    pointwise: its value at a node may depend only on the input values at
+    that node (across the leading axes).
     """
     k = coeffs.shape[-1]
     if grid.N <= _MATRIX_MAX_N:
         inverse, forward = _padded_matrices(grid.N)
         return _rowwise(node_map(_rowwise(coeffs, inverse[:k])), forward[:, :k])
-    vals = _inverse(coeffs, n_nodes=grid.padded_size)
-    return _forward(node_map(vals))[..., :k]
+    return _permuted_forward(node_map(_permuted_inverse(coeffs, grid.padded_size)), k)
 
 
 def nonlinear_eval(fields, F) -> SpectralField:
@@ -271,6 +327,8 @@ def nonlinear_eval(fields, F) -> SpectralField:
 
     Zero-pads to 3N/2 nodes, applies F to the node values, transforms back
     and truncates.  Exact for the quadratic nonlinearities of the model.
+    F must be pointwise, since it may see the nodes in a permuted order
+    (see ``_dealiased``).
     """
     fields = list(fields)
     grid = _require_same_grid(*fields)

@@ -1,10 +1,14 @@
 import math
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import fastslow
 from fastslow.cli import main
 from fastslow.errors import ShapeError
 from fastslow.output import emit_csv, emit_svg, format_value
@@ -204,6 +208,42 @@ def test_cli_determinism_byte_identical(tmp_path):
         assert main(["--config", cfg, "--out", str(out_a), "--quiet"]) == 0, command
         assert main(["--config", cfg, "--out", str(out_b), "--quiet"]) == 0, command
         a, b = (out_a / "out.csv").read_bytes(), (out_b / "out.csv").read_bytes()
+        if command == "converge":
+            assert without_wall_clock(a.decode()) == without_wall_clock(b.decode())
+        else:
+            assert a == b, command
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import fastslow.cli
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+sys.modules["scipy"] = None  # any later import of scipy raises ImportError
+args = sys.argv[2:]
+for cfg, out in zip(args[::2], args[1::2]):
+    assert fastslow.cli.main(["--config", cfg, "--out", out, "--quiet"]) == 0, cfg
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # a fresh isolated interpreter imports the CLI without loading SciPy, and
+    # with SciPy blocked every command writes the bytes of an in-process run
+    src = Path(fastslow.__file__).resolve().parents[1]
+    args, outs = [], {}
+    for command, payload in determinism_payloads().items():
+        cfg = write_config(tmp_path, payload, name=f"{command}.yaml")
+        outs[command] = tmp_path / command / "here", tmp_path / command / "blocked"
+        assert main(["--config", cfg, "--out", str(outs[command][0]), "--quiet"]) == 0, command
+        args += [cfg, str(outs[command][1])]
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", NO_SCIPY_SCRIPT, str(src), *args],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for command, (here, blocked) in outs.items():
+        a, b = (here / "out.csv").read_bytes(), (blocked / "out.csv").read_bytes()
         if command == "converge":
             assert without_wall_clock(a.decode()) == without_wall_clock(b.decode())
         else:

@@ -234,7 +234,7 @@ def test_lp_graph_point_padded_from_the_band():
 BLOCK_CASES = [(0, 8), (1, -1), (1, 0), (1, 1), (2, 3), (0, 2048)]
 
 
-@pytest.mark.parametrize("N", [64, 256])  # the matrix and the DCT transform path
+@pytest.mark.parametrize("N", [64, 256])  # the matrix and the real FFT transform path
 @pytest.mark.parametrize(
     "blocks, extra", BLOCK_CASES, ids=["8", "B-1", "B", "B+1", "2B+3", "2048"]
 )

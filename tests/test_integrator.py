@@ -391,6 +391,27 @@ def test_off_stride_final_sample_full_and_limit(kind):
     assert np.array_equal(end.v.coeffs, full.coeffs[-1, 1])
 
 
+def test_sups_equal_node_value_sups_past_the_matrix_path():
+    # at N = 256 the sups come from the real FFT inverse in permuted node
+    # order; they equal the sups of the node values in the order of x
+    from fastslow.spectral_core import _MATRIX_MAX_N
+
+    g = build_grid(np.pi, 256)
+    assert g.N > _MATRIX_MAX_N
+    x = g.nodes
+    s0 = FastSlowState(
+        SpectralField.from_values(g, 0.2 * (1 + np.cos(x)) + 0.05 * np.cos(7 * x)),
+        SpectralField.from_values(g, 0.6 * (1 + np.cos(x)) - 0.1 * np.cos(3 * x)),
+        0.0,
+    )
+    traj = simulate(s0, nonlinear_params(eps=0.01), T=0.05, sample_every=5)
+    for n, (u, v) in enumerate(traj.coeffs):
+        u_vals = SpectralField(g, u).values()
+        v_vals = SpectralField(g, v).values()
+        assert traj.u1_linf[n] == np.max(np.abs(u_vals))
+        assert traj.u2_linf[n] == np.max(np.abs(v_vals - u_vals))
+
+
 @pytest.mark.parametrize("solver", ["simulate", "solve_limit_system", "_simulate_with_limit"])
 def test_sample_every_below_one_rejected(solver):
     from fastslow.reduction import _simulate_with_limit, solve_limit_system

@@ -102,6 +102,39 @@ def test_round_trip_identity_random_fields():
         assert np.max(np.abs(back - vals)) <= 1e-12 * max(1.0, np.max(np.abs(vals)))
 
 
+def exact_cosines(modes, nodes, n):
+    # cos(k pi (2j + 1) / 2n) for modes k and nodes j, with k (2j + 1)
+    # reduced mod 4n first, so that the cosines of large k j keep full
+    # precision
+    phase = np.outer(modes, 2 * nodes + 1) % (4 * n)
+    return np.cos(phase * (np.pi / (2 * n)))
+
+
+@pytest.mark.parametrize("N", [8, 128, 256, 4096])
+def test_cosine_transform_matches_cosine_sums(N):
+    # oracle: the explicit cosine sums at the nodes, and the midpoint
+    # quadrature of the projection integrals, which is exact for modes < N;
+    # checked at every mode and node up to N = 256, and at N = 4096 on the
+    # edges of both halves of the half spectrum plus random ones
+    g = build_grid(2.0, N)
+    rng = np.random.default_rng(N)
+    if N <= 256:
+        picked = np.arange(N)
+    else:
+        h = N // 2
+        edges = np.r_[0:4, h - 4 : h + 5, N - 4 : N]
+        picked = np.union1d(edges, rng.choice(N, 48, replace=False))
+    coeffs = rng.standard_normal((2, N)) * np.exp(-4.0 * np.arange(N) / N)
+    expected = coeffs @ exact_cosines(np.arange(N), picked, N)
+    got = cosine_transform(g, coeffs, "inverse")[:, picked]
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+    vals = rng.standard_normal((2, N))
+    weights = np.where(picked == 0, 1.0 / N, 2.0 / N)
+    expected = vals @ exact_cosines(picked, np.arange(N), N).T * weights
+    got = cosine_transform(g, vals, "forward")[:, picked]
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
 def test_sobolev_norm_constant():
     g = build_grid(np.pi, 16)
     one = SpectralField.from_function(g, lambda x: np.ones_like(x))
@@ -221,14 +254,22 @@ def quadratic_map(vals):
     return (vals[0] - vals[1]) ** 2 + vals * vals[1]
 
 
-@pytest.mark.parametrize("N", [8, 16, 64, 128, 256])
-@pytest.mark.parametrize("width", ["full", "band"])
+def band_width(N, width):
+    # "3/4": K = 3N/4 modes, where the half spectrum of the 3N/2 padded nodes
+    # ends; "3/4+1" and "3/4+2" reach past it, into the branch of
+    # ``_permuted_inverse`` and then of ``_permuted_forward``
+    return {"full": N, "band": N // 4, "3/4": 3 * N // 4,
+            "3/4+1": 3 * N // 4 + 1, "3/4+2": 3 * N // 4 + 2}[width]
+
+
+@pytest.mark.parametrize("N", [8, 16, 64, 128, 256, 1024])
+@pytest.mark.parametrize("width", ["full", "band", "3/4", "3/4+1", "3/4+2"])
 def test_dealiased_matches_padded_cosine_sums(N, width):
     # oracle: explicit cosine sums at the 3N/2 padded nodes, the quadratic
     # map there, and the midpoint quadrature of the projection integrals,
     # which is exact for the modes < 2N - 1 of the product
     g = build_grid(np.pi, N)
-    K = N if width == "full" else N // 4
+    K = band_width(N, width)
     rng = np.random.default_rng(N)
     coeffs = rng.standard_normal((2, 3, K)) * np.exp(-4.0 * np.arange(K) / K)
     P = g.padded_size
@@ -243,14 +284,14 @@ def test_dealiased_matches_padded_cosine_sums(N, width):
     assert np.max(np.abs(out - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("N", [8, _MATRIX_MAX_N, 2 * _MATRIX_MAX_N])
+@pytest.mark.parametrize("N", [8, _MATRIX_MAX_N, 2 * _MATRIX_MAX_N, 1024])
 @pytest.mark.parametrize("width", ["full", "band"])
 @pytest.mark.parametrize("rows", [1, 2, 3, 5])
 def test_dealiased_rows_independent_of_their_stack(N, width, rows):
     # each row of a stacked call equals its single-row call bit for bit, on
     # both sides of the matrix-path threshold
     g = build_grid(np.pi, N)
-    K = N if width == "full" else N // 4
+    K = band_width(N, width)
     coeffs = np.random.default_rng(rows).standard_normal((rows, K))
 
     def node_map(vals):
