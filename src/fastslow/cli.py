@@ -27,54 +27,58 @@ from .errors import (
     ShapeError,
     SplittingError,
 )
-from .integrator import FastSlowState, simulate
+from .integrator import FastSlowState, _sample_sups, _simulate_samples
 from .models import lipschitz_estimates
 from .output import emit_csv, emit_svg
 from .rates import convergence_study
-from .reduction import initial_layer, solve_limit_system, theoretical_constants
+from .reduction import _limit_samples, initial_layer, theoretical_constants
 from .spectral_core import SpectralField, _sobolev_squares
 
 __all__ = ["main", "run"]
 
 
-def _traj_series(traj):
-    cols = {
-        "t": list(traj.times),
-        "u_L2": [], "v_L2": [], "u_H2": [], "v_H2": [],
-        "u1_linf": list(traj.u1_linf), "u2_linf": list(traj.u2_linf),
-    }
-    # one sample row at a time: a whole-trajectory reduction would hold
-    # several temporaries the size of the trajectory itself
-    for row in traj.coeffs:
-        sq0, _, sq2 = _sobolev_squares(traj.grid, row, 2)
+def _sample_series(grid, samples):
+    """The CSV columns of a ``simulate`` or ``limit`` run, one row per sample.
+
+    Each sample (t, (u, v)) is reduced to its row as the solver yields it,
+    so the run's trajectory is never held.
+    """
+    cols = {name: [] for name in ("t", "u_L2", "v_L2", "u_H2", "v_H2", "u1_linf", "u2_linf")}
+    for t, y in samples:
+        sq0, _, sq2 = _sobolev_squares(grid, y, 2)
+        u1, u2 = _sample_sups(grid, y)
+        cols["t"].append(t)
         cols["u_L2"].append(float(np.sqrt(sq0[0])))
         cols["v_L2"].append(float(np.sqrt(sq0[1])))
         cols["u_H2"].append(float(np.sqrt(sq2[0])))
         cols["v_H2"].append(float(np.sqrt(sq2[1])))
+        cols["u1_linf"].append(u1)
+        cols["u2_linf"].append(u2)
     return cols
 
 
 def _cmd_simulate(cfg: ExperimentConfig):
     u_in, v_in = build_initial_data(cfg)
     t = cfg.time
-    traj = simulate(
+    _, samples = _simulate_samples(
         FastSlowState(u_in, v_in, 0.0),
         cfg.model,
-        T=float(t["T"]),
-        dt=t.get("dt"),
-        sample_every=int(t.get("sample_every", 1)),
+        float(t["T"]),
+        t.get("dt"),
+        int(t.get("sample_every", 1)),
     )
-    return _traj_series(traj), [], {"x": "t"}
+    return _sample_series(u_in.grid, samples), [], {"x": "t"}
 
 
 def _cmd_limit(cfg: ExperimentConfig):
     _, v_in = build_initial_data(cfg)
     t = cfg.time
-    dt = t.get("dt") or float(t["T"]) / 1000.0
-    traj = solve_limit_system(
-        v_in, cfg.model, T=float(t["T"]), dt=dt, sample_every=int(t.get("sample_every", 1))
-    )
-    return _traj_series(traj), [], {"x": "t"}
+    T = float(t["T"])
+    dt = t.get("dt")
+    if dt is None:
+        dt = T / 1000.0
+    _, samples = _limit_samples(v_in, cfg.model, T, dt, int(t.get("sample_every", 1)))
+    return _sample_series(v_in.grid, samples), [], {"x": "t"}
 
 
 def _cmd_converge(cfg: ExperimentConfig):

@@ -16,15 +16,21 @@ Matthews 2002) with weights h*phi1(h M_k) and h*phi2(h M_k).
 
 That step (``_etd2_step``) and one time loop (``_time_loop``) serve every
 solver.  The loop steps one stacked state with one propagator and one node
-map over all its rows, and records only the sampled amplitudes; the solvers
-build their ``Trajectory`` from them.  ``simulate`` steps the rows (u, v)
-with the (2, 2, N) propagator, ``reduction.solve_limit_system`` the row v
-with a (1, 1, N) one, and a member of ``rates.convergence_study`` steps the
-rows (u, v, v_lim) with the block-diagonal propagator of both, so that one
+map over all its rows.  ``simulate`` steps the rows (u, v) with the
+(2, 2, N) propagator, ``reduction.solve_limit_system`` the row v with a
+(1, 1, N) one, and a member of ``rates.convergence_study`` steps the rows
+(u, v, v_lim) with the block-diagonal propagator of both, so that one
 transform pair per remainder serves both systems.  Every propagator comes
 from ``_propagator``, and N is evaluated on the padded nodes through
 ``spectral_core._dealiased`` (``models.node_remainder`` for the full
 system).
+
+The loop is a generator of samples (t, y): it yields each sampled state as
+it is reached and keeps none.  The solvers fill their ``Trajectory`` from
+the samples, one preallocated array per run.  The CLI's ``simulate`` and
+``limit`` commands read the same samples (``_simulate_samples``,
+``reduction._limit_samples``) and reduce each one to its CSV row, so they
+never hold a trajectory.
 """
 
 from __future__ import annotations
@@ -290,34 +296,49 @@ def _diverged_row(y: np.ndarray, intermediates) -> int:
 
 
 def _step_count(T: float, dt: float) -> tuple:
-    """Number of steps and the step shrunk so that they land exactly on T."""
+    """Number of steps to T, and the step shrunk so that they land exactly on it.
+
+    The one check of every solver's horizon and step: T must be finite and
+    >= 0 and, for T > 0, dt finite and positive, or ``ConfigurationError``
+    is raised.  T = 0 takes no step, whatever dt: (0, None).
+    """
+    if not 0 <= T < math.inf:
+        raise ConfigurationError(f"final time must be finite and >= 0, got T={T}")
+    if T == 0:
+        return 0, None
+    if not 0 < dt < math.inf or not T / dt < math.inf:
+        raise ConfigurationError(f"time step must be finite and positive, got dt={dt}")
     n_steps = max(1, math.ceil(T / dt - 1e-9))
     return n_steps, T / n_steps
 
 
-def _time_loop(grid, y0, t0, n_steps, prop, node_map, what, sample_every) -> tuple:
-    """Step the stacked state y0 (rows, N) ``n_steps`` times from t0.
+def _sample_count(n_steps: int, sample_every: int) -> int:
+    """Samples of an ``n_steps`` run: every ``sample_every``-th state, the
+    initial and the final one."""
+    if sample_every < 1:
+        raise ConfigurationError(f"sample_every must be a positive integer, got {sample_every}")
+    return 1 + n_steps // sample_every + (n_steps % sample_every != 0)
+
+
+def _time_loop(grid, y0, t0, n_steps, prop, node_map, what, sample_every):
+    """Step the stacked state y0 (rows, N) ``n_steps`` times from t0, yielding samples.
 
     Every step applies the one propagator ``prop`` to all rows, and every
     remainder is one transform pair for all rows, with ``node_map``
     overwriting their padded node values by the remainder there (None: the
-    remainder is zero).  Returns the sample times and the sampled states,
-    shape (n_samples, rows, N): every ``sample_every``-th state, and the
-    initial and the final one.  A step whose state leaves
+    remainder is zero).  Yields (t, y) for the initial state, every
+    ``sample_every``-th one and the final one: ``_sample_count(n_steps,
+    sample_every)`` samples, a count that its callers take first, since it
+    also checks ``sample_every``.  Each y after y0 is a new array that the
+    loop does not touch again.  A step whose state leaves
     |y| <= BLOWUP_LIMIT (or is not finite) raises ``DivergenceError`` named
     ``what[r]`` after the row r that first left it (``_diverged_row``).
     """
-    if sample_every < 1:
-        raise ConfigurationError(f"sample_every must be a positive integer, got {sample_every}")
     if node_map is None:
         remainder = np.zeros_like
     else:
         remainder = partial(_dealiased, grid, node_map=node_map)
-    n_samples = 1 + n_steps // sample_every + (n_steps % sample_every != 0)
-    times = np.empty(n_samples)
-    samples = np.empty((n_samples,) + y0.shape)
-    times[0], samples[0] = t0, y0
-    i = 0
+    yield t0, y0
     y = y0
     for step in range(1, n_steps + 1):
         y, intermediates = _etd2_step(y, prop, remainder)
@@ -329,9 +350,15 @@ def _time_loop(grid, y0, t0, n_steps, prop, node_map, what, sample_every) -> tup
         # they slowed the N=4096 stepping by about 6 %
         del intermediates
         if step % sample_every == 0 or step == n_steps:
-            i += 1
-            times[i], samples[i] = t, y
-    return times, samples
+            yield t, y
+
+
+def _sample_sups(grid: Grid, y: np.ndarray) -> tuple:
+    """The node sups of u1 = u and of u2 = v - u of one sample y = (u, v)."""
+    # a sup does not depend on the node order, so the values stay in the
+    # permuted order of the real FFT inverse
+    u, v = _permuted_inverse(y, grid.N)
+    return np.max(np.abs(u)), np.max(np.abs(v - u))
 
 
 def etd_step(state: FastSlowState, params: ModelParams, dt: float) -> FastSlowState:
@@ -363,10 +390,8 @@ class Trajectory:
     @cached_property
     def _sups(self) -> np.ndarray:
         # one sample at a time: the node values of all samples at once would
-        # be a temporary as large as the trajectory.  A sup does not depend
-        # on the node order, so the values stay in permuted order.
-        vals = (_permuted_inverse(row, self.grid.N) for row in self.coeffs)
-        return np.array([(np.max(np.abs(u)), np.max(np.abs(v - u))) for u, v in vals]).T
+        # be a temporary as large as the trajectory
+        return np.array([_sample_sups(self.grid, row) for row in self.coeffs]).T
 
     @property
     def u1_linf(self) -> np.ndarray:
@@ -383,6 +408,35 @@ class Trajectory:
         )
 
 
+def _trajectory(grid: Grid, n_samples: int, samples) -> Trajectory:
+    """The trajectory of ``n_samples`` samples (t, y), y = (u, v), filled in as they arrive."""
+    times = np.empty(n_samples)
+    coeffs = np.empty((n_samples, 2, grid.N))
+    for i, (t, y) in enumerate(samples):
+        times[i], coeffs[i] = t, y
+    return Trajectory(grid, times, coeffs)
+
+
+def _simulate_samples(state0: FastSlowState, params: ModelParams, T, dt, sample_every) -> tuple:
+    """The number of samples of ``simulate`` and an iterator over them, (t, (u, v)).
+
+    Everything is checked before it returns; the steps are taken as the
+    iterator is read.
+    """
+    if dt is None:
+        dt = T / 1000.0 if params.is_linear else min(DEFAULT_CT * params.eps, T / 1000.0)
+    n_steps, dt = _step_count(T, dt)
+    n_samples = _sample_count(n_steps, sample_every)
+    grid = state0.u.grid
+    prop = _full_propagator(params, grid, dt) if n_steps else None
+    node_map = None if params.is_linear else partial(_full_node_map, params)
+    y0 = np.stack([state0.u.coeffs, state0.v.coeffs])
+    samples = _time_loop(
+        grid, y0, state0.t, n_steps, prop, node_map, ("state", "state"), sample_every
+    )
+    return n_samples, samples
+
+
 def simulate(
     state0: FastSlowState,
     params: ModelParams,
@@ -396,18 +450,4 @@ def simulate(
     integer number of steps lands exactly on T.  The final state is always
     recorded.
     """
-    if T < 0:
-        raise ConfigurationError(f"final time must be >= 0, got T={T}")
-    grid = state0.u.grid
-    n_steps, prop = 0, None
-    if T > 0:
-        if dt is None:
-            dt = min(DEFAULT_CT * params.eps, T / 1000.0) if not params.is_linear else T / 1000.0
-        n_steps, dt = _step_count(T, dt)
-        prop = _full_propagator(params, grid, dt)
-    node_map = None if params.is_linear else partial(_full_node_map, params)
-    y0 = np.stack([state0.u.coeffs, state0.v.coeffs])
-    times, samples = _time_loop(
-        grid, y0, state0.t, n_steps, prop, node_map, ("state", "state"), sample_every
-    )
-    return Trajectory(grid, times, samples)
+    return _trajectory(state0.u.grid, *_simulate_samples(state0, params, T, dt, sample_every))

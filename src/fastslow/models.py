@@ -123,8 +123,14 @@ def eval_reaction(params: ModelParams, x, y) -> ReactionEval:
 
 
 def _competition(params: ModelParams, x, y):
-    """The Lotka-Volterra factor a - b x - c y of phi = (.) x and psi = (.) y."""
-    return params.a - params.b * x - params.c * y
+    """The Lotka-Volterra factor a - b x - c y of phi = (.) x and psi = (.) y,
+    as a new array."""
+    # (a - b x) - c y in one buffer, in the order of the written expression
+    # and so with its bits
+    lv = np.multiply(x, params.b)
+    np.subtract(params.a, lv, out=lv)
+    lv -= np.multiply(y, params.c)
+    return lv
 
 
 def node_remainder(params: ModelParams, x, y):
@@ -137,13 +143,23 @@ def node_remainder(params: ModelParams, x, y):
     remainder is its second component alone, ``node_psi``.
     """
     lv = _competition(params, x, y)
-    return (params.kappa / params.eps) * (y - x) ** 2 + lv * x, lv * y
+    # (kappa/eps) (y - x)^2 + lv x with two temporaries instead of six;
+    # IEEE products and sums commute, so the bits are those of the formula
+    w = np.subtract(y, x)
+    w *= w
+    w *= params.kappa / params.eps
+    n_u = np.multiply(lv, x)
+    n_u += w
+    lv *= y
+    return n_u, lv
 
 
 def node_psi(params: ModelParams, x, y):
     """psi(x, y) = (a - b x - c y) y at node values, the second component of
     ``node_remainder`` computed alone."""
-    return _competition(params, x, y) * y
+    lv = _competition(params, x, y)
+    lv *= y
+    return lv
 
 
 def lipschitz_estimates(params: ModelParams, M: float, constants=None):

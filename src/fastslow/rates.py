@@ -153,6 +153,10 @@ def convergence_study(
     eps_list = list(eps_list)
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ConfigurationError("eps list must be strictly decreasing")
+    if T == 0:
+        # no step, so no two samples to compare; _step_count rejects the
+        # other bad horizons
+        raise ConfigurationError("a convergence study needs a final time T > 0")
     if delta_rule is None:
         delta_rule = {"type": "power", "p": 1.5}
     runs = []

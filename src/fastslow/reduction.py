@@ -16,9 +16,9 @@ the full system (``integrator._etd2_step`` and ``integrator._time_loop``),
 as one row v with the (1, 1, N) propagator of the scalar per-mode symbol
 -d mu_k and the remainder psi(h_kappa(v), v) from ``models.node_psi``.  A
 convergence member steps it in the one loop together with the full system
-(``_simulate_with_limit``), sharing every transform pair.  The loop records
-v only; the trajectory's u = h_kappa(v) is reconstructed from the sampled
-v afterwards, one sample at a time.
+(``_simulate_with_limit``), sharing every transform pair.  The loop steps
+v only; each sample's u = h_kappa(v) is reconstructed from its v as the
+sample arrives (``_limit_state``).
 """
 
 from __future__ import annotations
@@ -39,8 +39,10 @@ from .integrator import (
     _full_node_map,
     _full_propagator,
     _propagator,
+    _sample_count,
     _step_count,
     _time_loop,
+    _trajectory,
 )
 from .models import ModelParams, node_psi
 from .spectral_core import Grid, SpectralField, _dealiased, nonlinear_eval
@@ -282,26 +284,41 @@ def _paired_node_map(params: ModelParams, vals: np.ndarray) -> np.ndarray:
     return _limit_node_map(params, _full_node_map(params, vals))
 
 
-def _limit_trajectory(params: ModelParams, grid: Grid, times, v: np.ndarray) -> Trajectory:
-    """The trajectory of sampled limit states v (n_samples, N), with u = h_kappa(v)."""
-    coeffs = np.empty((len(v), 2, grid.N))
-    coeffs[:, 1] = v
+def _limit_state(params: ModelParams, grid: Grid, v: np.ndarray) -> np.ndarray:
+    """The state (u, v) = (h_kappa(v), v), shape (2, N), of a sampled limit state v."""
+    state = np.empty((2, grid.N))
+    state[1] = v
     if params.is_linear:
-        coeffs[:, 0] = 0.5 * v
+        state[0] = 0.5 * v
     else:
         # permissive reconstruction: v may dip below zero at roundoff scale
         # when it touches the axis; the pointwise map clips there
-        h = partial(_critical_pointwise, kappa=params.kappa)
-        for n, row in enumerate(v):
-            coeffs[n, 0] = _dealiased(grid, row, h)
-    return Trajectory(grid, times, coeffs)
+        state[0] = _dealiased(grid, v, partial(_critical_pointwise, kappa=params.kappa))
+    return state
 
 
-def _check_limit_data(T: float, v_in: SpectralField) -> None:
-    if T < 0:
-        raise ConfigurationError(f"final time must be >= 0, got T={T}")
+def _check_limit_data(v_in: SpectralField) -> None:
     if np.min(v_in.values()) < -NODE_TOL:
         raise DomainError("limit system requires v_in >= 0 pointwise")
+
+
+def _limit_samples(v_in: SpectralField, params: ModelParams, T, dt, sample_every) -> tuple:
+    """The number of samples of ``solve_limit_system`` and an iterator over
+    them, (t, (h_kappa(v), v)).
+
+    Everything is checked before it returns; the steps are taken, and u
+    reconstructed, as the iterator is read.
+    """
+    n_steps, dt = _step_count(T, dt)
+    _check_limit_data(v_in)
+    n_samples = _sample_count(n_steps, sample_every)
+    grid = v_in.grid
+    prop = _limit_propagator(params, grid, dt) if n_steps else None
+    node_map = None if params.is_linear else partial(_limit_node_map, params)
+    loop = _time_loop(
+        grid, v_in.coeffs[None], 0.0, n_steps, prop, node_map, ("limit system",), sample_every
+    )
+    return n_samples, ((t, _limit_state(params, grid, y[0])) for t, y in loop)
 
 
 def solve_limit_system(
@@ -319,21 +336,14 @@ def solve_limit_system(
     exact).  Returns a trajectory whose u-component is h_kappa(v) at every
     sample.
     """
-    _check_limit_data(T, v_in)
+    n_samples, samples = _limit_samples(v_in, params, T, dt, sample_every)
     if constants is not None and not constants.kappa_ok:
         warnings.warn(
             "kappa exceeds the admissibility bound; the critical manifold "
             "theory does not certify this run",
             stacklevel=2,
         )
-    grid = v_in.grid
-    n_steps, dt = _step_count(T, dt) if T > 0 else (0, None)
-    prop = _limit_propagator(params, grid, dt) if n_steps else None
-    node_map = None if params.is_linear else partial(_limit_node_map, params)
-    times, samples = _time_loop(
-        grid, v_in.coeffs[None], 0.0, n_steps, prop, node_map, ("limit system",), sample_every
-    )
-    return _limit_trajectory(params, grid, times, samples[:, 0])
+    return _trajectory(v_in.grid, n_samples, samples)
 
 
 def _simulate_with_limit(
@@ -349,19 +359,23 @@ def _simulate_with_limit(
     own solver returns, except that both start at state0.t
     (solve_limit_system starts at 0).
     """
-    _check_limit_data(T, state0.v)
+    n_steps, dt = _step_count(T, dt)
+    _check_limit_data(state0.v)
+    n_samples = _sample_count(n_steps, sample_every)
     grid = state0.u.grid
-    n_steps, dt = _step_count(T, dt) if T > 0 else (0, None)
     prop = None
     if n_steps:
         props = [_full_propagator(params, grid, dt), _limit_propagator(params, grid, dt)]
         prop = _block_diagonal(props)
     node_map = None if params.is_linear else partial(_paired_node_map, params)
     y0 = np.stack([state0.u.coeffs, state0.v.coeffs, state0.v.coeffs])
-    times, samples = _time_loop(
+    loop = _time_loop(
         grid, y0, state0.t, n_steps, prop, node_map,
         ("state", "state", "limit system"), sample_every,
     )
-    return Trajectory(grid, times, samples[:, :2]), _limit_trajectory(
-        params, grid, times, samples[:, 2]
-    )
+    times = np.empty(n_samples)
+    full = np.empty((n_samples, 2, grid.N))
+    limit = np.empty_like(full)
+    for i, (t, y) in enumerate(loop):
+        times[i], full[i], limit[i] = t, y[:2], _limit_state(params, grid, y[2])
+    return Trajectory(grid, times, full), Trajectory(grid, times, limit)

@@ -248,18 +248,30 @@ def sobolev_norm(w: SpectralField, order: int) -> float:
     return float(np.sqrt(_sobolev_squares(w.grid, w.coeffs, order)[order]))
 
 
+@lru_cache(maxsize=None)
+def _sobolev_weights(grid: Grid) -> tuple:
+    """The weight rows of ``_sobolev_squares``: w (L at mode 0, L/2 above),
+    and w mu_k and w mu_k^2 over the modes k >= 1."""
+    w = np.full(grid.N, grid.L / 2.0)
+    w[0] = grid.L
+    rows = (w, w[1:] * grid.mu[1:], w[1:] * grid.mu[1:] ** 2)
+    # cached and shared by every caller: read-only
+    for row in rows:
+        row.flags.writeable = False
+    return rows
+
+
 def _sobolev_squares(grid: Grid, coeffs: np.ndarray, order: int) -> list:
     """Squared L2, .., H^order norms of amplitude arrays along the last axis."""
     c2 = coeffs**2
-    weights = np.full(grid.N, grid.L / 2.0)
-    weights[0] = grid.L
-    total = np.sum(weights * c2, axis=-1)
+    w, w_mu, w_mu2 = _sobolev_weights(grid)
+    total = np.sum(w * c2, axis=-1)
     out = [total]
     if order >= 1:
-        total = total + np.sum(weights[1:] * grid.mu[1:] * c2[..., 1:], axis=-1)
+        total = total + np.sum(w_mu * c2[..., 1:], axis=-1)
         out.append(total)
     if order == 2:
-        total = total + np.sum(weights[1:] * grid.mu[1:] ** 2 * c2[..., 1:], axis=-1)
+        total = total + np.sum(w_mu2 * c2[..., 1:], axis=-1)
         out.append(total)
     return out
 

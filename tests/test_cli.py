@@ -312,6 +312,91 @@ def test_simulate_and_limit_commands(tmp_path):
     assert (tmp_path / "limit.csv").exists()
 
 
+def simulate_payload(command="simulate", N=32, **time):
+    return {
+        "spec_version": 1,
+        "command": command,
+        "seed": 2,
+        "model": base_model(eps=0.05, delta=0.01),
+        "grid": {"L": math.pi, "N": N},
+        "time": time,
+        "initial": {"preset": "cosine"},
+        "output": {"csv": "out.csv"},
+    }
+
+
+@pytest.mark.parametrize("command", ["simulate", "limit"])
+@pytest.mark.parametrize("N", [32, 256])  # the matrix path and the real FFT pair
+@pytest.mark.parametrize("sample_every", [1, 7])  # 7: an off-stride final sample
+def test_streamed_rows_equal_the_stored_trajectory(tmp_path, command, N, sample_every):
+    from fastslow.config import build_initial_data, load_config
+    from fastslow.integrator import FastSlowState, simulate
+    from fastslow.reduction import solve_limit_system
+    from fastslow.spectral_core import _sobolev_squares
+
+    cfg_path = write_config(
+        tmp_path, simulate_payload(command, N, T=0.1, dt=0.004, sample_every=sample_every)
+    )
+    assert main(["--config", cfg_path, "--out", str(tmp_path), "--quiet"]) == 0
+    lines = (tmp_path / "out.csv").read_text().strip().split("\n")
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:] if not line.startswith("seed,")]
+
+    cfg = load_config(cfg_path)
+    u_in, v_in = build_initial_data(cfg)
+    if command == "simulate":
+        traj = simulate(FastSlowState(u_in, v_in, 0.0), cfg.model, 0.1, 0.004, sample_every)
+    else:
+        traj = solve_limit_system(v_in, cfg.model, 0.1, 0.004, sample_every)
+    sq0, _, sq2 = _sobolev_squares(traj.grid, traj.coeffs, 2)
+    expected = {
+        "t": traj.times,
+        "u_L2": np.sqrt(sq0[:, 0]),
+        "v_L2": np.sqrt(sq0[:, 1]),
+        "u_H2": np.sqrt(sq2[:, 0]),
+        "v_H2": np.sqrt(sq2[:, 1]),
+        "u1_linf": traj.u1_linf,
+        "u2_linf": traj.u2_linf,
+    }
+    assert sorted(header) == sorted(expected)
+    assert len(rows) == len(traj.times) == 1 + 25 // sample_every + (25 % sample_every != 0)
+    for j, name in enumerate(header):
+        assert [row[j] for row in rows] == [format_value(x) for x in expected[name]], name
+
+
+@pytest.mark.parametrize("command", ["simulate", "limit"])
+def test_streamed_rows_hold_no_trajectory(tmp_path, command):
+    # numpy reports its buffers to tracemalloc; the stored trajectory alone
+    # would take n_samples * 2 * N * 8 bytes, about 6.6 MB here
+    import tracemalloc
+
+    N, n_samples = 1024, 401
+    cfg = write_config(tmp_path, simulate_payload(command, N, T=0.4, dt=0.001, sample_every=1))
+    tracemalloc.start()
+    try:
+        assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len((tmp_path / "out.csv").read_text().strip().split("\n")) == 1 + n_samples + 1
+    assert peak < n_samples * 2 * N * 8 / 4
+
+
+@pytest.mark.parametrize("command", ["simulate", "limit"])
+@pytest.mark.parametrize(
+    "time",
+    [{"T": 0.1, "dt": 0}, {"T": 0.1, "dt": -0.01}, {"T": float("inf"), "dt": 0.01},
+     {"T": float("nan"), "dt": 0.01}],
+    ids=["dt=0", "dt<0", "T=inf", "T=nan"],
+)
+def test_bad_horizon_or_step_exit_1(tmp_path, capsys, command, time):
+    # a zero dt is rejected, not replaced by the default T / 1000
+    cfg = write_config(tmp_path, simulate_payload(command, **time))
+    assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_divergence_exit_2(tmp_path):
     payload = {
         "spec_version": 1,

@@ -412,18 +412,58 @@ def test_sups_equal_node_value_sups_past_the_matrix_path():
         assert traj.u2_linf[n] == np.max(np.abs(v_vals - u_vals))
 
 
-@pytest.mark.parametrize("solver", ["simulate", "solve_limit_system", "_simulate_with_limit"])
-def test_sample_every_below_one_rejected(solver):
+SOLVERS = ["simulate", "solve_limit_system", "_simulate_with_limit"]
+
+
+def run_solver(solver, T, dt, sample_every=1):
     from fastslow.reduction import _simulate_with_limit, solve_limit_system
 
     g = build_grid(np.pi, 16)
     p = nonlinear_params()
     v0 = SpectralField.from_values(g, 0.5 * (1.0 + np.cos(g.nodes)))
     s0 = FastSlowState(0.5 * v0, v0, 0.0)
+    if solver == "simulate":
+        return simulate(s0, p, T=T, dt=dt, sample_every=sample_every)
+    if solver == "solve_limit_system":
+        return solve_limit_system(v0, p, T=T, dt=dt, sample_every=sample_every)
+    return _simulate_with_limit(s0, p, T, dt, sample_every)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_sample_every_below_one_rejected(solver):
     with pytest.raises(ConfigurationError):
-        if solver == "simulate":
-            simulate(s0, p, T=0.1, dt=0.01, sample_every=0)
-        elif solver == "solve_limit_system":
-            solve_limit_system(v0, p, T=0.1, dt=0.01, sample_every=0)
-        else:
-            _simulate_with_limit(s0, p, 0.1, 0.01, 0)
+        run_solver(solver, 0.1, 0.01, sample_every=0)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize(
+    "T, dt",
+    [
+        (0.1, 0.0),
+        (0.1, -0.01),
+        (0.1, np.nan),
+        (0.1, np.inf),
+        (0.1, 5e-324),
+        (np.inf, 0.01),
+        (np.nan, 0.01),
+        (-0.1, 0.01),
+    ],
+)
+def test_bad_horizon_or_step_rejected(solver, T, dt):
+    # one check for every solver: no ZeroDivisionError, OverflowError or
+    # ValueError, and no silent single step or empty run
+    with pytest.raises(ConfigurationError):
+        run_solver(solver, T, dt)
+
+
+@pytest.mark.parametrize("T", [np.inf, np.nan])
+def test_simulate_default_step_rejects_a_bad_horizon(T):
+    with pytest.raises(ConfigurationError):
+        run_solver("simulate", T, None)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_zero_horizon_takes_no_step_whatever_dt(solver):
+    out = run_solver(solver, 0.0, 0.0)
+    for traj in out if isinstance(out, tuple) else (out,):
+        assert traj.times.tolist() == [0.0]
