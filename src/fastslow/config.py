@@ -47,13 +47,38 @@ def _need(block: dict, path: str, key: str, types, default=None, required=False)
             raise ConfigurationError(f"missing required field {path}.{key}")
         return default
     value = block[key]
-    if types is float and isinstance(value, int):
+    if types is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if not isinstance(value, types):
+    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
         raise ConfigurationError(
             f"field {path}.{key} has wrong type {type(value).__name__}"
         )
     return value
+
+
+# Optional numeric fields checked up front, with the type each must have:
+# a float field takes an int too, no numeric field takes a bool or a string.
+_TIME_FIELDS = {"dt": float, "sample_every": int}
+_GALERKIN_FIELDS = {
+    "n_t": int,
+    "n_graph_samples": int,
+    "tol": float,
+    "sample_amplitude": float,
+    "t_back": float,
+    "fast_band": int,
+    "clip_bound": float,
+}
+
+
+def _check_fields(block: dict, path: str, fields: dict) -> None:
+    # each present field in place as its type (ints as floats where a float
+    # is due); a null field is dropped, so the command's default applies
+    for key, types in fields.items():
+        value = _need(block, path, key, types)
+        if value is None:
+            block.pop(key, None)
+        else:
+            block[key] = value
 
 
 @dataclass
@@ -115,6 +140,7 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     time_block = dict(raw.get("time", {}))
     if "time" in _REQUIRED_BLOCKS[command]:
         _need(time_block, "time", "T", float, required=True)
+    _check_fields(time_block, "time", _TIME_FIELDS)
     study = dict(raw.get("study", {}))
     if command == "converge":
         eps_list = study.get("eps_list")
@@ -123,6 +149,17 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
         study["eps_list"] = [float(e) for e in eps_list]
     if command in ("manifold-galerkin", "gap-check"):
         _need(study, "study", "zeta_inv", float, required=True)
+        _check_fields(study, "study", {"M": float})
+    if command == "manifold-galerkin":
+        _check_fields(study, "study", _GALERKIN_FIELDS)
+        n_samples = study.get("n_graph_samples", 1)
+        if n_samples < 1:
+            raise ConfigurationError(
+                f"field study.n_graph_samples: need at least 1 graph point, got {n_samples}"
+            )
+        tol = study.get("tol", 1.0)
+        if not (math.isfinite(tol) and tol > 0):
+            raise ConfigurationError(f"field study.tol: need a finite tolerance > 0, got {tol}")
     output = dict(raw.get("output", {}))
     return ExperimentConfig(
         command=command,

@@ -22,12 +22,20 @@ row on its own and the node map is pointwise.  On the time grid each
 integral becomes a first-order linear recurrence per mode, forward in time
 for u and v_F and backward for v_S; the recurrences are evaluated as
 log-depth prefix scans over the time nodes (Blelloch 1990), not node by
-node, with their weights and factor powers set up once per graph point
-(``_scan_kernel``).  The iterate (U, V) lives on the Galerkin band of
-n_modes retained modes as one (2, n_t, n_modes) array, since the sources
-vanish above it; a graph point is padded to all N modes.  Convergence and the observed
-contraction factor are measured in the weighted sup norm
-sup_t e^{-eta t} (||u||_H2 + ||v_F||_H2 + ||v_S||_H2).
+node (``_scan_kernel``, ``_linear_scan``).  The iterate (U, V) lives on the
+Galerkin band of n_modes retained modes as one (2, n_t, n_modes) array,
+since the sources vanish above it; a graph point is padded to all N modes.
+Convergence and the observed contraction factor are measured in the
+weighted sup norm sup_t e^{-eta t} (||u||_H2 + ||v_F||_H2 + ||v_S||_H2).
+
+Everything a graph's points share is built once per graph
+(``_graph_setup``): the per-mode rates, the horizon and its check, the
+scan kernels' weights and factor powers, the norm weights, and the work
+buffers (the ping-pong pair of iterates, the sources, the coupled source
+and the scans' temporaries), which every sweep of every point reuses instead
+of allocating its own.  ``lyapunov_perron_fixed_point`` is that setup for
+one point followed by the same iteration (``_solve_point``), so a graph
+point is the same bits whichever of the two computes it.
 """
 
 from __future__ import annotations
@@ -227,9 +235,9 @@ def _source_block_rows(grid: Grid) -> int:
     return max(1, _SOURCE_BLOCK_BYTES // (2 * 8 * grid.padded_size))
 
 
-def _sources(params: ModelParams, grid: Grid, Y, clip_bound=None):
+def _sources(params: ModelParams, grid: Grid, Y, clip_bound, out):
     """Coefficient sources (N_u, psi) of the backward trajectories Y = (U, V)
-    on the Galerkin band, dealiased.
+    on the Galerkin band, dealiased, written into ``out`` (Y's shape).
 
     ``clip_bound`` saturates the node values before the nonlinearity is
     applied (the cut-off that makes the quadratic terms globally Lipschitz);
@@ -243,7 +251,9 @@ def _sources(params: ModelParams, grid: Grid, Y, clip_bound=None):
     nodes: ``_dealiased`` transforms each row on its own (``_rowwise``, or
     the real FFT pair along the last axis) and the node map is pointwise."""
     if params.is_linear:
-        return Y[1] / params.eps, np.zeros_like(Y[1])
+        np.divide(Y[1], params.eps, out=out[0])
+        out[1] = 0.0
+        return out
 
     def node_map(vals):
         # in place: extra temporaries of the node values' size raise the
@@ -252,7 +262,6 @@ def _sources(params: ModelParams, grid: Grid, Y, clip_bound=None):
             np.clip(vals, -clip_bound, clip_bound, out=vals)
         return _full_node_map(params, vals)
 
-    out = np.empty_like(Y)
     rows = _source_block_rows(grid)
     for i in range(0, Y.shape[1], rows):
         out[:, i : i + rows] = _dealiased(grid, Y[:, i : i + rows], node_map)
@@ -261,7 +270,7 @@ def _sources(params: ModelParams, grid: Grid, Y, clip_bound=None):
 
 @dataclass(frozen=True)
 class _ScanKernel:
-    """The per-sweep constants of one recurrence, set up once per graph point.
+    """The per-sweep constants of one recurrence, set up once per graph.
 
     ``wA``, ``wB`` are the exponential trapezoid weights of the left and
     right source node, ``factor`` the per-step factor e^{lam h} (forward) or
@@ -294,74 +303,98 @@ def _scan_kernel(lam, h, n_t, backward=False) -> _ScanKernel:
     return _ScanKernel(h * (_phi1(z) - _phi2(z)), h * _phi2(z), factor, tuple(powers))
 
 
-def _linear_scan(powers, x):
+def _linear_scan(powers, x, temp):
     """In place, x[j] = a x[j-1] + x[j] along axis 0, for j = 1, 2, ... in turn.
 
     Evaluated as ceil(log2 n) doubling passes x[s:] += a^s x[:-s] for
     s = 1, 2, 4, ... (an inclusive prefix scan of the first-order linear
     recurrence), so there is no Python loop over the rows; ``powers`` holds
-    a^s for every s < n (``_scan_kernel``).
+    a^s for every s < n (``_scan_kernel``).  Each product a^s x[:-s] is
+    formed in ``temp``, an array of x's shape that x does not overlap.
     """
+    n = len(x)
     s = 1
     for a_s in powers:
-        x[s:] += a_s * x[:-s]
+        x[s:] += np.multiply(a_s, x[:-s], out=temp[: n - s])
         s *= 2
     return x
 
 
-def _convolve_forward(kernel: _ScanKernel, F):
+def _convolve_forward(kernel: _ScanKernel, F, out, temp):
     """I(t_j) = int_{-T}^{t_j} e^{lam (t_j - s)} F(s) ds with F piecewise linear.
 
-    ``F`` has shape (n_t, K) for the K rates of ``kernel``; returns the same
-    shape.  The recurrence I_j = e^{lam h} I_{j-1} + wA F_{j-1} + wB F_j
-    from I_0 = 0 is evaluated as a log-depth scan over the time nodes.
+    ``F`` has shape (n_t, K) for the K rates of ``kernel``; the result is
+    written into ``out`` (the same shape) and returned.  The recurrence
+    I_j = e^{lam h} I_{j-1} + wA F_{j-1} + wB F_j from I_0 = 0 is evaluated
+    as a log-depth scan over the time nodes; ``temp`` (F's shape) holds
+    its temporaries.  Neither may overlap F.
     """
-    out = np.empty_like(F)
     out[0] = 0.0
-    out[1:] = kernel.wA * F[:-1] + kernel.wB * F[1:]
-    return _linear_scan(kernel.powers, out)
+    np.multiply(kernel.wA, F[:-1], out=out[1:])
+    out[1:] += np.multiply(kernel.wB, F[1:], out=temp[:-1])
+    return _linear_scan(kernel.powers, out, temp)
 
 
-def _propagate_slow_backward(kernel: _ScanKernel, v0, F):
+def _propagate_slow_backward(kernel: _ScanKernel, v0, F, rev, temp):
     """Solve v' = lam v + F backward from v(0) = v0 on the slow block.
 
     The recurrence v_{j-1} = e^{-lam h} (v_j - wA F_{j-1} - wB F_j) is
-    evaluated as a log-depth scan in reversed time; ``kernel`` is the
-    backward one.
+    evaluated as a log-depth scan in reversed time, in ``rev`` (F's shape,
+    C-contiguous: a scan over a reversed view is about twice as slow);
+    returns the reversed view of ``rev``.  ``kernel`` is the backward one,
+    and ``temp`` is as in ``_convolve_forward``.
     """
-    rev = np.empty_like(F)
     rev[0] = v0
-    rev[1:] = (-kernel.factor * (kernel.wA * F[:-1] + kernel.wB * F[1:]))[::-1]
-    return _linear_scan(kernel.powers, rev)[::-1]
+    src = np.multiply(kernel.wA, F[:-1], out=temp[:-1])
+    src += np.multiply(kernel.wB, F[1:], out=rev[1:])
+    np.multiply(-kernel.factor, src, out=rev[:0:-1])
+    return _linear_scan(kernel.powers, rev, temp)[::-1]
 
 
-def lyapunov_perron_fixed_point(
-    v0_S,
-    params: ModelParams,
-    split: SplittingParams,
-    grid: Grid | None = None,
-    fast_band: int | None = None,
-    t_back: float | None = None,
-    n_t: int = 512,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-    gap_report: GapReport | None = None,
-    clip_bound: float | None = None,
-) -> ManifoldPoint:
-    """Fixed point of the discretized Lyapunov-Perron map over slow data v0_S.
+@dataclass(frozen=True)
+class _GraphSetup:
+    """What every graph point of one Lyapunov-Perron sweep shares.
 
-    ``v0_S`` holds the k0 slow v-coefficients.  The truncation keeps
-    min(grid modes, k0 + fast_band) modes (fast_band defaults to 3 k0).  The
-    default backward horizon 20 eps ln(1/tol) is extended automatically when
-    the slowest retained kernel needs longer to reach the tail target
-    tol/10; an explicitly passed ``t_back`` that is too short raises
-    HorizonError instead.  Three consecutive non-contracting sweeps raise
-    ContractionError carrying the gap report.
-
-    For the nonlinear kind, pass ``clip_bound`` (the invariant-box bound,
-    e.g. K_{0,M}) to saturate the quadratic terms in the far past; backward
-    slow-mode growth otherwise feeds the quadratics and large data diverges.
+    Built once per graph by ``_graph_setup`` from the solver's options: the
+    per-mode rates, the horizon, the norm weights, the three scan kernels,
+    the slow modes' growth e^{lam_v t} over the time nodes, and the work
+    buffers every point reuses: the ping-pong pair of iterates ``Y``, the
+    sources, the coupled source ``S``, and two flat buffers: ``work`` for
+    the v scans, which run on contiguous copies (a scan over the strided
+    columns of ``Y`` is about twice as slow), and ``temp`` for the
+    scans' products and the norms.  A graph point leaves nothing in them
+    that the next reads.
     """
+
+    params: ModelParams
+    grid: Grid
+    k0: int
+    n_modes: int
+    coupling: np.ndarray
+    t_back: float
+    n_t: int
+    tol: float
+    clip_bound: float | None
+    weights: np.ndarray
+    nw: np.ndarray
+    slow_growth: np.ndarray
+    kernel_u: _ScanKernel
+    kernel_vf: _ScanKernel
+    kernel_vs: _ScanKernel
+    Y: tuple
+    sources: np.ndarray
+    S: np.ndarray
+    work: np.ndarray
+    temp: np.ndarray
+
+    def columns(self, flat: np.ndarray, width: int) -> np.ndarray:
+        # a C-contiguous (n_t, width) view of the flat buffer ``work`` or ``temp``
+        return flat[: self.n_t * width].reshape(self.n_t, width)
+
+
+def _graph_setup(params, split, grid, fast_band, t_back, n_t, tol, clip_bound) -> _GraphSetup:
+    """The shared setup of ``lyapunov_perron_fixed_point``'s options; raises
+    their ConfigurationError and HorizonError."""
     k0 = split.k0
     if fast_band is None:
         fast_band = 3 * k0
@@ -392,39 +425,75 @@ def lyapunov_perron_fixed_point(
 
     h = t_back / (n_t - 1)
     t_nodes = -t_back + h * np.arange(n_t)
-    weights = np.exp(-split.eta * t_nodes)  # eta < 0: weights <= 1, peak at t = 0
+    return _GraphSetup(
+        params=params,
+        grid=grid,
+        k0=k0,
+        n_modes=n_modes,
+        coupling=coupling,
+        t_back=t_back,
+        n_t=n_t,
+        tol=tol,
+        clip_bound=clip_bound,
+        weights=np.exp(-split.eta * t_nodes),  # eta < 0: weights <= 1, peak at t = 0
+        nw=_h2_weights(grid)[:n_modes],
+        slow_growth=np.exp(np.outer(t_nodes, lam_v[:k0])),
+        kernel_u=_scan_kernel(lam_u, h, n_t),
+        kernel_vf=_scan_kernel(lam_v[k0:], h, n_t),
+        kernel_vs=_scan_kernel(lam_v[:k0], h, n_t, backward=True),
+        Y=(np.empty((2, n_t, n_modes)), np.empty((2, n_t, n_modes))),
+        sources=np.empty((2, n_t, n_modes)),
+        S=np.empty((n_t, n_modes)),
+        work=np.empty(n_t * n_modes),
+        temp=np.empty(n_t * n_modes),
+    )
+
+
+def _solve_point(setup: _GraphSetup, v0_S, max_iter, gap_report) -> ManifoldPoint:
+    """The Lyapunov-Perron fixed point over v0_S on a graph's shared setup."""
+    grid, k0, n_modes, tol = setup.grid, setup.k0, setup.n_modes, setup.tol
     slow = slice(0, k0)
     fast = slice(k0, n_modes)
-    nw = _h2_weights(grid)[:n_modes]
     v0 = _embed_slow(grid, v0_S, k0)[slow]
+    work_vf, work_vs = (setup.columns(setup.work, w) for w in (n_modes - k0, k0))
+    temp_u, temp_vf, temp_vs = (
+        setup.columns(setup.temp, w) for w in (n_modes, n_modes - k0, k0)
+    )
 
     # Y = (U, V): band amplitudes of the backward trajectories, (2, n_t, n_modes)
-    Y = np.zeros((2, n_t, n_modes))
-    Y[1, :, slow] = np.exp(np.outer(t_nodes, lam_v[slow])) * v0
+    Y, Y_new = setup.Y
+    Y[0] = 0.0
+    Y[1, :, fast] = 0.0
+    np.multiply(setup.slow_growth, v0, out=Y[1, :, slow])
 
-    def weighted_distance(dY):
-        nu = np.sqrt((dY[0] ** 2) @ nw)
-        nvf = np.sqrt((dY[1, :, fast] ** 2) @ nw[fast])
-        nvs = np.sqrt((dY[1, :, slow] ** 2) @ nw[slow])
-        return float(np.max(weights * (nu + nvf + nvs)))
+    def band_norm(new, old, w, temp):
+        # H2 norms of new - old over the time nodes, formed in ``temp``
+        d = np.subtract(new, old, out=temp)
+        d *= d
+        return np.sqrt(d @ w)
 
-    kernel_u = _scan_kernel(lam_u, h, n_t)
-    kernel_vf = _scan_kernel(lam_v[fast], h, n_t)
-    kernel_vs = _scan_kernel(lam_v[slow], h, n_t, backward=True)
+    def weighted_distance(new, old):
+        nu = band_norm(new[0], old[0], setup.nw, temp_u)
+        nvf = band_norm(new[1, :, fast], old[1, :, fast], setup.nw[fast], temp_vf)
+        nvs = band_norm(new[1, :, slow], old[1, :, slow], setup.nw[slow], temp_vs)
+        return float(np.max(setup.weights * (nu + nvf + nvs)))
+
     ratios = []
     prev_dist = None
     bad_streak = 0
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        n_u, psi = _sources(params, grid, Y, clip_bound)
-        Y_new = np.empty_like(Y)
-        Y_new[0] = _convolve_forward(kernel_u, n_u)
-        S = coupling * Y[0] + psi
-        Y_new[1, :, fast] = _convolve_forward(kernel_vf, S[:, fast])
-        Y_new[1, :, slow] = _propagate_slow_backward(kernel_vs, v0, S[:, slow])
-        dist = weighted_distance(Y_new - Y)
-        Y = Y_new
+        n_u, psi = _sources(setup.params, grid, Y, setup.clip_bound, setup.sources)
+        _convolve_forward(setup.kernel_u, n_u, Y_new[0], temp_u)
+        S = np.multiply(setup.coupling, Y[0], out=setup.S)
+        S += psi
+        Y_new[1, :, fast] = _convolve_forward(setup.kernel_vf, S[:, fast], work_vf, temp_vf)
+        Y_new[1, :, slow] = _propagate_slow_backward(
+            setup.kernel_vs, v0, S[:, slow], work_vs, temp_vs
+        )
+        dist = weighted_distance(Y_new, Y)
+        Y, Y_new = Y_new, Y
         if not np.isfinite(dist):
             raise ContractionError(
                 "Lyapunov-Perron iterate overflowed", gap_report=gap_report
@@ -452,9 +521,43 @@ def lyapunov_perron_fixed_point(
         iterations=iterations,
         contraction=float(contraction),
         converged=converged,
-        t_back=t_back,
-        n_t=n_t,
+        t_back=setup.t_back,
+        n_t=setup.n_t,
     )
+
+
+def lyapunov_perron_fixed_point(
+    v0_S,
+    params: ModelParams,
+    split: SplittingParams,
+    grid: Grid | None = None,
+    fast_band: int | None = None,
+    t_back: float | None = None,
+    n_t: int = 512,
+    tol: float = 1e-8,
+    max_iter: int = 200,
+    gap_report: GapReport | None = None,
+    clip_bound: float | None = None,
+) -> ManifoldPoint:
+    """Fixed point of the discretized Lyapunov-Perron map over slow data v0_S.
+
+    ``v0_S`` holds the k0 slow v-coefficients.  The truncation keeps
+    min(grid modes, k0 + fast_band) modes (fast_band defaults to 3 k0).  The
+    default backward horizon 20 eps ln(1/tol) is extended automatically when
+    the slowest retained kernel needs longer to reach the tail target
+    tol/10; an explicitly passed ``t_back`` that is too short raises
+    HorizonError instead.  Three consecutive non-contracting sweeps raise
+    ContractionError carrying the gap report.
+
+    For the nonlinear kind, pass ``clip_bound`` (the invariant-box bound,
+    e.g. K_{0,M}) to saturate the quadratic terms in the far past; backward
+    slow-mode growth otherwise feeds the quadratics and large data diverges.
+
+    One graph point of ``lyapunov_perron_sweep``: the same setup, built here
+    for this point alone, and the same iteration.
+    """
+    setup = _graph_setup(params, split, grid, fast_band, t_back, n_t, tol, clip_bound)
+    return _solve_point(setup, v0_S, max_iter, gap_report)
 
 
 @dataclass
@@ -488,11 +591,27 @@ class ManifoldGraph:
         return best
 
 
-def lyapunov_perron_sweep(v0_samples, params, split, **kwargs) -> ManifoldGraph:
-    """Independent graph-point solves over a list of slow-coefficient vectors."""
-    points = [
-        lyapunov_perron_fixed_point(v0, params, split, **kwargs) for v0 in v0_samples
-    ]
+def lyapunov_perron_sweep(
+    v0_samples,
+    params: ModelParams,
+    split: SplittingParams,
+    grid: Grid | None = None,
+    fast_band: int | None = None,
+    t_back: float | None = None,
+    n_t: int = 512,
+    tol: float = 1e-8,
+    max_iter: int = 200,
+    gap_report: GapReport | None = None,
+    clip_bound: float | None = None,
+) -> ManifoldGraph:
+    """Graph points over a list of slow-coefficient vectors.
+
+    Each point equals ``lyapunov_perron_fixed_point`` with the same options,
+    bit for bit; the setup and the work buffers those options determine are
+    built once for the whole graph and shared by the points in turn.
+    """
+    setup = _graph_setup(params, split, grid, fast_band, t_back, n_t, tol, clip_bound)
+    points = [_solve_point(setup, v0, max_iter, gap_report) for v0 in v0_samples]
     return ManifoldGraph(k0=split.k0, points=points)
 
 

@@ -18,8 +18,11 @@ values, transform back and truncate.  Band in, band out: the first K <= N
 amplitudes give the first K of the result (the Lyapunov-Perron sweep passes
 its Galerkin band, every other caller all N).  On grids up to
 N = _MATRIX_MAX_N the two transforms of ``_dealiased`` are products with
-matrices built once per N, since there a transform call costs more in
-dispatch than the product costs in arithmetic.
+matrices, since there a transform call costs more in dispatch than the
+product costs in arithmetic.  The pair is cached per (N, K) as C-contiguous
+band matrices whose width is K rounded up to a multiple of 4: contiguous,
+because a product through strided columns is slower, and rounded, because
+only then does a band call keep the bits of the N-wide one.
 
 The cosine transforms are numpy's real FFT pair after Makhoul's even/odd
 node permutation (IEEE Trans. ASSP 28, 1980): the even nodes in order, then
@@ -277,22 +280,28 @@ def _sobolev_squares(grid: Grid, coeffs: np.ndarray, order: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _padded_matrices(n: int) -> tuple:
-    """The dealiased transform pair of an N = n grid as matrices.
+def _padded_matrices(n: int, k: int) -> tuple:
+    """The dealiased transform pair of an N = n grid on its first k modes.
 
-    ``inverse`` (N, 3N/2) maps amplitudes to the padded node values (the
-    halving of DCT-III's k >= 1 inputs and the zero padding folded in);
-    ``forward`` (3N/2, N) maps node values back to the first N amplitudes
-    (DCT-II's 1/n scaling, the halving of mode 0 and the truncation folded
-    in).
+    ``inverse`` (W, 3N/2) maps the first W amplitudes to the padded node
+    values (the halving of DCT-III's k >= 1 inputs and the zero padding
+    folded in); ``forward`` (3N/2, W) maps node values back to the first W
+    amplitudes (DCT-II's 1/n scaling, the halving of mode 0 and the
+    truncation folded in).  W is k rounded up to a multiple of 4, at most
+    n; both matrices are C-contiguous (see ``_dealiased``).
     """
     p = (3 * n) // 2
-    # k (2j + 1) reduced mod 4p first, so that every angle lies in [0, 2 pi)
-    # and the cosines of large k j keep full precision
-    phase = np.outer(np.arange(n), 2 * np.arange(p) + 1) % (4 * p)
-    inverse = np.cos(phase * (np.pi / (2 * p)))
-    forward = np.ascontiguousarray(inverse.T * (2.0 / p))
-    forward[:, 0] *= 0.5
+    if k < n:
+        inverse, forward = _padded_matrices(n, n)
+        width = min(n, -(-k // 4) * 4)
+        inverse, forward = inverse[:width], np.ascontiguousarray(forward[:, :width])
+    else:
+        # k (2j + 1) reduced mod 4p first, so that every angle lies in
+        # [0, 2 pi) and the cosines of large k j keep full precision
+        phase = np.outer(np.arange(n), 2 * np.arange(p) + 1) % (4 * p)
+        inverse = np.cos(phase * (np.pi / (2 * p)))
+        forward = np.ascontiguousarray(inverse.T * (2.0 / p))
+        forward[:, 0] *= 0.5
     # cached and shared by every caller: read-only
     inverse.flags.writeable = forward.flags.writeable = False
     return inverse, forward
@@ -311,16 +320,25 @@ def _dealiased(grid: Grid, coeffs: np.ndarray, node_map) -> np.ndarray:
     is evaluated on the 3N/2 padded nodes, ``node_map`` takes those node
     values and returns the mapped ones (it may overwrite its argument and
     return it), and the result is transformed back and truncated to the same
-    K modes.  Exact for quadratic maps.
+    K modes.  Exact for quadratic maps.  Band in, band out: for every K the
+    result equals the first K amplitudes of the N-wide call bit for bit.
 
-    Up to N = _MATRIX_MAX_N the transforms are products with the first K
-    rows and columns of ``_padded_matrices(N)``: on these grids a transform
-    call costs more in dispatch than the product costs in arithmetic (at
-    N = 256 the transform pair is already faster on one to three rows).  The
-    products are taken one row at a time (``_rowwise``), because a plain
-    stacked product rounds a row differently depending on the rows stacked
-    with it: the paired converge members would then differ from the
-    separate solver runs, and a band call from the N-wide one.  Larger grids
+    Up to N = _MATRIX_MAX_N the transforms are products with the band pair
+    ``_padded_matrices(N, K)``: on these grids a transform call costs more
+    in dispatch than the product costs in arithmetic (at N = 256 the
+    transform pair is already faster on one to three rows).  The products
+    are taken one row at a time (``_rowwise``), because a plain stacked
+    product rounds a row differently depending on the rows stacked with it:
+    the paired converge members would then differ from the separate solver
+    runs, and a band call from the N-wide one.  The band pair is cached per
+    (N, K) as C-contiguous copies: a product through the strided columns of
+    the N-wide ``forward`` took about 1.5x as long (160 against 104 us for
+    a (2, 170) block at N = 64, K = 20, one BLAS thread).  Its width is K rounded up to a
+    multiple of 4, the amplitudes are zero-filled to that width and the
+    result is truncated back to K.  With OpenBLAS a band of any other width
+    rounded differently from the N-wide call (K = 1 goes through numpy's
+    unit-stride dot), while zero-filled widths that are multiples of 4 kept
+    its bits for every K checked (N <= 128).  Larger grids
     call the real FFT pair; their two matrices would take about 200 MB each
     at N = 4096.  There ``node_map`` sees the padded nodes in the permuted
     order of ``_permuted_inverse``, not in the order of x, so it must be
@@ -329,8 +347,13 @@ def _dealiased(grid: Grid, coeffs: np.ndarray, node_map) -> np.ndarray:
     """
     k = coeffs.shape[-1]
     if grid.N <= _MATRIX_MAX_N:
-        inverse, forward = _padded_matrices(grid.N)
-        return _rowwise(node_map(_rowwise(coeffs, inverse[:k])), forward[:, :k])
+        inverse, forward = _padded_matrices(grid.N, k)
+        width = inverse.shape[0]
+        if width == k:
+            return _rowwise(node_map(_rowwise(coeffs, inverse)), forward)
+        padded = np.zeros(coeffs.shape[:-1] + (width,))
+        padded[..., :k] = coeffs
+        return _rowwise(node_map(_rowwise(padded, inverse)), forward)[..., :k]
     return _permuted_forward(node_map(_permuted_inverse(coeffs, grid.padded_size)), k)
 
 

@@ -397,6 +397,74 @@ def test_bad_horizon_or_step_exit_1(tmp_path, capsys, command, time):
     assert not (tmp_path / "out.csv").exists()
 
 
+MISTYPED_FIELDS = [
+    # (command, block, key, value)
+    ("simulate", "time", "dt", "0.01"),
+    ("simulate", "time", "dt", True),
+    ("limit", "time", "dt", "0.01"),
+    ("simulate", "time", "sample_every", "2"),
+    ("simulate", "time", "sample_every", 2.9),
+    ("simulate", "time", "sample_every", True),
+    ("manifold-galerkin", "study", "n_t", "2048x"),
+    ("manifold-galerkin", "study", "n_t", 256.0),
+    ("manifold-galerkin", "study", "tol", True),
+    ("manifold-galerkin", "study", "tol", 0.0),
+    ("manifold-galerkin", "study", "tol", -1e-8),
+    ("manifold-galerkin", "study", "tol", float("nan")),
+    ("manifold-galerkin", "study", "tol", float("inf")),
+    ("manifold-galerkin", "study", "n_graph_samples", 2.7),
+    ("manifold-galerkin", "study", "n_graph_samples", -1),
+    ("manifold-galerkin", "study", "n_graph_samples", 0),
+    ("manifold-galerkin", "study", "sample_amplitude", "0.5"),
+    ("manifold-galerkin", "study", "t_back", "1"),
+    ("manifold-galerkin", "study", "fast_band", 7.5),
+    ("manifold-galerkin", "study", "clip_bound", False),
+    ("manifold-galerkin", "study", "M", "0.25"),
+]
+
+
+def mistyped_payload(command, block, key, value):
+    if command == "manifold-galerkin":
+        payload = determinism_payloads()["manifold-galerkin"]
+    else:
+        payload = simulate_payload(command, T=0.1, dt=0.004)
+    payload[block] = {**payload[block], key: value}
+    return payload
+
+
+@pytest.mark.parametrize(
+    "command, block, key, value", MISTYPED_FIELDS,
+    ids=[f"{c}-{k}={v!r}" for c, _, k, v in MISTYPED_FIELDS],
+)
+def test_mistyped_field_exit_1(tmp_path, capsys, command, block, key, value):
+    # a bad value is a validation error naming the field's path, found
+    # before any computation; a bool is never a number
+    cfg = write_config(tmp_path, mistyped_payload(command, block, key, value))
+    assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+    assert f"field {block}.{key}" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, block, key, value, spelled",
+    [("simulate", "time", "sample_every", None, 1),
+     ("manifold-galerkin", "study", "n_t", None, 512),
+     ("manifold-galerkin", "study", "sample_amplitude", 1, 1.0)],
+    ids=["sample_every=null", "n_t=null", "sample_amplitude=1"],
+)
+def test_int_for_float_and_null_fields_keep_their_meaning(
+    tmp_path, command, block, key, value, spelled
+):
+    # an int where a float is due is that float, and a null field takes the
+    # command's default: the CSV is the one of the spelled-out config
+    outs = []
+    for name, v in (("given", value), ("spelled", spelled)):
+        cfg = write_config(tmp_path, mistyped_payload(command, block, key, v), name=f"{name}.yaml")
+        assert main(["--config", cfg, "--out", str(tmp_path / name), "--quiet"]) == 0
+        outs.append((tmp_path / name / "out.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_divergence_exit_2(tmp_path):
     payload = {
         "spec_version": 1,

@@ -200,6 +200,43 @@ def test_lp_horizon_error_when_explicit_t_back_too_short():
         )
 
 
+def test_lp_sweep_horizon_error_when_explicit_t_back_too_short():
+    # the sweep checks the horizon once, in the setup its points share
+    p = linear_params()
+    split = splitting_parameters(10.0, p)
+    with pytest.raises(HorizonError):
+        lyapunov_perron_sweep(
+            [np.ones(split.k0)] * 2, p, split, t_back=0.05, n_t=64, tol=1e-10
+        )
+
+
+@pytest.mark.parametrize("clip", [None, 0.01], ids=["no-clip", "clip"])
+def test_lp_sweep_points_equal_separate_solves(clip):
+    # the setup and work buffers shared by a sweep's points keep every bit of
+    # separate solves, each with a setup of its own.  Without the clip the
+    # quadratics diverge in the far past (ContractionError from the fourth
+    # sweep on), so there the points after three sweeps are compared.
+    p, _ = small_nonlinear()
+    split = splitting_parameters(26.0, p)
+    rng = np.random.default_rng(3)
+    samples = [0.02 * rng.standard_normal(split.k0) for _ in range(3)]
+    opts = dict(n_t=256, tol=1e-10, clip_bound=clip, max_iter=200 if clip else 3)
+    graph = lyapunov_perron_sweep(samples, p, split, **opts)
+    assert len(graph.points) == 3
+    for v0, pt in zip(samples, graph.points):
+        alone = lyapunov_perron_fixed_point(v0, p, split, **opts)
+        assert pt.converged == alone.converged == (clip is not None)
+        assert np.array_equal(pt.v_slow, alone.v_slow)
+        assert np.array_equal(pt.u_coeffs, alone.u_coeffs)
+        assert np.array_equal(pt.v_fast_coeffs, alone.v_fast_coeffs)
+        assert (pt.iterations, pt.contraction, pt.t_back, pt.n_t) == (
+            alone.iterations, alone.contraction, alone.t_back, alone.n_t
+        )
+    if clip is not None:  # the clip is active
+        looser = lyapunov_perron_fixed_point(samples[0], p, split, **{**opts, "clip_bound": 1.0})
+        assert not np.array_equal(looser.u_coeffs, graph.points[0].u_coeffs)
+
+
 def test_lp_default_horizon_accepted_at_tol_1e_8():
     # the default t_back = log(10/tol)/slowest leaves a tail exp(-slowest t_back)
     # that rounds just above tol/10; only an explicit t_back is checked
@@ -266,7 +303,7 @@ def test_sources_in_time_blocks_equal_one_call(monkeypatch, N, blocks, extra):
         seen.clear()
         with monkeypatch.context() as m:
             m.setattr(galerkin_manifold, "_dealiased", spy)
-            results[clip] = _sources(p, grid, Y, clip)
+            results[clip] = _sources(p, grid, Y, clip, np.empty_like(Y))
         assert sum(seen) == n_t and max(seen) <= rows
         assert results[clip].shape == Y.shape
         assert np.array_equal(results[clip], whole)
@@ -395,6 +432,11 @@ def loop_propagate_slow_backward(lam, h, v0, F):
 SCAN_RTOL = 1e-13
 
 
+def buffers(F):
+    # the result and temporary arrays a scan writes into
+    return np.empty_like(F), np.empty_like(F)
+
+
 def assert_columns_close(new, ref, envelope):
     assert np.all(np.isfinite(new))
     assert np.all(np.abs(new - ref) <= SCAN_RTOL * np.max(envelope, axis=0))
@@ -413,7 +455,7 @@ def test_convolve_forward_scan_matches_loop(n_t):
             lam = z / h
             F = rng.standard_normal((n_t, K))
             assert_columns_close(
-                _convolve_forward(_scan_kernel(lam, h, n_t), F),
+                _convolve_forward(_scan_kernel(lam, h, n_t), F, *buffers(F)),
                 loop_convolve_forward(lam, h, F),
                 loop_convolve_forward(lam, h, np.abs(F)),
             )
@@ -435,10 +477,57 @@ def test_propagate_slow_backward_scan_matches_loop(n_t):
             v0 = rng.standard_normal(K)
             F = rng.standard_normal((n_t, K))
             assert_columns_close(
-                _propagate_slow_backward(_scan_kernel(lam, h, n_t, backward=True), v0, F),
+                _propagate_slow_backward(
+                    _scan_kernel(lam, h, n_t, backward=True), v0, F, *buffers(F)
+                ),
                 loop_propagate_slow_backward(lam, h, v0, F),
                 loop_propagate_slow_backward(lam, h, np.abs(v0), -np.abs(F)),
             )
+
+
+def allocating_scan(powers, x):
+    # the doubling passes as they were before the scans took a temporary buffer
+    s = 1
+    for a_s in powers:
+        x[s:] += a_s * x[:-s]
+        s *= 2
+    return x
+
+
+def allocating_convolve_forward(kernel, F):
+    out = np.empty_like(F)
+    out[0] = 0.0
+    out[1:] = kernel.wA * F[:-1] + kernel.wB * F[1:]
+    return allocating_scan(kernel.powers, out)
+
+
+def allocating_propagate_slow_backward(kernel, v0, F):
+    rev = np.empty_like(F)
+    rev[0] = v0
+    rev[1:] = (-kernel.factor * (kernel.wA * F[:-1] + kernel.wB * F[1:]))[::-1]
+    return allocating_scan(kernel.powers, rev)[::-1]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n_t", [8, 9, 257, 2048])
+def test_scans_in_work_buffers_equal_the_allocating_passes(n_t):
+    # bit for bit, in buffers that hold stale values, on the strided columns
+    # a sweep passes (S[:, fast], S[:, slow])
+    rng = np.random.default_rng(n_t)
+    h = 1e-3
+    for K in (1, 5, 20):
+        S = rng.standard_normal((n_t, K + 3))
+        F = S[:, 3:]
+        v0 = rng.standard_normal(K)
+        forward = _scan_kernel(-(10.0 ** rng.uniform(-3, 6, K)), h, n_t)
+        backward = _scan_kernel(-rng.uniform(0.0, 40.0 / ((n_t - 1) * h), K), h, n_t, backward=True)
+        out, temp = np.full((n_t, K), np.nan), np.full((n_t, K), np.nan)
+        assert _convolve_forward(forward, F, out, temp) is out
+        assert np.array_equal(out, allocating_convolve_forward(forward, F))
+        out[:], temp[:] = np.nan, np.nan
+        got = _propagate_slow_backward(backward, v0, F, out, temp)
+        assert got.base is out
+        assert np.array_equal(got, allocating_propagate_slow_backward(backward, v0, F))
 
 
 # ---------------------------------------------------------------------------

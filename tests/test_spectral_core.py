@@ -229,25 +229,37 @@ def test_dealiasing_exact_on_basis_modes():
         assert np.max(np.abs(sq.coeffs - expected)) <= 1e-12
 
 
-@pytest.mark.parametrize("K", [1, 20, 64])
-@pytest.mark.parametrize(
-    "node_map",
-    [
-        lambda vals: (vals[0] - vals[1]) ** 2 + vals * vals[1],
-        lambda vals: np.clip(vals, -0.5, 0.5, out=vals),
-    ],
-    ids=["quadratic", "clip"],
-)
-def test_dealiased_band_in_band_out(K, node_map):
+BAND_MAPS = [
+    lambda vals: (vals[0] - vals[1]) ** 2 + vals * vals[1],
+    lambda vals: np.clip(vals, -0.5, 0.5, out=vals),
+]
+
+
+def assert_band_in_band_out(N, K, node_map):
     # K band amplitudes give the first K amplitudes of the N-wide call, bit for bit
-    g = build_grid(np.pi, 64)
+    g = build_grid(np.pi, N)
     rng = np.random.default_rng(11)
     full = np.zeros((2, 5, g.N))
     full[..., :K] = rng.standard_normal((2, 5, K))
     band = full[..., :K].copy()
     out = _dealiased(g, band, node_map)
     assert out.shape == band.shape
-    assert np.array_equal(out, _dealiased(g, full, node_map)[..., :K])
+    assert np.array_equal(out, _dealiased(g, full, node_map)[..., :K]), K
+
+
+# every residue of K mod 4: a band width that is not a multiple of 4 used to
+# round differently from the N-wide call
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6, 7, 8, 20, 21, 47, 48, 49, 64])
+@pytest.mark.parametrize("node_map", BAND_MAPS, ids=["quadratic", "clip"])
+def test_dealiased_band_in_band_out(K, node_map):
+    assert_band_in_band_out(64, K, node_map)
+
+
+@pytest.mark.parametrize("N", [8, 16])
+@pytest.mark.parametrize("node_map", BAND_MAPS, ids=["quadratic", "clip"])
+def test_dealiased_band_in_band_out_every_width(N, node_map):
+    for K in range(1, N + 1):
+        assert_band_in_band_out(N, K, node_map)
 
 
 def quadratic_map(vals):
