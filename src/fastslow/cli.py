@@ -1,7 +1,7 @@
 """Experiment orchestration: config in, CSV (and optional SVG) out.
 
-Exit codes: 0 success, 1 validation error, 2 numerical divergence,
-3 assumption-check failure.  A gap-check whose condition fails still exits 0
+Exit codes: 0 success, 1 validation or usage error, 2 numerical
+divergence, 3 assumption-check failure.  A gap-check whose condition fails still exits 0
 and records passes=false; assumption failures only abort commands that rely
 on them (manifold-galerkin).
 """
@@ -21,10 +21,8 @@ from .errors import (
     ConfigurationError,
     ContractionError,
     DivergenceError,
-    DomainError,
     FastSlowError,
     HorizonError,
-    ShapeError,
     SplittingError,
 )
 from .integrator import FastSlowState, _sample_sups, _simulate_samples
@@ -61,11 +59,7 @@ def _cmd_simulate(cfg: ExperimentConfig):
     u_in, v_in = build_initial_data(cfg)
     t = cfg.time
     _, samples = _simulate_samples(
-        FastSlowState(u_in, v_in, 0.0),
-        cfg.model,
-        float(t["T"]),
-        t.get("dt"),
-        int(t.get("sample_every", 1)),
+        FastSlowState(u_in, v_in, 0.0), cfg.model, t["T"], t["dt"], t["sample_every"]
     )
     return _sample_series(u_in.grid, samples), [], {"x": "t"}
 
@@ -73,27 +67,15 @@ def _cmd_simulate(cfg: ExperimentConfig):
 def _cmd_limit(cfg: ExperimentConfig):
     _, v_in = build_initial_data(cfg)
     t = cfg.time
-    T = float(t["T"])
-    dt = t.get("dt")
-    if dt is None:
-        dt = T / 1000.0
-    _, samples = _limit_samples(v_in, cfg.model, T, dt, int(t.get("sample_every", 1)))
+    dt = t["T"] / 1000.0 if t["dt"] is None else t["dt"]
+    _, samples = _limit_samples(v_in, cfg.model, t["T"], dt, t["sample_every"])
     return _sample_series(v_in.grid, samples), [], {"x": "t"}
 
 
 def _cmd_converge(cfg: ExperimentConfig):
     u_in, v_in = build_initial_data(cfg)
-    study = cfg.study
-    report = convergence_study(
-        cfg.model,
-        u_in,
-        v_in,
-        study["eps_list"],
-        T=float(cfg.time["T"]),
-        delta_rule=study.get("delta_rule"),
-        dt_factor=float(study.get("dt_factor", 0.5)),
-        n_samples=int(study.get("n_samples", 100)),
-    )
+    # the study fields are convergence_study's keyword arguments
+    report = convergence_study(cfg.model, u_in, v_in, T=cfg.time["T"], **cfg.study)
     series = {
         "eps": [r.eps for r in report.runs],
         "delta": [r.delta for r in report.runs],
@@ -123,9 +105,7 @@ def _cmd_converge(cfg: ExperimentConfig):
 def _cmd_manifold_linear(cfg: ExperimentConfig):
     if not cfg.model.is_linear:
         raise ConfigurationError("field model.kind: manifold-linear needs the linear kind")
-    modes = cfg.study.get("modes") or list(range(1, 9))
-    T = float(cfg.time.get("T", 1.0))
-    reports = lm.invariance_and_distance(cfg.model, modes, T)
+    reports = lm.invariance_and_distance(cfg.model, cfg.study["modes"], cfg.time["T"])
     series = {
         "k": [r.k for r in reports],
         "slope": [r.slope for r in reports],
@@ -144,18 +124,17 @@ def _lipschitz_budgets(cfg: ExperimentConfig):
     """The budgets (L_f, L_phi, L_psi) and the constants chain they came from.
 
     ``study.lipschitz`` is taken as given (the chain is then None);
-    otherwise the chain is evaluated at radius ``study.M`` (default 1).
+    otherwise the chain is evaluated at radius ``study.M``.
     """
-    lips = cfg.study.get("lipschitz")
+    lips, M = cfg.study["lipschitz"], cfg.study["M"]
     if lips is not None:
-        return tuple(float(v) for v in lips), None
-    M = float(cfg.study.get("M", 1.0))
+        return lips, None
     constants = theoretical_constants(cfg.model, M, rng=cfg.rng())
     return lipschitz_estimates(cfg.model, M, constants=constants), constants
 
 
 def _cmd_gap_check(cfg: ExperimentConfig):
-    split = gm.splitting_parameters(float(cfg.study["zeta_inv"]), cfg.model)
+    split = gm.splitting_parameters(cfg.study["zeta_inv"], cfg.model)
     lips, _ = _lipschitz_budgets(cfg)
     rep = gm.validate_assumptions(cfg.model, split, lips)
     series = {
@@ -176,9 +155,9 @@ def _cmd_gap_check(cfg: ExperimentConfig):
 
 def _cmd_manifold_galerkin(cfg: ExperimentConfig):
     study = cfg.study
-    split = gm.splitting_parameters(float(study["zeta_inv"]), cfg.model)
+    split = gm.splitting_parameters(study["zeta_inv"], cfg.model)
     lips, constants = _lipschitz_budgets(cfg)
-    clip_bound = study.get("clip_bound")
+    clip_bound = study["clip_bound"]
     if clip_bound is None and constants is not None and not cfg.model.is_linear:
         clip_bound = constants.K0
     gaprep = gm.validate_assumptions(cfg.model, split, lips)
@@ -188,18 +167,17 @@ def _cmd_manifold_galerkin(cfg: ExperimentConfig):
             "refusing Lyapunov-Perron iteration",
             gap_report=gaprep,
         )
-    n_samples = int(study.get("n_graph_samples", 3))
-    amp = float(study.get("sample_amplitude", 0.02))
+    amp = study["sample_amplitude"]
     rng = cfg.rng()
-    samples = [amp * rng.standard_normal(split.k0) for _ in range(n_samples)]
+    samples = [amp * rng.standard_normal(split.k0) for _ in range(study["n_graph_samples"])]
     graph = gm.lyapunov_perron_sweep(
         samples,
         cfg.model,
         split,
-        t_back=study.get("t_back"),
-        n_t=int(study.get("n_t", 512)),
-        tol=float(study.get("tol", 1e-8)),
-        fast_band=study.get("fast_band"),
+        t_back=study["t_back"],
+        n_t=study["n_t"],
+        tol=study["tol"],
+        fast_band=study["fast_band"],
         gap_report=gaprep,
         clip_bound=clip_bound,
     )
@@ -255,12 +233,12 @@ def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
     }
     series, footer, svg_spec = dispatch[cfg.command](cfg)
     footer = list(footer) + [("seed", cfg.seed)]
-    csv_name = cfg.output.get("csv") or f"{cfg.command}.csv"
+    csv_name = cfg.output["csv"] or f"{cfg.command}.csv"
     csv_path = out_dir / csv_name
     emit_csv(series, csv_path, footer=footer)
     if not quiet:
         print(f"wrote {csv_path}")
-    svg_name = cfg.output.get("svg")
+    svg_name = cfg.output["svg"]
     if svg_name and svg_spec:
         y = svg_spec.get("y")
         cols = {svg_spec["x"]: series[svg_spec["x"]]}
@@ -281,27 +259,21 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the YAML config")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for compatibility and ignored: every command runs in one thread",
-    )
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help, or the usage error
+        return 0 if exc.code == 0 else 1
     try:
         cfg = load_config(args.config, seed_override=args.seed)
         return run(cfg, args.out, quiet=args.quiet)
-    except (ConfigurationError, ShapeError, DomainError, FileNotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 2
     except (ContractionError, SplittingError, HorizonError) as exc:
         print(f"assumption check failed: {exc}", file=sys.stderr)
         return 3
-    except FastSlowError as exc:
+    except (FastSlowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,14 +1,18 @@
 """Experiment configuration: a versioned YAML file, validated up front.
 
 Every run file carries ``spec_version: 1``, a command, a mandatory seed and
-the blocks the command needs; validation errors name the offending field
-path before any computation starts.
+the blocks the command needs.  One table per command (``_SCHEMA``) gives each
+block and field its type, its default and, where no library function checks
+one, its range.  ``load_config`` applies the table before any computation:
+an error names the offending field path, and the returned config holds every
+field of its blocks, typed and with its default filled in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -20,65 +24,143 @@ from .spectral_core import Grid, SpectralField, build_grid
 
 __all__ = ["ExperimentConfig", "load_config", "build_initial_data", "preset_fields", "COMMANDS"]
 
-COMMANDS = (
-    "simulate",
-    "limit",
-    "converge",
-    "manifold-linear",
-    "manifold-galerkin",
-    "gap-check",
-    "initial-layer",
-)
+_REQUIRED = object()  # the default of a field that must be given
 
-_REQUIRED_BLOCKS = {
-    "simulate": ("model", "grid", "time", "initial", "output"),
-    "limit": ("model", "grid", "time", "initial", "output"),
-    "converge": ("model", "grid", "time", "study", "initial", "output"),
-    "manifold-linear": ("model", "grid", "output"),
-    "manifold-galerkin": ("model", "study", "output"),
-    "gap-check": ("model", "study", "output"),
-    "initial-layer": ("model", "grid", "initial", "output"),
+
+class _List(NamedTuple):
+    kind: type
+    min_len: int = 0
+    max_len: float = math.inf
+
+
+class _Field(NamedTuple):
+    """``kind``: float (an int is taken too), int, str, bool, a _List or a
+    nested table.  A missing or null field takes ``default``.  ``check``,
+    (test, what it needs), is a range on the value or on each list element."""
+
+    kind: object
+    default: object = _REQUIRED
+    check: tuple | None = None
+
+
+_AT_LEAST_0 = (lambda x: x >= 0, ">= 0")
+_AT_LEAST_1 = (lambda x: x >= 1, ">= 1")
+_FINITE_POSITIVE = (lambda x: math.isfinite(x) and x > 0, "a finite value > 0")
+
+_MODEL = _Field({
+    "kind": _Field(str, "nonlinear"),
+    "d": _Field(float),
+    "delta": _Field(float, 0.0),
+    "eps": _Field(float),
+    "kappa": _Field(float, 1.0),
+    "a": _Field(float, 1.0),
+    "b": _Field(float, 1.0),
+    "c": _Field(float, 1.0),
+})
+_GRID = _Field({"L": _Field(float, math.pi), "N": _Field(int)})
+_INITIAL = _Field({
+    "preset": _Field(str, None),
+    "amplitude": _Field(float, 1.0),
+    "v_coeffs": _Field(_List(float), None),
+    "u_coeffs": _Field(_List(float), None),
+    "well_prepared": _Field(bool, False),
+})
+_TIME = {"T": _Field(float), "dt": _Field(float, None), "sample_every": _Field(int, 1)}
+_RUN = {"grid": _GRID, "time": _Field(_TIME), "initial": _INITIAL}
+_GAP_STUDY = {
+    "zeta_inv": _Field(float),
+    "M": _Field(float, 1.0),
+    "lipschitz": _Field(_List(float, 3, 3), None),
 }
+_DELTA_RULE = {"type": _Field(str, "power"), "p": _Field(float, 1.5), "value": _Field(float, None)}
+_BLOCKS = {
+    "simulate": _RUN,
+    "limit": _RUN,
+    "converge": {
+        "grid": _GRID,
+        "time": _Field({"T": _Field(float)}),
+        "study": _Field({
+            "eps_list": _Field(_List(float, 2)),
+            "delta_rule": _Field(_DELTA_RULE, {}),
+            "dt_factor": _Field(float, 0.5),
+            "n_samples": _Field(int, 100),
+        }),
+        "initial": _INITIAL,
+    },
+    "manifold-linear": {
+        "grid": _GRID,
+        "time": _Field({"T": _Field(float, 1.0)}, {}),
+        "study": _Field({"modes": _Field(_List(int, 1), tuple(range(1, 9)), _AT_LEAST_0)}, {}),
+    },
+    "manifold-galerkin": {
+        "study": _Field({
+            **_GAP_STUDY,
+            "n_t": _Field(int, 512),
+            "n_graph_samples": _Field(int, 3, _AT_LEAST_1),
+            "tol": _Field(float, 1e-8, _FINITE_POSITIVE),
+            "sample_amplitude": _Field(float, 0.02),
+            "t_back": _Field(float, None),
+            "fast_band": _Field(int, None),
+            "clip_bound": _Field(float, None),
+        }),
+    },
+    "gap-check": {"study": _Field(_GAP_STUDY)},
+    "initial-layer": {"grid": _GRID, "initial": _INITIAL},
+}
+_SCHEMA = {
+    command: {
+        "spec_version": _Field(int),
+        "command": _Field(str),
+        "seed": _Field(int, check=_AT_LEAST_0),
+        "model": _MODEL,
+        **blocks,
+        "output": _Field({"csv": _Field(str, None), "svg": _Field(str, None)}),
+    }
+    for command, blocks in _BLOCKS.items()
+}
+COMMANDS = tuple(_SCHEMA)
 
 
-def _need(block: dict, path: str, key: str, types, default=None, required=False):
-    if key not in block or block[key] is None:
-        if required:
-            raise ConfigurationError(f"missing required field {path}.{key}")
-        return default
-    value = block[key]
-    if types is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
-        raise ConfigurationError(
-            f"field {path}.{key} has wrong type {type(value).__name__}"
-        )
+def _resolve(table: dict, block: dict, prefix: str) -> dict:
+    """Every field of ``table``, typed, checked and defaulted; a key of
+    ``block`` outside the table is an error."""
+    for key in block:
+        if key not in table:
+            raise ConfigurationError(f"field {prefix}{key}: unknown key")
+    return {key: _value(spec, block.get(key), f"{prefix}{key}") for key, spec in table.items()}
+
+
+def _value(spec: _Field, value, path: str):
+    if value is None:
+        if spec.default is _REQUIRED:
+            raise ConfigurationError(f"missing required field {path}")
+        if not isinstance(spec.kind, dict):
+            return spec.default
+        value = spec.default
+    value = _typed(spec.kind, value, path)
+    if spec.check is not None:
+        test, needs = spec.check
+        for x in value if isinstance(value, list) else [value]:
+            if not test(x):
+                raise ConfigurationError(f"field {path}: need {needs}, got {x!r}")
     return value
 
 
-# Optional numeric fields checked up front, with the type each must have:
-# a float field takes an int too, no numeric field takes a bool or a string.
-_TIME_FIELDS = {"dt": float, "sample_every": int}
-_GALERKIN_FIELDS = {
-    "n_t": int,
-    "n_graph_samples": int,
-    "tol": float,
-    "sample_amplitude": float,
-    "t_back": float,
-    "fast_band": int,
-    "clip_bound": float,
-}
-
-
-def _check_fields(block: dict, path: str, fields: dict) -> None:
-    # each present field in place as its type (ints as floats where a float
-    # is due); a null field is dropped, so the command's default applies
-    for key, types in fields.items():
-        value = _need(block, path, key, types)
-        if value is None:
-            block.pop(key, None)
-        else:
-            block[key] = value
+def _typed(kind, value, path: str):
+    if isinstance(kind, dict) and isinstance(value, dict):
+        return _resolve(kind, value, f"{path}.")
+    if isinstance(kind, _List) and isinstance(value, list):
+        if not kind.min_len <= len(value) <= kind.max_len:
+            more = "" if kind.max_len == kind.min_len else " or more"
+            raise ConfigurationError(
+                f"field {path}: need {kind.min_len}{more} values, got {len(value)}"
+            )
+        return [_typed(kind.kind, x, f"{path}[{i}]") for i, x in enumerate(value)]
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is kind:
+        return value
+    raise ConfigurationError(f"field {path} has wrong type {type(value).__name__}")
 
 
 @dataclass
@@ -109,67 +191,19 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
         raise ConfigurationError(
             f"field command: unknown command {command!r}; expected one of {', '.join(COMMANDS)}"
         )
-    seed = seed_override if seed_override is not None else raw.get("seed")
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigurationError("field seed: a nonnegative integer seed is mandatory")
-    for block in _REQUIRED_BLOCKS[command]:
-        if block not in raw or not isinstance(raw[block], dict):
-            raise ConfigurationError(f"missing required block {block!r} for {command}")
-
-    gblock = raw.get("grid", {})
-    L = _need(gblock, "grid", "L", float, default=math.pi)
-    grid = None
-    if "grid" in raw:
-        N = _need(gblock, "grid", "N", int, required=True)
-        grid = build_grid(L, N)
-
-    mblock = raw["model"]
-    kind = _need(mblock, "model", "kind", str, default="nonlinear")
-    model = ModelParams(
-        d=_need(mblock, "model", "d", float, required=True),
-        delta=_need(mblock, "model", "delta", float, default=0.0),
-        eps=_need(mblock, "model", "eps", float, required=True),
-        kappa=_need(mblock, "model", "kappa", float, default=1.0),
-        a=_need(mblock, "model", "a", float, default=1.0),
-        b=_need(mblock, "model", "b", float, default=1.0),
-        c=_need(mblock, "model", "c", float, default=1.0),
-        L=L,
-        model_kind=kind,
-    )
-
-    time_block = dict(raw.get("time", {}))
-    if "time" in _REQUIRED_BLOCKS[command]:
-        _need(time_block, "time", "T", float, required=True)
-    _check_fields(time_block, "time", _TIME_FIELDS)
-    study = dict(raw.get("study", {}))
-    if command == "converge":
-        eps_list = study.get("eps_list")
-        if not isinstance(eps_list, list) or len(eps_list) < 2:
-            raise ConfigurationError("field study.eps_list: need a list of >= 2 values")
-        study["eps_list"] = [float(e) for e in eps_list]
-    if command in ("manifold-galerkin", "gap-check"):
-        _need(study, "study", "zeta_inv", float, required=True)
-        _check_fields(study, "study", {"M": float})
-    if command == "manifold-galerkin":
-        _check_fields(study, "study", _GALERKIN_FIELDS)
-        n_samples = study.get("n_graph_samples", 1)
-        if n_samples < 1:
-            raise ConfigurationError(
-                f"field study.n_graph_samples: need at least 1 graph point, got {n_samples}"
-            )
-        tol = study.get("tol", 1.0)
-        if not (math.isfinite(tol) and tol > 0):
-            raise ConfigurationError(f"field study.tol: need a finite tolerance > 0, got {tol}")
-    output = dict(raw.get("output", {}))
+    if seed_override is not None:
+        raw["seed"] = seed_override
+    cfg = _resolve(_SCHEMA[command], raw, "")
+    grid = build_grid(cfg["grid"]["L"], cfg["grid"]["N"]) if "grid" in cfg else None
+    model = cfg["model"]
+    kind = model.pop("kind")
     return ExperimentConfig(
         command=command,
-        seed=int(seed),
-        model=model,
+        seed=cfg["seed"],
+        model=ModelParams(**model, L=grid.L if grid else math.pi, model_kind=kind),
         grid=grid,
-        time=time_block,
-        study=study,
-        initial=dict(raw.get("initial", {})),
-        output=output,
+        output=cfg["output"],
+        **{name: cfg[name] for name in ("time", "study", "initial") if name in cfg},
     )
 
 
@@ -199,28 +233,17 @@ def build_initial_data(cfg: ExperimentConfig):
     ``well_prepared: true`` replaces u by the critical-manifold image of v
     (v/2 for the linear kind).
     """
-    grid = cfg.grid
-    if grid is None:
-        raise ConfigurationError("missing required block 'grid'")
-    block = cfg.initial
-    if "preset" in block:
-        amp = _need(block, "initial", "amplitude", float, default=1.0)
-        u_vals, v_vals = preset_fields(block["preset"], grid, amp)
+    grid, block = cfg.grid, cfg.initial
+    if block["preset"] is not None:
+        u_vals, v_vals = preset_fields(block["preset"], grid, block["amplitude"])
         u = SpectralField.from_values(grid, u_vals)
         v = SpectralField.from_values(grid, v_vals)
+    elif block["v_coeffs"] is not None:
+        v = SpectralField(grid, _pad_coeffs(block["v_coeffs"], grid.N, "initial.v_coeffs"))
+        u = SpectralField(grid, _pad_coeffs(block["u_coeffs"] or [], grid.N, "initial.u_coeffs"))
     else:
-        v_c = block.get("v_coeffs")
-        if not isinstance(v_c, list):
-            raise ConfigurationError(
-                "field initial: need either a preset or v_coeffs (+ u_coeffs)"
-            )
-        v = SpectralField(grid, _pad_coeffs(v_c, grid.N, "initial.v_coeffs"))
-        u_c = block.get("u_coeffs")
-        if u_c is None:
-            u = SpectralField(grid, np.zeros(grid.N))
-        else:
-            u = SpectralField(grid, _pad_coeffs(u_c, grid.N, "initial.u_coeffs"))
-    if block.get("well_prepared"):
+        raise ConfigurationError("field initial: need either a preset or v_coeffs (+ u_coeffs)")
+    if block["well_prepared"]:
         if cfg.model.is_linear:
             u = 0.5 * v
         else:
@@ -229,9 +252,8 @@ def build_initial_data(cfg: ExperimentConfig):
 
 
 def _pad_coeffs(values, n, path):
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or len(arr) > n:
+    if len(values) > n:
         raise ConfigurationError(f"field {path}: need at most {n} coefficients")
     out = np.zeros(n)
-    out[: len(arr)] = arr
+    out[: len(values)] = values
     return out

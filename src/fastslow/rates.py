@@ -126,6 +126,8 @@ def _delta_of(eps, delta_rule):
     if kind == "power":
         return eps ** float(delta_rule.get("p", 1.5))
     if kind == "fixed":
+        if delta_rule.get("value") is None:
+            raise ConfigurationError("a fixed delta rule needs a value")
         return float(delta_rule["value"])
     if kind == "zero":
         return 0.0
@@ -149,6 +151,7 @@ def convergence_study(
     on T), and compared at the same ~n_samples sample times.  ``delta_rule`` is
     {"type": "power", "p": 1.5} (default), {"type": "fixed", "value": v} or
     {"type": "zero"}.  Divergent runs are recorded and skipped by the fit.
+    A bad ``n_samples`` or delta rule raises ConfigurationError before any run.
     """
     eps_list = list(eps_list)
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
@@ -157,11 +160,13 @@ def convergence_study(
         # no step, so no two samples to compare; _step_count rejects the
         # other bad horizons
         raise ConfigurationError("a convergence study needs a final time T > 0")
+    if n_samples < 1:
+        raise ConfigurationError(f"a convergence study needs n_samples >= 1, got {n_samples}")
     if delta_rule is None:
         delta_rule = {"type": "power", "p": 1.5}
+    deltas = [_delta_of(eps, delta_rule) for eps in eps_list]
     runs = []
-    for eps in eps_list:
-        delta = _delta_of(eps, delta_rule)
+    for eps, delta in zip(eps_list, deltas):
         p = dc_replace(params, eps=eps, delta=delta)
         start = time.perf_counter()
         try:

@@ -420,15 +420,35 @@ MISTYPED_FIELDS = [
     ("manifold-galerkin", "study", "fast_band", 7.5),
     ("manifold-galerkin", "study", "clip_bound", False),
     ("manifold-galerkin", "study", "M", "0.25"),
+    ("converge", "study", "dt_factor", "0.5x"),
+    ("converge", "study", "eps_list", ["a", 0.01]),
+    ("converge", "study", "eps_list", [True, 0.01]),
+    ("converge", "study", "delta_rule", "power"),
+    ("converge", "study", "delta_rule", {"type": "power", "p": "x"}),
+    ("converge", "study", "n_samples", "40"),
+    ("converge", "study", "n_samples", 40.7),
+    ("gap-check", "study", "lipschitz", [0.1, "x", 0]),
+    ("gap-check", "study", "lipschitz", [0.1]),
+    ("gap-check", None, "seed", True),
+    ("manifold-linear", "study", "modes", ["a"]),
+    ("manifold-linear", "study", "modes", 3),
+    ("manifold-linear", "time", "T", "x"),
+    ("simulate", "initial", "v_coeffs", ["a"]),
+    ("simulate", "output", "csv", 3),
+    # misspelt keys and an unknown block
+    ("manifold-galerkin", "study", "n_tt", 256),
+    ("simulate", "time", "dtt", 0.004),
+    ("simulate", None, "outputs", {"csv": "out.csv"}),
 ]
 
 
 def mistyped_payload(command, block, key, value):
-    if command == "manifold-galerkin":
-        payload = determinism_payloads()["manifold-galerkin"]
+    # block None: a top-level key
+    payload = determinism_payloads()[command]
+    if block is None:
+        payload[key] = value
     else:
-        payload = simulate_payload(command, T=0.1, dt=0.004)
-    payload[block] = {**payload[block], key: value}
+        payload[block] = {**payload[block], key: value}
     return payload
 
 
@@ -437,11 +457,12 @@ def mistyped_payload(command, block, key, value):
     ids=[f"{c}-{k}={v!r}" for c, _, k, v in MISTYPED_FIELDS],
 )
 def test_mistyped_field_exit_1(tmp_path, capsys, command, block, key, value):
-    # a bad value is a validation error naming the field's path, found
-    # before any computation; a bool is never a number
+    # a bad value or an unknown key is a validation error naming the field's
+    # path, found before any computation; a bool is never a number
     cfg = write_config(tmp_path, mistyped_payload(command, block, key, value))
     assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
-    assert f"field {block}.{key}" in capsys.readouterr().err
+    path = f"{block}.{key}" if block else key
+    assert f"field {path}" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -449,8 +470,9 @@ def test_mistyped_field_exit_1(tmp_path, capsys, command, block, key, value):
     "command, block, key, value, spelled",
     [("simulate", "time", "sample_every", None, 1),
      ("manifold-galerkin", "study", "n_t", None, 512),
-     ("manifold-galerkin", "study", "sample_amplitude", 1, 1.0)],
-    ids=["sample_every=null", "n_t=null", "sample_amplitude=1"],
+     ("manifold-galerkin", "study", "sample_amplitude", 1, 1.0),
+     ("manifold-galerkin", "study", "n_graph_samples", None, 3)],
+    ids=["sample_every=null", "n_t=null", "sample_amplitude=1", "n_graph_samples=null"],
 )
 def test_int_for_float_and_null_fields_keep_their_meaning(
     tmp_path, command, block, key, value, spelled
@@ -548,27 +570,22 @@ def test_seed_override_changes_output_seed(tmp_path):
     assert "seed,99" in (tmp_path / "gap.csv").read_text()
 
 
-def test_manifold_galerkin_threads_match_sequential(tmp_path):
-    payload = {
-        "spec_version": 1,
-        "command": "manifold-galerkin",
-        "seed": 6,
-        "model": base_model(kind="linear", eps=0.01, delta=0.001),
-        "study": {
-            "zeta_inv": 10.0,
-            "lipschitz": [0.5, 0.0, 0.0],
-            "n_graph_samples": 3,
-            "sample_amplitude": 0.5,
-            "n_t": 256,
-            "tol": 1.0e-8,
-        },
-        "output": {"csv": "mg.csv"},
-    }
-    cfg = write_config(tmp_path, payload)
-    seq, par = tmp_path / "seq", tmp_path / "par"
-    assert main(["--config", cfg, "--out", str(seq), "--quiet"]) == 0
-    assert main(["--config", cfg, "--out", str(par), "--quiet", "--threads", "3"]) == 0
-    assert (seq / "mg.csv").read_bytes() == (par / "mg.csv").read_bytes()
+@pytest.mark.parametrize(
+    "args", [[], ["--bogus", "1"], ["--threads", "3"], ["--seed", "abc"]],
+    ids=["no-arguments", "unknown-flag", "threads", "seed=abc"],
+)
+def test_usage_error_exit_1(tmp_path, capsys, args):
+    # a usage error is a validation error (1), never the divergence code (2)
+    cfg = write_config(tmp_path, gap_check_payload())
+    argv = [*args, "--config", cfg, "--out", str(tmp_path)] if args else []
+    assert main(argv) == 1
+    assert "usage: fastslow" in capsys.readouterr().err
+    assert not (tmp_path / "gap.csv").exists()
+
+
+def test_help_exit_0(capsys):
+    assert main(["--help"]) == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_svg_rejects_nonpositive_loglog(tmp_path):

@@ -163,6 +163,28 @@ def test_study_rejects_nondecreasing_eps():
         convergence_study(p, v, v, [1e-3, 1e-2], T=0.1)
 
 
+@pytest.mark.parametrize(
+    "options",
+    [{"n_samples": 0}, {"n_samples": -5}, {"delta_rule": {"type": "fixed"}},
+     {"delta_rule": {"type": "fixed", "value": None}}],
+    ids=["n_samples=0", "n_samples=-5", "fixed-without-value", "fixed-value=None"],
+)
+def test_study_rejects_bad_options_before_any_run(monkeypatch, options):
+    # no sample count below one, and a fixed delta rule needs its number;
+    # both are found before the first member is integrated
+    import fastslow.rates as rates
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a member ran")
+
+    monkeypatch.setattr(rates, "_simulate_with_limit", no_run)
+    g = build_grid(np.pi, 16)
+    p = ModelParams(d=1.0, delta=0.1, eps=0.1, model_kind="linear")
+    v = SpectralField.zero(g)
+    with pytest.raises(ConfigurationError):
+        convergence_study(p, v, v, [1e-1, 1e-2], T=0.1, **options)
+
+
 def test_resolution_independence():
     # doubling N changes the reported errors by < 5%
     p0 = ModelParams(d=1.0, delta=0.0, eps=3e-3, kappa=1e-5, a=1.0, b=1.0, c=1.0)
