@@ -180,7 +180,10 @@ class ExperimentConfig:
 
 def load_config(path, seed_override=None) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigurationError(f"config file {path} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError("config file must hold a mapping at top level")
     version = raw.get("spec_version")

@@ -28,14 +28,16 @@ since the sources vanish above it; a graph point is padded to all N modes.
 Convergence and the observed contraction factor are measured in the
 weighted sup norm sup_t e^{-eta t} (||u||_H2 + ||v_F||_H2 + ||v_S||_H2).
 
-Everything a graph's points share is built once per graph
-(``_graph_setup``): the per-mode rates, the horizon and its check, the
-scan kernels' weights and factor powers, the norm weights, and the work
-buffers (the ping-pong pair of iterates, the sources, the coupled source
-and the scans' temporaries), which every sweep of every point reuses instead
-of allocating its own.  ``lyapunov_perron_fixed_point`` is that setup for
-one point followed by the same iteration (``_solve_point``), so a graph
-point is the same bits whichever of the two computes it.
+One builder, ``_graph_solver``, serves both public solvers.  It checks the
+options and builds, as locals shared by a graph's points, the per-mode
+rates, the horizon, the scan kernels' weights and factor powers, the norm
+weights and the work buffers (the ping-pong pair of iterates, the sources,
+the coupled source and the scans' temporaries, with their contiguous
+views), which every sweep of every point reuses instead of allocating its
+own; it returns the iteration over one point's slow data as a closure.
+``lyapunov_perron_fixed_point`` builds it for one point and
+``lyapunov_perron_sweep`` for the whole graph, so a graph point is the same
+bits whichever of the two computes it.
 """
 
 from __future__ import annotations
@@ -100,8 +102,8 @@ def splitting_parameters(zeta_inv: float, params: ModelParams, omega_A: float = 
     (k0 <= 2) is rejected.
     """
     zeta_inv = float(zeta_inv)
-    if not zeta_inv > 1.0:
-        raise ConfigurationError(f"zeta_inv must exceed 1, got {zeta_inv}")
+    if not 1.0 < zeta_inv < math.inf:
+        raise ConfigurationError(f"zeta_inv must be finite and exceed 1, got {zeta_inv}")
     root = math.sqrt(zeta_inv)
     if abs(root - round(root)) < 1e-12:
         warnings.warn(
@@ -351,50 +353,17 @@ def _propagate_slow_backward(kernel: _ScanKernel, v0, F, rev, temp):
     return _linear_scan(kernel.powers, rev, temp)[::-1]
 
 
-@dataclass(frozen=True)
-class _GraphSetup:
-    """What every graph point of one Lyapunov-Perron sweep shares.
-
-    Built once per graph by ``_graph_setup`` from the solver's options: the
-    per-mode rates, the horizon, the norm weights, the three scan kernels,
-    the slow modes' growth e^{lam_v t} over the time nodes, and the work
-    buffers every point reuses: the ping-pong pair of iterates ``Y``, the
-    sources, the coupled source ``S``, and two flat buffers: ``work`` for
-    the v scans, which run on contiguous copies (a scan over the strided
-    columns of ``Y`` is about twice as slow), and ``temp`` for the
-    scans' products and the norms.  A graph point leaves nothing in them
-    that the next reads.
+def _graph_solver(params, split, grid, fast_band, t_back, n_t, tol, clip_bound):
+    """Checks ``lyapunov_perron_fixed_point``'s options (raising their
+    ConfigurationError and HorizonError), builds once what a graph's points
+    share, and returns ``solve(v0_S, max_iter, gap_report)``, the fixed point
+    over v0_S.  The work buffers: the ping-pong pair of iterates, the
+    sources, the coupled source ``S``, and two flat buffers viewed as
+    C-contiguous (n_t, width) columns, ``work`` for the v scans (a scan over
+    the iterate's strided columns is about twice as slow) and ``temp`` for
+    the scans' products and the norms.  A point leaves nothing in them that
+    the next reads.
     """
-
-    params: ModelParams
-    grid: Grid
-    k0: int
-    n_modes: int
-    coupling: np.ndarray
-    t_back: float
-    n_t: int
-    tol: float
-    clip_bound: float | None
-    weights: np.ndarray
-    nw: np.ndarray
-    slow_growth: np.ndarray
-    kernel_u: _ScanKernel
-    kernel_vf: _ScanKernel
-    kernel_vs: _ScanKernel
-    Y: tuple
-    sources: np.ndarray
-    S: np.ndarray
-    work: np.ndarray
-    temp: np.ndarray
-
-    def columns(self, flat: np.ndarray, width: int) -> np.ndarray:
-        # a C-contiguous (n_t, width) view of the flat buffer ``work`` or ``temp``
-        return flat[: self.n_t * width].reshape(self.n_t, width)
-
-
-def _graph_setup(params, split, grid, fast_band, t_back, n_t, tol, clip_bound) -> _GraphSetup:
-    """The shared setup of ``lyapunov_perron_fixed_point``'s options; raises
-    their ConfigurationError and HorizonError."""
     k0 = split.k0
     if fast_band is None:
         fast_band = 3 * k0
@@ -425,105 +394,92 @@ def _graph_setup(params, split, grid, fast_band, t_back, n_t, tol, clip_bound) -
 
     h = t_back / (n_t - 1)
     t_nodes = -t_back + h * np.arange(n_t)
-    return _GraphSetup(
-        params=params,
-        grid=grid,
-        k0=k0,
-        n_modes=n_modes,
-        coupling=coupling,
-        t_back=t_back,
-        n_t=n_t,
-        tol=tol,
-        clip_bound=clip_bound,
-        weights=np.exp(-split.eta * t_nodes),  # eta < 0: weights <= 1, peak at t = 0
-        nw=_h2_weights(grid)[:n_modes],
-        slow_growth=np.exp(np.outer(t_nodes, lam_v[:k0])),
-        kernel_u=_scan_kernel(lam_u, h, n_t),
-        kernel_vf=_scan_kernel(lam_v[k0:], h, n_t),
-        kernel_vs=_scan_kernel(lam_v[:k0], h, n_t, backward=True),
-        Y=(np.empty((2, n_t, n_modes)), np.empty((2, n_t, n_modes))),
-        sources=np.empty((2, n_t, n_modes)),
-        S=np.empty((n_t, n_modes)),
-        work=np.empty(n_t * n_modes),
-        temp=np.empty(n_t * n_modes),
-    )
+    weights = np.exp(-split.eta * t_nodes)  # eta < 0: weights <= 1, peak at t = 0
+    nw = _h2_weights(grid)[:n_modes]
+    slow_growth = np.exp(np.outer(t_nodes, lam_v[:k0]))
+    kernel_u = _scan_kernel(lam_u, h, n_t)
+    kernel_vf = _scan_kernel(lam_v[k0:], h, n_t)
+    kernel_vs = _scan_kernel(lam_v[:k0], h, n_t, backward=True)
 
-
-def _solve_point(setup: _GraphSetup, v0_S, max_iter, gap_report) -> ManifoldPoint:
-    """The Lyapunov-Perron fixed point over v0_S on a graph's shared setup."""
-    grid, k0, n_modes, tol = setup.grid, setup.k0, setup.n_modes, setup.tol
     slow = slice(0, k0)
     fast = slice(k0, n_modes)
-    v0 = _embed_slow(grid, v0_S, k0)[slow]
-    work_vf, work_vs = (setup.columns(setup.work, w) for w in (n_modes - k0, k0))
+    iterates = (np.empty((2, n_t, n_modes)), np.empty((2, n_t, n_modes)))
+    sources = np.empty((2, n_t, n_modes))
+    S = np.empty((n_t, n_modes))
+    work, temp = np.empty(n_t * n_modes), np.empty(n_t * n_modes)
+    work_vf, work_vs = (work[: n_t * w].reshape(n_t, w) for w in (n_modes - k0, k0))
     temp_u, temp_vf, temp_vs = (
-        setup.columns(setup.temp, w) for w in (n_modes, n_modes - k0, k0)
+        temp[: n_t * w].reshape(n_t, w) for w in (n_modes, n_modes - k0, k0)
     )
 
-    # Y = (U, V): band amplitudes of the backward trajectories, (2, n_t, n_modes)
-    Y, Y_new = setup.Y
-    Y[0] = 0.0
-    Y[1, :, fast] = 0.0
-    np.multiply(setup.slow_growth, v0, out=Y[1, :, slow])
-
-    def band_norm(new, old, w, temp):
-        # H2 norms of new - old over the time nodes, formed in ``temp``
-        d = np.subtract(new, old, out=temp)
+    def band_norm(new, old, w, buf):
+        # H2 norms of new - old over the time nodes, formed in ``buf``
+        d = np.subtract(new, old, out=buf)
         d *= d
         return np.sqrt(d @ w)
 
     def weighted_distance(new, old):
-        nu = band_norm(new[0], old[0], setup.nw, temp_u)
-        nvf = band_norm(new[1, :, fast], old[1, :, fast], setup.nw[fast], temp_vf)
-        nvs = band_norm(new[1, :, slow], old[1, :, slow], setup.nw[slow], temp_vs)
-        return float(np.max(setup.weights * (nu + nvf + nvs)))
+        nu = band_norm(new[0], old[0], nw, temp_u)
+        nvf = band_norm(new[1, :, fast], old[1, :, fast], nw[fast], temp_vf)
+        nvs = band_norm(new[1, :, slow], old[1, :, slow], nw[slow], temp_vs)
+        return float(np.max(weights * (nu + nvf + nvs)))
 
-    ratios = []
-    prev_dist = None
-    bad_streak = 0
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        n_u, psi = _sources(setup.params, grid, Y, setup.clip_bound, setup.sources)
-        _convolve_forward(setup.kernel_u, n_u, Y_new[0], temp_u)
-        S = np.multiply(setup.coupling, Y[0], out=setup.S)
-        S += psi
-        Y_new[1, :, fast] = _convolve_forward(setup.kernel_vf, S[:, fast], work_vf, temp_vf)
-        Y_new[1, :, slow] = _propagate_slow_backward(
-            setup.kernel_vs, v0, S[:, slow], work_vs, temp_vs
-        )
-        dist = weighted_distance(Y_new, Y)
-        Y, Y_new = Y_new, Y
-        if not np.isfinite(dist):
-            raise ContractionError(
-                "Lyapunov-Perron iterate overflowed", gap_report=gap_report
+    def solve(v0_S, max_iter, gap_report) -> ManifoldPoint:
+        v0 = _embed_slow(grid, v0_S, k0)[slow]
+        # Y = (U, V): band amplitudes of the backward trajectories, (2, n_t, n_modes)
+        Y, Y_new = iterates
+        Y[0] = 0.0
+        Y[1, :, fast] = 0.0
+        np.multiply(slow_growth, v0, out=Y[1, :, slow])
+
+        ratios = []
+        prev_dist = None
+        bad_streak = 0
+        converged = False
+        iterations = 0
+        for iterations in range(1, max_iter + 1):
+            n_u, psi = _sources(params, grid, Y, clip_bound, sources)
+            _convolve_forward(kernel_u, n_u, Y_new[0], temp_u)
+            np.multiply(coupling, Y[0], out=S)
+            np.add(S, psi, out=S)
+            Y_new[1, :, fast] = _convolve_forward(kernel_vf, S[:, fast], work_vf, temp_vf)
+            Y_new[1, :, slow] = _propagate_slow_backward(
+                kernel_vs, v0, S[:, slow], work_vs, temp_vs
             )
-        if prev_dist is not None and prev_dist > max(tol, 1e-14):
-            ratio = dist / prev_dist
-            ratios.append(ratio)
-            bad_streak = bad_streak + 1 if ratio >= 1.0 else 0
-            if bad_streak >= 3:
+            dist = weighted_distance(Y_new, Y)
+            Y, Y_new = Y_new, Y
+            if not np.isfinite(dist):
                 raise ContractionError(
-                    f"no contraction for 3 consecutive sweeps (last ratio {ratio:.3f})",
-                    gap_report=gap_report,
+                    "Lyapunov-Perron iterate overflowed", gap_report=gap_report
                 )
-        prev_dist = dist
-        if dist < tol:
-            converged = True
-            break
-    contraction = max(ratios[1:], default=(ratios[0] if ratios else 0.0))
-    u_end, v_end = Y[:, -1]
-    return ManifoldPoint(
-        grid=grid,
-        v_slow=np.asarray(v0_S, dtype=float).copy(),
-        u_coeffs=np.pad(u_end, (0, grid.N - n_modes)),
-        v_fast_coeffs=np.pad(v_end[fast], (k0, grid.N - n_modes)),
-        iterations=iterations,
-        contraction=float(contraction),
-        converged=converged,
-        t_back=setup.t_back,
-        n_t=setup.n_t,
-    )
+            if prev_dist is not None and prev_dist > max(tol, 1e-14):
+                ratio = dist / prev_dist
+                ratios.append(ratio)
+                bad_streak = bad_streak + 1 if ratio >= 1.0 else 0
+                if bad_streak >= 3:
+                    raise ContractionError(
+                        f"no contraction for 3 consecutive sweeps (last ratio {ratio:.3f})",
+                        gap_report=gap_report,
+                    )
+            prev_dist = dist
+            if dist < tol:
+                converged = True
+                break
+        contraction = max(ratios[1:], default=(ratios[0] if ratios else 0.0))
+        u_end, v_end = Y[:, -1]
+        return ManifoldPoint(
+            grid=grid,
+            v_slow=np.asarray(v0_S, dtype=float).copy(),
+            u_coeffs=np.pad(u_end, (0, grid.N - n_modes)),
+            v_fast_coeffs=np.pad(v_end[fast], (k0, grid.N - n_modes)),
+            iterations=iterations,
+            contraction=float(contraction),
+            converged=converged,
+            t_back=t_back,
+            n_t=n_t,
+        )
+
+    return solve
 
 
 def lyapunov_perron_fixed_point(
@@ -553,11 +509,11 @@ def lyapunov_perron_fixed_point(
     e.g. K_{0,M}) to saturate the quadratic terms in the far past; backward
     slow-mode growth otherwise feeds the quadratics and large data diverges.
 
-    One graph point of ``lyapunov_perron_sweep``: the same setup, built here
-    for this point alone, and the same iteration.
+    One graph point of ``lyapunov_perron_sweep``: the same solver
+    (``_graph_solver``), built here for this point alone.
     """
-    setup = _graph_setup(params, split, grid, fast_band, t_back, n_t, tol, clip_bound)
-    return _solve_point(setup, v0_S, max_iter, gap_report)
+    solve = _graph_solver(params, split, grid, fast_band, t_back, n_t, tol, clip_bound)
+    return solve(v0_S, max_iter, gap_report)
 
 
 @dataclass
@@ -610,8 +566,8 @@ def lyapunov_perron_sweep(
     bit for bit; the setup and the work buffers those options determine are
     built once for the whole graph and shared by the points in turn.
     """
-    setup = _graph_setup(params, split, grid, fast_band, t_back, n_t, tol, clip_bound)
-    points = [_solve_point(setup, v0, max_iter, gap_report) for v0 in v0_samples]
+    solve = _graph_solver(params, split, grid, fast_band, t_back, n_t, tol, clip_bound)
+    points = [solve(v0, max_iter, gap_report) for v0 in v0_samples]
     return ManifoldGraph(k0=split.k0, points=points)
 
 

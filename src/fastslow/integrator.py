@@ -233,9 +233,9 @@ def _cached_propagator(params: ModelParams, grid: Grid, dt: float) -> ModePropag
 
 
 def linear_propagator(params: ModelParams, grid: Grid, dt: float) -> ModePropagator:
-    """Exact per-mode propagator and ETD weights for time step dt >= 0."""
-    if dt < 0:
-        raise ConfigurationError(f"time step must be >= 0, got {dt}")
+    """Exact per-mode propagator and ETD weights for a finite time step dt >= 0."""
+    if not 0 <= dt < math.inf:
+        raise ConfigurationError(f"time step must be finite and >= 0, got {dt}")
     return _cached_propagator(params, grid, float(dt))
 
 

@@ -47,6 +47,9 @@ class ModelParams:
     def __post_init__(self):
         if self.model_kind not in (NONLINEAR, LINEAR):
             raise ConfigurationError(f"unknown model kind {self.model_kind!r}")
+        for name in ("d", "delta", "eps", "kappa", "a", "b", "c", "L"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.d > 0:
             raise ConfigurationError(f"base diffusion must be positive, got d={self.d}")
         if self.delta < 0:
@@ -178,8 +181,8 @@ def lipschitz_estimates(params: ModelParams, M: float, constants=None):
     against the doubled diagonal decay -2u/eps, normalized to the unit decay
     used by the spectral-gap formula.
     """
-    if not M > 0:
-        raise ConfigurationError(f"ball radius must be positive, got M={M}")
+    if not 0 < M < math.inf:
+        raise ConfigurationError(f"ball radius must be finite and positive, got M={M}")
     if params.is_linear:
         return 0.5, 0.0, 0.0
     if constants is None:

@@ -201,8 +201,8 @@ def theoretical_constants(
     inflated by ``hs_inflation`` and is only used for the conservative
     admissibility report, never by the solvers.
     """
-    if not M > 0:
-        raise ConfigurationError(f"ball radius must be positive, got M={M}")
+    if not 0 < M < math.inf:
+        raise ConfigurationError(f"ball radius must be finite and positive, got M={M}")
     if rng is None:
         rng = np.random.default_rng(0)
     L = params.L

@@ -74,8 +74,8 @@ class Grid:
     mu: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ConfigurationError(f"domain length must be positive, got L={self.L}")
+        if not 0 < self.L < np.inf:
+            raise ConfigurationError(f"domain length must be finite and positive, got L={self.L}")
         if not _is_power_of_two(self.N) or self.N < 8:
             raise ConfigurationError(
                 f"node count must be a power of two >= 8, got N={self.N}"
@@ -94,7 +94,8 @@ class Grid:
 
 
 def build_grid(L: float, N: int) -> Grid:
-    """Construct the collocation grid; rejects non-power-of-two N and L <= 0."""
+    """Construct the collocation grid; rejects non-power-of-two N and a
+    non-finite or non-positive L."""
     return Grid(L=float(L), N=int(N))
 
 

@@ -98,6 +98,24 @@ def test_missing_block_exit_1(tmp_path, capsys):
     assert "grid" in err or "block" in err
 
 
+def test_invalid_yaml_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "broken.yaml"
+    cfg.write_text("a: [1,\n")
+    assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 1
+    assert "broken.yaml" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gap-check", "simulate"])
+def test_non_finite_model_parameter_exit_1(tmp_path, capsys, command):
+    # not a row of nan (gap-check) nor a divergence (simulate)
+    payload = determinism_payloads()[command]
+    payload["model"] = {**payload["model"], "delta": math.nan}
+    cfg = write_config(tmp_path, payload)
+    assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+    assert "delta" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_wrong_spec_version_exit_1(tmp_path):
     cfg = write_config(tmp_path, {"spec_version": 2, "command": "gap-check", "seed": 1})
     assert main(["--config", cfg, "--out", str(tmp_path)]) == 1

@@ -76,8 +76,9 @@ def test_splitting_perfect_square_nudged():
 
 
 def test_splitting_requires_zeta_inv_above_one():
-    with pytest.raises(ConfigurationError):
-        splitting_parameters(0.5, linear_params())
+    for bad in (0.5, np.inf, np.nan):
+        with pytest.raises(ConfigurationError):
+            splitting_parameters(bad, linear_params())
 
 
 def test_eta_value():
@@ -562,6 +563,28 @@ def test_resolvent_equal_orders():
     g = build_grid(np.pi, 64)
     rep = resolvent_bound_check(p, g, 0.5, 0.5)
     assert rep.worst_ratio_resolvent <= 1.0
+    assert rep.passes
+
+
+def test_resolvent_rougher_target_skips_mode_zero():
+    # alpha < beta: mode 0 (mu^negative) is skipped and bound1 = 1, so the
+    # decreasing mu^(alpha-beta) / (eps (d+delta) mu + 1) peaks at mode 1;
+    # only mode 1 lies at the resolvent scale mu <= 1/(eps (d+delta))
+    p = ModelParams(d=1.0, delta=0.2, eps=0.5, model_kind="linear")
+    g = build_grid(np.pi, 16)
+    alpha, beta = 0.0, 0.5
+    rep = resolvent_bound_check(p, g, alpha, beta)
+    eps, dd, mu1 = p.eps, p.d + p.delta, g.mu[1]
+    assert rep.worst_mode_resolvent == 1
+    assert rep.worst_ratio_resolvent == pytest.approx(
+        mu1 ** (alpha - beta) / (eps * dd * mu1 + 1.0), rel=1e-14
+    )
+    assert rep.worst_mode_shifted == 1
+    assert rep.worst_ratio_shifted == pytest.approx(
+        eps * dd * mu1 ** (1.0 + alpha - beta) / (eps * dd * mu1 + 1.0)
+        / eps ** (2.0 * (beta - alpha)),
+        rel=1e-14,
+    )
     assert rep.passes
 
 

@@ -40,6 +40,12 @@ def test_propagator_dt_zero_is_identity():
         assert np.all(prop.W1[:, :, k] == 0.0)
 
 
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -0.1])
+def test_propagator_rejects_bad_step(dt):
+    with pytest.raises(ConfigurationError):
+        linear_propagator(linear_params(), build_grid(np.pi, 16), dt)
+
+
 def test_propagator_eigenvalues_match_mode_rates():
     g = build_grid(np.pi, 16)
     p = linear_params(eps=0.1, delta=0.1, d=1.0)

@@ -111,8 +111,9 @@ def test_lipschitz_gradient_suprema_match_brute_force():
 
 
 def test_lipschitz_rejects_bad_radius():
-    with pytest.raises(ConfigurationError):
-        lipschitz_estimates(nonlinear(), M=0.0)
+    for bad in (0.0, np.inf, np.nan):
+        with pytest.raises(ConfigurationError):
+            lipschitz_estimates(nonlinear(), M=bad)
 
 
 def test_params_validation():
@@ -122,6 +123,11 @@ def test_params_validation():
         ModelParams(d=1.0, delta=0.0, eps=-1.0)
     with pytest.raises(ConfigurationError):
         ModelParams(d=1.0, delta=0.0, eps=0.1, model_kind="cubic")
+    # a non-finite parameter never reaches a solver as a silent nan row
+    for name in ("d", "delta", "eps", "kappa", "a", "b", "c", "L"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ConfigurationError, match=name):
+                ModelParams(**{"d": 1.0, "delta": 0.0, "eps": 0.1, name: bad})
     # reactions-off and kappa = 0 degenerate cases are allowed
     ModelParams(d=1.0, delta=0.0, eps=0.1, kappa=0.0, a=0.0, b=0.0, c=0.0)
 

@@ -121,8 +121,9 @@ def test_constants_report_closed_forms():
 
 def test_constants_rejects_bad_radius():
     p = ModelParams(d=1.0, delta=0.0, eps=1e-3)
-    with pytest.raises(ConfigurationError):
-        theoretical_constants(p, M=-1.0)
+    for bad in (-1.0, np.inf, np.nan):
+        with pytest.raises(ConfigurationError):
+            theoretical_constants(p, M=bad)
 
 
 def test_sharp_embedding_constant_matches_closed_form():

@@ -53,6 +53,9 @@ def test_build_grid_rejects_bad_node_count(bad_n):
 def test_build_grid_rejects_bad_length():
     with pytest.raises(ConfigurationError):
         build_grid(0.0, 16)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ConfigurationError):
+            build_grid(bad, 8)
 
 
 def test_forward_transform_of_basis_mode():
