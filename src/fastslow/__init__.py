@@ -35,7 +35,6 @@ from .integrator import (
     FastSlowState,
     ModePropagator,
     Trajectory,
-    etd_step,
     linear_propagator,
     simulate,
 )
@@ -69,7 +68,6 @@ from .spectral_core import (
     SpectralField,
     build_grid,
     cosine_transform,
-    laplacian_symbol,
     nonlinear_eval,
     sobolev_norm,
 )

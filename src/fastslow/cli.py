@@ -67,8 +67,7 @@ def _cmd_simulate(cfg: ExperimentConfig):
 def _cmd_limit(cfg: ExperimentConfig):
     _, v_in = build_initial_data(cfg)
     t = cfg.time
-    dt = t["T"] / 1000.0 if t["dt"] is None else t["dt"]
-    _, samples = _limit_samples(v_in, cfg.model, t["T"], dt, t["sample_every"])
+    _, samples = _limit_samples(v_in, cfg.model, t["T"], t["dt"], t["sample_every"])
     return _sample_series(v_in.grid, samples), [], {"x": "t"}
 
 

@@ -88,7 +88,7 @@ _BLOCKS = {
         "initial": _INITIAL,
     },
     "manifold-linear": {
-        "grid": _GRID,
+        "grid": _Field({"L": _Field(float, math.pi)}, {}),
         "time": _Field({"T": _Field(float, 1.0)}, {}),
         "study": _Field({"modes": _Field(_List(int, 1), tuple(range(1, 9)), _AT_LEAST_0)}, {}),
     },
@@ -197,13 +197,14 @@ def load_config(path, seed_override=None) -> ExperimentConfig:
     if seed_override is not None:
         raw["seed"] = seed_override
     cfg = _resolve(_SCHEMA[command], raw, "")
-    grid = build_grid(cfg["grid"]["L"], cfg["grid"]["N"]) if "grid" in cfg else None
+    grid_block = cfg.get("grid", {"L": math.pi})
+    grid = build_grid(grid_block["L"], grid_block["N"]) if "N" in grid_block else None
     model = cfg["model"]
     kind = model.pop("kind")
     return ExperimentConfig(
         command=command,
         seed=cfg["seed"],
-        model=ModelParams(**model, L=grid.L if grid else math.pi, model_kind=kind),
+        model=ModelParams(**model, L=grid_block["L"], model_kind=kind),
         grid=grid,
         output=cfg["output"],
         **{name: cfg[name] for name in ("time", "study", "initial") if name in cfg},

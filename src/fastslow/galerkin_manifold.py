@@ -54,7 +54,7 @@ from .errors import (
     HorizonError,
     SplittingError,
 )
-from .integrator import FastSlowState, _full_node_map, _phi1, _phi2, _system_matrices, simulate
+from .integrator import FastSlowState, _full_node_map, _phi, _system_matrices, simulate
 from .models import ModelParams
 from .reduction import critical_map_u_of_v
 from .spectral_core import Grid, SpectralField, _dealiased, build_grid
@@ -302,7 +302,8 @@ def _scan_kernel(lam, h, n_t, backward=False) -> _ScanKernel:
     while s < n_t:
         powers.append(np.exp(s * log_a))
         s *= 2
-    return _ScanKernel(h * (_phi1(z) - _phi2(z)), h * _phi2(z), factor, tuple(powers))
+    phi2 = _phi(2, z)
+    return _ScanKernel(h * (_phi(1, z) - phi2), h * phi2, factor, tuple(powers))
 
 
 def _linear_scan(powers, x, temp):

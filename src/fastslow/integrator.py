@@ -12,7 +12,9 @@ is treated linearly and the remainder
     N(u, v) = (kappa f~(u, v)/eps + phi(u, v),  psi(u, v))
 
 is integrated by a second-order exponential Runge-Kutta rule (Cox &
-Matthews 2002) with weights h*phi1(h M_k) and h*phi2(h M_k).
+Matthews 2002) with weights h*phi1(h M_k) and h*phi2(h M_k).  These and the
+Lyapunov-Perron weights come from one family phi_k (``_phi``; Hochbruck &
+Ostermann 2010), and ``_matrix_phi`` splits each 2x2 symbol once for all k.
 
 That step (``_etd2_step``) and one time loop (``_time_loop``) serve every
 solver.  The loop steps one stacked state with one propagator and one node
@@ -50,7 +52,6 @@ __all__ = [
     "ModePropagator",
     "Trajectory",
     "linear_propagator",
-    "etd_step",
     "simulate",
     "DEFAULT_CT",
 ]
@@ -62,82 +63,50 @@ EIGEN_GAP_CUTOFF = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# scalar phi functions, cancellation-safe near z = 0
+# the phi functions phi_k(z) = sum_{n>=0} z^n / (n+k)!, cancellation-safe near z = 0
 
-def _phi1(z):
+def _phi(k: int, z):
+    """phi_k(z) elementwise: exp(z), expm1(z)/z (1 at z = 0), and for k >= 2
+    (expm1(z) - sum_{0<j<k} z^j/j!) / z^k where |z| > PHI_SERIES_CUTOFF and
+    12 terms of the series elsewhere."""
     z = np.asarray(z, dtype=float)
-    out = np.ones_like(z)
-    nz = z != 0.0
-    out[nz] = np.expm1(z[nz]) / z[nz]
-    return out
-
-
-def _phi2(z):
-    z = np.asarray(z, dtype=float)
-    out = np.full_like(z, 0.5)
+    if k == 0:
+        return np.exp(z)
+    if k == 1:
+        out = np.ones_like(z)
+        nz = z != 0.0
+        out[nz] = np.expm1(z[nz]) / z[nz]
+        return out
+    out = np.empty_like(z)
     big = np.abs(z) > PHI_SERIES_CUTOFF
     zb = z[big]
-    out[big] = (np.expm1(zb) - zb) / zb**2
+    acc = np.expm1(zb)
+    term = np.ones_like(zb)
+    for j in range(1, k):
+        term = term * zb / j
+        acc = acc - term
+    out[big] = acc / zb**k
     small = ~big
     zs = z[small]
-    # sum_{n>=0} z^n / (n+2)!
     acc = np.zeros_like(zs)
-    term = np.full_like(zs, 0.5)
+    term = np.full_like(zs, 1.0 / math.factorial(k))
     for n in range(12):
         acc = acc + term
-        term = term * zs / (n + 3)
+        term = term * zs / (n + k + 1)
     out[small] = acc
     return out
 
 
-def _dphi1(z):
-    z = np.asarray(z, dtype=float)
-    out = np.full_like(z, 0.5)
-    big = np.abs(z) > PHI_SERIES_CUTOFF
-    zb = z[big]
-    out[big] = ((zb - 1.0) * np.exp(zb) + 1.0) / zb**2
-    small = ~big
-    zs = z[small]
-    acc = np.zeros_like(zs)
-    fact = 2.0  # (m+2)! running
-    term = np.full_like(zs, 1.0 / 2.0)  # (m+1)/(m+2)! at m=0
-    for m in range(12):
-        acc = acc + term
-        fact *= m + 3
-        term = (m + 2) * zs ** (m + 1) / fact
-    out[small] = acc
-    return out
+def _matrix_phi(ks, Z) -> list:
+    """phi_k(Z) for each k in ``ks``, for a stack Z of real 1x1 or 2x2 matrices.
 
-
-def _dphi2(z):
-    z = np.asarray(z, dtype=float)
-    out = np.full_like(z, 1.0 / 6.0)
-    big = np.abs(z) > PHI_SERIES_CUTOFF
-    zb = z[big]
-    out[big] = ((zb - 2.0) * np.exp(zb) + zb + 2.0) / zb**3
-    small = ~big
-    zs = z[small]
-    acc = np.zeros_like(zs)
-    fact = 6.0  # (m+3)! running
-    term = np.full_like(zs, 1.0 / 6.0)
-    for m in range(12):
-        acc = acc + term
-        fact *= m + 4
-        term = (m + 2) * zs ** (m + 1) / fact
-    out[small] = acc
-    return out
-
-
-def _matrix_function(Z, f, df):
-    """Apply a scalar function to a stack of real 1x1 or 2x2 matrices.
-
-    ``Z`` has shape (1, 1, n) or (2, 2, n).  A 1x1 stack is f(Z); a 2x2 one
-    uses the closed form through the two (real) eigenvalues and falls back
-    to the confluent first-order formula when the eigenvalue gap is below
-    EIGEN_GAP_CUTOFF.
+    ``Z`` has shape (1, 1, n) or (2, 2, n).  A 1x1 stack is phi_k(Z).  A 2x2
+    one has its two (real) eigenvalues found once for all k and uses the
+    closed form through them; where their gap is below EIGEN_GAP_CUTOFF it
+    uses the confluent first-order formula, with phi_k' = phi_k - k phi_{k+1}.
     """
     if Z.shape[0] == 1:
-        return f(Z)
+        return [_phi(k, Z) for k in ks]
     A, B = Z[0, 0], Z[0, 1]
     C, D = Z[1, 0], Z[1, 1]
     half_tr = 0.5 * (A + D)
@@ -146,25 +115,29 @@ def _matrix_function(Z, f, df):
     root = np.sqrt(disc)
     z1 = half_tr + root
     z2 = half_tr - root
-
-    out = np.empty_like(Z)
     distinct = (z1 - z2) > EIGEN_GAP_CUTOFF
-    if np.any(distinct):
-        l1, l2 = z1[distinct], z2[distinct]
-        fd = (f(l1) - f(l2)) / (l1 - l2)
-        c0 = (f(l2) * l1 - f(l1) * l2) / (l1 - l2)
-        for i in range(2):
-            for j in range(2):
-                out[i, j, distinct] = fd * Z[i, j, distinct] + (c0 if i == j else 0.0)
     conf = ~distinct
-    if np.any(conf):
-        lbar = half_tr[conf]
-        fv, dv = f(lbar), df(lbar)
-        for i in range(2):
-            for j in range(2):
-                diag = lbar if i == j else 0.0
-                out[i, j, conf] = dv * (Z[i, j, conf] - diag) + (fv if i == j else 0.0)
-    return out
+    l1, l2 = z1[distinct], z2[distinct]
+    lbar = half_tr[conf]
+    outs = []
+    for k in ks:
+        out = np.empty_like(Z)
+        if np.any(distinct):
+            f1, f2 = _phi(k, l1), _phi(k, l2)
+            fd = (f1 - f2) / (l1 - l2)
+            c0 = (f2 * l1 - f1 * l2) / (l1 - l2)
+            for i in range(2):
+                for j in range(2):
+                    out[i, j, distinct] = fd * Z[i, j, distinct] + (c0 if i == j else 0.0)
+        if np.any(conf):
+            fv = _phi(k, lbar)
+            dv = fv - k * _phi(k + 1, lbar)
+            for i in range(2):
+                for j in range(2):
+                    diag = lbar if i == j else 0.0
+                    out[i, j, conf] = dv * (Z[i, j, conf] - diag) + (fv if i == j else 0.0)
+        outs.append(out)
+    return outs
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +193,8 @@ def _system_matrices(params: ModelParams, grid: Grid) -> np.ndarray:
 
 def _propagator(M: np.ndarray, dt: float) -> ModePropagator:
     """E = exp(dt M) and the ETD weights of a per-mode symbol M of shape (n, n, N), n <= 2."""
-    Z = dt * M
-    E = _matrix_function(Z, np.exp, np.exp)
-    W1 = dt * _matrix_function(Z, _phi1, _dphi1)
-    W2 = dt * _matrix_function(Z, _phi2, _dphi2)
-    return ModePropagator(dt=dt, M=M, E=E, W1=W1, W2=W2)
+    E, phi1, phi2 = _matrix_phi((0, 1, 2), dt * M)
+    return ModePropagator(dt=dt, M=M, E=E, W1=dt * phi1, W2=dt * phi2)
 
 
 @lru_cache(maxsize=32)
@@ -359,18 +329,6 @@ def _sample_sups(grid: Grid, y: np.ndarray) -> tuple:
     # permuted order of the real FFT inverse
     u, v = _permuted_inverse(y, grid.N)
     return np.max(np.abs(u)), np.max(np.abs(v - u))
-
-
-def etd_step(state: FastSlowState, params: ModelParams, dt: float) -> FastSlowState:
-    """One second-order exponential Runge-Kutta step.
-
-    For the nonlinear kind dt must satisfy dt <= DEFAULT_CT * eps (explicit
-    treatment of the kappa f~/eps term); the linear kind has no restriction
-    and the step is exact.
-    """
-    if dt <= 0:
-        raise ConfigurationError(f"time step must be positive, got {dt}")
-    return simulate(state, params, dt, dt=dt).final()
 
 
 @dataclass

@@ -72,8 +72,9 @@ def _ticks(lo, hi, log):
 def emit_svg(series: dict, path, x_column=None, log_log=False) -> None:
     """One chart: the first column (or ``x_column``) against the rest.
 
-    ``log_log=True`` requires strictly positive data and draws both axes
-    logarithmically.
+    Only the points whose x and y are both finite are drawn; a chart without
+    one raises ``ShapeError``.  ``log_log=True`` requires strictly positive
+    data and draws both axes logarithmically.
     """
     n = _check_columns(series)
     if n == 0 or len(series) < 2:
@@ -84,24 +85,25 @@ def emit_svg(series: dict, path, x_column=None, log_log=False) -> None:
         raise ShapeError(f"unknown x column {x_name!r}")
     y_names = [k for k in names if k != x_name]
     x = np.asarray(series[x_name], dtype=float)
-    ys = {k: np.asarray(series[k], dtype=float) for k in y_names}
+    points = {}
+    for k in y_names:
+        y = np.asarray(series[k], dtype=float)
+        finite = np.isfinite(x) & np.isfinite(y)
+        points[k] = (x[finite], y[finite])
+    all_x = np.concatenate([a for a, _ in points.values()])
+    all_y = np.concatenate([b for _, b in points.values()])
+    if all_x.size == 0:
+        raise ShapeError("an SVG chart needs at least one finite point")
 
     width, height = 640, 480
     ml, mr, mt, mb = 70, 20, 20, 50
-    all_y = np.concatenate(list(ys.values()))
     if log_log:
-        if np.min(x) <= 0 or np.min(all_y) <= 0:
+        if np.min(all_x) <= 0 or np.min(all_y) <= 0:
             raise ShapeError("log-log chart requires positive data")
-        tx = np.log10(x)
-        tys = {k: np.log10(v) for k, v in ys.items()}
-    else:
-        tx = x
-        tys = ys
-    x_lo, x_hi = float(np.min(tx)), float(np.max(tx))
-    y_lo, y_hi = (
-        float(min(np.min(v) for v in tys.values())),
-        float(max(np.max(v) for v in tys.values())),
-    )
+        points = {k: (np.log10(a), np.log10(b)) for k, (a, b) in points.items()}
+        all_x, all_y = np.log10(all_x), np.log10(all_y)
+    x_lo, x_hi = float(np.min(all_x)), float(np.max(all_x))
+    y_lo, y_hi = float(np.min(all_y)), float(np.max(all_y))
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -156,11 +158,11 @@ def emit_svg(series: dict, path, x_column=None, log_log=False) -> None:
     )
     for idx, name in enumerate(y_names):
         color = colors[idx % len(colors)]
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(tx, tys[name]))
+        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(*points[name]))
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
-        for a, b in zip(tx, tys[name]):
+        for a, b in zip(*points[name]):
             parts.append(
                 f'<circle cx="{sx(a):.2f}" cy="{sy(b):.2f}" r="3" fill="{color}"/>'
             )

@@ -302,13 +302,15 @@ def _check_limit_data(v_in: SpectralField) -> None:
         raise DomainError("limit system requires v_in >= 0 pointwise")
 
 
-def _limit_samples(v_in: SpectralField, params: ModelParams, T, dt, sample_every) -> tuple:
+def _limit_samples(v_in: SpectralField, params: ModelParams, T, dt=None, sample_every=1) -> tuple:
     """The number of samples of ``solve_limit_system`` and an iterator over
     them, (t, (h_kappa(v), v)).
 
     Everything is checked before it returns; the steps are taken, and u
     reconstructed, as the iterator is read.
     """
+    if dt is None:
+        dt = T / 1000.0
     n_steps, dt = _step_count(T, dt)
     _check_limit_data(v_in)
     n_samples = _sample_count(n_steps, sample_every)
@@ -325,7 +327,7 @@ def solve_limit_system(
     v_in: SpectralField,
     params: ModelParams,
     T: float,
-    dt: float,
+    dt: float | None = None,
     sample_every: int = 1,
     constants: ConstantsReport | None = None,
 ) -> Trajectory:
@@ -333,8 +335,9 @@ def solve_limit_system(
 
     Uses the exponential RK2 stepper with the scalar symbol -d mu_k (for the
     linear kind the reduced symbol is -(d + delta/2) mu_k and the step is
-    exact).  Returns a trajectory whose u-component is h_kappa(v) at every
-    sample.
+    exact).  dt defaults to T/1000 and is shrunk so that an integer number
+    of steps lands exactly on T.  Returns a trajectory whose u-component is
+    h_kappa(v) at every sample.
     """
     n_samples, samples = _limit_samples(v_in, params, T, dt, sample_every)
     if constants is not None and not constants.kappa_ok:

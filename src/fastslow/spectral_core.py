@@ -48,7 +48,6 @@ __all__ = [
     "cosine_transform",
     "sobolev_norm",
     "nonlinear_eval",
-    "laplacian_symbol",
 ]
 
 # Largest N whose dealiased transforms are matrix products (``_dealiased``).
@@ -376,10 +375,3 @@ def nonlinear_eval(fields, F) -> SpectralField:
         return result
 
     return SpectralField(grid, _dealiased(grid, np.stack([f.coeffs for f in fields]), node_map))
-
-
-def laplacian_symbol(grid: Grid, k: int) -> float:
-    """Per-mode Laplacian eigenvalue -mu_k (Neumann)."""
-    if not 0 <= k <= grid.K:
-        raise IndexError(f"mode index {k} outside 0..{grid.K}")
-    return -float(grid.mu[k])

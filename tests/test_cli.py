@@ -184,7 +184,7 @@ def determinism_payloads():
         "command": "manifold-linear",
         "seed": 4,
         "model": base_model(kind="linear", eps=0.1, delta=0.1),
-        "grid": {"L": math.pi, "N": 32},
+        "grid": {"L": math.pi},
         "time": {"T": 1.0},
         "study": {"modes": [1, 2, 3, 4]},
         "output": {"csv": "out.csv"},
@@ -451,6 +451,7 @@ MISTYPED_FIELDS = [
     ("manifold-linear", "study", "modes", ["a"]),
     ("manifold-linear", "study", "modes", 3),
     ("manifold-linear", "time", "T", "x"),
+    ("manifold-linear", "grid", "N", 32),  # the command reads no grid but its L
     ("simulate", "initial", "v_coeffs", ["a"]),
     ("simulate", "output", "csv", 3),
     # misspelt keys and an unknown block
@@ -526,7 +527,7 @@ def test_manifold_linear_command(tmp_path):
         "command": "manifold-linear",
         "seed": 4,
         "model": base_model(kind="linear", eps=0.1, delta=0.1),
-        "grid": {"L": math.pi, "N": 32},
+        "grid": {"L": math.pi},
         "time": {"T": 1.0},
         "study": {"modes": [1, 2, 3, 4]},
         "output": {"csv": "ml.csv"},
@@ -536,6 +537,19 @@ def test_manifold_linear_command(tmp_path):
     lines = (tmp_path / "ml.csv").read_text().strip().split("\n")
     assert lines[0].split(",")[0] == "k"
     assert len([l for l in lines[1:] if not l.startswith("seed")]) == 4
+
+
+def test_manifold_linear_without_grid_block(tmp_path):
+    # the grid block is optional: L defaults to pi, the same run as L = pi
+    payload = determinism_payloads()["manifold-linear"]
+    with_grid = write_config(tmp_path, payload, name="with.yaml")
+    del payload["grid"]
+    without = write_config(tmp_path, payload, name="without.yaml")
+    assert main(["--config", without, "--out", str(tmp_path / "without"), "--quiet"]) == 0
+    assert main(["--config", with_grid, "--out", str(tmp_path / "with"), "--quiet"]) == 0
+    assert (tmp_path / "without" / "out.csv").read_bytes() == (
+        tmp_path / "with" / "out.csv"
+    ).read_bytes()
 
 
 def test_manifold_galerkin_command_and_failing_gap_exit_3(tmp_path):
@@ -609,3 +623,40 @@ def test_help_exit_0(capsys):
 def test_svg_rejects_nonpositive_loglog(tmp_path):
     with pytest.raises(ShapeError):
         emit_svg({"x": [1.0, 2.0], "y": [0.0, 1.0]}, tmp_path / "bad.svg", log_log=True)
+
+
+def test_svg_draws_only_finite_points(tmp_path):
+    path = tmp_path / "gap.svg"
+    emit_svg({"t": [0.0, 1.0, 2.0], "E": [1.0, float("nan"), 2.0]}, path)
+    root = ET.parse(path).getroot()
+    assert len([el for el in root.iter() if el.tag.endswith("circle")]) == 2
+    with pytest.raises(ShapeError):
+        emit_svg({"t": [0.0, 1.0], "E": [float("nan"), float("inf")]}, tmp_path / "none.svg")
+
+
+def diverging_converge_payload(eps_list):
+    # c = 0 removes the Lotka-Volterra saturation: at a = 40 a member with
+    # eps = 0.01 blows up before T, and its row holds nan norms
+    return {
+        "spec_version": 1,
+        "command": "converge",
+        "seed": 5,
+        "model": base_model(a=40.0, b=0.0, c=0.0, eps=0.1),
+        "grid": {"L": math.pi, "N": 16},
+        "time": {"T": 0.1},
+        "study": {"eps_list": eps_list, "delta_rule": {"type": "zero"}},
+        "initial": {"v_coeffs": [1.0], "u_coeffs": [0.5]},
+        "output": {"csv": "conv.csv", "svg": "conv.svg"},
+    }
+
+
+def test_converge_svg_with_a_diverging_member(tmp_path, capsys):
+    cfg = write_config(tmp_path, diverging_converge_payload([0.1, 0.03, 0.01]))
+    assert main(["--config", cfg, "--out", str(tmp_path / "some"), "--quiet"]) == 0
+    assert "failure_eps_0.01" in (tmp_path / "some" / "conv.csv").read_text()
+    root = ET.parse(tmp_path / "some" / "conv.svg").getroot()
+    assert len([el for el in root.iter() if el.tag.endswith("circle")]) == 3 * 2
+    # no member finishes: nothing to draw is a validation error
+    cfg = write_config(tmp_path, diverging_converge_payload([0.01, 0.005]), name="all.yaml")
+    assert main(["--config", cfg, "--out", str(tmp_path / "all"), "--quiet"]) == 1
+    assert "finite point" in capsys.readouterr().err

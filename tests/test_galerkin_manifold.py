@@ -30,7 +30,7 @@ from fastslow.galerkin_manifold import (
     _source_block_rows,
     _sources,
 )
-from fastslow.integrator import _full_node_map, _phi1, _phi2
+from fastslow.integrator import _full_node_map, _phi
 from fastslow.spectral_core import _MATRIX_MAX_N, _dealiased
 
 
@@ -406,8 +406,8 @@ def test_lp_local_invariance_of_graph():
 def loop_convolve_forward(lam, h, F):
     z = lam * h
     decay = np.exp(z)
-    wA = h * (_phi1(z) - _phi2(z))
-    wB = h * _phi2(z)
+    wA = h * (_phi(1, z) - _phi(2, z))
+    wB = h * _phi(2, z)
     out = np.zeros_like(F)
     for j in range(1, F.shape[0]):
         out[j] = decay * out[j - 1] + wA * F[j - 1] + wB * F[j]
@@ -417,8 +417,8 @@ def loop_convolve_forward(lam, h, F):
 def loop_propagate_slow_backward(lam, h, v0, F):
     z = lam * h
     grow = np.exp(-z)
-    wA = h * (_phi1(z) - _phi2(z))
-    wB = h * _phi2(z)
+    wA = h * (_phi(1, z) - _phi(2, z))
+    wB = h * _phi(2, z)
     out = np.zeros_like(F)
     out[-1] = v0
     for j in range(F.shape[0] - 1, 0, -1):

@@ -7,7 +7,6 @@ from fastslow import (
     SpectralField,
     build_grid,
     closed_form_solution,
-    etd_step,
     linear_propagator,
     mode_spectrum,
     simulate,
@@ -74,7 +73,7 @@ def test_linear_step_matches_closed_form_any_dt():
     rng = np.random.default_rng(0)
     state = random_state(g, rng)
     for dt in (0.01, 0.37, 1.4):
-        new = etd_step(state, p, dt)
+        new = simulate(state, p, dt, dt=dt).final()
         for k in range(g.N):
             ue, ve, _ = closed_form_solution(
                 state.u.coeffs[k], state.v.coeffs[k], p, k, dt
@@ -86,7 +85,7 @@ def test_linear_step_matches_closed_form_any_dt():
 def test_zero_state_stays_zero_nonlinear():
     g = build_grid(np.pi, 16)
     state = FastSlowState(SpectralField.zero(g), SpectralField.zero(g), 0.0)
-    new = etd_step(state, nonlinear_params(), 0.01)
+    new = simulate(state, nonlinear_params(), 0.01, dt=0.01).final()
     assert np.max(np.abs(new.u.coeffs)) == 0.0
     assert np.max(np.abs(new.v.coeffs)) == 0.0
 
@@ -95,7 +94,7 @@ def test_step_rejects_unstable_dt():
     g = build_grid(np.pi, 16)
     state = FastSlowState(SpectralField.zero(g), SpectralField.zero(g), 0.0)
     with pytest.raises(ConfigurationError):
-        etd_step(state, nonlinear_params(eps=0.01), 0.1)
+        simulate(state, nonlinear_params(eps=0.01), 0.1, dt=0.1)
 
 
 def test_self_convergence_second_order():
@@ -201,25 +200,65 @@ def test_nonlinear_mode_matrix_form():
     assert np.allclose(prop.M[:, :, k], expected)
 
 
-def test_matrix_function_confluent_fallback():
-    # defective 2x2 (equal eigenvalues): the closed form degenerates and the
-    # first-order confluent formula must take over; oracle: series expm
+def _augmented_phis(Z, k_max):
+    """phi_0(Z) .. phi_k_max(Z) of one 2x2 matrix, as the first block row of
+    expm of the block matrix with Z in the corner and identities above the
+    diagonal (Saad 1992)."""
     from scipy.linalg import expm
 
-    from fastslow.integrator import _dphi1, _matrix_function, _phi1
+    n = k_max + 1
+    big = np.zeros((2 * n, 2 * n))
+    big[:2, :2] = Z
+    for b in range(n - 1):
+        big[2 * b : 2 * b + 2, 2 * b + 2 : 2 * b + 4] = np.eye(2)
+    top = expm(big)[:2]
+    return [top[:, 2 * b : 2 * b + 2] for b in range(n)]
 
-    Z = np.zeros((2, 2, 2))
-    Z[:, :, 0] = [[-0.3, 1.0], [0.0, -0.3]]
-    Z[:, :, 1] = [[-0.3, 0.0], [1e-12, -0.3]]
-    E = _matrix_function(Z, np.exp, np.exp)
-    for k in range(2):
-        assert np.max(np.abs(E[:, :, k] - expm(Z[:, :, k]))) < 1e-12
-    W = _matrix_function(Z, _phi1, _dphi1)
-    # phi1(Z) for the Jordan block: phi1(a) I + phi1'(a) N
-    a = -0.3
-    expected = _phi1(np.array([a]))[0] * np.eye(2)
-    expected[0, 1] = _dphi1(np.array([a]))[0]
-    assert np.max(np.abs(W[:, :, 0] - expected)) < 1e-12
+
+def test_matrix_function_confluent_fallback():
+    # phi_0..phi_3 of distinct, nearly confluent (gap 1e-9, below
+    # EIGEN_GAP_CUTOFF) and defective 2x2 matrices, each stacked three times,
+    # against the blocks of the augmented matrix's expm; relative to the
+    # largest entry, phi_3 inherits the scalar phi_3's cancellation near the
+    # series cutoff
+    from fastslow.integrator import _matrix_phi
+
+    cases = [
+        [[-2.0, 0.7], [0.3, -0.5]],
+        [[-0.3, 1.0], [0.0, -0.3 - 1e-9]],
+        [[-0.3, 1.0], [0.0, -0.3]],
+        [[-0.3, 0.0], [1e-12, -0.3]],
+        [[-40.0, 1.0], [0.0, -40.0]],
+    ]
+    bounds = (5e-15, 5e-15, 5e-15, 1e-13)
+    for Z in map(np.array, cases):
+        got = _matrix_phi((0, 1, 2, 3), np.repeat(Z[:, :, None], 3, axis=2))
+        for mine, ref, bound in zip(got, _augmented_phis(Z, 3), bounds):
+            for col in range(3):
+                assert np.max(np.abs(mine[:, :, col] - ref)) <= bound * np.max(np.abs(ref))
+
+
+PHI_POINTS = [0.0, 1e-12, -1e-12, 1e-6, -1e-6, 0.0499, -0.0499, 0.0501, -0.0501,
+              0.3, -1.0, -20.0, -400.0, 5.0]
+
+
+@pytest.mark.parametrize("k, bound", [(0, 1e-14), (1, 1e-14), (2, 1e-14), (3, 1e-12)])
+def test_phi_family_against_mpmath(k, bound):
+    # reference: the closed form (e^z - sum_{j<k} z^j/j!) / z^k at 100 digits,
+    # enough to absorb its cancellation at z = 1e-12
+    mpmath = pytest.importorskip("mpmath")
+    from fastslow.integrator import _phi
+
+    got = _phi(k, np.array(PHI_POINTS))
+    with mpmath.workdps(100):
+        for z, value in zip(PHI_POINTS, got):
+            if z == 0.0:
+                ref = mpmath.mpf(1) / mpmath.factorial(k)
+            else:
+                zm = mpmath.mpf(z)
+                head = sum(zm**j / mpmath.factorial(j) for j in range(k))
+                ref = (mpmath.exp(zm) - head) / zm**k
+            assert abs((value - ref) / ref) <= bound, (z, value, ref)
 
 
 def test_simulate_composes_etd_steps():
@@ -235,7 +274,7 @@ def test_simulate_composes_etd_steps():
     traj = simulate(state, p, T=0.1, dt=0.02, sample_every=1)
     manual = state
     for _ in range(5):
-        manual = etd_step(manual, p, 0.02)
+        manual = simulate(manual, p, 0.02, dt=0.02).final()
     assert np.max(np.abs(traj.final().u.coeffs - manual.u.coeffs)) < 1e-15
     assert np.max(np.abs(traj.final().v.coeffs - manual.v.coeffs)) < 1e-15
 

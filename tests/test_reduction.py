@@ -152,6 +152,17 @@ def test_limit_system_logistic_oracle():
     assert abs(traj.final().v.values()[0] - exact) < 1e-8
 
 
+def test_limit_system_default_step_is_t_over_1000():
+    g = build_grid(np.pi, 16)
+    p = ModelParams(d=1.0, delta=0.0, eps=0.01, kappa=1.0, a=1.0, b=1.0, c=1.0)
+    v0 = SpectralField.from_values(g, 0.5 * (1.0 + np.cos(g.nodes)))
+    default = solve_limit_system(v0, p, 0.3, sample_every=100)
+    given = solve_limit_system(v0, p, 0.3, 0.3 / 1000.0, 100)
+    assert len(default.times) == 11
+    assert np.array_equal(default.times, given.times)
+    assert np.array_equal(default.coeffs, given.coeffs)
+
+
 def test_limit_system_sup_bound():
     # 0 <= v <= ||v_in||_inf + a/c along the trajectory
     g = build_grid(np.pi, 32)

@@ -5,7 +5,6 @@ from fastslow import (
     SpectralField,
     build_grid,
     cosine_transform,
-    laplacian_symbol,
     nonlinear_eval,
     sobolev_norm,
 )
@@ -315,20 +314,6 @@ def test_dealiased_rows_independent_of_their_stack(N, width, rows):
     out = _dealiased(g, coeffs, node_map)
     for r in range(rows):
         assert np.array_equal(out[r], _dealiased(g, coeffs[r], node_map))
-
-
-def test_laplacian_symbol_values():
-    g = build_grid(np.pi, 16)
-    assert laplacian_symbol(g, 3) == -9.0
-    assert laplacian_symbol(g, 0) == 0.0
-    g2 = build_grid(2 * np.pi, 16)
-    assert abs(laplacian_symbol(g2, 4) - (-4.0)) < 1e-14
-
-
-def test_laplacian_symbol_out_of_range():
-    g = build_grid(np.pi, 16)
-    with pytest.raises(IndexError):
-        laplacian_symbol(g, 16)
 
 
 def test_field_rejects_nonfinite():
