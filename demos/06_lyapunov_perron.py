@@ -24,7 +24,7 @@ from fastslow import (
 
 # linear oracle
 p = ModelParams(d=1.0, delta=0.001, eps=0.01, model_kind="linear")
-split = splitting_parameters(10.0, p)
+split = splitting_parameters(10.0)
 rep = validate_assumptions(p, split, lipschitz_estimates(p, 1.0))
 v0 = np.zeros(split.k0)
 v0[1] = 1.0
@@ -42,13 +42,13 @@ base = ModelParams(d=1.0, delta=0.001**1.5, eps=0.001, kappa=1.0, a=0.05, b=0.05
 consts = theoretical_constants(base, M=0.25)
 pn = ModelParams(d=1.0, delta=0.001**1.5, eps=0.001, kappa=0.5 * consts.kappa_bound,
                  a=0.05, b=0.05, c=0.05)
-splitn = splitting_parameters(26.0, pn)
+splitn = splitting_parameters(26.0)
 lips = lipschitz_estimates(pn, 0.25, constants=consts)
 repn = validate_assumptions(pn, splitn, lips)
 v0n = np.array([0.02, 0.015, 0.0, 0.005, 0.0])
 ptn = lyapunov_perron_fixed_point(v0n, pn, splitn, n_t=768, tol=1e-7,
                                   gap_report=repn, clip_bound=consts.K0)
-samp = attraction_projection(v0n, pn, splitn, grid=ptn.grid)
+samp = attraction_projection(v0n, pn, splitn)
 du = SpectralField(ptn.grid, ptn.u_coeffs - samp.u_coeffs)
 dv = SpectralField(ptn.grid, ptn.v_fast_coeffs - samp.v_fast_coeffs)
 gap_h1 = sobolev_norm(du, 1) + sobolev_norm(dv, 1)

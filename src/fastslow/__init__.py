@@ -67,7 +67,6 @@ from .spectral_core import (
     Grid,
     SpectralField,
     build_grid,
-    cosine_transform,
     nonlinear_eval,
     sobolev_norm,
 )

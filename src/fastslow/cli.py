@@ -133,7 +133,7 @@ def _lipschitz_budgets(cfg: ExperimentConfig):
 
 
 def _cmd_gap_check(cfg: ExperimentConfig):
-    split = gm.splitting_parameters(cfg.study["zeta_inv"], cfg.model)
+    split = gm.splitting_parameters(cfg.study["zeta_inv"])
     lips, _ = _lipschitz_budgets(cfg)
     rep = gm.validate_assumptions(cfg.model, split, lips)
     series = {
@@ -154,7 +154,7 @@ def _cmd_gap_check(cfg: ExperimentConfig):
 
 def _cmd_manifold_galerkin(cfg: ExperimentConfig):
     study = cfg.study
-    split = gm.splitting_parameters(study["zeta_inv"], cfg.model)
+    split = gm.splitting_parameters(study["zeta_inv"])
     lips, constants = _lipschitz_budgets(cfg)
     clip_bound = study["clip_bound"]
     if clip_bound is None and constants is not None and not cfg.model.is_linear:
@@ -206,7 +206,7 @@ def _cmd_manifold_galerkin(cfg: ExperimentConfig):
 
 def _cmd_initial_layer(cfg: ExperimentConfig):
     u_in, v_in = build_initial_data(cfg)
-    rep = initial_layer(u_in, v_in, cfg.model.kappa)
+    rep = initial_layer(u_in, v_in, cfg.model)
     series = {
         "eps_in": [rep.eps_in],
         "deviation_ratio": [rep.deviation_ratio],

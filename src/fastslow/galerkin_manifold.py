@@ -92,10 +92,9 @@ class SplittingParams:
     N_F: float
     gap: float
     eta: float
-    note: str = GAP_FORMULA_NOTE
 
 
-def splitting_parameters(zeta_inv: float, params: ModelParams, omega_A: float = 0.0) -> SplittingParams:
+def splitting_parameters(zeta_inv: float) -> SplittingParams:
     """Splitting constants for k0^2 < zeta_inv < (k0+1)^2.
 
     Perfect squares are nudged by 1e-9 (with a warning); a non-positive gap
@@ -118,9 +117,7 @@ def splitting_parameters(zeta_inv: float, params: ModelParams, omega_A: float = 
         raise SplittingError(
             f"degenerate splitting: gap = k0 - 2 = {gap:g} for zeta_inv={zeta_inv}"
         )
-    eta = zeta_inv * (params.eps * (params.d + params.delta) * omega_A - 1.0) + 0.5 * (
-        N_F + N_S
-    )
+    eta = 0.5 * (N_F + N_S) - zeta_inv
     return SplittingParams(zeta_inv=zeta_inv, k0=k0, N_S=N_S, N_F=N_F, gap=gap, eta=eta)
 
 
@@ -144,28 +141,22 @@ class GapReport:
     passes: bool
 
 
-def validate_assumptions(
-    params: ModelParams,
-    split: SplittingParams,
-    lips,
-    C_A: float = 1.0,
-    omega_A: float = 0.0,
-) -> GapReport:
+def validate_assumptions(params: ModelParams, split: SplittingParams, lips) -> GapReport:
     """Evaluate the spectral-gap condition with the given Lipschitz budgets.
 
     ``lips`` is the triple (L_f, L_phi, L_psi).  Passing requires the two
     gap summands to total below one, the parameter inequality to be
-    negative, and eps * zeta_inv < (1 - L_f) / 4.
+    negative, and eps * zeta_inv < (1 - L_f) / 4.  The formulas hold the
+    Neumann Laplacian's semigroup constant 1 and growth rate 0.
     """
     L_f, L_phi, L_psi = lips
     eps, d, delta = params.eps, params.d, params.delta
-    lin_part = (1.0 - eps * split.zeta_inv) * (eps * (d + delta) * omega_A - 1.0)
-    param_ineq = lin_part - eps * 0.5 * (split.N_S + split.N_F)
+    param_ineq = -(1.0 - eps * split.zeta_inv) - eps * 0.5 * (split.N_S + split.N_F)
     denom1 = abs(param_ineq)
-    term1 = C_A * (L_f + eps * L_phi) / denom1
+    term1 = (L_f + eps * L_phi) / denom1
     term2 = (
         2.0
-        * (delta * (C_A + C_A**2 / d) * (L_f + eps * L_phi) + 2.0 * C_A * eps * L_psi)
+        * (delta * (1.0 + 1.0 / d) * (L_f + eps * L_phi) + 2.0 * eps * L_psi)
         / (eps * split.gap)
     )
     total = term1 + term2
@@ -354,7 +345,16 @@ def _propagate_slow_backward(kernel: _ScanKernel, v0, F, rev, temp):
     return _linear_scan(kernel.powers, rev, temp)[::-1]
 
 
-def _graph_solver(params, split, grid, fast_band, t_back, n_t, tol, clip_bound):
+def _graph_grid(params: ModelParams, n_modes: int) -> Grid:
+    """The grid of a graph on n_modes retained modes: the smallest power of
+    two N >= 8 with N >= 2 n_modes."""
+    n = 8
+    while n < 2 * n_modes:
+        n *= 2
+    return build_grid(params.L, n)
+
+
+def _graph_solver(params, split, fast_band, t_back, n_t, tol, clip_bound):
     """Checks ``lyapunov_perron_fixed_point``'s options (raising their
     ConfigurationError and HorizonError), builds once what a graph's points
     share, and returns ``solve(v0_S, max_iter, gap_report)``, the fixed point
@@ -368,14 +368,10 @@ def _graph_solver(params, split, grid, fast_band, t_back, n_t, tol, clip_bound):
     k0 = split.k0
     if fast_band is None:
         fast_band = 3 * k0
-    if grid is None:
-        n = 8
-        while n < 2 * (k0 + fast_band):
-            n *= 2
-        grid = build_grid(params.L, n)
-    n_modes = min(grid.N, k0 + fast_band)
-    if n_modes <= k0:
+    if fast_band < 1:
         raise ConfigurationError("truncation leaves no fast v-modes")
+    n_modes = k0 + fast_band
+    grid = _graph_grid(params, n_modes)
     M = _system_matrices(params, grid)
     lam_u, lam_v, coupling = M[0, 0, :n_modes], M[1, 1, :n_modes], M[1, 0, :n_modes]
 
@@ -487,7 +483,6 @@ def lyapunov_perron_fixed_point(
     v0_S,
     params: ModelParams,
     split: SplittingParams,
-    grid: Grid | None = None,
     fast_band: int | None = None,
     t_back: float | None = None,
     n_t: int = 512,
@@ -499,12 +494,13 @@ def lyapunov_perron_fixed_point(
     """Fixed point of the discretized Lyapunov-Perron map over slow data v0_S.
 
     ``v0_S`` holds the k0 slow v-coefficients.  The truncation keeps
-    min(grid modes, k0 + fast_band) modes (fast_band defaults to 3 k0).  The
-    default backward horizon 20 eps ln(1/tol) is extended automatically when
-    the slowest retained kernel needs longer to reach the tail target
-    tol/10; an explicitly passed ``t_back`` that is too short raises
-    HorizonError instead.  Three consecutive non-contracting sweeps raise
-    ContractionError carrying the gap report.
+    n_modes = k0 + fast_band modes (fast_band defaults to 3 k0) on the grid
+    ``_graph_grid(params, n_modes)``.  The default backward horizon
+    20 eps ln(1/tol) is extended automatically when the slowest retained
+    kernel needs longer to reach the tail target tol/10; an explicitly
+    passed ``t_back`` that is too short raises HorizonError instead.  Three
+    consecutive non-contracting sweeps raise ContractionError carrying the
+    gap report.
 
     For the nonlinear kind, pass ``clip_bound`` (the invariant-box bound,
     e.g. K_{0,M}) to saturate the quadratic terms in the far past; backward
@@ -513,7 +509,7 @@ def lyapunov_perron_fixed_point(
     One graph point of ``lyapunov_perron_sweep``: the same solver
     (``_graph_solver``), built here for this point alone.
     """
-    solve = _graph_solver(params, split, grid, fast_band, t_back, n_t, tol, clip_bound)
+    solve = _graph_solver(params, split, fast_band, t_back, n_t, tol, clip_bound)
     return solve(v0_S, max_iter, gap_report)
 
 
@@ -524,7 +520,6 @@ class ManifoldGraph:
     k0: int
     points: list
     lipschitz_ratio: float = float("nan")
-    note: str = GAP_FORMULA_NOTE
 
     def __post_init__(self):
         if len(self.points) >= 2:
@@ -552,7 +547,6 @@ def lyapunov_perron_sweep(
     v0_samples,
     params: ModelParams,
     split: SplittingParams,
-    grid: Grid | None = None,
     fast_band: int | None = None,
     t_back: float | None = None,
     n_t: int = 512,
@@ -567,7 +561,7 @@ def lyapunov_perron_sweep(
     bit for bit; the setup and the work buffers those options determine are
     built once for the whole graph and shared by the points in turn.
     """
-    solve = _graph_solver(params, split, grid, fast_band, t_back, n_t, tol, clip_bound)
+    solve = _graph_solver(params, split, fast_band, t_back, n_t, tol, clip_bound)
     points = [solve(v0, max_iter, gap_report) for v0 in v0_samples]
     return ManifoldGraph(k0=split.k0, points=points)
 
@@ -592,25 +586,24 @@ def attraction_projection(
     params: ModelParams,
     split: SplittingParams,
     tau: float | None = None,
-    grid: Grid | None = None,
-    dt: float | None = None,
 ) -> AttractionSample:
     """Integrate forward from the critical-manifold point over (v0_S, 0).
 
-    Runs for tau (default 5 eps ln(1/eps)) and re-reads the terminal fast
-    components against the terminal slow components, an O(e^{-c tau} + eps)
-    manifold sample.
+    Runs for tau (default 5 eps ln(1/eps), which needs eps < 1) with the
+    step min(eps/2, tau/200) on the grid of a Lyapunov-Perron graph with the
+    default band, and re-reads the terminal fast components against the
+    terminal slow components, an O(e^{-c tau} + eps) manifold sample.
     """
     if tau is None:
+        if params.eps >= 1.0:
+            raise ConfigurationError(
+                f"the default tau = 5 eps ln(1/eps) needs eps < 1, got {params.eps}; pass tau"
+            )
         tau = 5.0 * params.eps * math.log(1.0 / params.eps)
     if tau < 0:
         raise ConfigurationError(f"tau must be >= 0, got {tau}")
     k0 = split.k0
-    if grid is None:
-        n = 8
-        while n < 8 * k0:
-            n *= 2
-        grid = build_grid(params.L, n)
+    grid = _graph_grid(params, 4 * k0)
     v0 = SpectralField(grid, _embed_slow(grid, v0_S, k0))
     if params.is_linear:
         u0 = SpectralField(grid, 0.5 * v0.coeffs)
@@ -624,8 +617,7 @@ def attraction_projection(
             v_fast_coeffs=np.zeros(grid.N),
             tau=0.0,
         )
-    if dt is None:
-        dt = min(0.5 * params.eps, tau / 200.0)
+    dt = min(0.5 * params.eps, tau / 200.0)
     traj = simulate(FastSlowState(u0, v0, 0.0), params, T=tau, dt=dt, sample_every=10**9)
     u_end, v_end = traj.coeffs[-1]
     return AttractionSample(

@@ -128,12 +128,12 @@ class ModeInvarianceReport:
     used_affine_defect: bool
 
 
-def invariance_and_distance(params: ModelParams, modes, T: float, n_t: int = 400) -> list:
+def invariance_and_distance(params: ModelParams, modes, T: float) -> list:
     """Per-mode invariance, distance-to-critical and attraction checks.
 
     For each mode: (i) the largest deviation of u_k/v_k from the slope along
-    an on-manifold solution on [0, T] (switching to the affine defect
-    |u_k - slope v_k| where |v_k| < 1e-8), (ii) the gap |slope - 1/2|
+    an on-manifold solution at 400 points of [0, T] (switching to the affine
+    defect |u_k - slope v_k| where |v_k| < 1e-8), (ii) the gap |slope - 1/2|
     against the certified bound eps delta mu / 4, and (iii) the fitted decay
     rate of the off-manifold component over [0, 5 eps] against the fast rate.
     """
@@ -141,7 +141,7 @@ def invariance_and_distance(params: ModelParams, modes, T: float, n_t: int = 400
     reports = []
     for k in modes:
         sp = mode_spectrum(params, k)
-        t = np.linspace(0.0, T, n_t)
+        t = np.linspace(0.0, T, 400)
         u, v, _ = closed_form_solution(sp.slope, 1.0, params, k, t)
         small = np.abs(v) < RATIO_SWITCH
         used_affine = bool(np.any(small))

@@ -114,7 +114,6 @@ class ConvergenceRun:
 
 @dataclass
 class ConvergenceReport:
-    params: ModelParams
     runs: list
     orders: dict = field(default_factory=dict)
     fit_residual: float = float("nan")
@@ -170,11 +169,7 @@ def convergence_study(
         p = dc_replace(params, eps=eps, delta=delta)
         start = time.perf_counter()
         try:
-            if p.is_linear:
-                # g-residual of the linear kind: ||v - 2u||_H2
-                eps_in = (v_in - 2.0 * u_in).sobolev_norm(2)
-            else:
-                eps_in = initial_layer(u_in, v_in, p.kappa).eps_in
+            eps_in = initial_layer(u_in, v_in, p).eps_in
             dt = dt_factor * eps if not p.is_linear else T / 2000.0
             n_steps, _ = _step_count(T, dt)
             sample_every = max(1, n_steps // n_samples)
@@ -192,7 +187,7 @@ def convergence_study(
             runs.append(
                 ConvergenceRun(eps, delta, float("nan"), None, time.perf_counter() - start, failure=str(exc))
             )
-    report = ConvergenceReport(params=params, runs=runs)
+    report = ConvergenceReport(runs=runs)
     ok = [r for r in runs if r.norms is not None]
     if len(ok) >= 2:
         eps_ok = [r.eps for r in ok]

@@ -58,6 +58,8 @@ __all__ = [
 ]
 
 NODE_TOL = 1e-12
+# Factor on the numeric smoothing constant, a lower bound, in ``theoretical_constants``.
+HS_INFLATION = 1.5
 
 
 def _critical_pointwise(v: np.ndarray, kappa: float) -> np.ndarray:
@@ -95,18 +97,27 @@ class InitialLayerReport:
     deviation_ratio: float  # ||u_in - u0||_H2 / eps_in, nan when eps_in ~ 0
 
 
-def initial_layer(u_in: SpectralField, v_in: SpectralField, kappa: float) -> InitialLayerReport:
-    """Initial-layer size eps_in = ||-u_in + kappa (v_in - u_in)^2||_H2.
+def initial_layer(
+    u_in: SpectralField, v_in: SpectralField, params: ModelParams
+) -> InitialLayerReport:
+    """Initial-layer size eps_in, the H2 norm of the constraint's residual.
 
-    Also returns u0 = h_kappa(v_in), the u-component the limit system starts
-    from, and the ratio ||u_in - u0||_H2 / eps_in.
+    The residual is -u_in + kappa (v_in - u_in)^2 for the nonlinear kind,
+    whose data must satisfy v_in >= u_in >= 0, and v_in - 2 u_in for the
+    linear kind, whose data may take either sign.  Also returns u0, the
+    u-component the limit system starts from (h_kappa(v_in), or v_in/2),
+    and the ratio ||u_in - u0||_H2 / eps_in.
     """
-    u_vals, v_vals = u_in.values(), v_in.values()
-    if np.min(u_vals) < -NODE_TOL or np.min(v_vals - u_vals) < -NODE_TOL:
-        raise DomainError("initial data must satisfy v_in >= u_in >= 0 pointwise")
-    residual = nonlinear_eval([u_in, v_in], lambda x, y: -x + kappa * (y - x) ** 2)
-    eps_in = residual.sobolev_norm(2)
-    u0 = critical_map_u_of_v(v_in, kappa)
+    if params.is_linear:
+        eps_in = (v_in - 2.0 * u_in).sobolev_norm(2)
+        u0 = 0.5 * v_in
+    else:
+        u_vals, v_vals = u_in.values(), v_in.values()
+        if np.min(u_vals) < -NODE_TOL or np.min(v_vals - u_vals) < -NODE_TOL:
+            raise DomainError("initial data must satisfy v_in >= u_in >= 0 pointwise")
+        residual = nonlinear_eval([u_in, v_in], lambda x, y: -x + params.kappa * (y - x) ** 2)
+        eps_in = residual.sobolev_norm(2)
+        u0 = critical_map_u_of_v(v_in, params.kappa)
     if eps_in > 1e-13:
         ratio = (u_in - u0).sobolev_norm(2) / eps_in
     else:
@@ -155,16 +166,15 @@ def _sum_sup_abs_dpsi(a, b, c, K0):
     return sup1 + sup2
 
 
-def _estimate_smoothing_constant(d, L, rng, n_fields=200, n_modes=48, fine=512, t_grid=None):
+def _estimate_smoothing_constant(d, L, rng):
     """Numeric lower bound for the heat-smoothing constant of eq-type
 
         || e^{t d dxx} w_x ||_p <= C e^{-lambda_1 t} t^{-1/2} || w ||_p
 
-    maximized over random band-limited fields, a log-spaced t grid and
-    p in {2, inf}."""
+    maximized over 200 random fields on 48 modes, sampled at 512 points, 40
+    log-spaced t in [1e-3, 1] and p in {2, inf}."""
+    n_fields, n_modes, fine = 200, 48, 512
     lam1 = (math.pi / L) ** 2
-    if t_grid is None:
-        t_grid = np.logspace(-3, 0, 40)
     k = np.arange(1, n_modes + 1)
     x = np.linspace(0.0, L, fine)
     cos_tab = np.cos(np.outer(k, x) * (np.pi / L))
@@ -177,7 +187,7 @@ def _estimate_smoothing_constant(d, L, rng, n_fields=200, n_modes=48, fine=512, 
     # each time can be mapped anew by the allocator, one page fault per page
     vals = np.empty((n_fields, fine))
     best = 0.0
-    for t in t_grid:
+    for t in np.logspace(-3, 0, 40):
         decay = np.exp(-d * (k * np.pi / L) ** 2 * t)
         st = s * decay
         n_l2 = np.sqrt((L / 2) * np.sum(st**2, axis=1))
@@ -188,17 +198,12 @@ def _estimate_smoothing_constant(d, L, rng, n_fields=200, n_modes=48, fine=512, 
     return best
 
 
-def theoretical_constants(
-    params: ModelParams,
-    M: float,
-    rng=None,
-    hs_inflation: float = 1.5,
-) -> ConstantsReport:
+def theoretical_constants(params: ModelParams, M: float, rng=None) -> ConstantsReport:
     """Embedding constant, smoothing estimate and the K-chain for radius M.
 
     C_star = sqrt(coth(L)) is the sharp sup-norm embedding constant of
     H1(0, L) (reproducing-kernel closed form); C_HS is a numeric lower bound
-    inflated by ``hs_inflation`` and is only used for the conservative
+    inflated by HS_INFLATION and is only used for the conservative
     admissibility report, never by the solvers.
     """
     if not 0 < M < math.inf:
@@ -208,7 +213,7 @@ def theoretical_constants(
     L = params.L
     C_star = math.sqrt(1.0 / math.tanh(L))
     lam1 = (math.pi / L) ** 2
-    C_HS = hs_inflation * _estimate_smoothing_constant(params.d, L, rng)
+    C_HS = HS_INFLATION * _estimate_smoothing_constant(params.d, L, rng)
     a, b, c = params.a, params.b, params.c
     K0 = C_star * M + (a / c if c > 0 else 0.0)
     root = math.sqrt(math.pi / lam1)
@@ -230,14 +235,15 @@ def theoretical_constants(
     )
 
 
-def sharp_embedding_constant_numeric(L, n_modes=256, n_trials=2000, rng=None, n_x=801):
+def sharp_embedding_constant_numeric(L, n_trials=2000, rng=None):
     """Numeric maximization of |w(x0)| / ||w||_H1 over cosine polynomials.
 
     Combines seeded random trials with the exact supremum over the truncated
-    space (the H1 norm of the point-evaluation functional, computed per x0
-    from the orthogonal basis).  Converges to sqrt(coth(L)) as the mode count
-    grows.
+    space of modes 0 .. 256 (the H1 norm of the point-evaluation functional,
+    computed per x0 at 801 points from the orthogonal basis).  Converges to
+    sqrt(coth(L)) as the mode count grows.
     """
+    n_modes, n_x = 256, 801
     if rng is None:
         rng = np.random.default_rng(0)
     k = np.arange(n_modes + 1)
@@ -297,8 +303,9 @@ def _limit_state(params: ModelParams, grid: Grid, v: np.ndarray) -> np.ndarray:
     return state
 
 
-def _check_limit_data(v_in: SpectralField) -> None:
-    if np.min(v_in.values()) < -NODE_TOL:
+def _check_limit_data(params: ModelParams, v_in: SpectralField) -> None:
+    # the linear kind's limit u = v/2 holds for data of either sign
+    if not params.is_linear and np.min(v_in.values()) < -NODE_TOL:
         raise DomainError("limit system requires v_in >= 0 pointwise")
 
 
@@ -312,7 +319,7 @@ def _limit_samples(v_in: SpectralField, params: ModelParams, T, dt=None, sample_
     if dt is None:
         dt = T / 1000.0
     n_steps, dt = _step_count(T, dt)
-    _check_limit_data(v_in)
+    _check_limit_data(params, v_in)
     n_samples = _sample_count(n_steps, sample_every)
     grid = v_in.grid
     prop = _limit_propagator(params, grid, dt) if n_steps else None
@@ -363,7 +370,7 @@ def _simulate_with_limit(
     (solve_limit_system starts at 0).
     """
     n_steps, dt = _step_count(T, dt)
-    _check_limit_data(state0.v)
+    _check_limit_data(params, state0.v)
     n_samples = _sample_count(n_steps, sample_every)
     grid = state0.u.grid
     prop = None

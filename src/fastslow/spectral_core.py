@@ -45,7 +45,6 @@ __all__ = [
     "Grid",
     "SpectralField",
     "build_grid",
-    "cosine_transform",
     "sobolev_norm",
     "nonlinear_eval",
 ]
@@ -165,24 +164,6 @@ def _inverse(coeffs: np.ndarray) -> np.ndarray:
     return values
 
 
-def cosine_transform(grid: Grid, data, direction: str = "forward"):
-    """Exact change of basis between node samples and cosine amplitudes.
-
-    ``forward`` maps N node values to the N amplitudes (w_0, .., w_K);
-    ``inverse`` is its exact inverse.
-    """
-    arr = np.asarray(data, dtype=float)
-    if arr.shape[-1] != grid.N:
-        raise ShapeError(
-            f"expected length {grid.N} along the last axis, got {arr.shape[-1]}"
-        )
-    if direction == "forward":
-        return _forward(arr)
-    if direction == "inverse":
-        return _inverse(arr)
-    raise ConfigurationError(f"unknown transform direction {direction!r}")
-
-
 @dataclass(frozen=True)
 class SpectralField:
     """A scalar field on (0, L) held as cosine amplitudes."""
@@ -202,7 +183,11 @@ class SpectralField:
 
     @classmethod
     def from_values(cls, grid: Grid, values) -> "SpectralField":
-        return cls(grid, cosine_transform(grid, values, "forward"))
+        """The field of the N node values, by the exact forward transform."""
+        arr = np.asarray(values, dtype=float)
+        if arr.shape != (grid.N,):
+            raise ShapeError(f"expected {grid.N} node values, got shape {arr.shape}")
+        return cls(grid, _forward(arr))
 
     @classmethod
     def from_function(cls, grid: Grid, fn) -> "SpectralField":

@@ -124,7 +124,7 @@ def test_criterion_03_distance_to_critical_manifold():
 def test_criterion_04_lyapunov_perron_oracle():
     start = time.perf_counter()
     p = linear_params(eps=0.01, delta=0.001)
-    split = splitting_parameters(10.0, p)
+    split = splitting_parameters(10.0)
     gap_rep = validate_assumptions(p, split, lipschitz_estimates(p, 1.0))
     assert gap_rep.passes
     v0 = np.zeros(split.k0)
@@ -196,11 +196,11 @@ def test_criterion_06_initial_layer_plateau():
 
     def eps_in_of(c):
         u = u_base + c * bump
-        return initial_layer(u, v_in, kappa).eps_in - 0.1
+        return initial_layer(u, v_in, p).eps_in - 0.1
 
     c_star = brentq(eps_in_of, 0.0, 0.2, xtol=1e-14)
     u_in = u_base + c_star * bump
-    eps_in = initial_layer(u_in, v_in, kappa).eps_in
+    eps_in = initial_layer(u_in, v_in, p).eps_in
     assert abs(eps_in - 0.1) < 1e-10
     rep = convergence_study(
         p, u_in, v_in, [1e-2, 3e-3, 1e-3], T=0.2, delta_rule={"type": "zero"}
@@ -269,7 +269,7 @@ def test_criterion_08_mode_zero_conservation():
 def test_criterion_09_gap_checker_worked_cases():
     def case(eps, delta):
         p = linear_params(eps, delta)
-        split = splitting_parameters(26.0, p)
+        split = splitting_parameters(26.0)
         return validate_assumptions(p, split, (0.5, 0.0, 0.0))
 
     r1 = case(0.001, 0.0)

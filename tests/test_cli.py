@@ -596,6 +596,56 @@ def test_initial_layer_command(tmp_path):
     assert float(row["eps_in"]) > 0
 
 
+def linear_payload(command, v_coeffs, **blocks):
+    payload = {
+        "spec_version": 1,
+        "command": command,
+        "seed": 8,
+        "model": base_model(kind="linear", eps=0.01),
+        "grid": {"L": math.pi, "N": 16},
+        "initial": {"v_coeffs": v_coeffs, "well_prepared": True},
+        "output": {"csv": "out.csv"},
+    }
+    payload.update(blocks)
+    return payload
+
+
+def test_linear_well_prepared_initial_layer_is_zero(tmp_path):
+    # u = v/2 exactly: the linear constraint v - 2u has no residual, whatever kappa
+    cfg = write_config(tmp_path, linear_payload("initial-layer", [1.0, 0.5]))
+    assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    header, row = (tmp_path / "out.csv").read_text().split("\n")[:2]
+    row = dict(zip(header.split(","), row.split(",")))
+    assert row["eps_in"] == "0"
+    assert float(row["u0_H2"]) == pytest.approx(0.5 * float(row["v_in_H2"]), rel=1e-15)
+
+
+EITHER_SIGN_RUNS = [
+    ("limit", {"time": {"T": 0.1, "dt": 0.01}}),
+    ("initial-layer", {}),
+    ("converge", {"time": {"T": 0.1}, "study": {"eps_list": [1e-1, 1e-2]}}),
+]
+
+
+@pytest.mark.parametrize("command, blocks", EITHER_SIGN_RUNS)
+def test_linear_kind_takes_data_of_either_sign(tmp_path, capsys, command, blocks):
+    # v = cos x changes sign; the linear limit u = v/2 holds for it
+    cfg = write_config(tmp_path, linear_payload(command, [0.0, 1.0], **blocks))
+    assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0, capsys.readouterr().err
+    assert (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command, blocks", EITHER_SIGN_RUNS)
+def test_nonlinear_kind_rejects_data_of_either_sign(tmp_path, capsys, command, blocks):
+    # the same v with u = 0 leaves the nonlinear kind's region v >= u >= 0
+    payload = linear_payload(command, [0.0, 1.0], **blocks)
+    payload["model"] = base_model(eps=0.01)
+    payload["initial"]["well_prepared"] = False
+    cfg = write_config(tmp_path, payload)
+    assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+    assert ">= 0 pointwise" in capsys.readouterr().err
+
+
 def test_seed_override_changes_output_seed(tmp_path):
     cfg = write_config(tmp_path, gap_check_payload())
     assert main(["--config", cfg, "--out", str(tmp_path), "--quiet", "--seed", "99"]) == 0

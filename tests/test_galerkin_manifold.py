@@ -57,34 +57,32 @@ def small_nonlinear():
 
 
 def test_splitting_worked_values():
-    p = linear_params()
-    s = splitting_parameters(26.0, p)
+    s = splitting_parameters(26.0)
     assert (s.k0, s.N_S, s.N_F, s.gap) == (5, -42.0, -45.0, 3.0)
-    s = splitting_parameters(10.0, p)
+    s = splitting_parameters(10.0)
     assert (s.k0, s.N_S, s.N_F, s.gap) == (3, -14.0, -15.0, 1.0)
 
 
 def test_splitting_degenerate_gap():
     with pytest.raises(SplittingError):
-        splitting_parameters(4.5, linear_params())
+        splitting_parameters(4.5)
 
 
 def test_splitting_perfect_square_nudged():
     with pytest.warns(UserWarning):
-        s = splitting_parameters(25.0, linear_params())
+        s = splitting_parameters(25.0)
     assert s.k0 == 5
 
 
 def test_splitting_requires_zeta_inv_above_one():
     for bad in (0.5, np.inf, np.nan):
         with pytest.raises(ConfigurationError):
-            splitting_parameters(bad, linear_params())
+            splitting_parameters(bad)
 
 
 def test_eta_value():
-    p = ModelParams(d=1.0, delta=0.0, eps=0.001, model_kind="linear")
-    s = splitting_parameters(26.0, p)
-    # omega_A = 0: eta = -zeta_inv + (N_S + N_F)/2
+    s = splitting_parameters(26.0)
+    # eta = -zeta_inv + (N_S + N_F)/2
     assert abs(s.eta - (-26.0 + 0.5 * (-42.0 - 45.0))) < 1e-12
 
 
@@ -94,7 +92,7 @@ def test_eta_value():
 
 def gap_case(eps, delta, zeta_inv=26.0, L_f=0.5, d=1.0):
     p = ModelParams(d=d, delta=delta, eps=eps, model_kind="linear")
-    split = splitting_parameters(zeta_inv, p)
+    split = splitting_parameters(zeta_inv)
     return validate_assumptions(p, split, (L_f, 0.0, 0.0))
 
 
@@ -140,7 +138,7 @@ def test_gap_small_ratio_condition():
 
 def test_gap_passes_nonlinear():
     p, consts = small_nonlinear()
-    split = splitting_parameters(26.0, p)
+    split = splitting_parameters(26.0)
     lips = lipschitz_estimates(p, 0.25, constants=consts)
     rep = validate_assumptions(p, split, lips)
     assert abs(lips[0] - 0.5) < 1e-12
@@ -153,7 +151,7 @@ def test_gap_passes_nonlinear():
 
 def test_lp_matches_linear_slope():
     p = linear_params(eps=0.01, delta=0.001)
-    split = splitting_parameters(10.0, p)
+    split = splitting_parameters(10.0)
     rep = validate_assumptions(p, split, lipschitz_estimates(p, 1.0))
     assert rep.passes
     v0 = np.zeros(split.k0)
@@ -168,7 +166,7 @@ def test_lp_matches_linear_slope():
 def test_lp_matches_slope_other_modes_and_zero_delta():
     # second slow mode, and the delta = 0 case where the slope is exactly 1/2
     p = linear_params(eps=0.005, delta=0.002)
-    split = splitting_parameters(10.0, p)
+    split = splitting_parameters(10.0)
     v0 = np.zeros(split.k0)
     v0[2] = -0.7
     # mode 2 decays 4x faster than mode 1; finer time grid for the same accuracy
@@ -177,7 +175,7 @@ def test_lp_matches_slope_other_modes_and_zero_delta():
     assert abs(pt.u_coeffs[2] / v0[2] - slope) < 1e-6
 
     p0 = linear_params(eps=0.01, delta=0.0)
-    split0 = splitting_parameters(10.0, p0)
+    split0 = splitting_parameters(10.0)
     w0 = np.array([0.0, 1.0, 0.0])
     pt0 = lyapunov_perron_fixed_point(w0, p0, split0, n_t=2048, tol=1e-9)
     assert abs(pt0.u_coeffs[1] - 0.5) < 1e-6
@@ -186,7 +184,7 @@ def test_lp_matches_slope_other_modes_and_zero_delta():
 
 def test_lp_zero_data_gives_zero_graph():
     p = linear_params()
-    split = splitting_parameters(10.0, p)
+    split = splitting_parameters(10.0)
     pt = lyapunov_perron_fixed_point(np.zeros(split.k0), p, split, n_t=128, tol=1e-10)
     assert np.max(np.abs(pt.u_coeffs)) == 0.0
     assert np.max(np.abs(pt.v_fast_coeffs)) == 0.0
@@ -194,7 +192,7 @@ def test_lp_zero_data_gives_zero_graph():
 
 def test_lp_horizon_error_when_explicit_t_back_too_short():
     p = linear_params()
-    split = splitting_parameters(10.0, p)
+    split = splitting_parameters(10.0)
     with pytest.raises(HorizonError):
         lyapunov_perron_fixed_point(
             np.ones(split.k0), p, split, t_back=0.05, n_t=64, tol=1e-10
@@ -204,11 +202,19 @@ def test_lp_horizon_error_when_explicit_t_back_too_short():
 def test_lp_sweep_horizon_error_when_explicit_t_back_too_short():
     # the sweep checks the horizon once, in the setup its points share
     p = linear_params()
-    split = splitting_parameters(10.0, p)
+    split = splitting_parameters(10.0)
     with pytest.raises(HorizonError):
         lyapunov_perron_sweep(
             [np.ones(split.k0)] * 2, p, split, t_back=0.05, n_t=64, tol=1e-10
         )
+
+
+@pytest.mark.parametrize("fast_band", [0, -2])
+def test_lp_band_without_fast_modes_rejected(fast_band):
+    p = linear_params()
+    split = splitting_parameters(10.0)
+    with pytest.raises(ConfigurationError, match="no fast v-modes"):
+        lyapunov_perron_fixed_point(np.ones(split.k0), p, split, fast_band=fast_band)
 
 
 @pytest.mark.parametrize("clip", [None, 0.01], ids=["no-clip", "clip"])
@@ -218,7 +224,7 @@ def test_lp_sweep_points_equal_separate_solves(clip):
     # quadratics diverge in the far past (ContractionError from the fourth
     # sweep on), so there the points after three sweeps are compared.
     p, _ = small_nonlinear()
-    split = splitting_parameters(26.0, p)
+    split = splitting_parameters(26.0)
     rng = np.random.default_rng(3)
     samples = [0.02 * rng.standard_normal(split.k0) for _ in range(3)]
     opts = dict(n_t=256, tol=1e-10, clip_bound=clip, max_iter=200 if clip else 3)
@@ -242,7 +248,7 @@ def test_lp_default_horizon_accepted_at_tol_1e_8():
     # the default t_back = log(10/tol)/slowest leaves a tail exp(-slowest t_back)
     # that rounds just above tol/10; only an explicit t_back is checked
     p, _ = small_nonlinear()
-    split = splitting_parameters(26.0, p)
+    split = splitting_parameters(26.0)
     pt = lyapunov_perron_fixed_point(
         np.full(split.k0, 0.01), p, split, n_t=256, tol=1e-8, clip_bound=1.0
     )
@@ -253,7 +259,7 @@ def test_lp_graph_point_padded_from_the_band():
     # the iterate lives on the n_modes band; the graph point is N wide, with
     # u zero above the band and v_fast zero outside [k0, n_modes)
     p, consts = small_nonlinear()
-    split = splitting_parameters(26.0, p)
+    split = splitting_parameters(26.0)
     k0, n_modes = split.k0, split.k0 + 7
     pt = lyapunov_perron_fixed_point(
         np.full(k0, 0.02), p, split, fast_band=7, n_t=256, tol=1e-8, clip_bound=consts.K0
@@ -314,7 +320,7 @@ def test_sources_in_time_blocks_equal_one_call(monkeypatch, N, blocks, extra):
 def test_lp_noncontraction_raises_with_report():
     # large slow data + quadratic feedback without the cut-off diverges
     p = ModelParams(d=1.0, delta=1e-4, eps=0.01, kappa=3e-5, a=1.0, b=1.0, c=1.0)
-    split = splitting_parameters(10.0, p)
+    split = splitting_parameters(10.0)
     rep = validate_assumptions(p, split, (0.5, 5.0, 5.0))
     with pytest.raises(ContractionError) as err:
         lyapunov_perron_fixed_point(
@@ -325,7 +331,7 @@ def test_lp_noncontraction_raises_with_report():
 
 def test_lp_nonlinear_agrees_with_attraction():
     p, consts = small_nonlinear()
-    split = splitting_parameters(26.0, p)
+    split = splitting_parameters(26.0)
     lips = lipschitz_estimates(p, 0.25, constants=consts)
     rep = validate_assumptions(p, split, lips)
     assert rep.passes
@@ -335,7 +341,8 @@ def test_lp_nonlinear_agrees_with_attraction():
     )
     assert pt.converged
     assert pt.contraction <= rep.total + 0.1
-    samp = attraction_projection(v0, p, split, grid=pt.grid)
+    samp = attraction_projection(v0, p, split)
+    assert samp.grid == pt.grid
     du = SpectralField(pt.grid, pt.u_coeffs - samp.u_coeffs)
     dv = SpectralField(pt.grid, pt.v_fast_coeffs - samp.v_fast_coeffs)
     assert sobolev_norm(du, 1) + sobolev_norm(dv, 1) <= 5.0 * p.eps
@@ -344,7 +351,7 @@ def test_lp_nonlinear_agrees_with_attraction():
 def test_lp_graph_lipschitz_bound():
     # sampled Lipschitz ratio <= M_A (1 - L~)^{-1}
     p = linear_params(eps=0.01, delta=0.001)
-    split = splitting_parameters(10.0, p)
+    split = splitting_parameters(10.0)
     rep = validate_assumptions(p, split, lipschitz_estimates(p, 1.0))
     rng = np.random.default_rng(0)
     samples = [0.5 * rng.standard_normal(split.k0) for _ in range(4)]
@@ -360,7 +367,7 @@ def test_lp_distance_to_critical_frozen_constant():
     rng = np.random.default_rng(1)
     for eps, delta in [(0.01, 0.001), (0.01, 0.01**1.5), (0.003, 0.0003)]:
         p = linear_params(eps=eps, delta=delta)
-        split = splitting_parameters(10.0, p)
+        split = splitting_parameters(10.0)
         v0 = rng.standard_normal(split.k0)
         pt = lyapunov_perron_fixed_point(v0, p, split, n_t=1024, tol=1e-9)
         grid = pt.grid
@@ -379,7 +386,7 @@ def test_lp_local_invariance_of_graph():
     from fastslow import FastSlowState, simulate
 
     p = linear_params(eps=0.01, delta=0.001)
-    split = splitting_parameters(10.0, p)
+    split = splitting_parameters(10.0)
     v0 = np.array([0.3, 1.0, -0.4])
     tol = 1e-6  # n_t = 2048 keeps the quadrature error of the graph below tol
     pt = lyapunov_perron_fixed_point(v0, p, split, n_t=2048, tol=tol)
@@ -537,7 +544,7 @@ def test_scans_in_work_buffers_equal_the_allocating_passes(n_t):
 
 def test_attraction_tau_zero_returns_critical_point():
     p = linear_params()
-    split = splitting_parameters(10.0, p)
+    split = splitting_parameters(10.0)
     v0 = np.array([0.2, 1.0, 0.0])
     samp = attraction_projection(v0, p, split, tau=0.0)
     assert np.allclose(samp.v_slow, v0)
@@ -547,11 +554,29 @@ def test_attraction_tau_zero_returns_critical_point():
 
 def test_attraction_linear_terminal_ratio():
     p = linear_params(eps=0.01, delta=0.05)
-    split = splitting_parameters(10.0, p)
+    split = splitting_parameters(10.0)
     v0 = np.array([0.0, 1.0, 0.0])
     samp = attraction_projection(v0, p, split)
     slope = mode_spectrum(p, 1).slope
     assert abs(samp.u_coeffs[1] / samp.v_slow[1] - slope) <= 2 * p.eps
+
+
+@pytest.mark.parametrize("eps", [1.0, 2.0])
+def test_attraction_default_tau_needs_eps_below_one(eps):
+    # 5 eps ln(1/eps) is 0 at eps = 1 and negative above
+    p = linear_params(eps=eps)
+    split = splitting_parameters(10.0)
+    with pytest.raises(ConfigurationError, match=r"eps < 1.*pass tau"):
+        attraction_projection(np.array([0.2, 1.0, 0.0]), p, split)
+
+
+def test_attraction_explicit_tau_at_large_eps():
+    p = linear_params(eps=2.0)
+    split = splitting_parameters(10.0)
+    samp = attraction_projection(np.array([0.2, 1.0, 0.0]), p, split, tau=0.5)
+    assert samp.tau == 0.5
+    assert np.all(np.isfinite(samp.u_coeffs))
+    assert 0.0 < samp.v_slow[1] < 1.0  # mode 1 decayed over tau
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +651,7 @@ def test_slow_subsystem_error_trend():
     decay = np.exp(-(p.d + p.delta / 2.0) * g.mu * t)
     errors = []
     for zeta_inv in (10.0, 26.0, 50.0):
-        split = splitting_parameters(zeta_inv, p)
+        split = splitting_parameters(zeta_inv)
         full = decay * v0
         truncated = full.copy()
         truncated[split.k0 :] = 0.0

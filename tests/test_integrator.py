@@ -10,6 +10,7 @@ from fastslow import (
     linear_propagator,
     mode_spectrum,
     simulate,
+    solve_limit_system,
 )
 from fastslow.errors import ConfigurationError, DivergenceError
 
@@ -80,6 +81,35 @@ def test_linear_step_matches_closed_form_any_dt():
             )
             assert abs(new.u.coeffs[k] - ue) < 1e-12
             assert abs(new.v.coeffs[k] - ve) < 1e-12
+
+
+@pytest.mark.parametrize("eps", [1.0, 1e-2, 1e-4])
+@pytest.mark.parametrize("delta", [0.0, 0.02])
+@pytest.mark.parametrize("N", [8, 64])
+def test_linear_solvers_match_closed_forms_at_the_edges(N, delta, eps):
+    # the full system and the limit system (u = v/2) against the closed
+    # forms of every mode and sample, at delta = 0 and the smallest grid,
+    # from data of either sign (a small mode 0 lets the others change it)
+    g = build_grid(np.pi, N)
+    p = linear_params(eps=eps, delta=delta)
+    rng = np.random.default_rng(N)
+    taper = 1.0 / (1.0 + np.arange(N)) ** 2
+    taper[0] = 0.1
+    u0, v0 = rng.standard_normal((2, N)) * taper
+    s0 = FastSlowState(SpectralField(g, u0), SpectralField(g, v0), 0.0)
+    for w in (s0.u, s0.v):
+        assert np.min(w.values()) < 0.0 < np.max(w.values())
+    scale = max(np.max(np.abs(u0)), np.max(np.abs(v0)))
+    for dt in (0.01, 0.5):
+        full = simulate(s0, p, T=0.5, dt=dt)
+        limit = solve_limit_system(s0.v, p, T=0.5, dt=dt)
+        for k in range(N):
+            u, v, _ = closed_form_solution(u0[k], v0[k], p, k, full.times)
+            assert np.max(np.abs(full.coeffs[:, 0, k] - u)) <= 1e-12 * scale
+            assert np.max(np.abs(full.coeffs[:, 1, k] - v)) <= 1e-12 * scale
+            _, _, v_lim = closed_form_solution(u0[k], v0[k], p, k, limit.times)
+            assert np.max(np.abs(limit.coeffs[:, 1, k] - v_lim)) <= 1e-12 * scale
+            assert np.max(np.abs(limit.coeffs[:, 0, k] - 0.5 * v_lim)) <= 1e-12 * scale
 
 
 def test_zero_state_stays_zero_nonlinear():

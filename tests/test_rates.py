@@ -11,7 +11,6 @@ from fastslow import (
     Trajectory,
     build_grid,
     closed_form_solution,
-    cosine_transform,
     convergence_study,
     critical_map_u_of_v,
     simulate,
@@ -25,7 +24,7 @@ from fastslow.rates import LAYER_SKIP_FACTOR, fit_order
 def make_traj(grid, times, u_vals, v_vals):
     coeffs = np.array(
         [
-            [cosine_transform(grid, u), cosine_transform(grid, v)]
+            [SpectralField.from_values(grid, w).coeffs for w in (u, v)]
             for u, v in zip(u_vals, v_vals)
         ]
     )

@@ -15,6 +15,9 @@ from fastslow import (
 )
 from fastslow.errors import ConfigurationError, DivergenceError, DomainError
 
+# the model of the initial-layer tests: only its kind and kappa = 1 matter
+NONLINEAR = ModelParams(d=1.0, delta=0.0, eps=1e-3, kappa=1.0)
+
 
 def test_critical_map_scalar_roots():
     assert abs(critical_map_u_of_v(2.0, 1.0) - 1.0) < 1e-14   # -1 + (2-1)^2 = 0
@@ -59,7 +62,7 @@ def test_initial_layer_well_prepared():
     g = build_grid(np.pi, 32)
     v = SpectralField.from_values(g, 1.0 + 0.4 * np.cos(g.nodes))
     u = critical_map_u_of_v(v, 1.0)
-    rep = initial_layer(u, v, 1.0)
+    rep = initial_layer(u, v, NONLINEAR)
     assert rep.eps_in <= 1e-10
 
 
@@ -67,7 +70,7 @@ def test_initial_layer_constant_one():
     g = build_grid(np.pi, 32)
     u = SpectralField.zero(g)
     v = SpectralField.from_values(g, np.ones(g.N))
-    rep = initial_layer(u, v, 1.0)
+    rep = initial_layer(u, v, NONLINEAR)
     # residual is the constant 1; its H2 norm is sqrt(pi)
     assert abs(rep.eps_in - math.sqrt(math.pi)) < 1e-12
 
@@ -76,7 +79,7 @@ def test_initial_layer_constant_root():
     g = build_grid(np.pi, 32)
     u = SpectralField.from_values(g, np.ones(g.N))
     v = SpectralField.from_values(g, 2.0 * np.ones(g.N))
-    rep = initial_layer(u, v, 1.0)
+    rep = initial_layer(u, v, NONLINEAR)
     assert rep.eps_in <= 1e-10
 
 
@@ -85,7 +88,7 @@ def test_initial_layer_ordering_violation():
     u = SpectralField.from_values(g, np.ones(g.N))
     v = SpectralField.zero(g)
     with pytest.raises(DomainError):
-        initial_layer(u, v, 1.0)
+        initial_layer(u, v, NONLINEAR)
 
 
 def test_initial_layer_ratio_bounded():
@@ -99,7 +102,7 @@ def test_initial_layer_ratio_bounded():
         u0 = critical_map_u_of_v(v, 1.0)
         bump = rng.uniform(0.0, 0.2) * (1.0 + np.cos(2 * x))
         u = SpectralField.from_values(g, np.minimum(u0.values() + bump, v.values()))
-        rep = initial_layer(u, v, 1.0)
+        rep = initial_layer(u, v, NONLINEAR)
         if rep.eps_in > 1e-8:
             assert rep.deviation_ratio <= 10.0
 
