@@ -11,18 +11,27 @@ one time loop, ``reduction._simulate_with_limit``), measures
 with U = u_eps - h_kappa(v), V = v_eps - v, and fits log E against log eps.
 Each norm is also reported with the initial layer skipped (samples with
 t >= 5 eps), since the sup-in-time norms carry the e^{-t/eps} transient.
+
+The study checks every option and the initial data, and builds every
+member's inputs, before any member runs.  The members are independent, so
+with two or more CPUs in ``os.sched_getaffinity(0)`` they run in forked
+worker processes (``_run_members``), the one with the most steps first.
+A forked child inherits the imports and the transform caches.  The results
+come back in ``eps_list`` order, so the report is the same as when the
+members run one after another in this process, as they do on one CPU.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, ShapeError
-from .integrator import FastSlowState, Trajectory, _step_count
+from .integrator import DEFAULT_CT, FastSlowState, Trajectory, _step_count
 from .models import ModelParams
 from .reduction import _simulate_with_limit, initial_layer
 from .spectral_core import SpectralField, _sobolev_squares
@@ -133,6 +142,57 @@ def _delta_of(eps, delta_rule):
     raise ConfigurationError(f"unknown delta rule {kind!r}")
 
 
+def _run_member(state0, params, T, dt, sample_every, eps_in) -> ConvergenceRun:
+    """One member of a study: both systems stepped together, then compared."""
+    start = time.perf_counter()
+    try:
+        traj, limit = _simulate_with_limit(state0, params, T, dt, sample_every)
+    except DivergenceError as exc:
+        return ConvergenceRun(
+            params.eps, params.delta, eps_in, None, time.perf_counter() - start, failure=str(exc)
+        )
+    norms = trajectory_error_norms(traj, limit, t_skip=LAYER_SKIP_FACTOR * params.eps)
+    return ConvergenceRun(params.eps, params.delta, eps_in, norms, time.perf_counter() - start)
+
+
+def _worker_count(n_members: int) -> int:
+    """Processes to run ``n_members`` members in; 1 runs them in this process.
+
+    One per usable CPU and member, and only where children can be forked.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if min(n_members, cpus) < 2:
+        return 1
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return min(n_members, cpus)
+
+
+def _run_members(members) -> list:
+    """``_run_member`` over the argument tuples ``members``, results in their order.
+
+    With more than one worker the members run in forked children, the last
+    (smallest eps, most steps) first; no child outlives the call, whether it
+    returns or raises.
+    """
+    workers = _worker_count(len(members))
+    if workers == 1:
+        return [_run_member(*m) for m in members]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: a spawned child would import numpy again (about 0.15 s)
+    # and build the transform caches again
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = [pool.submit(_run_member, *m) for m in reversed(members)]
+        return [f.result() for f in reversed(futures)]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def convergence_study(
     params: ModelParams,
     u_in: SpectralField,
@@ -150,43 +210,44 @@ def convergence_study(
     on T), and compared at the same ~n_samples sample times.  ``delta_rule`` is
     {"type": "power", "p": 1.5} (default), {"type": "fixed", "value": v} or
     {"type": "zero"}.  Divergent runs are recorded and skipped by the fit.
-    A bad ``n_samples`` or delta rule raises ConfigurationError before any run.
+    Every option and the initial data are checked before any member runs.
+    The members are independent; on two or more usable CPUs they run in
+    forked worker processes, and the report is the same either way.
     """
     eps_list = list(eps_list)
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
         raise ConfigurationError("eps list must be strictly decreasing")
+    if not all(0 < eps < math.inf for eps in eps_list):
+        # before the delta rule: a negative eps ** p is complex
+        raise ConfigurationError(f"eps values must be finite and positive, got {eps_list}")
     if T == 0:
         # no step, so no two samples to compare; _step_count rejects the
         # other bad horizons
         raise ConfigurationError("a convergence study needs a final time T > 0")
     if n_samples < 1:
         raise ConfigurationError(f"a convergence study needs n_samples >= 1, got {n_samples}")
+    if not 0 < dt_factor < math.inf:
+        raise ConfigurationError(f"dt_factor must be finite and positive, got {dt_factor}")
+    if not params.is_linear and dt_factor > DEFAULT_CT:
+        raise ConfigurationError(
+            f"dt_factor={dt_factor} exceeds the nonlinear kind's stability bound {DEFAULT_CT}"
+        )
     if delta_rule is None:
         delta_rule = {"type": "power", "p": 1.5}
-    deltas = [_delta_of(eps, delta_rule) for eps in eps_list]
-    runs = []
-    for eps, delta in zip(eps_list, deltas):
-        p = dc_replace(params, eps=eps, delta=delta)
-        start = time.perf_counter()
-        try:
-            eps_in = initial_layer(u_in, v_in, p).eps_in
-            dt = dt_factor * eps if not p.is_linear else T / 2000.0
-            n_steps, _ = _step_count(T, dt)
-            sample_every = max(1, n_steps // n_samples)
-            # land the step count on a multiple of the sampling stride
-            n_steps = sample_every * math.ceil(n_steps / sample_every)
-            dt = T / n_steps
-            traj, limit = _simulate_with_limit(
-                FastSlowState(u_in, v_in, 0.0), p, T, dt, sample_every
-            )
-            norms = trajectory_error_norms(traj, limit, t_skip=LAYER_SKIP_FACTOR * eps)
-            runs.append(
-                ConvergenceRun(eps, delta, eps_in, norms, time.perf_counter() - start)
-            )
-        except DivergenceError as exc:
-            runs.append(
-                ConvergenceRun(eps, delta, float("nan"), None, time.perf_counter() - start, failure=str(exc))
-            )
+    # eps_in depends on the data and kappa only, not on eps or delta; its
+    # checks of the data include the limit system's v_in >= 0
+    eps_in = initial_layer(u_in, v_in, params).eps_in
+    state0 = FastSlowState(u_in, v_in, 0.0)
+    members = []
+    for eps in eps_list:
+        p = dc_replace(params, eps=eps, delta=_delta_of(eps, delta_rule))
+        dt = dt_factor * eps if not p.is_linear else T / 2000.0
+        n_steps, _ = _step_count(T, dt)
+        sample_every = max(1, n_steps // n_samples)
+        # land the step count on a multiple of the sampling stride
+        n_steps = sample_every * math.ceil(n_steps / sample_every)
+        members.append((state0, p, T, T / n_steps, sample_every, eps_in))
+    runs = _run_members(members)
     report = ConvergenceReport(runs=runs)
     ok = [r for r in runs if r.norms is not None]
     if len(ok) >= 2:

@@ -703,7 +703,12 @@ def diverging_converge_payload(eps_list):
 def test_converge_svg_with_a_diverging_member(tmp_path, capsys):
     cfg = write_config(tmp_path, diverging_converge_payload([0.1, 0.03, 0.01]))
     assert main(["--config", cfg, "--out", str(tmp_path / "some"), "--quiet"]) == 0
-    assert "failure_eps_0.01" in (tmp_path / "some" / "conv.csv").read_text()
+    text = (tmp_path / "some" / "conv.csv").read_text()
+    assert "failure_eps_0.01" in text
+    # the diverging member keeps the eps_in that every member shares
+    rows = [r.split(",") for r in text.splitlines()[1:4]]
+    assert [float(r[0]) for r in rows] == [0.1, 0.03, 0.01]
+    assert math.isfinite(float(rows[2][2])) and len({r[2] for r in rows}) == 1
     root = ET.parse(tmp_path / "some" / "conv.svg").getroot()
     assert len([el for el in root.iter() if el.tag.endswith("circle")]) == 3 * 2
     # no member finishes: nothing to draw is a validation error

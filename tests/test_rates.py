@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -13,11 +15,12 @@ from fastslow import (
     closed_form_solution,
     convergence_study,
     critical_map_u_of_v,
+    initial_layer,
     simulate,
     solve_limit_system,
     trajectory_error_norms,
 )
-from fastslow.errors import ConfigurationError, ShapeError
+from fastslow.errors import ConfigurationError, DomainError, ShapeError
 from fastslow.rates import LAYER_SKIP_FACTOR, fit_order
 
 
@@ -163,25 +166,46 @@ def test_study_rejects_nondecreasing_eps():
 
 
 @pytest.mark.parametrize(
-    "options",
-    [{"n_samples": 0}, {"n_samples": -5}, {"delta_rule": {"type": "fixed"}},
-     {"delta_rule": {"type": "fixed", "value": None}}],
-    ids=["n_samples=0", "n_samples=-5", "fixed-without-value", "fixed-value=None"],
+    "kind, options, error",
+    [
+        pytest.param("linear", {"n_samples": 0}, ConfigurationError, id="n_samples=0"),
+        pytest.param("linear", {"n_samples": -5}, ConfigurationError, id="n_samples=-5"),
+        pytest.param("linear", {"delta_rule": {"type": "fixed"}}, ConfigurationError,
+                     id="fixed-without-value"),
+        pytest.param("linear", {"delta_rule": {"type": "fixed", "value": None}},
+                     ConfigurationError, id="fixed-value=None"),
+        pytest.param("linear", {"dt_factor": 0.0}, ConfigurationError, id="dt_factor=0"),
+        pytest.param("linear", {"dt_factor": -1.0}, ConfigurationError, id="dt_factor=-1"),
+        pytest.param("linear", {"dt_factor": math.nan}, ConfigurationError, id="dt_factor=nan"),
+        pytest.param("nonlinear", {"dt_factor": 0.6}, ConfigurationError,
+                     id="nonlinear-dt_factor=0.6"),
+        pytest.param("linear", {"eps_list": [1e-1, 0.0]}, ConfigurationError, id="eps=0"),
+        pytest.param("linear", {"eps_list": [1e-1, -1e-2]}, ConfigurationError, id="eps<0"),
+        pytest.param("linear", {"T": math.nan}, ConfigurationError, id="T=nan"),
+        pytest.param("nonlinear", {"u": -0.1, "v": 0.5}, DomainError, id="u_in<0"),
+        pytest.param("nonlinear", {"u": 0.6, "v": 0.5}, DomainError, id="u_in>v_in"),
+        # u_in and v_in - u_in within the node tolerance, v_in below it
+        pytest.param("nonlinear", {"u": -0.75e-12, "v": -1.5e-12}, DomainError,
+                     id="v_in<0"),
+    ],
 )
-def test_study_rejects_bad_options_before_any_run(monkeypatch, options):
-    # no sample count below one, and a fixed delta rule needs its number;
-    # both are found before the first member is integrated
+def test_study_rejects_bad_options_before_any_run(monkeypatch, kind, options, error):
+    # bad options and data, eps-dependent or not, are all found before the
+    # first member is integrated
     import fastslow.rates as rates
 
     def no_run(*args, **kwargs):
         raise AssertionError("a member ran")
 
     monkeypatch.setattr(rates, "_simulate_with_limit", no_run)
+    options = dict(options)
     g = build_grid(np.pi, 16)
-    p = ModelParams(d=1.0, delta=0.1, eps=0.1, model_kind="linear")
-    v = SpectralField.zero(g)
-    with pytest.raises(ConfigurationError):
-        convergence_study(p, v, v, [1e-1, 1e-2], T=0.1, **options)
+    u = SpectralField.from_values(g, np.full(16, options.pop("u", 0.0)))
+    v = SpectralField.from_values(g, np.full(16, options.pop("v", 0.0)))
+    p = ModelParams(d=1.0, delta=0.1, eps=0.1, model_kind=kind)
+    study = {"eps_list": [1e-1, 1e-2], "T": 0.1, **options}
+    with pytest.raises(error):
+        convergence_study(p, u, v, **study)
 
 
 def test_resolution_independence():
@@ -259,17 +283,97 @@ def test_study_members_equal_separate_solver_runs(kind, n):
             assert np.array_equal(together.u2_linf, apart.u2_linf)
 
 
-def test_diverging_member_recorded_and_left_out_of_the_fit():
-    # c = 0 removes the Lotka-Volterra saturation: at a = 40 the smallest eps
-    # blows up before T while the other two members finish
+def diverging_study():
+    # c = 0 removes the Lotka-Volterra saturation: at a = 40 the member with
+    # eps = 0.01 blows up before T = 0.1 while larger ones finish
     g = build_grid(math.pi, 16)
     p = ModelParams(d=1.0, delta=0.0, eps=0.1, kappa=1.0, a=40.0, b=0.0, c=0.0)
     v_in = SpectralField.from_values(g, np.ones(16))
     u_in = SpectralField.from_values(g, 0.5 * np.ones(16))
+    return p, u_in, v_in
+
+
+def test_diverging_member_recorded_and_left_out_of_the_fit():
+    p, u_in, v_in = diverging_study()
     rep = convergence_study(p, u_in, v_in, [0.1, 0.03, 0.01], T=0.1, delta_rule={"type": "zero"})
     ok, bad = rep.runs[:2], rep.runs[2]
     assert bad.norms is None
     assert bad.failure.startswith("state diverged at t=")
+    # eps_in is known before the stepping, so the failed member keeps it
+    eps_in = initial_layer(u_in, v_in, p).eps_in
+    assert math.isfinite(eps_in) and all(r.eps_in == eps_in for r in rep.runs)
     assert all(r.norms is not None and r.failure is None for r in ok)
     order, _ = fit_order([r.eps for r in ok], [r.norms.E_LinfL2 for r in ok])
     assert rep.orders["E_LinfL2"] == order
+
+
+def test_forked_members_report_what_members_in_process_do(monkeypatch, tmp_path):
+    # The member with the most steps is submitted first and diverges, so the
+    # members finish out of list order; the report must not show it.  Each
+    # member writes down the process it ran in.
+    import fastslow.rates as rates
+
+    step_both = rates._simulate_with_limit
+
+    def logged(*args):
+        with open(tmp_path / "pids", "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return step_both(*args)
+
+    monkeypatch.setattr(rates, "_simulate_with_limit", logged)
+    p, u_in, v_in = diverging_study()
+    reports, pids = {}, {}
+    for workers in (1, 3):
+        monkeypatch.setattr(rates, "_worker_count", lambda n, workers=workers: workers)
+        reports[workers] = convergence_study(
+            p, u_in, v_in, [0.1, 0.03, 0.01], T=0.1, delta_rule={"type": "zero"}
+        )
+        assert multiprocessing.active_children() == []
+        pids[workers] = (tmp_path / "pids").read_text().split()
+        (tmp_path / "pids").unlink()
+    assert pids[1] == [str(os.getpid())] * 3
+    # a worker that finishes early may take a second member
+    assert len(pids[3]) == 3 and str(os.getpid()) not in pids[3]
+    serial, forked = reports[1], reports[3]
+    assert [r.failure is None for r in forked.runs] == [True, True, False]
+    for a, b in zip(serial.runs, forked.runs):
+        assert (a.eps, a.delta, a.eps_in, a.norms, a.failure) == (
+            b.eps, b.delta, b.eps_in, b.norms, b.failure
+        )
+    assert serial.orders == forked.orders
+    assert serial.fit_residual == forked.fit_residual
+    assert serial.plateau == forked.plateau
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_member_error_reaches_the_caller(monkeypatch, workers):
+    # an error other than divergence ends the study with the member's own
+    # exception, in process or forked, and leaves no child behind
+    import fastslow.rates as rates
+
+    step_both = rates._simulate_with_limit
+
+    def broken(state0, params, *args):
+        if params.eps == 0.03:
+            raise ShapeError("member eps=0.03 is broken")
+        return step_both(state0, params, *args)
+
+    monkeypatch.setattr(rates, "_simulate_with_limit", broken)
+    monkeypatch.setattr(rates, "_worker_count", lambda n: workers)
+    p, u_in, v_in = diverging_study()
+    with pytest.raises(ShapeError, match=r"^member eps=0\.03 is broken$") as caught:
+        convergence_study(p, u_in, v_in, [0.1, 0.03, 0.01], T=0.1, delta_rule={"type": "zero"})
+    assert type(caught.value) is ShapeError
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_count_follows_the_usable_cpus(monkeypatch):
+    # one process per usable CPU and member; a single CPU runs in process
+    import fastslow.rates as rates
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert rates._worker_count(4) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert rates._worker_count(4) == 3
+    assert rates._worker_count(2) == 2
+    assert rates._worker_count(1) == 1
