@@ -2,8 +2,9 @@
 
 Every run file carries ``spec_version: 1``, a command, a mandatory seed and
 the blocks the command needs.  One table per command (``_SCHEMA``) gives each
-block and field its type, its default and, where no library function checks
-one, its range.  ``load_config`` applies the table before any computation:
+block and field its type, its default and, for some fields, a range (which
+the library function that reads the field may check again).
+``load_config`` applies the table before any computation:
 an error names the offending field path, and the returned config holds every
 field of its blocks, typed and with its default filled in.
 """
@@ -45,6 +46,7 @@ class _Field(NamedTuple):
 
 _AT_LEAST_0 = (lambda x: x >= 0, ">= 0")
 _AT_LEAST_1 = (lambda x: x >= 1, ">= 1")
+_FINITE = (math.isfinite, "a finite value")
 _FINITE_POSITIVE = (lambda x: math.isfinite(x) and x > 0, "a finite value > 0")
 
 _MODEL = _Field({
@@ -98,10 +100,10 @@ _BLOCKS = {
             "n_t": _Field(int, 512),
             "n_graph_samples": _Field(int, 3, _AT_LEAST_1),
             "tol": _Field(float, 1e-8, _FINITE_POSITIVE),
-            "sample_amplitude": _Field(float, 0.02),
-            "t_back": _Field(float, None),
+            "sample_amplitude": _Field(float, 0.02, _FINITE),
+            "t_back": _Field(float, None, _FINITE_POSITIVE),
             "fast_band": _Field(int, None),
-            "clip_bound": _Field(float, None),
+            "clip_bound": _Field(float, None, _FINITE_POSITIVE),
         }),
     },
     "gap-check": {"study": _Field(_GAP_STUDY)},

@@ -37,7 +37,13 @@ views), which every sweep of every point reuses instead of allocating its
 own; it returns the iteration over one point's slow data as a closure.
 ``lyapunov_perron_fixed_point`` builds it for one point and
 ``lyapunov_perron_sweep`` for the whole graph, so a graph point is the same
-bits whichever of the two computes it.
+bits whichever of the two computes it.  The sweep checks every sample
+before any point runs.  With two or more usable CPUs it solves the points
+in forked worker processes (``_parallel._fork_map``): a closure cannot be
+pickled, so each child inherits the closure through the fork and works in
+its own copy of the buffers, and only a point's result comes back.  A
+point is the same bits in a child as in this process, where the points run
+in turn on one CPU.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._parallel import _fork_map
 from .errors import (
     ConfigurationError,
     ContractionError,
@@ -213,12 +220,17 @@ def _h2_weights(grid: Grid) -> np.ndarray:
     return w * (1.0 + grid.mu + grid.mu**2)
 
 
-def _embed_slow(grid: Grid, v_slow: np.ndarray, k0: int) -> np.ndarray:
+def _slow_data(v_slow, k0: int) -> np.ndarray:
+    """The k0 slow v-coefficients ``v_slow`` as a float array, checked."""
     v_slow = np.asarray(v_slow, dtype=float)
     if v_slow.shape != (k0,):
         raise ConfigurationError(f"expected {k0} slow coefficients, got {v_slow.shape}")
+    return v_slow
+
+
+def _embed_slow(grid: Grid, v_slow: np.ndarray, k0: int) -> np.ndarray:
     out = np.zeros(grid.N)
-    out[:k0] = v_slow
+    out[:k0] = _slow_data(v_slow, k0)
     return out
 
 
@@ -365,6 +377,10 @@ def _graph_solver(params, split, fast_band, t_back, n_t, tol, clip_bound):
     the scans' products and the norms.  A point leaves nothing in them that
     the next reads.
     """
+    for name, value in (("t_back", t_back), ("clip_bound", clip_bound)):
+        if value is not None and not 0 < value < math.inf:
+            # np.clip with a bound <= 0 would set every node to the bound
+            raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
     k0 = split.k0
     if fast_band is None:
         fast_band = 3 * k0
@@ -422,7 +438,7 @@ def _graph_solver(params, split, fast_band, t_back, n_t, tol, clip_bound):
         return float(np.max(weights * (nu + nvf + nvs)))
 
     def solve(v0_S, max_iter, gap_report) -> ManifoldPoint:
-        v0 = _embed_slow(grid, v0_S, k0)[slow]
+        v0 = _slow_data(v0_S, k0)
         # Y = (U, V): band amplitudes of the backward trajectories, (2, n_t, n_modes)
         Y, Y_new = iterates
         Y[0] = 0.0
@@ -505,6 +521,7 @@ def lyapunov_perron_fixed_point(
     For the nonlinear kind, pass ``clip_bound`` (the invariant-box bound,
     e.g. K_{0,M}) to saturate the quadratic terms in the far past; backward
     slow-mode growth otherwise feeds the quadratics and large data diverges.
+    ``clip_bound`` and ``t_back``, where given, must be finite and > 0.
 
     One graph point of ``lyapunov_perron_sweep``: the same solver
     (``_graph_solver``), built here for this point alone.
@@ -559,10 +576,17 @@ def lyapunov_perron_sweep(
 
     Each point equals ``lyapunov_perron_fixed_point`` with the same options,
     bit for bit; the setup and the work buffers those options determine are
-    built once for the whole graph and shared by the points in turn.
+    built once for the whole graph, and every sample's shape is checked,
+    before any point runs.  On two or more usable CPUs the points run in
+    forked worker processes (``_parallel._fork_map``), each of which
+    inherits the setup and reuses its own copy of the buffers for the points
+    it solves; on one CPU they run in turn in this process.  Either way the
+    points come back in ``v0_samples`` order, and a point's error reaches
+    the caller from the first failing point in that order.
     """
     solve = _graph_solver(params, split, fast_band, t_back, n_t, tol, clip_bound)
-    points = [solve(v0, max_iter, gap_report) for v0 in v0_samples]
+    samples = [_slow_data(v0, split.k0) for v0 in v0_samples]
+    points = _fork_map(solve, [(v0, max_iter, gap_report) for v0 in samples])
     return ManifoldGraph(k0=split.k0, points=points)
 
 

@@ -15,21 +15,21 @@ t >= 5 eps), since the sup-in-time norms carry the e^{-t/eps} transient.
 The study checks every option and the initial data, and builds every
 member's inputs, before any member runs.  The members are independent, so
 with two or more CPUs in ``os.sched_getaffinity(0)`` they run in forked
-worker processes (``_run_members``), the one with the most steps first.
-A forked child inherits the imports and the transform caches.  The results
-come back in ``eps_list`` order, so the report is the same as when the
-members run one after another in this process, as they do on one CPU.
+worker processes (``_parallel._fork_map``), the one with the most steps
+first.  A forked child inherits the imports and the transform caches.  The
+results come back in ``eps_list`` order, so the report is the same as when
+the members run one after another in this process, as they do on one CPU.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
+from ._parallel import _fork_map
 from .errors import ConfigurationError, DivergenceError, ShapeError
 from .integrator import DEFAULT_CT, FastSlowState, Trajectory, _step_count
 from .models import ModelParams
@@ -155,44 +155,6 @@ def _run_member(state0, params, T, dt, sample_every, eps_in) -> ConvergenceRun:
     return ConvergenceRun(params.eps, params.delta, eps_in, norms, time.perf_counter() - start)
 
 
-def _worker_count(n_members: int) -> int:
-    """Processes to run ``n_members`` members in; 1 runs them in this process.
-
-    One per usable CPU and member, and only where children can be forked.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if min(n_members, cpus) < 2:
-        return 1
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    return min(n_members, cpus)
-
-
-def _run_members(members) -> list:
-    """``_run_member`` over the argument tuples ``members``, results in their order.
-
-    With more than one worker the members run in forked children, the last
-    (smallest eps, most steps) first; no child outlives the call, whether it
-    returns or raises.
-    """
-    workers = _worker_count(len(members))
-    if workers == 1:
-        return [_run_member(*m) for m in members]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork, not spawn: a spawned child would import numpy again (about 0.15 s)
-    # and build the transform caches again
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        futures = [pool.submit(_run_member, *m) for m in reversed(members)]
-        return [f.result() for f in reversed(futures)]
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-
-
 def convergence_study(
     params: ModelParams,
     u_in: SpectralField,
@@ -247,7 +209,8 @@ def convergence_study(
         # land the step count on a multiple of the sampling stride
         n_steps = sample_every * math.ceil(n_steps / sample_every)
         members.append((state0, p, T, T / n_steps, sample_every, eps_in))
-    runs = _run_members(members)
+    # the last member (smallest eps) has the most steps: submitted first
+    runs = _fork_map(_run_member, members, last_first=True)
     report = ConvergenceReport(runs=runs)
     ok = [r for r in runs if r.norms is not None]
     if len(ok) >= 2:

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -9,6 +10,7 @@ import pytest
 import yaml
 
 import fastslow
+from fastslow import _parallel
 from fastslow.cli import main
 from fastslow.errors import ShapeError
 from fastslow.output import emit_csv, emit_svg, format_value
@@ -576,6 +578,69 @@ def test_manifold_galerkin_command_and_failing_gap_exit_3(tmp_path):
     payload["model"]["eps"] = 0.1  # spectral gap fails at eps zeta_inv = 1
     cfg = write_config(tmp_path, payload, name="bad_gap.yaml")
     assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 3
+
+
+def nonlinear_manifold_payload(**study):
+    # the benchmark's manifold workload at 2 points and n_t = 256: the
+    # default clip_bound K0 comes from the constants chain at radius M
+    return {
+        "spec_version": 1,
+        "command": "manifold-galerkin",
+        "seed": 0,
+        "model": base_model(delta=1e-3**1.5, eps=1e-3, kappa=0.003023359368106128,
+                            a=0.05, b=0.05, c=0.05),
+        "study": {"zeta_inv": 26.0, "M": 0.25, "n_graph_samples": 2, "n_t": 256,
+                  "tol": 1.0e-10, **study},
+        "output": {"csv": "out.csv"},
+    }
+
+
+# unchecked, a clip_bound <= 0 would clip every node to the bound (a fake
+# graph, exit 0) and a nan or inf one would overflow the iterate (exit 3)
+BAD_LP_FIELDS = [
+    ("clip_bound", -1.0),
+    ("clip_bound", 0.0),
+    ("clip_bound", math.nan),
+    ("clip_bound", math.inf),
+    ("t_back", -1.0),
+    ("t_back", math.nan),
+    ("t_back", math.inf),
+    ("sample_amplitude", math.nan),
+    ("sample_amplitude", math.inf),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_LP_FIELDS, ids=[f"{k}={v!r}" for k, v in BAD_LP_FIELDS])
+def test_bad_lyapunov_perron_option_exit_1(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, nonlinear_manifold_payload(**{key: value}))
+    assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+    assert f"field study.{key}: need a finite value" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_manifold_galerkin_point_failure_exit_3_forked_or_not(tmp_path, capsys, monkeypatch):
+    # the gap condition passes with zero Lipschitz budgets, but without the
+    # clip the quadratics make the points diverge; a point's ContractionError
+    # comes back from a forked child as it is raised in process
+    payload = {
+        "spec_version": 1,
+        "command": "manifold-galerkin",
+        "seed": 6,
+        "model": base_model(delta=1e-4, eps=0.01, kappa=3e-5),
+        "study": {"zeta_inv": 10.0, "lipschitz": [0.0, 0.0, 0.0], "n_graph_samples": 3,
+                  "sample_amplitude": 0.2, "n_t": 256, "tol": 1.0e-8},
+        "output": {"csv": "out.csv"},
+    }
+    cfg = write_config(tmp_path, payload)
+    errs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(_parallel, "_worker_count", lambda n, workers=workers: workers)
+        assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 3
+        assert multiprocessing.active_children() == []
+        errs[workers] = capsys.readouterr().err
+    assert errs[1].startswith("assumption check failed: no contraction for 3 consecutive sweeps")
+    assert errs[2] == errs[1]
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_initial_layer_command(tmp_path):

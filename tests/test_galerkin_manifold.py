@@ -1,3 +1,7 @@
+import math
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -22,7 +26,7 @@ from fastslow.errors import (
     HorizonError,
     SplittingError,
 )
-from fastslow import galerkin_manifold
+from fastslow import _parallel, galerkin_manifold
 from fastslow.galerkin_manifold import (
     _convolve_forward,
     _propagate_slow_backward,
@@ -242,6 +246,116 @@ def test_lp_sweep_points_equal_separate_solves(clip):
     if clip is not None:  # the clip is active
         looser = lyapunov_perron_fixed_point(samples[0], p, split, **{**opts, "clip_bound": 1.0})
         assert not np.array_equal(looser.u_coeffs, graph.points[0].u_coeffs)
+
+
+BAD_LP_OPTIONS = [
+    ("clip_bound", -1.0),  # np.clip with min > max would set every node to -1.0
+    ("clip_bound", 0.0),  # and a zero bound every node to 0
+    ("clip_bound", math.nan),
+    ("clip_bound", math.inf),
+    ("t_back", -1.0),
+    ("t_back", 0.0),
+    ("t_back", math.nan),
+    ("t_back", math.inf),
+]
+
+
+@pytest.mark.parametrize("solver", ["point", "sweep"])
+@pytest.mark.parametrize(
+    "name, value", BAD_LP_OPTIONS, ids=[f"{n}={v!r}" for n, v in BAD_LP_OPTIONS]
+)
+def test_lp_rejects_a_bound_or_horizon_not_finite_and_positive(solver, name, value):
+    # before any sweep: neither may turn into a fake graph or an overflow
+    p, _ = small_nonlinear()
+    split = splitting_parameters(26.0)
+    v0 = np.full(split.k0, 0.01)
+    opts = {"n_t": 64, "tol": 1e-8, "clip_bound": 1.0, name: value}
+    with pytest.raises(ConfigurationError, match=rf"^{name} must be finite and > 0, got "):
+        if solver == "point":
+            lyapunov_perron_fixed_point(v0, p, split, **opts)
+        else:
+            lyapunov_perron_sweep([v0, v0], p, split, **opts)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lp_sweep_checks_every_sample_before_any_point(monkeypatch, workers):
+    def no_point_may_run(*args):
+        raise AssertionError("a graph point ran")
+
+    monkeypatch.setattr(galerkin_manifold, "_sources", no_point_may_run)
+    monkeypatch.setattr(_parallel, "_worker_count", lambda n: workers)
+    p, _ = small_nonlinear()
+    split = splitting_parameters(26.0)
+    samples = [np.full(split.k0, 0.01), np.full(split.k0 + 1, 0.01)]
+    with pytest.raises(ConfigurationError, match=r"expected 5 slow coefficients, got \(6,\)"):
+        lyapunov_perron_sweep(samples, p, split, n_t=64, tol=1e-8, clip_bound=1.0)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("clip", [None, 0.01], ids=["no-clip", "clip"])
+def test_lp_sweep_in_forked_workers_equals_the_sweep_in_process(monkeypatch, tmp_path, clip):
+    # the points solved in forked children, each child with its own copy of
+    # the shared setup and buffers, keep every bit of the in-process sweep;
+    # each sweep of a point writes down the process it ran in
+    sources = galerkin_manifold._sources
+
+    def logged(*args):
+        with open(tmp_path / "pids", "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return sources(*args)
+
+    monkeypatch.setattr(galerkin_manifold, "_sources", logged)
+    p, _ = small_nonlinear()
+    split = splitting_parameters(26.0)
+    rng = np.random.default_rng(3)
+    samples = [0.02 * rng.standard_normal(split.k0) for _ in range(3)]
+    opts = dict(n_t=256, tol=1e-10, clip_bound=clip, max_iter=200 if clip else 3)
+    graphs, pids = {}, {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(_parallel, "_worker_count", lambda n, workers=workers: workers)
+        graphs[workers] = lyapunov_perron_sweep(samples, p, split, **opts)
+        assert multiprocessing.active_children() == []
+        pids[workers] = set((tmp_path / "pids").read_text().split())
+        (tmp_path / "pids").unlink()
+    assert pids[1] == {str(os.getpid())}
+    serial = graphs[1]
+    assert all(pt.converged == (clip is not None) for pt in serial.points)
+    for workers in (2, 3):
+        assert str(os.getpid()) not in pids[workers]
+        forked = graphs[workers]
+        assert forked.k0 == serial.k0 and len(forked.points) == len(serial.points)
+        assert forked.lipschitz_ratio == serial.lipschitz_ratio
+        for a, b in zip(serial.points, forked.points):
+            assert a.grid == b.grid
+            assert np.array_equal(a.v_slow, b.v_slow)
+            assert np.array_equal(a.u_coeffs, b.u_coeffs)
+            assert np.array_equal(a.v_fast_coeffs, b.v_fast_coeffs)
+            assert (a.iterations, a.contraction, a.converged, a.t_back, a.n_t) == (
+                b.iterations, b.contraction, b.converged, b.t_back, b.n_t
+            )
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_lp_sweep_point_error_crosses_the_process_boundary(monkeypatch, workers):
+    # two points fail to contract, each with its own message; the caller gets
+    # the first one in list order, as in process, whichever child finished first
+    p = ModelParams(d=1.0, delta=1e-4, eps=0.01, kappa=3e-5, a=1.0, b=1.0, c=1.0)
+    split = splitting_parameters(10.0)
+    rep = validate_assumptions(p, split, (0.5, 5.0, 5.0))
+    samples = [np.array(v) for v in ([0.01, 0.0, 0.0], [0.05, 0.02, 0.0], [0.2, 0.0, 0.05])]
+    opts = dict(n_t=256, tol=1e-8, gap_report=rep)
+    with pytest.raises(ContractionError) as first:
+        lyapunov_perron_fixed_point(samples[1], p, split, **opts)
+    with pytest.raises(ContractionError) as second:
+        lyapunov_perron_fixed_point(samples[2], p, split, **opts)
+    assert str(first.value) != str(second.value)
+    monkeypatch.setattr(_parallel, "_worker_count", lambda n: workers)
+    with pytest.raises(ContractionError) as caught:
+        lyapunov_perron_sweep(samples, p, split, **opts)
+    assert type(caught.value) is ContractionError
+    assert str(caught.value) == str(first.value)
+    assert caught.value.gap_report == rep
+    assert multiprocessing.active_children() == []
 
 
 def test_lp_default_horizon_accepted_at_tol_1e_8():

@@ -2,6 +2,9 @@ import dataclasses
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,8 @@ from fastslow import (
     solve_limit_system,
     trajectory_error_norms,
 )
+import fastslow
+from fastslow import _parallel
 from fastslow.errors import ConfigurationError, DomainError, ShapeError
 from fastslow.rates import LAYER_SKIP_FACTOR, fit_order
 
@@ -324,7 +329,7 @@ def test_forked_members_report_what_members_in_process_do(monkeypatch, tmp_path)
     p, u_in, v_in = diverging_study()
     reports, pids = {}, {}
     for workers in (1, 3):
-        monkeypatch.setattr(rates, "_worker_count", lambda n, workers=workers: workers)
+        monkeypatch.setattr(_parallel, "_worker_count", lambda n, workers=workers: workers)
         reports[workers] = convergence_study(
             p, u_in, v_in, [0.1, 0.03, 0.01], T=0.1, delta_rule={"type": "zero"}
         )
@@ -359,7 +364,7 @@ def test_member_error_reaches_the_caller(monkeypatch, workers):
         return step_both(state0, params, *args)
 
     monkeypatch.setattr(rates, "_simulate_with_limit", broken)
-    monkeypatch.setattr(rates, "_worker_count", lambda n: workers)
+    monkeypatch.setattr(_parallel, "_worker_count", lambda n: workers)
     p, u_in, v_in = diverging_study()
     with pytest.raises(ShapeError, match=r"^member eps=0\.03 is broken$") as caught:
         convergence_study(p, u_in, v_in, [0.1, 0.03, 0.01], T=0.1, delta_rule={"type": "zero"})
@@ -369,11 +374,24 @@ def test_member_error_reaches_the_caller(monkeypatch, workers):
 
 def test_worker_count_follows_the_usable_cpus(monkeypatch):
     # one process per usable CPU and member; a single CPU runs in process
-    import fastslow.rates as rates
-
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert rates._worker_count(4) == 1
+    assert _parallel._worker_count(4) == 1
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert rates._worker_count(4) == 3
-    assert rates._worker_count(2) == 2
-    assert rates._worker_count(1) == 1
+    assert _parallel._worker_count(4) == 3
+    assert _parallel._worker_count(2) == 2
+    assert _parallel._worker_count(1) == 1
+
+
+def test_import_loads_no_process_pool():
+    # multiprocessing and concurrent.futures load on the parallel branch only
+    src = Path(fastslow.__file__).resolve().parents[1]
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import fastslow.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('multiprocessing', 'concurrent')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", script, str(src)], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
