@@ -45,7 +45,7 @@ from .linear_manifold import (
     invariance_and_distance,
     mode_spectrum,
 )
-from .models import ModelParams, ReactionEval, eval_reaction, lipschitz_estimates
+from .models import ModelParams
 from .rates import (
     ConvergenceReport,
     ConvergenceRun,
@@ -59,6 +59,7 @@ from .reduction import (
     InitialLayerReport,
     critical_map_u_of_v,
     initial_layer,
+    lipschitz_estimates,
     sharp_embedding_constant_numeric,
     solve_limit_system,
     theoretical_constants,

@@ -26,10 +26,9 @@ from .errors import (
     SplittingError,
 )
 from .integrator import FastSlowState, _sample_sups, _simulate_samples
-from .models import lipschitz_estimates
 from .output import emit_csv, emit_svg
 from .rates import convergence_study
-from .reduction import _limit_samples, initial_layer, theoretical_constants
+from .reduction import _limit_samples, initial_layer, lipschitz_estimates, theoretical_constants
 from .spectral_core import SpectralField, _sobolev_squares
 
 __all__ = ["main", "run"]

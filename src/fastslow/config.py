@@ -48,6 +48,7 @@ _AT_LEAST_0 = (lambda x: x >= 0, ">= 0")
 _AT_LEAST_1 = (lambda x: x >= 1, ">= 1")
 _FINITE = (math.isfinite, "a finite value")
 _FINITE_POSITIVE = (lambda x: math.isfinite(x) and x > 0, "a finite value > 0")
+_IN_OPEN_UNIT = (lambda x: 0 < x < 1, "a finite value in (0, 1)")
 
 _MODEL = _Field({
     "kind": _Field(str, "nonlinear"),
@@ -99,7 +100,7 @@ _BLOCKS = {
             **_GAP_STUDY,
             "n_t": _Field(int, 512),
             "n_graph_samples": _Field(int, 3, _AT_LEAST_1),
-            "tol": _Field(float, 1e-8, _FINITE_POSITIVE),
+            "tol": _Field(float, 1e-8, _IN_OPEN_UNIT),
             "sample_amplitude": _Field(float, 0.02, _FINITE),
             "t_back": _Field(float, None, _FINITE_POSITIVE),
             "fast_band": _Field(int, None),

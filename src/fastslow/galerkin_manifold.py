@@ -48,9 +48,10 @@ in turn on one CPU.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -154,13 +155,13 @@ def validate_assumptions(params: ModelParams, split: SplittingParams, lips) -> G
     ``lips`` is the triple (L_f, L_phi, L_psi).  Passing requires the two
     gap summands to total below one, the parameter inequality to be
     negative, and eps * zeta_inv < (1 - L_f) / 4.  The formulas hold the
-    Neumann Laplacian's semigroup constant 1 and growth rate 0.
+    Neumann Laplacian's semigroup constant 1 and growth rate 0.  Where the
+    parameter inequality is exactly 0, the first summand is inf.
     """
     L_f, L_phi, L_psi = lips
     eps, d, delta = params.eps, params.d, params.delta
     param_ineq = -(1.0 - eps * split.zeta_inv) - eps * 0.5 * (split.N_S + split.N_F)
-    denom1 = abs(param_ineq)
-    term1 = (L_f + eps * L_phi) / denom1
+    term1 = (L_f + eps * L_phi) / abs(param_ineq) if param_ineq != 0.0 else math.inf
     term2 = (
         2.0
         * (delta * (1.0 + 1.0 / d) * (L_f + eps * L_phi) + 2.0 * eps * L_psi)
@@ -381,6 +382,9 @@ def _graph_solver(params, split, fast_band, t_back, n_t, tol, clip_bound):
         if value is not None and not 0 < value < math.inf:
             # np.clip with a bound <= 0 would set every node to the bound
             raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
+    if not 0 < tol < 1:
+        # the default horizon 20 eps ln(1/tol) is positive only for tol < 1
+        raise ConfigurationError(f"tol must be in (0, 1), got {tol}")
     k0 = split.k0
     if fast_band is None:
         fast_band = 3 * k0
@@ -521,7 +525,8 @@ def lyapunov_perron_fixed_point(
     For the nonlinear kind, pass ``clip_bound`` (the invariant-box bound,
     e.g. K_{0,M}) to saturate the quadratic terms in the far past; backward
     slow-mode growth otherwise feeds the quadratics and large data diverges.
-    ``clip_bound`` and ``t_back``, where given, must be finite and > 0.
+    ``clip_bound`` and ``t_back``, where given, must be finite and > 0, and
+    ``tol`` must lie in (0, 1).
 
     One graph point of ``lyapunov_perron_sweep``: the same solver
     (``_graph_solver``), built here for this point alone.
@@ -532,32 +537,30 @@ def lyapunov_perron_fixed_point(
 
 @dataclass
 class ManifoldGraph:
-    """Sampled graph of the slow manifold over slow-coefficient vectors."""
+    """Sampled graph of the slow manifold over slow-coefficient vectors.
+
+    ``lipschitz_ratio`` is the largest ratio, over pairs of points, of the H2
+    distance of their graph values to that of their slow data (nan if < 2).
+    """
 
     k0: int
     points: list
-    lipschitz_ratio: float = float("nan")
+    lipschitz_ratio: float = field(init=False, default=float("nan"))
 
     def __post_init__(self):
-        if len(self.points) >= 2:
-            self.lipschitz_ratio = self._max_pairwise_ratio()
-
-    def _max_pairwise_ratio(self) -> float:
+        if len(self.points) < 2:
+            return
         nw = _h2_weights(self.points[0].grid)
         best = 0.0
-        for i in range(len(self.points)):
-            for j in range(i + 1, len(self.points)):
-                a, b = self.points[i], self.points[j]
-                dv = a.v_slow - b.v_slow
-                dnorm = math.sqrt(float(np.sum(nw[: self.k0] * dv**2)))
-                if dnorm < 1e-14:
-                    continue
-                du = math.sqrt(float(np.sum(nw * (a.u_coeffs - b.u_coeffs) ** 2)))
-                dvf = math.sqrt(
-                    float(np.sum(nw * (a.v_fast_coeffs - b.v_fast_coeffs) ** 2))
-                )
-                best = max(best, (du + dvf) / dnorm)
-        return best
+        for a, b in itertools.combinations(self.points, 2):
+            dv = a.v_slow - b.v_slow
+            dnorm = math.sqrt(float(np.sum(nw[: self.k0] * dv**2)))
+            if dnorm < 1e-14:
+                continue
+            du = math.sqrt(float(np.sum(nw * (a.u_coeffs - b.u_coeffs) ** 2)))
+            dvf = math.sqrt(float(np.sum(nw * (a.v_fast_coeffs - b.v_fast_coeffs) ** 2)))
+            best = max(best, (du + dvf) / dnorm)
+        self.lipschitz_ratio = best
 
 
 def lyapunov_perron_sweep(

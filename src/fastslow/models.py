@@ -1,4 +1,4 @@
-"""Reaction terms of the two model families and their Lipschitz budgets.
+"""Reaction terms of the two model families.
 
 Nonlinear (fast reversible reaction with Lotka-Volterra competition):
 
@@ -7,6 +7,9 @@ Nonlinear (fast reversible reaction with Lotka-Volterra competition):
     psi(x, y) = (a - b x - c y) y
 
 Linear reversible reaction:  g(x, y) = y - 2x,  phi = psi = 0.
+
+Each formula is written once, at node values: the solvers' remainders and the
+gradients of phi and psi that ``reduction``'s invariant-box bounds read.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-__all__ = ["ModelParams", "ReactionEval", "eval_reaction", "lipschitz_estimates"]
+__all__ = ["ModelParams"]
 
 NONLINEAR = "nonlinear"
 LINEAR = "linear"
@@ -70,61 +73,6 @@ class ModelParams:
         return self.model_kind == LINEAR
 
 
-@dataclass(frozen=True)
-class ReactionEval:
-    """Values and first partial derivatives of g, f_tilde, phi, psi at (x, y)."""
-
-    g: np.ndarray
-    f_tilde: np.ndarray
-    phi: np.ndarray
-    psi: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
-    phi1: np.ndarray
-    phi2: np.ndarray
-    psi1: np.ndarray
-    psi2: np.ndarray
-
-
-def eval_reaction(params: ModelParams, x, y) -> ReactionEval:
-    """Evaluate the model nonlinearities and their gradients pointwise.
-
-    Works on scalars or numpy arrays of matching shape.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if params.is_linear:
-        zero = np.zeros(np.broadcast(x, y).shape)
-        return ReactionEval(
-            g=y - 2.0 * x,
-            f_tilde=y + zero,  # remainder of g after the -2x diagonal part
-            phi=zero,
-            psi=zero.copy(),
-            g1=zero - 2.0,
-            g2=zero + 1.0,
-            phi1=zero.copy(),
-            phi2=zero.copy(),
-            psi1=zero.copy(),
-            psi2=zero.copy(),
-        )
-    k, a, b, c = params.kappa, params.a, params.b, params.c
-    w = y - x
-    f_tilde = w**2
-    lv = a - b * x - c * y
-    return ReactionEval(
-        g=-x + k * f_tilde,
-        f_tilde=f_tilde,
-        phi=lv * x,
-        psi=lv * y,
-        g1=-1.0 - 2.0 * k * w,
-        g2=2.0 * k * w,
-        phi1=a - 2.0 * b * x - c * y,
-        phi2=-c * x,
-        psi1=-b * y,
-        psi2=a - b * x - 2.0 * c * y,
-    )
-
-
 def _competition(params: ModelParams, x, y):
     """The Lotka-Volterra factor a - b x - c y of phi = (.) x and psi = (.) y,
     as a new array."""
@@ -165,33 +113,8 @@ def node_psi(params: ModelParams, x, y):
     return lv
 
 
-def lipschitz_estimates(params: ModelParams, M: float, constants=None):
-    """Scalar Lipschitz budgets (L_f, L_phi, L_psi) on the invariant box.
-
-    L_f = kappa * 12 * C_star * K_M with the constants chain from
-    :func:`fastslow.reduction.theoretical_constants`; L_phi and L_psi are the
-    suprema of the l1 gradient norms of phi, psi over the box
-    [0, K_{0,M}]^2, attained at the corners since both gradients are affine.
-
-    ``constants`` may carry a precomputed report (or anything with
-    ``C_star``, ``K_M`` and ``K0`` attributes); otherwise the chain is
-    evaluated from ``params`` and ``M``.
-
-    For the linear kind returns (0.5, 0, 0): the coupling f = v measured
-    against the doubled diagonal decay -2u/eps, normalized to the unit decay
-    used by the spectral-gap formula.
-    """
-    if not 0 < M < math.inf:
-        raise ConfigurationError(f"ball radius must be finite and positive, got M={M}")
-    if params.is_linear:
-        return 0.5, 0.0, 0.0
-    if constants is None:
-        from .reduction import theoretical_constants
-
-        constants = theoretical_constants(params, M)
-    L_f = params.kappa * 12.0 * constants.C_star * constants.K_M
-    K0 = constants.K0
-    r = eval_reaction(params, [0.0, 0.0, K0, K0], [0.0, K0, 0.0, K0])
-    L_phi = float(np.max(np.abs(r.phi1) + np.abs(r.phi2)))
-    L_psi = float(np.max(np.abs(r.psi1) + np.abs(r.psi2)))
-    return L_f, L_phi, L_psi
+def _reaction_gradients(params: ModelParams, x, y):
+    """(phi_x, phi_y, psi_x, psi_y), the partial derivatives of the nonlinear
+    kind's phi and psi at node values."""
+    a, b, c = params.a, params.b, params.c
+    return a - 2.0 * b * x - c * y, -c * x, -b * y, a - b * x - 2.0 * c * y

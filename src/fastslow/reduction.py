@@ -1,4 +1,5 @@
-"""Critical manifold map, limit system, initial layer and constants chain.
+"""Critical manifold map, limit system, initial layer, constants chain and
+invariant-box bounds.
 
 The algebraic constraint -u + kappa (v - u)^2 = 0 with 0 <= u <= v has the
 unique admissible root
@@ -44,7 +45,7 @@ from .integrator import (
     _time_loop,
     _trajectory,
 )
-from .models import ModelParams, node_psi
+from .models import ModelParams, _reaction_gradients, node_psi
 from .spectral_core import Grid, SpectralField, _dealiased, nonlinear_eval
 
 __all__ = [
@@ -52,6 +53,7 @@ __all__ = [
     "InitialLayerReport",
     "critical_map_u_of_v",
     "initial_layer",
+    "lipschitz_estimates",
     "theoretical_constants",
     "sharp_embedding_constant_numeric",
     "solve_limit_system",
@@ -145,25 +147,13 @@ class ConstantsReport:
     kappa_ok: bool
 
 
-def _sup_abs_psi(a, b, c, K0):
-    # psi(x, y) = (a - b x - c y) y is affine in x, quadratic in y: the
-    # maximum of |psi| over the square sits at x in {0, K0} and y at an
-    # endpoint or the interior critical point (a - b x) / (2 c).
-    best = 0.0
-    for x in (0.0, K0):
-        ys = [0.0, K0]
-        if c > 0:
-            ys.append(min(max((a - b * x) / (2 * c), 0.0), K0))
-        for y in ys:
-            best = max(best, abs((a - b * x - c * y) * y))
-    return best
-
-
-def _sum_sup_abs_dpsi(a, b, c, K0):
-    corners = [(0.0, 0.0), (0.0, K0), (K0, 0.0), (K0, K0)]
-    sup1 = max(abs(-b * y) for _, y in corners)
-    sup2 = max(abs(a - b * x - 2 * c * y) for x, y in corners)
-    return sup1 + sup2
+def _corner_table(params: ModelParams, K0: float):
+    """(phi_x, phi_y, psi_x, psi_y) at the four corners of the invariant box
+    [0, K0]^2.  Each is affine in (x, y), so the supremum over the box of its
+    magnitude, or of a sum of such magnitudes, is attained at a corner."""
+    x = np.array([0.0, 0.0, K0, K0])
+    y = np.array([0.0, K0, 0.0, K0])
+    return _reaction_gradients(params, x, y)
 
 
 def _estimate_smoothing_constant(d, L, rng):
@@ -217,8 +207,17 @@ def theoretical_constants(params: ModelParams, M: float, rng=None) -> ConstantsR
     a, b, c = params.a, params.b, params.c
     K0 = C_star * M + (a / c if c > 0 else 0.0)
     root = math.sqrt(math.pi / lam1)
-    K1 = C_star * M + C_HS * root * _sup_abs_psi(a, b, c, K0)
-    K2 = M + 3.0 * C_HS * root * _sum_sup_abs_dpsi(a, b, c, K0) * math.sqrt(L) * K1
+    # psi(x, y) = (a - b x - c y) y is affine in x, quadratic in y: the
+    # maximum of |psi| over the box sits at x in {0, K0} and y at an
+    # endpoint or, for c > 0, the interior critical point (a - b x) / (2 c)
+    x = np.array([0.0, K0, 0.0, K0, 0.0, K0])
+    y_crit = np.clip((a - b * x[:2]) / (2 * c), 0.0, K0) if c > 0 else np.full(2, K0)
+    y = np.concatenate([[0.0, 0.0, K0, K0], y_crit])
+    sup_psi = float(np.max(np.abs(node_psi(params, x, y))))
+    _, _, psi_x, psi_y = _corner_table(params, K0)
+    sup_dpsi = float(np.max(np.abs(psi_x)) + np.max(np.abs(psi_y)))
+    K1 = C_star * M + C_HS * root * sup_psi
+    K2 = M + 3.0 * C_HS * root * sup_dpsi * math.sqrt(L) * K1
     K_M = (2 * K0 + 3 * K1) * math.sqrt(L) + 3 * K2 + 2 * math.sqrt(L) * K1**2
     kappa_bound = 1.0 / (12.0 * C_star * K_M)
     return ConstantsReport(
@@ -233,6 +232,35 @@ def theoretical_constants(params: ModelParams, M: float, rng=None) -> ConstantsR
         kappa_bound=kappa_bound,
         kappa_ok=bool(params.kappa < kappa_bound),
     )
+
+
+def lipschitz_estimates(params: ModelParams, M: float, constants=None):
+    """Scalar Lipschitz budgets (L_f, L_phi, L_psi) on the invariant box.
+
+    L_f = kappa * 12 * C_star * K_M with the constants chain of
+    :func:`theoretical_constants`; L_phi and L_psi are the suprema of the l1
+    gradient norms of phi, psi over the box [0, K_{0,M}]^2, read from its
+    corners (``_corner_table``).
+
+    ``constants`` may carry a precomputed report (or anything with
+    ``C_star``, ``K_M`` and ``K0`` attributes); otherwise the chain is
+    evaluated from ``params`` and ``M``.
+
+    For the linear kind returns (0.5, 0, 0): the coupling f = v measured
+    against the doubled diagonal decay -2u/eps, normalized to the unit decay
+    used by the spectral-gap formula.
+    """
+    if not 0 < M < math.inf:
+        raise ConfigurationError(f"ball radius must be finite and positive, got M={M}")
+    if params.is_linear:
+        return 0.5, 0.0, 0.0
+    if constants is None:
+        constants = theoretical_constants(params, M)
+    L_f = params.kappa * 12.0 * constants.C_star * constants.K_M
+    phi_x, phi_y, psi_x, psi_y = _corner_table(params, constants.K0)
+    L_phi = float(np.max(np.abs(phi_x) + np.abs(phi_y)))
+    L_psi = float(np.max(np.abs(psi_x) + np.abs(psi_y)))
+    return L_f, L_phi, L_psi
 
 
 def sharp_embedding_constant_numeric(L, n_trials=2000, rng=None):

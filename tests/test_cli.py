@@ -155,6 +155,22 @@ def test_gap_check_failing_still_exit_0(tmp_path):
     assert "false" in body.split("\n")[1]
 
 
+def test_gap_check_at_a_zero_parameter_inequality_exit_0_and_fails(tmp_path, capsys):
+    # eps zeta_inv = 0.4296875 makes the parameter inequality exactly 0: the
+    # first gap summand is then inf, not a ZeroDivisionError
+    payload = gap_check_payload(eps=1 / 32, zeta_inv=13.75)
+    cfg = write_config(tmp_path, payload)
+    assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    header, row = (tmp_path / "gap.csv").read_text().split("\n")[:2]
+    row = dict(zip(header.split(","), row.split(",")))
+    assert (row["term1"], row["param_ineq"], row["passes"]) == ("inf", "0", "false")
+    payload.update(command="manifold-galerkin", output={"csv": "mg.csv"})
+    cfg = write_config(tmp_path, payload, name="mg.yaml")
+    assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 3
+    assert "spectral gap condition fails (total inf)" in capsys.readouterr().err
+    assert not (tmp_path / "mg.csv").exists()
+
+
 def determinism_payloads():
     simulate = {
         "spec_version": 1,
@@ -596,7 +612,9 @@ def nonlinear_manifold_payload(**study):
 
 
 # unchecked, a clip_bound <= 0 would clip every node to the bound (a fake
-# graph, exit 0) and a nan or inf one would overflow the iterate (exit 3)
+# graph, exit 0) and a nan or inf one would overflow the iterate (exit 3); a
+# tol >= 1 gives a default horizon <= 0: a one-sweep "converged" graph
+# (tol 5, exit 0) or a "no contraction" (tol 20, exit 3)
 BAD_LP_FIELDS = [
     ("clip_bound", -1.0),
     ("clip_bound", 0.0),
@@ -607,6 +625,11 @@ BAD_LP_FIELDS = [
     ("t_back", math.inf),
     ("sample_amplitude", math.nan),
     ("sample_amplitude", math.inf),
+    ("tol", 0.0),
+    ("tol", 1.0),
+    ("tol", 5.0),
+    ("tol", 20.0),
+    ("tol", math.nan),
 ]
 
 

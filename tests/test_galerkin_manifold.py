@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,14 @@ def test_gap_small_ratio_condition():
     assert not rep.passes
 
 
+def test_gap_parameter_inequality_exactly_zero_fails_with_unbounded_term1():
+    # eps = 1/32, zeta_inv = 13.75: -(1 - 0.4296875) - (-36.5)/64 == 0 exactly
+    rep = gap_case(eps=1 / 32, delta=0.001, zeta_inv=13.75)
+    assert rep.parameter_inequality_value == 0.0
+    assert rep.term1 == math.inf and rep.total == math.inf
+    assert rep.passes is False
+
+
 def test_gap_passes_nonlinear():
     p, consts = small_nonlinear()
     split = splitting_parameters(26.0)
@@ -257,7 +266,13 @@ BAD_LP_OPTIONS = [
     ("t_back", 0.0),
     ("t_back", math.nan),
     ("t_back", math.inf),
+    ("tol", 0.0),
+    ("tol", 1.0),  # tol >= 1 makes the default horizon 20 eps ln(1/tol) <= 0
+    ("tol", 5.0),
+    ("tol", 20.0),
+    ("tol", math.nan),
 ]
+LP_OPTION_NEEDS = {"clip_bound": "finite and > 0", "t_back": "finite and > 0", "tol": "in (0, 1)"}
 
 
 @pytest.mark.parametrize("solver", ["point", "sweep"])
@@ -265,12 +280,13 @@ BAD_LP_OPTIONS = [
     "name, value", BAD_LP_OPTIONS, ids=[f"{n}={v!r}" for n, v in BAD_LP_OPTIONS]
 )
 def test_lp_rejects_a_bound_or_horizon_not_finite_and_positive(solver, name, value):
-    # before any sweep: neither may turn into a fake graph or an overflow
+    # before any sweep: none may turn into a fake graph or an overflow
     p, _ = small_nonlinear()
     split = splitting_parameters(26.0)
     v0 = np.full(split.k0, 0.01)
     opts = {"n_t": 64, "tol": 1e-8, "clip_bound": 1.0, name: value}
-    with pytest.raises(ConfigurationError, match=rf"^{name} must be finite and > 0, got "):
+    needs = re.escape(LP_OPTION_NEEDS[name])
+    with pytest.raises(ConfigurationError, match=rf"^{name} must be {needs}, got "):
         if solver == "point":
             lyapunov_perron_fixed_point(v0, p, split, **opts)
         else:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fastslow import ModelParams, eval_reaction, lipschitz_estimates
+from fastslow import ModelParams, lipschitz_estimates
 from fastslow.errors import ConfigurationError
-from fastslow.models import node_remainder
+from fastslow.models import _reaction_gradients, node_psi, node_remainder
 from fastslow.reduction import critical_map_u_of_v
 
 
@@ -13,70 +13,42 @@ def nonlinear(**kw):
     return ModelParams(**base)
 
 
-def test_reaction_worked_values():
-    r = eval_reaction(nonlinear(), 1.0, 2.0)
-    assert abs(r.g) < 1e-15          # -1 + (2-1)^2 = 0
-    assert r.g1 == -3.0
-    assert r.g2 == 2.0
-
-
 def test_reaction_vanishes_at_origin():
-    r = eval_reaction(nonlinear(), 0.0, 0.0)
-    assert r.g == 0.0 and r.phi == 0.0 and r.psi == 0.0
+    zero = np.zeros(1)
+    n_u, n_v = node_remainder(nonlinear(), zero, zero)
+    assert n_u[0] == 0.0 and n_v[0] == 0.0
 
 
 def test_reaction_psi_value():
-    r = eval_reaction(nonlinear(), 1.0, 1.0)
-    assert r.psi == -1.0  # (1 - 1 - 1) * 1
-
-
-def test_linear_kind_values():
-    p = ModelParams(d=1.0, delta=0.0, eps=0.1, model_kind="linear")
-    r = eval_reaction(p, 0.3, 0.9)
-    assert abs(r.g - (0.9 - 0.6)) < 1e-15
-    assert r.g1 == -2.0 and r.g2 == 1.0
-    assert r.phi == 0.0 and r.psi == 0.0 and r.phi1 == 0.0 and r.psi2 == 0.0
+    one = np.ones(1)
+    assert node_psi(nonlinear(), one, one)[0] == -1.0  # (1 - 1 - 1) * 1
 
 
 def test_partial_derivatives_match_finite_differences():
-    p = nonlinear(kappa=0.7, a=1.3, b=0.4, c=2.1)
+    # at kappa = 0 the two rows of node_remainder are phi and psi
+    p = nonlinear(kappa=0.0, a=1.3, b=0.4, c=2.1)
     rng = np.random.default_rng(0)
     h = 1e-6
     for _ in range(100):
         x, y = rng.uniform(0.0, 3.0, size=2)
-        r = eval_reaction(p, x, y)
-        for name, fn in (("g", "g"), ("phi", "phi"), ("psi", "psi")):
-            d1 = (
-                getattr(eval_reaction(p, x + h, y), fn)
-                - getattr(eval_reaction(p, x - h, y), fn)
-            ) / (2 * h)
-            d2 = (
-                getattr(eval_reaction(p, x, y + h), fn)
-                - getattr(eval_reaction(p, x, y - h), fn)
-            ) / (2 * h)
-            a1 = getattr(r, f"{name}1")
-            a2 = getattr(r, f"{name}2")
+        X = np.array([x + h, x - h, x, x])
+        Y = np.array([y, y, y + h, y - h])
+        exact = _reaction_gradients(p, np.array([x]), np.array([y]))
+        for k, rows in enumerate(node_remainder(p, X, Y)):  # k = 0: phi, k = 1: psi
+            d1 = (rows[0] - rows[1]) / (2 * h)
+            d2 = (rows[2] - rows[3]) / (2 * h)
+            a1, a2 = exact[2 * k][0], exact[2 * k + 1][0]
             assert abs(d1 - a1) <= 1e-6 * max(1.0, abs(a1))
             assert abs(d2 - a2) <= 1e-6 * max(1.0, abs(a2))
 
 
-def test_g1_at_most_minus_one_in_admissible_region():
-    p = nonlinear(kappa=0.8)
-    rng = np.random.default_rng(1)
-    x = rng.uniform(0.0, 5.0, 500)
-    y = x + rng.uniform(0.0, 5.0, 500)
-    r = eval_reaction(p, x, y)
-    assert np.all(r.g1 <= -1.0)
-
-
 def test_g_root_is_critical_map():
-    # g(x, y) = 0 with y >= x >= 0 implies x = h_kappa(y)
+    # g(x, y) = -x + kappa (y - x)^2 = 0 with y >= x >= 0 implies x = h_kappa(y)
     for kappa in (0.25, 1.0, 2.0):
-        p = nonlinear(kappa=kappa)
         for y in (0.0, 0.5, 2.0, 7.0):
             x = critical_map_u_of_v(y, kappa)
-            r = eval_reaction(p, x, y)
-            assert abs(r.g) < 1e-12
+            g = -x + kappa * (y - x) ** 2
+            assert abs(g) < 1e-12
             assert 0.0 <= x <= y
 
 
@@ -102,9 +74,9 @@ def test_lipschitz_gradient_suprema_match_brute_force():
     _, L_phi, L_psi = lipschitz_estimates(p, M=1.0, constants=_SyntheticConstants())
     xs = np.linspace(0.0, 2.0, 401)
     X, Y = np.meshgrid(xs, xs)
-    r = eval_reaction(p, X, Y)
-    brute_phi = np.max(np.abs(r.phi1) + np.abs(r.phi2))
-    brute_psi = np.max(np.abs(r.psi1) + np.abs(r.psi2))
+    phi_x, phi_y, psi_x, psi_y = _reaction_gradients(p, X, Y)
+    brute_phi = np.max(np.abs(phi_x) + np.abs(phi_y))
+    brute_psi = np.max(np.abs(psi_x) + np.abs(psi_y))
     assert abs(L_phi - brute_phi) < 1e-12
     assert abs(L_psi - brute_psi) < 1e-12
     assert abs(L_psi - 7.0) < 1e-12  # attained at the (K0, K0) corner
@@ -136,13 +108,15 @@ def test_params_validation():
     "kw",
     [{}, {"kappa": 0.0}, {"a": 0.0, "b": 0.0, "c": 0.0}, {"kappa": 3.7, "eps": 1e-4, "a": 2.0}],
 )
-def test_node_remainder_matches_eval_reaction(kw):
-    # the solvers' remainder is (kappa f~ / eps + phi, psi) of the reaction terms
+def test_node_remainder_matches_the_reaction_formulas(kw):
+    # the solvers' remainder is (kappa (y - x)^2 / eps + phi, psi) with
+    # phi = (a - b x - c y) x and psi = (a - b x - c y) y
     p = nonlinear(**kw)
     rng = np.random.default_rng(11)
     x = rng.uniform(-1.0, 2.0, 96)
     y = rng.uniform(-1.0, 2.0, 96)
-    r = eval_reaction(p, x, y)
+    lv = p.a - p.b * x - p.c * y
     n_u, n_v = node_remainder(p, x, y)
-    np.testing.assert_allclose(n_u, (p.kappa / p.eps) * r.f_tilde + r.phi, rtol=1e-14, atol=0)
-    np.testing.assert_allclose(n_v, r.psi, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(n_u, (p.kappa / p.eps) * (y - x) ** 2 + lv * x, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(n_v, lv * y, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(node_psi(p, x, y), lv * y, rtol=1e-14, atol=0)
