@@ -47,6 +47,7 @@ class _Field(NamedTuple):
 _AT_LEAST_0 = (lambda x: x >= 0, ">= 0")
 _AT_LEAST_1 = (lambda x: x >= 1, ">= 1")
 _FINITE = (math.isfinite, "a finite value")
+_FINITE_AT_LEAST_0 = (lambda x: math.isfinite(x) and x >= 0, "a finite value >= 0")
 _FINITE_POSITIVE = (lambda x: math.isfinite(x) and x > 0, "a finite value > 0")
 _IN_OPEN_UNIT = (lambda x: 0 < x < 1, "a finite value in (0, 1)")
 
@@ -73,7 +74,7 @@ _RUN = {"grid": _GRID, "time": _Field(_TIME), "initial": _INITIAL}
 _GAP_STUDY = {
     "zeta_inv": _Field(float),
     "M": _Field(float, 1.0),
-    "lipschitz": _Field(_List(float, 3, 3), None),
+    "lipschitz": _Field(_List(float, 3, 3), None, _FINITE_AT_LEAST_0),
 }
 _DELTA_RULE = {"type": _Field(str, "power"), "p": _Field(float, 1.5), "value": _Field(float, None)}
 _BLOCKS = {

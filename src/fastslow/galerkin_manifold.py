@@ -38,8 +38,9 @@ own; it returns the iteration over one point's slow data as a closure.
 ``lyapunov_perron_fixed_point`` builds it for one point and
 ``lyapunov_perron_sweep`` for the whole graph, so a graph point is the same
 bits whichever of the two computes it.  The sweep checks every sample
-before any point runs.  With two or more usable CPUs it solves the points
-in forked worker processes (``_parallel._fork_map``): a closure cannot be
+before any point runs.  With two or more usable CPUs the calling process
+and forked children solve the points between them, one worker per CPU and
+no thread or process pool (``_parallel._fork_map``): a closure cannot be
 pickled, so each child inherits the closure through the fork and works in
 its own copy of the buffers, and only a point's result comes back.  A
 point is the same bits in a child as in this process, where the points run
@@ -156,9 +157,15 @@ def validate_assumptions(params: ModelParams, split: SplittingParams, lips) -> G
     gap summands to total below one, the parameter inequality to be
     negative, and eps * zeta_inv < (1 - L_f) / 4.  The formulas hold the
     Neumann Laplacian's semigroup constant 1 and growth rate 0.  Where the
-    parameter inequality is exactly 0, the first summand is inf.
+    parameter inequality is exactly 0, the first summand is inf.  Each
+    budget must be finite and >= 0: a negative one would let the condition
+    pass where the true budget fails it.
     """
     L_f, L_phi, L_psi = lips
+    if not all(math.isfinite(L) and L >= 0 for L in lips):
+        raise ConfigurationError(
+            f"Lipschitz budgets (L_f, L_phi, L_psi) must be finite and >= 0, got {tuple(lips)}"
+        )
     eps, d, delta = params.eps, params.d, params.delta
     param_ineq = -(1.0 - eps * split.zeta_inv) - eps * 0.5 * (split.N_S + split.N_F)
     term1 = (L_f + eps * L_phi) / abs(param_ineq) if param_ineq != 0.0 else math.inf
@@ -580,12 +587,12 @@ def lyapunov_perron_sweep(
     Each point equals ``lyapunov_perron_fixed_point`` with the same options,
     bit for bit; the setup and the work buffers those options determine are
     built once for the whole graph, and every sample's shape is checked,
-    before any point runs.  On two or more usable CPUs the points run in
-    forked worker processes (``_parallel._fork_map``), each of which
-    inherits the setup and reuses its own copy of the buffers for the points
-    it solves; on one CPU they run in turn in this process.  Either way the
-    points come back in ``v0_samples`` order, and a point's error reaches
-    the caller from the first failing point in that order.
+    before any point runs.  On two or more usable CPUs this process and
+    forked children solve the points between them (``_parallel._fork_map``);
+    each child inherits the setup and reuses its own copy of the buffers for
+    the points it solves.  On one CPU they run in turn in this process.
+    Either way the points come back in ``v0_samples`` order, and a point's
+    error reaches the caller from the first failing point in that order.
     """
     solve = _graph_solver(params, split, fast_band, t_back, n_t, tol, clip_bound)
     samples = [_slow_data(v0, split.k0) for v0 in v0_samples]

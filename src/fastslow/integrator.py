@@ -20,13 +20,13 @@ That step (``_etd2_step``) and one time loop (``_time_loop``) serve every
 solver.  The loop steps one stacked state with one propagator and one node
 map over all its rows.  ``simulate`` steps the rows (u, v) with the
 (2, 2, N) propagator, ``reduction.solve_limit_system`` the row v with a
-(1, 1, N) one, and a member of ``rates.convergence_study`` (in a forked
-worker process when two or more CPUs are usable) steps the rows
-(u, v, v_lim) with the block-diagonal propagator of both, so that one
-transform pair per remainder serves both systems.  Every propagator comes
-from ``_propagator``, and N is evaluated on the padded nodes through
-``spectral_core._dealiased`` (``models.node_remainder`` for the full
-system).
+(1, 1, N) one, and a member of ``rates.convergence_study`` (in the
+calling process or a forked child when two or more CPUs are usable)
+steps the rows (u, v, v_lim) with the block-diagonal propagator of both,
+so that one transform pair per remainder serves both systems.  Every
+propagator comes from ``_propagator``, and N is evaluated on the padded
+nodes through ``spectral_core._dealiased`` (``models.node_remainder`` for
+the full system).
 
 The loop is a generator of samples (t, y): it yields each sampled state as
 it is reached and keeps none.  The solvers fill their ``Trajectory`` from

@@ -14,11 +14,13 @@ t >= 5 eps), since the sup-in-time norms carry the e^{-t/eps} transient.
 
 The study checks every option and the initial data, and builds every
 member's inputs, before any member runs.  The members are independent, so
-with two or more CPUs in ``os.sched_getaffinity(0)`` they run in forked
-worker processes (``_parallel._fork_map``), the one with the most steps
-first.  A forked child inherits the imports and the transform caches.  The
-results come back in ``eps_list`` order, so the report is the same as when
-the members run one after another in this process, as they do on one CPU.
+with two or more CPUs in ``os.sched_getaffinity(0)`` they run in parallel
+through ``_parallel._fork_map``: the calling process runs the member with
+the most steps and forked children take the others, one worker per CPU,
+with no thread or process pool.  A forked child inherits the imports and
+the transform caches.  The results come back in ``eps_list`` order, so the
+report is the same as when the members run one after another in this
+process, as they do on one CPU.
 """
 
 from __future__ import annotations
@@ -173,8 +175,9 @@ def convergence_study(
     {"type": "power", "p": 1.5} (default), {"type": "fixed", "value": v} or
     {"type": "zero"}.  Divergent runs are recorded and skipped by the fit.
     Every option and the initial data are checked before any member runs.
-    The members are independent; on two or more usable CPUs they run in
-    forked worker processes, and the report is the same either way.
+    The members are independent; on two or more usable CPUs this process
+    and forked children run them between them, and the report is the same
+    either way.
     """
     eps_list = list(eps_list)
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
@@ -209,7 +212,8 @@ def convergence_study(
         # land the step count on a multiple of the sampling stride
         n_steps = sample_every * math.ceil(n_steps / sample_every)
         members.append((state0, p, T, T / n_steps, sample_every, eps_in))
-    # the last member (smallest eps) has the most steps: submitted first
+    # the last member (smallest eps) has the most steps: submitted first, so
+    # the caller runs it
     runs = _fork_map(_run_member, members, last_first=True)
     report = ConvergenceReport(runs=runs)
     ok = [r for r in runs if r.norms is not None]

@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -641,7 +640,23 @@ def test_bad_lyapunov_perron_option_exit_1(tmp_path, capsys, key, value):
     assert not (tmp_path / "out.csv").exists()
 
 
-def test_manifold_galerkin_point_failure_exit_3_forked_or_not(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["gap-check", "manifold-galerkin"])
+@pytest.mark.parametrize("budgets", [[-5.0, 0, 0], [math.nan, 0, 0], [0.5, 0, math.inf]])
+def test_negative_or_non_finite_lipschitz_budget_exit_1(tmp_path, capsys, command, budgets):
+    # unchecked, [-5, 0, 0] passed a gap condition that [0.5, 0, 0] fails
+    # (gap-check wrote term1 -16.39, passes true) and nan wrote a row of nan
+    payload = determinism_payloads()[command]
+    payload["model"] = {**payload["model"], "eps": 0.01}
+    payload["study"] = {**payload["study"], "zeta_inv": 26.0, "lipschitz": budgets}
+    cfg = write_config(tmp_path, payload)
+    assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+    assert "field study.lipschitz: need a finite value >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_manifold_galerkin_point_failure_exit_3_forked_or_not(
+    tmp_path, capsys, monkeypatch, no_child_left
+):
     # the gap condition passes with zero Lipschitz budgets, but without the
     # clip the quadratics make the points diverge; a point's ContractionError
     # comes back from a forked child as it is raised in process
@@ -659,7 +674,7 @@ def test_manifold_galerkin_point_failure_exit_3_forked_or_not(tmp_path, capsys, 
     for workers in (1, 2):
         monkeypatch.setattr(_parallel, "_worker_count", lambda n, workers=workers: workers)
         assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 3
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
         errs[workers] = capsys.readouterr().err
     assert errs[1].startswith("assumption check failed: no contraction for 3 consecutive sweeps")
     assert errs[2] == errs[1]

@@ -1,5 +1,4 @@
 import math
-import multiprocessing
 import os
 import re
 
@@ -149,6 +148,18 @@ def test_gap_parameter_inequality_exactly_zero_fails_with_unbounded_term1():
     assert rep.passes is False
 
 
+@pytest.mark.parametrize(
+    "lips", [(-5.0, 0.0, 0.0), (math.nan, 0.0, 0.0), (0.5, math.inf, 0.0), (0.5, 0.0, -1e-3)],
+    ids=["negative L_f", "nan L_f", "inf L_phi", "negative L_psi"],
+)
+def test_gap_rejects_a_negative_or_non_finite_budget(lips):
+    # L_f = -5 would pass the condition that L_f = 0.5 fails (term1 -16.39)
+    # and a nan would report a row of nan
+    p = ModelParams(d=1.0, delta=0.001, eps=0.01, model_kind="linear")
+    with pytest.raises(ConfigurationError, match="Lipschitz budgets"):
+        validate_assumptions(p, splitting_parameters(26.0), lips)
+
+
 def test_gap_passes_nonlinear():
     p, consts = small_nonlinear()
     split = splitting_parameters(26.0)
@@ -294,7 +305,7 @@ def test_lp_rejects_a_bound_or_horizon_not_finite_and_positive(solver, name, val
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_lp_sweep_checks_every_sample_before_any_point(monkeypatch, workers):
+def test_lp_sweep_checks_every_sample_before_any_point(monkeypatch, workers, no_child_left):
     def no_point_may_run(*args):
         raise AssertionError("a graph point ran")
 
@@ -305,11 +316,13 @@ def test_lp_sweep_checks_every_sample_before_any_point(monkeypatch, workers):
     samples = [np.full(split.k0, 0.01), np.full(split.k0 + 1, 0.01)]
     with pytest.raises(ConfigurationError, match=r"expected 5 slow coefficients, got \(6,\)"):
         lyapunov_perron_sweep(samples, p, split, n_t=64, tol=1e-8, clip_bound=1.0)
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
 @pytest.mark.parametrize("clip", [None, 0.01], ids=["no-clip", "clip"])
-def test_lp_sweep_in_forked_workers_equals_the_sweep_in_process(monkeypatch, tmp_path, clip):
+def test_lp_sweep_in_forked_workers_equals_the_sweep_in_process(
+    monkeypatch, tmp_path, clip, no_child_left
+):
     # the points solved in forked children, each child with its own copy of
     # the shared setup and buffers, keep every bit of the in-process sweep;
     # each sweep of a point writes down the process it ran in
@@ -330,14 +343,15 @@ def test_lp_sweep_in_forked_workers_equals_the_sweep_in_process(monkeypatch, tmp
     for workers in (1, 2, 3):
         monkeypatch.setattr(_parallel, "_worker_count", lambda n, workers=workers: workers)
         graphs[workers] = lyapunov_perron_sweep(samples, p, split, **opts)
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
         pids[workers] = set((tmp_path / "pids").read_text().split())
         (tmp_path / "pids").unlink()
     assert pids[1] == {str(os.getpid())}
     serial = graphs[1]
     assert all(pt.converged == (clip is not None) for pt in serial.points)
     for workers in (2, 3):
-        assert str(os.getpid()) not in pids[workers]
+        # the caller is one of the workers
+        assert str(os.getpid()) in pids[workers] and len(pids[workers]) <= workers
         forked = graphs[workers]
         assert forked.k0 == serial.k0 and len(forked.points) == len(serial.points)
         assert forked.lipschitz_ratio == serial.lipschitz_ratio
@@ -352,7 +366,7 @@ def test_lp_sweep_in_forked_workers_equals_the_sweep_in_process(monkeypatch, tmp
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_lp_sweep_point_error_crosses_the_process_boundary(monkeypatch, workers):
+def test_lp_sweep_point_error_crosses_the_process_boundary(monkeypatch, workers, no_child_left):
     # two points fail to contract, each with its own message; the caller gets
     # the first one in list order, as in process, whichever child finished first
     p = ModelParams(d=1.0, delta=1e-4, eps=0.01, kappa=3e-5, a=1.0, b=1.0, c=1.0)
@@ -371,7 +385,7 @@ def test_lp_sweep_point_error_crosses_the_process_boundary(monkeypatch, workers)
     assert type(caught.value) is ContractionError
     assert str(caught.value) == str(first.value)
     assert caught.value.gap_report == rep
-    assert multiprocessing.active_children() == []
+    assert no_child_left()
 
 
 def test_lp_default_horizon_accepted_at_tol_1e_8():
