@@ -14,7 +14,7 @@ from fastslow import (
     SpectralField,
     attraction_projection,
     lipschitz_estimates,
-    lyapunov_perron_fixed_point,
+    lyapunov_perron_sweep,
     mode_spectrum,
     sobolev_norm,
     splitting_parameters,
@@ -28,7 +28,7 @@ split = splitting_parameters(10.0)
 rep = validate_assumptions(p, split, lipschitz_estimates(p, 1.0))
 v0 = np.zeros(split.k0)
 v0[1] = 1.0
-pt = lyapunov_perron_fixed_point(v0, p, split, n_t=2048, tol=1e-9, gap_report=rep)
+pt = lyapunov_perron_sweep([v0], p, split, n_t=2048, tol=1e-9, gap_report=rep).points[0]
 slope = mode_spectrum(p, 1).slope
 print(f"linear kind: LP slope {pt.u_coeffs[1]:.9f} vs closed form {slope:.9f} "
       f"(error {abs(pt.u_coeffs[1] - slope):.1e})")
@@ -46,8 +46,8 @@ splitn = splitting_parameters(26.0)
 lips = lipschitz_estimates(pn, 0.25, constants=consts)
 repn = validate_assumptions(pn, splitn, lips)
 v0n = np.array([0.02, 0.015, 0.0, 0.005, 0.0])
-ptn = lyapunov_perron_fixed_point(v0n, pn, splitn, n_t=768, tol=1e-7,
-                                  gap_report=repn, clip_bound=consts.K0)
+ptn = lyapunov_perron_sweep([v0n], pn, splitn, n_t=768, tol=1e-7,
+                            gap_report=repn, clip_bound=consts.K0).points[0]
 samp = attraction_projection(v0n, pn, splitn)
 du = SpectralField(ptn.grid, ptn.u_coeffs - samp.u_coeffs)
 dv = SpectralField(ptn.grid, ptn.v_fast_coeffs - samp.v_fast_coeffs)

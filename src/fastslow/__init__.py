@@ -25,7 +25,6 @@ from .galerkin_manifold import (
     ResolventReport,
     SplittingParams,
     attraction_projection,
-    lyapunov_perron_fixed_point,
     lyapunov_perron_sweep,
     resolvent_bound_check,
     splitting_parameters,

@@ -5,11 +5,12 @@ CPUs in ``os.sched_getaffinity(0)`` and ``os.fork``, it forks
 ``_worker_count(len(tasks)) - 1`` children and the calling process works as
 one more worker; otherwise, and for a single task, the tasks run one after
 another in this process.  The workers take the tasks one at a time, in
-submit order, from one queue: a pipe that holds a single baton, the
-position in that order of the next task to take.  A worker reads the
-baton, writes the next position back and runs its task, so no two workers
-take the same task, and no thread or process pool is started.  The caller
-keeps the first task in submit order for itself.
+list order, from one queue: a pipe that holds a single baton, the index of
+the next task to take.  A worker reads the baton, writes the next index
+back and runs its task, so no two workers take the same task, and no
+thread or process pool is started.  The caller keeps the first task for
+itself, so a caller that wants its longest task run in its own process
+(or measured there) puts it first.
 
 The children inherit ``fn`` and ``tasks`` through the fork, so neither is
 pickled: ``fn`` may be a closure over buffers built once in the caller, and
@@ -47,27 +48,26 @@ def _worker_count(n_tasks: int) -> int:
 
 
 def _take(baton) -> int:
-    """The position of the next task to run, off the baton pipe."""
+    """The index of the next task to run, off the baton pipe."""
     take, put = baton
-    position = int.from_bytes(os.read(take, _BATON_BYTES), "little")
-    os.write(put, (position + 1).to_bytes(_BATON_BYTES, "little"))
-    return position
+    i = int.from_bytes(os.read(take, _BATON_BYTES), "little")
+    os.write(put, (i + 1).to_bytes(_BATON_BYTES, "little"))
+    return i
 
 
-def _run_share(fn, tasks, order, baton, position: int):
-    """From the task at ``position``, already taken, on: one worker's
-    ``(index, ok, result or exception)`` outcomes, until no task is left."""
-    while position < len(order):
-        i = order[position]
+def _run_share(fn, tasks, baton, i: int):
+    """From task ``i``, already taken, on: one worker's ``(index, ok, result
+    or exception)`` outcomes, until no task is left."""
+    while i < len(tasks):
         try:
             outcome = (i, True, fn(*tasks[i]))
         except Exception as exc:
             outcome = (i, False, exc)
         yield outcome
-        position = _take(baton)
+        i = _take(baton)
 
 
-def _child(fn, tasks, order, baton, out: int, inherited: list):
+def _child(fn, tasks, baton, out: int, inherited: list):
     """A forked worker: closes the caller's descriptors it ``inherited``,
     runs its share, sends the outcomes over ``out`` and exits, with status 0
     only when every outcome was sent."""
@@ -80,7 +80,7 @@ def _child(fn, tasks, order, baton, out: int, inherited: list):
         # an interrupt reaches the caller too, which kills its children
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         with open(out, "wb") as sink:
-            for i, ok, value in _run_share(fn, tasks, order, baton, _take(baton)):
+            for i, ok, value in _run_share(fn, tasks, baton, _take(baton)):
                 try:
                     record = pickle.dumps((i, ok, value))
                 except Exception as exc:  # a result that cannot be pickled fails its task
@@ -91,13 +91,13 @@ def _child(fn, tasks, order, baton, out: int, inherited: list):
         os._exit(status)
 
 
-def _fork_map(fn, tasks, last_first: bool = False) -> list:
+def _fork_map(fn, tasks) -> list:
     """``fn`` over the argument tuples ``tasks``, results in their order.
 
-    With more than one worker the tasks are taken in list order, or from the
-    last task back with ``last_first`` (for a list whose last task takes
-    longest), by forked children and by the caller; no child outlives the
-    call, whether it returns or raises.
+    With more than one worker the tasks are taken in list order by forked
+    children and by the caller, which runs the first; a caller whose longest
+    task is not the first reorders its list and its results.  No child
+    outlives the call, whether it returns or raises.
     """
     tasks = list(tasks)
     workers = _worker_count(len(tasks))
@@ -105,7 +105,6 @@ def _fork_map(fn, tasks, last_first: bool = False) -> list:
         return [fn(*t) for t in tasks]
     import signal  # on the parallel branch only, so importing the package does not load it
 
-    order = range(len(tasks))[::-1] if last_first else range(len(tasks))
     baton = os.pipe()
     children = []  # (pid, the file its outcomes come back on), not yet reaped
     try:
@@ -121,10 +120,10 @@ def _fork_map(fn, tasks, last_first: bool = False) -> list:
                 os.close(w)
                 raise
             if pid == 0:
-                _child(fn, tasks, order, baton, w, inherited)  # never returns
+                _child(fn, tasks, baton, w, inherited)  # never returns
             os.close(w)
             children.append((pid, open(r, "rb")))
-        outcomes = list(_run_share(fn, tasks, order, baton, 0))
+        outcomes = list(_run_share(fn, tasks, baton, 0))
         while children:
             pid, source = children[0]
             with source:

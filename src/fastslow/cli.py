@@ -136,13 +136,13 @@ def _cmd_gap_check(cfg: ExperimentConfig):
     lips, _ = _lipschitz_budgets(cfg)
     rep = gm.validate_assumptions(cfg.model, split, lips)
     series = {
-        "eps": [rep.eps],
-        "zeta_inv": [rep.zeta_inv],
-        "k0": [rep.k0],
-        "N_S": [rep.N_S],
-        "N_F": [rep.N_F],
-        "gap": [rep.gap],
-        "eta": [rep.eta],
+        "eps": [cfg.model.eps],
+        "zeta_inv": [split.zeta_inv],
+        "k0": [split.k0],
+        "N_S": [split.N_S],
+        "N_F": [split.N_F],
+        "gap": [split.gap],
+        "eta": [split.eta],
         "term1": [rep.term1],
         "term2": [rep.term2],
         "param_ineq": [rep.parameter_inequality_value],

@@ -28,23 +28,22 @@ since the sources vanish above it; a graph point is padded to all N modes.
 Convergence and the observed contraction factor are measured in the
 weighted sup norm sup_t e^{-eta t} (||u||_H2 + ||v_F||_H2 + ||v_S||_H2).
 
-One builder, ``_graph_solver``, serves both public solvers.  It checks the
-options and builds, as locals shared by a graph's points, the per-mode
-rates, the horizon, the scan kernels' weights and factor powers, the norm
-weights and the work buffers (the ping-pong pair of iterates, the sources,
-the coupled source and the scans' temporaries, with their contiguous
-views), which every sweep of every point reuses instead of allocating its
-own; it returns the iteration over one point's slow data as a closure.
-``lyapunov_perron_fixed_point`` builds it for one point and
-``lyapunov_perron_sweep`` for the whole graph, so a graph point is the same
-bits whichever of the two computes it.  The sweep checks every sample
-before any point runs.  With two or more usable CPUs the calling process
-and forked children solve the points between them, one worker per CPU and
-no thread or process pool (``_parallel._fork_map``): a closure cannot be
-pickled, so each child inherits the closure through the fork and works in
-its own copy of the buffers, and only a point's result comes back.  A
-point is the same bits in a child as in this process, where the points run
-in turn on one CPU.
+``lyapunov_perron_sweep`` is the one solver; a single point is the graph
+of one sample.  Its builder, ``_graph_solver``, checks every option before
+it builds anything, then builds, as locals shared by a graph's points, the
+per-mode rates, the horizon, the scan kernels' weights and factor powers,
+the norm weights and the work buffers (the ping-pong pair of iterates, the
+sources, the coupled source and the scans' temporaries, with their
+contiguous views), which every sweep of every point reuses instead of
+allocating its own; it returns the iteration over one point's slow data as
+a closure, so a point is the same bits in a graph of one as in a graph of
+many.  The sweep checks every sample before any point runs.  With two or
+more usable CPUs the calling process and forked children solve the points
+between them, one worker per CPU and no thread or process pool
+(``_parallel._fork_map``): a closure cannot be pickled, so each child
+inherits the closure through the fork and works in its own copy of the
+buffers, and only a point's result comes back.  A point is the same bits
+in a child as in this process, where the points run in turn on one CPU.
 """
 
 from __future__ import annotations
@@ -77,7 +76,6 @@ __all__ = [
     "ResolventReport",
     "splitting_parameters",
     "validate_assumptions",
-    "lyapunov_perron_fixed_point",
     "lyapunov_perron_sweep",
     "attraction_projection",
     "resolvent_bound_check",
@@ -132,16 +130,9 @@ def splitting_parameters(zeta_inv: float) -> SplittingParams:
 
 @dataclass(frozen=True)
 class GapReport:
-    """Diagnostics of the spectral-gap condition and parameter inequalities."""
+    """Diagnostics of the spectral-gap condition and parameter inequalities at ``split``."""
 
-    eps: float
-    delta: float
-    zeta_inv: float
-    k0: int
-    N_S: float
-    N_F: float
-    gap: float
-    eta: float
+    split: SplittingParams
     term1: float
     term2: float
     total: float
@@ -178,14 +169,7 @@ def validate_assumptions(params: ModelParams, split: SplittingParams, lips) -> G
     small_ratio_ok = eps * split.zeta_inv < (1.0 - L_f) / 4.0
     passes = bool(total < 1.0 and param_ineq < 0.0 and small_ratio_ok)
     return GapReport(
-        eps=eps,
-        delta=delta,
-        zeta_inv=split.zeta_inv,
-        k0=split.k0,
-        N_S=split.N_S,
-        N_F=split.N_F,
-        gap=split.gap,
-        eta=split.eta,
+        split=split,
         term1=term1,
         term2=term2,
         total=total,
@@ -374,16 +358,16 @@ def _graph_grid(params: ModelParams, n_modes: int) -> Grid:
     return build_grid(params.L, n)
 
 
-def _graph_solver(params, split, fast_band, t_back, n_t, tol, clip_bound):
-    """Checks ``lyapunov_perron_fixed_point``'s options (raising their
-    ConfigurationError and HorizonError), builds once what a graph's points
-    share, and returns ``solve(v0_S, max_iter, gap_report)``, the fixed point
-    over v0_S.  The work buffers: the ping-pong pair of iterates, the
-    sources, the coupled source ``S``, and two flat buffers viewed as
-    C-contiguous (n_t, width) columns, ``work`` for the v scans (a scan over
-    the iterate's strided columns is about twice as slow) and ``temp`` for
-    the scans' products and the norms.  A point leaves nothing in them that
-    the next reads.
+def _graph_solver(params, split, fast_band, t_back, n_t, tol, max_iter, gap_report, clip_bound):
+    """Checks ``lyapunov_perron_sweep``'s options (raising their
+    ConfigurationError, and HorizonError for a short ``t_back``), builds once
+    what a graph's points share, and returns ``solve(v0)``, the fixed point
+    over the checked slow data v0.  The work buffers: the ping-pong pair of
+    iterates, the sources, the coupled source ``S``, and two flat buffers
+    viewed as C-contiguous (n_t, width) columns, ``work`` for the v scans (a
+    scan over the iterate's strided columns is about twice as slow) and
+    ``temp`` for the scans' products and the norms.  A point leaves nothing
+    in them that the next reads.
     """
     for name, value in (("t_back", t_back), ("clip_bound", clip_bound)):
         if value is not None and not 0 < value < math.inf:
@@ -397,6 +381,10 @@ def _graph_solver(params, split, fast_band, t_back, n_t, tol, clip_bound):
         fast_band = 3 * k0
     if fast_band < 1:
         raise ConfigurationError("truncation leaves no fast v-modes")
+    for name, value, least in (("n_t", n_t, 8), ("max_iter", max_iter, 1)):
+        if value < least:
+            # with no sweep, max_iter < 1 would return u = 0 as a graph point
+            raise ConfigurationError(f"{name} must be >= {least}, got {value}")
     n_modes = k0 + fast_band
     grid = _graph_grid(params, n_modes)
     M = _system_matrices(params, grid)
@@ -413,8 +401,6 @@ def _graph_solver(params, split, fast_band, t_back, n_t, tol, clip_bound):
             f"t_back={t_back:.4g} leaves truncation tail "
             f"{math.exp(-slowest * t_back):.2e} > tol/10={tol / 10:.2e}"
         )
-    if n_t < 8:
-        raise ConfigurationError("n_t must be at least 8")
 
     h = t_back / (n_t - 1)
     t_nodes = -t_back + h * np.arange(n_t)
@@ -448,8 +434,7 @@ def _graph_solver(params, split, fast_band, t_back, n_t, tol, clip_bound):
         nvs = band_norm(new[1, :, slow], old[1, :, slow], nw[slow], temp_vs)
         return float(np.max(weights * (nu + nvf + nvs)))
 
-    def solve(v0_S, max_iter, gap_report) -> ManifoldPoint:
-        v0 = _slow_data(v0_S, k0)
+    def solve(v0) -> ManifoldPoint:
         # Y = (U, V): band amplitudes of the backward trajectories, (2, n_t, n_modes)
         Y, Y_new = iterates
         Y[0] = 0.0
@@ -460,7 +445,6 @@ def _graph_solver(params, split, fast_band, t_back, n_t, tol, clip_bound):
         prev_dist = None
         bad_streak = 0
         converged = False
-        iterations = 0
         for iterations in range(1, max_iter + 1):
             n_u, psi = _sources(params, grid, Y, clip_bound, sources)
             _convolve_forward(kernel_u, n_u, Y_new[0], temp_u)
@@ -493,7 +477,7 @@ def _graph_solver(params, split, fast_band, t_back, n_t, tol, clip_bound):
         u_end, v_end = Y[:, -1]
         return ManifoldPoint(
             grid=grid,
-            v_slow=np.asarray(v0_S, dtype=float).copy(),
+            v_slow=v0.copy(),
             u_coeffs=np.pad(u_end, (0, grid.N - n_modes)),
             v_fast_coeffs=np.pad(v_end[fast], (k0, grid.N - n_modes)),
             iterations=iterations,
@@ -506,48 +490,13 @@ def _graph_solver(params, split, fast_band, t_back, n_t, tol, clip_bound):
     return solve
 
 
-def lyapunov_perron_fixed_point(
-    v0_S,
-    params: ModelParams,
-    split: SplittingParams,
-    fast_band: int | None = None,
-    t_back: float | None = None,
-    n_t: int = 512,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-    gap_report: GapReport | None = None,
-    clip_bound: float | None = None,
-) -> ManifoldPoint:
-    """Fixed point of the discretized Lyapunov-Perron map over slow data v0_S.
-
-    ``v0_S`` holds the k0 slow v-coefficients.  The truncation keeps
-    n_modes = k0 + fast_band modes (fast_band defaults to 3 k0) on the grid
-    ``_graph_grid(params, n_modes)``.  The default backward horizon
-    20 eps ln(1/tol) is extended automatically when the slowest retained
-    kernel needs longer to reach the tail target tol/10; an explicitly
-    passed ``t_back`` that is too short raises HorizonError instead.  Three
-    consecutive non-contracting sweeps raise ContractionError carrying the
-    gap report.
-
-    For the nonlinear kind, pass ``clip_bound`` (the invariant-box bound,
-    e.g. K_{0,M}) to saturate the quadratic terms in the far past; backward
-    slow-mode growth otherwise feeds the quadratics and large data diverges.
-    ``clip_bound`` and ``t_back``, where given, must be finite and > 0, and
-    ``tol`` must lie in (0, 1).
-
-    One graph point of ``lyapunov_perron_sweep``: the same solver
-    (``_graph_solver``), built here for this point alone.
-    """
-    solve = _graph_solver(params, split, fast_band, t_back, n_t, tol, clip_bound)
-    return solve(v0_S, max_iter, gap_report)
-
-
 @dataclass
 class ManifoldGraph:
     """Sampled graph of the slow manifold over slow-coefficient vectors.
 
-    ``lipschitz_ratio`` is the largest ratio, over pairs of points, of the H2
-    distance of their graph values to that of their slow data (nan if < 2).
+    ``lipschitz_ratio`` is the largest ratio, over pairs of points with
+    distinct slow data, of the H2 distance of their graph values to that of
+    their slow data (nan where there is no such pair).
     """
 
     k0: int
@@ -558,7 +507,7 @@ class ManifoldGraph:
         if len(self.points) < 2:
             return
         nw = _h2_weights(self.points[0].grid)
-        best = 0.0
+        ratios = []
         for a, b in itertools.combinations(self.points, 2):
             dv = a.v_slow - b.v_slow
             dnorm = math.sqrt(float(np.sum(nw[: self.k0] * dv**2)))
@@ -566,8 +515,8 @@ class ManifoldGraph:
                 continue
             du = math.sqrt(float(np.sum(nw * (a.u_coeffs - b.u_coeffs) ** 2)))
             dvf = math.sqrt(float(np.sum(nw * (a.v_fast_coeffs - b.v_fast_coeffs) ** 2)))
-            best = max(best, (du + dvf) / dnorm)
-        self.lipschitz_ratio = best
+            ratios.append((du + dvf) / dnorm)
+        self.lipschitz_ratio = max(ratios, default=math.nan)
 
 
 def lyapunov_perron_sweep(
@@ -582,21 +531,40 @@ def lyapunov_perron_sweep(
     gap_report: GapReport | None = None,
     clip_bound: float | None = None,
 ) -> ManifoldGraph:
-    """Graph points over a list of slow-coefficient vectors.
+    """Fixed points of the discretized Lyapunov-Perron map over a list of
+    slow-coefficient vectors, one graph point each.
 
-    Each point equals ``lyapunov_perron_fixed_point`` with the same options,
-    bit for bit; the setup and the work buffers those options determine are
-    built once for the whole graph, and every sample's shape is checked,
-    before any point runs.  On two or more usable CPUs this process and
-    forked children solve the points between them (``_parallel._fork_map``);
-    each child inherits the setup and reuses its own copy of the buffers for
-    the points it solves.  On one CPU they run in turn in this process.
-    Either way the points come back in ``v0_samples`` order, and a point's
-    error reaches the caller from the first failing point in that order.
+    Each sample holds the k0 slow v-coefficients.  The truncation keeps
+    n_modes = k0 + fast_band modes (fast_band defaults to 3 k0) on the grid
+    ``_graph_grid(params, n_modes)``.  The default backward horizon
+    20 eps ln(1/tol) is extended automatically when the slowest retained
+    kernel needs longer to reach the tail target tol/10; an explicitly
+    passed ``t_back`` that is too short raises HorizonError instead.  Three
+    consecutive non-contracting sweeps of a point raise ContractionError
+    carrying ``gap_report``.
+
+    For the nonlinear kind, pass ``clip_bound`` (the invariant-box bound,
+    e.g. K_{0,M}) to saturate the quadratic terms in the far past; backward
+    slow-mode growth otherwise feeds the quadratics and large data diverges.
+    ``clip_bound`` and ``t_back``, where given, must be finite and > 0,
+    ``tol`` must lie in (0, 1), n_t >= 8 and max_iter >= 1.
+
+    The options are checked, and the setup and the work buffers they
+    determine are built once for the whole graph (``_graph_solver``), and
+    every sample's shape is checked, before any point runs; a point is the
+    same bits alone as in a graph of many.  On two or more usable CPUs this
+    process and forked children solve the points between them
+    (``_parallel._fork_map``); each child inherits the setup and reuses its
+    own copy of the buffers for the points it solves.  On one CPU they run
+    in turn in this process.  Either way the points come back in
+    ``v0_samples`` order, and a point's error reaches the caller from the
+    first failing point in that order.
     """
-    solve = _graph_solver(params, split, fast_band, t_back, n_t, tol, clip_bound)
+    solve = _graph_solver(
+        params, split, fast_band, t_back, n_t, tol, max_iter, gap_report, clip_bound
+    )
     samples = [_slow_data(v0, split.k0) for v0 in v0_samples]
-    points = _fork_map(solve, [(v0, max_iter, gap_report) for v0 in samples])
+    points = _fork_map(solve, [(v0,) for v0 in samples])
     return ManifoldGraph(k0=split.k0, points=points)
 
 

@@ -15,12 +15,13 @@ t >= 5 eps), since the sup-in-time norms carry the e^{-t/eps} transient.
 The study checks every option and the initial data, and builds every
 member's inputs, before any member runs.  The members are independent, so
 with two or more CPUs in ``os.sched_getaffinity(0)`` they run in parallel
-through ``_parallel._fork_map``: the calling process runs the member with
-the most steps and forked children take the others, one worker per CPU,
-with no thread or process pool.  A forked child inherits the imports and
-the transform caches.  The results come back in ``eps_list`` order, so the
-report is the same as when the members run one after another in this
-process, as they do on one CPU.
+through ``_parallel._fork_map``.  The members are submitted smallest eps
+first, so the calling process runs the member with the most steps, and
+forked children take the others, one worker per CPU, with no thread or
+process pool.  A forked child inherits the imports and the transform
+caches.  The results are put back in ``eps_list`` order, so the report is
+the same as when the members run one after another in this process, as
+they do on one CPU.
 """
 
 from __future__ import annotations
@@ -177,7 +178,8 @@ def convergence_study(
     Every option and the initial data are checked before any member runs.
     The members are independent; on two or more usable CPUs this process
     and forked children run them between them, and the report is the same
-    either way.
+    either way.  They are run smallest eps first, so where two members
+    raise, the error of the one with the smaller eps is the one raised.
     """
     eps_list = list(eps_list)
     if any(e2 >= e1 for e1, e2 in zip(eps_list, eps_list[1:])):
@@ -214,7 +216,7 @@ def convergence_study(
         members.append((state0, p, T, T / n_steps, sample_every, eps_in))
     # the last member (smallest eps) has the most steps: submitted first, so
     # the caller runs it
-    runs = _fork_map(_run_member, members, last_first=True)
+    runs = _fork_map(_run_member, members[::-1])[::-1]
     report = ConvergenceReport(runs=runs)
     ok = [r for r in runs if r.norms is not None]
     if len(ok) >= 2:

@@ -25,7 +25,6 @@ sample arrives (``_limit_state``).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import partial
 
@@ -364,7 +363,6 @@ def solve_limit_system(
     T: float,
     dt: float | None = None,
     sample_every: int = 1,
-    constants: ConstantsReport | None = None,
 ) -> Trajectory:
     """Integrate the reduced system dv/dt = d v_xx + psi(h_kappa(v), v).
 
@@ -375,12 +373,6 @@ def solve_limit_system(
     h_kappa(v) at every sample.
     """
     n_samples, samples = _limit_samples(v_in, params, T, dt, sample_every)
-    if constants is not None and not constants.kappa_ok:
-        warnings.warn(
-            "kappa exceeds the admissibility bound; the critical manifold "
-            "theory does not certify this run",
-            stacklevel=2,
-        )
     return _trajectory(v_in.grid, n_samples, samples)
 
 

@@ -21,7 +21,7 @@ from fastslow import (
     initial_layer,
     invariance_and_distance,
     lipschitz_estimates,
-    lyapunov_perron_fixed_point,
+    lyapunov_perron_sweep,
     mode_spectrum,
     nonlinear_eval,
     sharp_embedding_constant_numeric,
@@ -129,9 +129,9 @@ def test_criterion_04_lyapunov_perron_oracle():
     assert gap_rep.passes
     v0 = np.zeros(split.k0)
     v0[1] = 1.0
-    pt = lyapunov_perron_fixed_point(
-        v0, p, split, n_t=2048, tol=1e-9, gap_report=gap_rep
-    )
+    pt = lyapunov_perron_sweep(
+        [v0], p, split, n_t=2048, tol=1e-9, gap_report=gap_rep
+    ).points[0]
     slope = mode_spectrum(p, 1).slope
     err = abs(pt.u_coeffs[1] - slope)
     wall = time.perf_counter() - start

@@ -595,6 +595,16 @@ def test_manifold_galerkin_command_and_failing_gap_exit_3(tmp_path):
     assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 3
 
 
+def test_manifold_galerkin_short_time_grid_exit_1_before_the_horizon(tmp_path, capsys):
+    # t_back = 0.05 is too short as well; the bad n_t is the one reported
+    payload = determinism_payloads()["manifold-galerkin"]
+    payload["study"] = {**payload["study"], "n_t": 4, "t_back": 0.05}
+    cfg = write_config(tmp_path, payload)
+    assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: n_t must be >= 8, got 4\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 def nonlinear_manifold_payload(**study):
     # the benchmark's manifold workload at 2 points and n_t = 256: the
     # default clip_bound K0 comes from the constants chain at radius M

@@ -11,7 +11,6 @@ from fastslow import (
     attraction_projection,
     build_grid,
     lipschitz_estimates,
-    lyapunov_perron_fixed_point,
     lyapunov_perron_sweep,
     mode_spectrum,
     resolvent_bound_check,
@@ -109,6 +108,13 @@ def test_gap_worked_case_small_eps():
     assert rep.parameter_inequality_value < 0
 
 
+def test_gap_report_holds_the_split_it_was_evaluated_for():
+    # the report names the splitting it was evaluated at, not copies of its fields
+    split = splitting_parameters(26.0)
+    rep = validate_assumptions(linear_params(eps=0.001), split, (0.5, 0.0, 0.0))
+    assert rep.split is split
+
+
 def test_gap_worked_case_large_eps_fails():
     rep = gap_case(eps=0.01, delta=0.0)
     assert abs(rep.term1 - 0.5 / 0.305) < 1e-12
@@ -180,7 +186,7 @@ def test_lp_matches_linear_slope():
     assert rep.passes
     v0 = np.zeros(split.k0)
     v0[1] = 1.0
-    pt = lyapunov_perron_fixed_point(v0, p, split, n_t=2048, tol=1e-9, gap_report=rep)
+    pt = lyapunov_perron_sweep([v0], p, split, n_t=2048, tol=1e-9, gap_report=rep).points[0]
     slope = mode_spectrum(p, 1).slope
     assert pt.converged
     assert abs(pt.u_coeffs[1] - slope) < 1e-6
@@ -194,14 +200,14 @@ def test_lp_matches_slope_other_modes_and_zero_delta():
     v0 = np.zeros(split.k0)
     v0[2] = -0.7
     # mode 2 decays 4x faster than mode 1; finer time grid for the same accuracy
-    pt = lyapunov_perron_fixed_point(v0, p, split, n_t=4096, tol=1e-9)
+    pt = lyapunov_perron_sweep([v0], p, split, n_t=4096, tol=1e-9).points[0]
     slope = mode_spectrum(p, 2).slope
     assert abs(pt.u_coeffs[2] / v0[2] - slope) < 1e-6
 
     p0 = linear_params(eps=0.01, delta=0.0)
     split0 = splitting_parameters(10.0)
     w0 = np.array([0.0, 1.0, 0.0])
-    pt0 = lyapunov_perron_fixed_point(w0, p0, split0, n_t=2048, tol=1e-9)
+    pt0 = lyapunov_perron_sweep([w0], p0, split0, n_t=2048, tol=1e-9).points[0]
     assert abs(pt0.u_coeffs[1] - 0.5) < 1e-6
     assert np.max(np.abs(pt0.v_fast_coeffs)) < 1e-12
 
@@ -209,7 +215,7 @@ def test_lp_matches_slope_other_modes_and_zero_delta():
 def test_lp_zero_data_gives_zero_graph():
     p = linear_params()
     split = splitting_parameters(10.0)
-    pt = lyapunov_perron_fixed_point(np.zeros(split.k0), p, split, n_t=128, tol=1e-10)
+    pt = lyapunov_perron_sweep([np.zeros(split.k0)], p, split, n_t=128, tol=1e-10).points[0]
     assert np.max(np.abs(pt.u_coeffs)) == 0.0
     assert np.max(np.abs(pt.v_fast_coeffs)) == 0.0
 
@@ -218,19 +224,24 @@ def test_lp_horizon_error_when_explicit_t_back_too_short():
     p = linear_params()
     split = splitting_parameters(10.0)
     with pytest.raises(HorizonError):
-        lyapunov_perron_fixed_point(
-            np.ones(split.k0), p, split, t_back=0.05, n_t=64, tol=1e-10
-        )
+        lyapunov_perron_sweep([np.ones(split.k0)], p, split, t_back=0.05, n_t=64, tol=1e-10)
 
 
-def test_lp_sweep_horizon_error_when_explicit_t_back_too_short():
-    # the sweep checks the horizon once, in the setup its points share
+def test_lp_sweep_horizon_error_when_explicit_t_back_too_short(monkeypatch, no_child_left):
+    # the sweep checks the horizon once, in the setup its points share,
+    # before any point runs or any worker is forked
+    def no_point_may_run(*args):
+        raise AssertionError("a graph point ran")
+
+    monkeypatch.setattr(galerkin_manifold, "_sources", no_point_may_run)
+    monkeypatch.setattr(_parallel, "_worker_count", lambda n: 2)
     p = linear_params()
     split = splitting_parameters(10.0)
     with pytest.raises(HorizonError):
         lyapunov_perron_sweep(
-            [np.ones(split.k0)] * 2, p, split, t_back=0.05, n_t=64, tol=1e-10
+            [np.ones(split.k0)] * 3, p, split, t_back=0.05, n_t=64, tol=1e-10
         )
+    assert no_child_left()
 
 
 @pytest.mark.parametrize("fast_band", [0, -2])
@@ -238,13 +249,13 @@ def test_lp_band_without_fast_modes_rejected(fast_band):
     p = linear_params()
     split = splitting_parameters(10.0)
     with pytest.raises(ConfigurationError, match="no fast v-modes"):
-        lyapunov_perron_fixed_point(np.ones(split.k0), p, split, fast_band=fast_band)
+        lyapunov_perron_sweep([np.ones(split.k0)], p, split, fast_band=fast_band)
 
 
 @pytest.mark.parametrize("clip", [None, 0.01], ids=["no-clip", "clip"])
 def test_lp_sweep_points_equal_separate_solves(clip):
-    # the setup and work buffers shared by a sweep's points keep every bit of
-    # separate solves, each with a setup of its own.  Without the clip the
+    # the setup and work buffers shared by a graph's points keep every bit of
+    # one-sample graphs, each with a setup of its own.  Without the clip the
     # quadratics diverge in the far past (ContractionError from the fourth
     # sweep on), so there the points after three sweeps are compared.
     p, _ = small_nonlinear()
@@ -255,7 +266,7 @@ def test_lp_sweep_points_equal_separate_solves(clip):
     graph = lyapunov_perron_sweep(samples, p, split, **opts)
     assert len(graph.points) == 3
     for v0, pt in zip(samples, graph.points):
-        alone = lyapunov_perron_fixed_point(v0, p, split, **opts)
+        alone = lyapunov_perron_sweep([v0], p, split, **opts).points[0]
         assert pt.converged == alone.converged == (clip is not None)
         assert np.array_equal(pt.v_slow, alone.v_slow)
         assert np.array_equal(pt.u_coeffs, alone.u_coeffs)
@@ -264,8 +275,8 @@ def test_lp_sweep_points_equal_separate_solves(clip):
             alone.iterations, alone.contraction, alone.t_back, alone.n_t
         )
     if clip is not None:  # the clip is active
-        looser = lyapunov_perron_fixed_point(samples[0], p, split, **{**opts, "clip_bound": 1.0})
-        assert not np.array_equal(looser.u_coeffs, graph.points[0].u_coeffs)
+        looser = lyapunov_perron_sweep([samples[0]], p, split, **{**opts, "clip_bound": 1.0})
+        assert not np.array_equal(looser.points[0].u_coeffs, graph.points[0].u_coeffs)
 
 
 BAD_LP_OPTIONS = [
@@ -282,26 +293,40 @@ BAD_LP_OPTIONS = [
     ("tol", 5.0),
     ("tol", 20.0),
     ("tol", math.nan),
+    ("n_t", 7),
+    ("n_t", 0),
+    ("n_t", 4, {"t_back": 0.05}),  # a short horizon too: still n_t's ConfigurationError
+    ("max_iter", 0),  # no sweep: u = 0 would come back as a graph point
+    ("max_iter", -3),
 ]
-LP_OPTION_NEEDS = {"clip_bound": "finite and > 0", "t_back": "finite and > 0", "tol": "in (0, 1)"}
+LP_OPTION_NEEDS = {
+    "clip_bound": "finite and > 0",
+    "t_back": "finite and > 0",
+    "tol": "in (0, 1)",
+    "n_t": ">= 8",
+    "max_iter": ">= 1",
+}
 
 
-@pytest.mark.parametrize("solver", ["point", "sweep"])
 @pytest.mark.parametrize(
-    "name, value", BAD_LP_OPTIONS, ids=[f"{n}={v!r}" for n, v in BAD_LP_OPTIONS]
+    "case",
+    BAD_LP_OPTIONS,
+    ids=[f"{c[0]}={c[1]!r}{' t_back=0.05' * len(c[2:])}" for c in BAD_LP_OPTIONS],
 )
-def test_lp_rejects_a_bound_or_horizon_not_finite_and_positive(solver, name, value):
-    # before any sweep: none may turn into a fake graph or an overflow
+def test_lp_rejects_a_bad_option_before_any_sweep(monkeypatch, case):
+    # none may turn into a fake graph or an overflow
+    def no_point_may_run(*args):
+        raise AssertionError("a graph point ran")
+
+    monkeypatch.setattr(galerkin_manifold, "_sources", no_point_may_run)
+    name, value, *others = case
     p, _ = small_nonlinear()
     split = splitting_parameters(26.0)
     v0 = np.full(split.k0, 0.01)
-    opts = {"n_t": 64, "tol": 1e-8, "clip_bound": 1.0, name: value}
+    opts = {"n_t": 64, "tol": 1e-8, "clip_bound": 1.0, **dict(*others), name: value}
     needs = re.escape(LP_OPTION_NEEDS[name])
     with pytest.raises(ConfigurationError, match=rf"^{name} must be {needs}, got "):
-        if solver == "point":
-            lyapunov_perron_fixed_point(v0, p, split, **opts)
-        else:
-            lyapunov_perron_sweep([v0, v0], p, split, **opts)
+        lyapunov_perron_sweep([v0, v0], p, split, **opts)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -375,9 +400,9 @@ def test_lp_sweep_point_error_crosses_the_process_boundary(monkeypatch, workers,
     samples = [np.array(v) for v in ([0.01, 0.0, 0.0], [0.05, 0.02, 0.0], [0.2, 0.0, 0.05])]
     opts = dict(n_t=256, tol=1e-8, gap_report=rep)
     with pytest.raises(ContractionError) as first:
-        lyapunov_perron_fixed_point(samples[1], p, split, **opts)
+        lyapunov_perron_sweep([samples[1]], p, split, **opts)
     with pytest.raises(ContractionError) as second:
-        lyapunov_perron_fixed_point(samples[2], p, split, **opts)
+        lyapunov_perron_sweep([samples[2]], p, split, **opts)
     assert str(first.value) != str(second.value)
     monkeypatch.setattr(_parallel, "_worker_count", lambda n: workers)
     with pytest.raises(ContractionError) as caught:
@@ -393,9 +418,9 @@ def test_lp_default_horizon_accepted_at_tol_1e_8():
     # that rounds just above tol/10; only an explicit t_back is checked
     p, _ = small_nonlinear()
     split = splitting_parameters(26.0)
-    pt = lyapunov_perron_fixed_point(
-        np.full(split.k0, 0.01), p, split, n_t=256, tol=1e-8, clip_bound=1.0
-    )
+    pt = lyapunov_perron_sweep(
+        [np.full(split.k0, 0.01)], p, split, n_t=256, tol=1e-8, clip_bound=1.0
+    ).points[0]
     assert pt.converged
 
 
@@ -405,9 +430,9 @@ def test_lp_graph_point_padded_from_the_band():
     p, consts = small_nonlinear()
     split = splitting_parameters(26.0)
     k0, n_modes = split.k0, split.k0 + 7
-    pt = lyapunov_perron_fixed_point(
-        np.full(k0, 0.02), p, split, fast_band=7, n_t=256, tol=1e-8, clip_bound=consts.K0
-    )
+    pt = lyapunov_perron_sweep(
+        [np.full(k0, 0.02)], p, split, fast_band=7, n_t=256, tol=1e-8, clip_bound=consts.K0
+    ).points[0]
     N = pt.grid.N
     assert pt.converged and n_modes < N
     assert pt.u_coeffs.shape == pt.v_fast_coeffs.shape == (N,)
@@ -467,8 +492,8 @@ def test_lp_noncontraction_raises_with_report():
     split = splitting_parameters(10.0)
     rep = validate_assumptions(p, split, (0.5, 5.0, 5.0))
     with pytest.raises(ContractionError) as err:
-        lyapunov_perron_fixed_point(
-            np.array([0.05, 0.02, 0.0]), p, split, n_t=256, tol=1e-8, gap_report=rep
+        lyapunov_perron_sweep(
+            [np.array([0.05, 0.02, 0.0])], p, split, n_t=256, tol=1e-8, gap_report=rep
         )
     assert err.value.gap_report is rep
 
@@ -480,9 +505,9 @@ def test_lp_nonlinear_agrees_with_attraction():
     rep = validate_assumptions(p, split, lips)
     assert rep.passes
     v0 = np.array([0.02, 0.015, 0.0, 0.005, 0.0])
-    pt = lyapunov_perron_fixed_point(
-        v0, p, split, n_t=768, tol=1e-7, gap_report=rep, clip_bound=consts.K0
-    )
+    pt = lyapunov_perron_sweep(
+        [v0], p, split, n_t=768, tol=1e-7, gap_report=rep, clip_bound=consts.K0
+    ).points[0]
     assert pt.converged
     assert pt.contraction <= rep.total + 0.1
     samp = attraction_projection(v0, p, split)
@@ -504,6 +529,16 @@ def test_lp_graph_lipschitz_bound():
     assert graph.lipschitz_ratio <= bound
 
 
+@pytest.mark.parametrize("n_points", [1, 2])
+def test_lp_graph_lipschitz_ratio_nan_without_distinct_slow_data(n_points):
+    # no pair of points with distinct slow data, so no ratio was measured
+    p = linear_params()
+    split = splitting_parameters(10.0)
+    graph = lyapunov_perron_sweep([np.full(split.k0, 0.3)] * n_points, p, split, n_t=64)
+    assert len(graph.points) == n_points
+    assert math.isnan(graph.lipschitz_ratio)
+
+
 def test_lp_distance_to_critical_frozen_constant():
     # ||h_u(v0) - v0/2||_L2 + ||h_vF(v0)||_H2 <= C (eps + (delta+eps)/(eps gap)) ||v0||_H2
     # C calibrated once on this sweep and frozen.
@@ -513,7 +548,7 @@ def test_lp_distance_to_critical_frozen_constant():
         p = linear_params(eps=eps, delta=delta)
         split = splitting_parameters(10.0)
         v0 = rng.standard_normal(split.k0)
-        pt = lyapunov_perron_fixed_point(v0, p, split, n_t=1024, tol=1e-9)
+        pt = lyapunov_perron_sweep([v0], p, split, n_t=1024, tol=1e-9).points[0]
         grid = pt.grid
         v_field = np.zeros(grid.N)
         v_field[: split.k0] = v0
@@ -533,7 +568,7 @@ def test_lp_local_invariance_of_graph():
     split = splitting_parameters(10.0)
     v0 = np.array([0.3, 1.0, -0.4])
     tol = 1e-6  # n_t = 2048 keeps the quadrature error of the graph below tol
-    pt = lyapunov_perron_fixed_point(v0, p, split, n_t=2048, tol=tol)
+    pt = lyapunov_perron_sweep([v0], p, split, n_t=2048, tol=tol).points[0]
     grid = pt.grid
     v_start = np.zeros(grid.N)
     v_start[: split.k0] = v0
@@ -543,9 +578,9 @@ def test_lp_local_invariance_of_graph():
         0.0,
     )
     traj = simulate(state, p, T=10 * p.eps, dt=p.eps / 4, sample_every=5)
-    for u, v in traj.coeffs:
-        v_slow_now = v[: split.k0]
-        pt_now = lyapunov_perron_fixed_point(v_slow_now, p, split, n_t=2048, tol=tol)
+    slow_now = [v[: split.k0] for _, v in traj.coeffs]
+    graph = lyapunov_perron_sweep(slow_now, p, split, n_t=2048, tol=tol)
+    for (u, _), pt_now in zip(traj.coeffs, graph.points):
         defect = np.max(np.abs(u - pt_now.u_coeffs))
         assert defect <= 10 * tol  # discrete local invariance
 

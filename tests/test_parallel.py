@@ -38,48 +38,71 @@ def wait_for_lines(path, count):
 
 
 @pytest.mark.parametrize("workers", [2, 3], indirect=True)
-@pytest.mark.parametrize("last_first", [False, True])
-def test_results_come_back_in_task_order(workers, last_first, no_child_left):
-    tasks = [(i,) for i in range(9)]
-    assert _fork_map(nap, tasks, last_first=last_first) == [i * i for i in range(9)]
+@pytest.mark.parametrize("n_tasks", [1, 2, 9])
+def test_results_come_back_in_task_order(workers, n_tasks, no_child_left):
+    # with fewer tasks than workers, the children left without one send nothing
+    tasks = [(i,) for i in range(n_tasks)]
+    assert _fork_map(nap, tasks) == [i * i for i in range(n_tasks)]
     assert no_child_left()
 
 
 @pytest.mark.parametrize("workers", [2, 3], indirect=True)
-@pytest.mark.parametrize("last_first", [False, True])
-def test_the_caller_runs_the_first_task_it_submits(workers, last_first, no_child_left):
+def test_the_caller_runs_the_first_task(workers, no_child_left):
     def where(i):
         time.sleep(0.02)
         return os.getpid()
 
-    pids = _fork_map(where, [(i,) for i in range(8)], last_first=last_first)
-    assert pids[-1 if last_first else 0] == os.getpid()
+    pids = _fork_map(where, [(i,) for i in range(8)])
+    assert pids[0] == os.getpid()
     assert len(set(pids)) <= workers
     assert no_child_left()
 
 
 @pytest.mark.parametrize("workers", [2], indirect=True)
-@pytest.mark.parametrize(
-    "last_first", [False, True], ids=["task 0 in the caller", "task 0 in a child"]
-)
-def test_first_failing_task_in_order_wins(workers, tmp_path, last_first, no_child_left):
-    # the caller takes position 0 and the child position 1, so task 0 runs
-    # in the caller, or with last_first in the child; it fails 0.2 s after
-    # task 1, and its exception is the one raised
+@pytest.mark.parametrize("first", [0, 1], ids=["in the caller", "in a child"])
+def test_first_failing_task_in_order_wins(workers, tmp_path, first, no_child_left):
+    # the caller takes task 0 and the child task 1; the tasks before
+    # ``first`` succeed and the others fail, ``first`` 0.2 s after the rest
+    # (with first = 1, after task 2, which the caller takes next), and its
+    # exception is the one raised
     log = tmp_path / "log"
 
     def fail(i):
         with open(log, "a", encoding="ascii") as fh:
             fh.write(f"{i} {os.getpid()}\n")
         wait_for_lines(log, 2)
-        if i == 0:
+        if i < first:
+            return i
+        if i == first:
             time.sleep(0.2)
         raise Boom(f"task {i}")
 
-    with pytest.raises(Boom, match=r"^task 0$"):
-        _fork_map(fail, [(0,), (1,)], last_first=last_first)
+    with pytest.raises(Boom, match=rf"^task {first}$"):
+        _fork_map(fail, [(i,) for i in range(first + 2)])
     ran = dict(line.split() for line in log.read_text().splitlines())
-    assert (ran["0"] == str(os.getpid())) != last_first
+    assert (ran[str(first)] == str(os.getpid())) == (first == 0)
+    assert no_child_left()
+
+
+class Unpicklable:
+    def __reduce__(self):
+        raise TypeError("cannot pickle this result")
+
+
+@pytest.mark.parametrize("workers", [2, 3], indirect=True)
+def test_a_result_a_child_cannot_pickle_fails_its_task(workers, tmp_path, no_child_left):
+    # every worker takes one task; only the children's results are pickled,
+    # so task 0, the caller's, succeeds and task 1 is the first to fail
+    caller, log = os.getpid(), tmp_path / "log"
+
+    def result(i):
+        with open(log, "a", encoding="ascii") as fh:
+            fh.write(f"{i}\n")
+        wait_for_lines(log, workers)
+        return i if os.getpid() == caller else Unpicklable()
+
+    with pytest.raises(TypeError, match=r"^cannot pickle this result$"):
+        _fork_map(result, [(i,) for i in range(workers)])
     assert no_child_left()
 
 

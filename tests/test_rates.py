@@ -372,6 +372,47 @@ def test_member_error_reaches_the_caller(monkeypatch, workers, no_child_left):
     assert no_child_left()
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_of_two_failing_members_the_smaller_eps_is_reported(monkeypatch, workers, no_child_left):
+    import fastslow.rates as rates
+
+    step_both = rates._simulate_with_limit
+
+    def broken(state0, params, *args):
+        if params.eps in (0.1, 0.03):
+            raise ShapeError(f"member eps={params.eps} is broken")
+        return step_both(state0, params, *args)
+
+    monkeypatch.setattr(rates, "_simulate_with_limit", broken)
+    monkeypatch.setattr(_parallel, "_worker_count", lambda n: workers)
+    p, u_in, v_in = diverging_study()
+    with pytest.raises(ShapeError, match=r"^member eps=0\.03 is broken$"):
+        convergence_study(p, u_in, v_in, [0.1, 0.03, 0.01], T=0.1, delta_rule={"type": "zero"})
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_the_caller_runs_the_smallest_eps_member(monkeypatch, tmp_path, workers, no_child_left):
+    # the member with the most steps runs, and is measured, in this process
+    import fastslow.rates as rates
+
+    step_both = rates._simulate_with_limit
+
+    def logged(state0, params, *args):
+        with open(tmp_path / "ran", "a", encoding="ascii") as fh:
+            fh.write(f"{params.eps} {os.getpid()}\n")
+        return step_both(state0, params, *args)
+
+    monkeypatch.setattr(rates, "_simulate_with_limit", logged)
+    monkeypatch.setattr(_parallel, "_worker_count", lambda n: workers)
+    p, u_in, v_in = diverging_study()
+    convergence_study(p, u_in, v_in, [0.1, 0.03, 0.01], T=0.1, delta_rule={"type": "zero"})
+    assert no_child_left()
+    ran = dict(line.split() for line in (tmp_path / "ran").read_text().splitlines())
+    assert sorted(ran) == ["0.01", "0.03", "0.1"]
+    assert ran["0.01"] == str(os.getpid())
+
+
 def test_worker_count_follows_the_usable_cpus(monkeypatch):
     # one process per usable CPU and member; a single CPU runs in process
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)

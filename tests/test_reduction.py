@@ -186,12 +186,3 @@ def test_limit_system_divergence_detected():
     v0 = SpectralField.from_values(g, np.ones(16))
     with pytest.raises(DivergenceError):
         solve_limit_system(v0, p, T=1.0, dt=0.001)
-
-
-def test_limit_system_warns_on_inadmissible_kappa():
-    g = build_grid(np.pi, 16)
-    p = ModelParams(d=1.0, delta=0.0, eps=0.01, kappa=1.0, a=1.0, b=1.0, c=1.0)
-    rep = theoretical_constants(p, M=1.0)
-    v0 = SpectralField.from_values(g, 0.2 * np.ones(16))
-    with pytest.warns(UserWarning):
-        solve_limit_system(v0, p, T=0.01, dt=0.001, constants=rep)
