@@ -18,15 +18,11 @@ from .errors import (
     SplittingError,
 )
 from .galerkin_manifold import (
-    AttractionSample,
     GapReport,
     ManifoldGraph,
     ManifoldPoint,
-    ResolventReport,
     SplittingParams,
-    attraction_projection,
     lyapunov_perron_sweep,
-    resolvent_bound_check,
     splitting_parameters,
     validate_assumptions,
 )
@@ -59,7 +55,6 @@ from .reduction import (
     critical_map_u_of_v,
     initial_layer,
     lipschitz_estimates,
-    sharp_embedding_constant_numeric,
     solve_limit_system,
     theoretical_constants,
 )

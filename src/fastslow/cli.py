@@ -127,7 +127,7 @@ def _lipschitz_budgets(cfg: ExperimentConfig):
     lips, M = cfg.study["lipschitz"], cfg.study["M"]
     if lips is not None:
         return lips, None
-    constants = theoretical_constants(cfg.model, M, rng=cfg.rng())
+    constants = theoretical_constants(cfg.model, M)
     return lipschitz_estimates(cfg.model, M, constants=constants), constants
 
 

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -62,9 +63,8 @@ from .errors import (
     HorizonError,
     SplittingError,
 )
-from .integrator import FastSlowState, _full_node_map, _phi, _system_matrices, simulate
+from .integrator import _full_node_map, _phi, _system_matrices
 from .models import ModelParams
-from .reduction import critical_map_u_of_v
 from .spectral_core import Grid, SpectralField, _dealiased, build_grid
 
 __all__ = [
@@ -72,13 +72,9 @@ __all__ = [
     "GapReport",
     "ManifoldPoint",
     "ManifoldGraph",
-    "AttractionSample",
-    "ResolventReport",
     "splitting_parameters",
     "validate_assumptions",
     "lyapunov_perron_sweep",
-    "attraction_projection",
-    "resolvent_bound_check",
 ]
 
 # Byte budget of one block of ``_sources``' padded node values (both fields).
@@ -218,12 +214,6 @@ def _slow_data(v_slow, k0: int) -> np.ndarray:
     if v_slow.shape != (k0,):
         raise ConfigurationError(f"expected {k0} slow coefficients, got {v_slow.shape}")
     return v_slow
-
-
-def _embed_slow(grid: Grid, v_slow: np.ndarray, k0: int) -> np.ndarray:
-    out = np.zeros(grid.N)
-    out[:k0] = _slow_data(v_slow, k0)
-    return out
 
 
 def _source_block_rows(grid: Grid) -> int:
@@ -379,12 +369,12 @@ def _graph_solver(params, split, fast_band, t_back, n_t, tol, max_iter, gap_repo
     k0 = split.k0
     if fast_band is None:
         fast_band = 3 * k0
-    if fast_band < 1:
-        raise ConfigurationError("truncation leaves no fast v-modes")
-    for name, value, least in (("n_t", n_t, 8), ("max_iter", max_iter, 1)):
-        if value < least:
-            # with no sweep, max_iter < 1 would return u = 0 as a graph point
-            raise ConfigurationError(f"{name} must be >= {least}, got {value}")
+    integers = (("n_t", n_t, 8), ("max_iter", max_iter, 1), ("fast_band", fast_band, 1))
+    for name, value, least in integers:
+        # with no sweep, max_iter < 1 would return u = 0 as a graph point; a
+        # float would reach range() or a slice and raise TypeError there
+        if not isinstance(value, numbers.Integral) or value < least:
+            raise ConfigurationError(f"{name} must be an integer >= {least}, got {value}")
     n_modes = k0 + fast_band
     grid = _graph_grid(params, n_modes)
     M = _system_matrices(params, grid)
@@ -547,7 +537,8 @@ def lyapunov_perron_sweep(
     e.g. K_{0,M}) to saturate the quadratic terms in the far past; backward
     slow-mode growth otherwise feeds the quadratics and large data diverges.
     ``clip_bound`` and ``t_back``, where given, must be finite and > 0,
-    ``tol`` must lie in (0, 1), n_t >= 8 and max_iter >= 1.
+    ``tol`` must lie in (0, 1), and n_t >= 8, max_iter >= 1 and
+    fast_band >= 1 must be integers (numpy integers included).
 
     The options are checked, and the setup and the work buffers they
     determine are built once for the whole graph (``_graph_solver``), and
@@ -566,132 +557,3 @@ def lyapunov_perron_sweep(
     samples = [_slow_data(v0, split.k0) for v0 in v0_samples]
     points = _fork_map(solve, [(v0,) for v0 in samples])
     return ManifoldGraph(k0=split.k0, points=points)
-
-
-# ---------------------------------------------------------------------------
-# attraction-based manifold estimate
-
-
-@dataclass(frozen=True)
-class AttractionSample:
-    """Approximate graph entry from forward integration off the critical manifold."""
-
-    grid: Grid
-    v_slow: np.ndarray
-    u_coeffs: np.ndarray
-    v_fast_coeffs: np.ndarray
-    tau: float
-
-
-def attraction_projection(
-    v0_S,
-    params: ModelParams,
-    split: SplittingParams,
-    tau: float | None = None,
-) -> AttractionSample:
-    """Integrate forward from the critical-manifold point over (v0_S, 0).
-
-    Runs for tau (default 5 eps ln(1/eps), which needs eps < 1) with the
-    step min(eps/2, tau/200) on the grid of a Lyapunov-Perron graph with the
-    default band, and re-reads the terminal fast components against the
-    terminal slow components, an O(e^{-c tau} + eps) manifold sample.
-    """
-    if tau is None:
-        if params.eps >= 1.0:
-            raise ConfigurationError(
-                f"the default tau = 5 eps ln(1/eps) needs eps < 1, got {params.eps}; pass tau"
-            )
-        tau = 5.0 * params.eps * math.log(1.0 / params.eps)
-    if tau < 0:
-        raise ConfigurationError(f"tau must be >= 0, got {tau}")
-    k0 = split.k0
-    grid = _graph_grid(params, 4 * k0)
-    v0 = SpectralField(grid, _embed_slow(grid, v0_S, k0))
-    if params.is_linear:
-        u0 = SpectralField(grid, 0.5 * v0.coeffs)
-    else:
-        u0 = critical_map_u_of_v(v0, params.kappa)
-    if tau == 0.0:
-        return AttractionSample(
-            grid=grid,
-            v_slow=np.asarray(v0_S, dtype=float).copy(),
-            u_coeffs=u0.coeffs.copy(),
-            v_fast_coeffs=np.zeros(grid.N),
-            tau=0.0,
-        )
-    dt = min(0.5 * params.eps, tau / 200.0)
-    traj = simulate(FastSlowState(u0, v0, 0.0), params, T=tau, dt=dt, sample_every=10**9)
-    u_end, v_end = traj.coeffs[-1]
-    return AttractionSample(
-        grid=grid,
-        v_slow=v_end[:k0].copy(),
-        u_coeffs=u_end.copy(),
-        v_fast_coeffs=np.where(np.arange(grid.N) >= k0, v_end, 0.0),
-        tau=tau,
-    )
-
-
-# ---------------------------------------------------------------------------
-# resolvent bounds
-
-
-@dataclass(frozen=True)
-class ResolventReport:
-    alpha: float
-    beta: float
-    worst_ratio_resolvent: float
-    worst_mode_resolvent: int
-    worst_ratio_shifted: float
-    worst_mode_shifted: int
-    passes: bool
-
-
-def resolvent_bound_check(params: ModelParams, grid: Grid, alpha: float, beta: float) -> ResolventReport:
-    """Per-mode check of the two resolvent estimates of (eps (d+delta) Dxx - Id)^-1.
-
-    The first quantity mu^(alpha-beta) / |eps (d+delta) lam - 1| is tested
-    against 1 for alpha <= beta and eps^{2(beta-alpha)} for alpha > beta,
-    over every retained mode; the second quantity (the Id-shifted operator)
-    against eps^{2(beta-alpha)} over the resolvent-scale modes
-    mu <= 1/(eps (d+delta)) only: above that scale the shifted operator
-    approaches the identity mode-wise and the stated bound provably fails
-    (the quantity grows like mu^(alpha-beta) unchecked).  Mode 0 uses the
-    conventions 0^0 = 1 and 0^positive = 0 and is skipped where the
-    exponent is negative.
-    """
-    if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
-        raise ConfigurationError("alpha and beta must lie in [0, 1]")
-    eps, dd = params.eps, params.d + params.delta
-    expo = alpha - beta
-    bound1 = 1.0 if alpha <= beta else eps ** (2.0 * (beta - alpha))
-    bound2 = eps ** (2.0 * (beta - alpha))
-    mu_resolvent = 1.0 / (eps * dd) if dd > 0 else float("inf")
-    worst1, arg1 = 0.0, 0
-    worst2, arg2 = 0.0, 0
-    for k in range(grid.N):
-        mu = grid.mu[k]
-        denom = eps * dd * mu + 1.0
-        if mu == 0.0:
-            if expo > 0:
-                power = 0.0
-            elif expo == 0:
-                power = 1.0
-            else:
-                continue
-        else:
-            power = mu**expo
-        q1 = power / denom
-        q2 = eps * dd * mu * power / denom
-        if q1 / bound1 > worst1:
-            worst1, arg1 = q1 / bound1, k
-        if mu <= mu_resolvent and q2 / bound2 > worst2:
-            worst2, arg2 = q2 / bound2, k
-    return ResolventReport(
-        alpha=alpha,
-        beta=beta,
-        worst_ratio_resolvent=worst1,
-        worst_mode_resolvent=arg1,
-        worst_ratio_shifted=worst2,
-        worst_mode_shifted=arg2,
-        passes=bool(worst1 <= 1.0 + 1e-12 and worst2 <= 1.0 + 1e-12),
-    )

@@ -54,7 +54,6 @@ __all__ = [
     "initial_layer",
     "lipschitz_estimates",
     "theoretical_constants",
-    "sharp_embedding_constant_numeric",
     "solve_limit_system",
 ]
 
@@ -155,13 +154,15 @@ def _corner_table(params: ModelParams, K0: float):
     return _reaction_gradients(params, x, y)
 
 
-def _estimate_smoothing_constant(d, L, rng):
+def _estimate_smoothing_constant(d, L):
     """Numeric lower bound for the heat-smoothing constant of eq-type
 
         || e^{t d dxx} w_x ||_p <= C e^{-lambda_1 t} t^{-1/2} || w ||_p
 
     maximized over 200 random fields on 48 modes, sampled at 512 points, 40
-    log-spaced t in [1e-3, 1] and p in {2, inf}."""
+    log-spaced t in [1e-3, 1] and p in {2, inf}.  The fields are drawn from
+    ``default_rng(0)``, so the bound is a function of (d, L) alone."""
+    rng = np.random.default_rng(0)
     n_fields, n_modes, fine = 200, 48, 512
     lam1 = (math.pi / L) ** 2
     k = np.arange(1, n_modes + 1)
@@ -187,7 +188,7 @@ def _estimate_smoothing_constant(d, L, rng):
     return best
 
 
-def theoretical_constants(params: ModelParams, M: float, rng=None) -> ConstantsReport:
+def theoretical_constants(params: ModelParams, M: float) -> ConstantsReport:
     """Embedding constant, smoothing estimate and the K-chain for radius M.
 
     C_star = sqrt(coth(L)) is the sharp sup-norm embedding constant of
@@ -197,12 +198,10 @@ def theoretical_constants(params: ModelParams, M: float, rng=None) -> ConstantsR
     """
     if not 0 < M < math.inf:
         raise ConfigurationError(f"ball radius must be finite and positive, got M={M}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     L = params.L
     C_star = math.sqrt(1.0 / math.tanh(L))
     lam1 = (math.pi / L) ** 2
-    C_HS = HS_INFLATION * _estimate_smoothing_constant(params.d, L, rng)
+    C_HS = HS_INFLATION * _estimate_smoothing_constant(params.d, L)
     a, b, c = params.a, params.b, params.c
     K0 = C_star * M + (a / c if c > 0 else 0.0)
     root = math.sqrt(math.pi / lam1)
@@ -260,33 +259,6 @@ def lipschitz_estimates(params: ModelParams, M: float, constants=None):
     L_phi = float(np.max(np.abs(phi_x) + np.abs(phi_y)))
     L_psi = float(np.max(np.abs(psi_x) + np.abs(psi_y)))
     return L_f, L_phi, L_psi
-
-
-def sharp_embedding_constant_numeric(L, n_trials=2000, rng=None):
-    """Numeric maximization of |w(x0)| / ||w||_H1 over cosine polynomials.
-
-    Combines seeded random trials with the exact supremum over the truncated
-    space of modes 0 .. 256 (the H1 norm of the point-evaluation functional,
-    computed per x0 at 801 points from the orthogonal basis).  Converges to
-    sqrt(coth(L)) as the mode count grows.
-    """
-    n_modes, n_x = 256, 801
-    if rng is None:
-        rng = np.random.default_rng(0)
-    k = np.arange(n_modes + 1)
-    mu = (k * np.pi / L) ** 2
-    h = (L / 2) * (1.0 + mu)
-    h[0] = L
-    x0 = np.linspace(0.0, L, n_x)
-    basis = np.cos(np.outer(k, x0) * (np.pi / L))
-    riesz = np.sqrt(np.max(np.sum(basis**2 / h[:, None], axis=0)))
-    best = 0.0
-    for _ in range(n_trials):
-        c = rng.standard_normal(n_modes + 1) / (1.0 + k)
-        w = c @ basis
-        norm = math.sqrt(float(np.sum(h * c**2)))
-        best = max(best, float(np.max(np.abs(w))) / norm)
-    return max(best, float(riesz))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from fastslow import (
     lyapunov_perron_sweep,
     mode_spectrum,
     nonlinear_eval,
-    sharp_embedding_constant_numeric,
     simulate,
     sobolev_norm,
     solve_limit_system,
@@ -33,6 +32,7 @@ from fastslow import (
     validate_assumptions,
 )
 from fastslow.config import preset_fields
+from oracles import sharp_embedding_constant_numeric
 
 
 def report(num, name, ok, detail=""):

@@ -1,19 +1,21 @@
 import math
 import os
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from fastslow import (
+    Grid,
     ModelParams,
     SpectralField,
-    attraction_projection,
     build_grid,
+    critical_map_u_of_v,
+    fit_order,
     lipschitz_estimates,
     lyapunov_perron_sweep,
     mode_spectrum,
-    resolvent_bound_check,
     sobolev_norm,
     splitting_parameters,
     theoretical_constants,
@@ -41,14 +43,14 @@ def linear_params(eps=0.01, delta=0.001, d=1.0):
     return ModelParams(d=d, delta=delta, eps=eps, model_kind="linear")
 
 
-def small_nonlinear():
+def small_nonlinear(eps=1e-3):
     # competition coefficients scaled so the conservative Lipschitz budget
     # passes the gap condition at k0 = 5 (see test_gap_passes_nonlinear)
-    base = ModelParams(d=1.0, delta=1e-3**1.5, eps=1e-3, kappa=1.0, a=0.05, b=0.05, c=0.05)
+    base = ModelParams(d=1.0, delta=eps**1.5, eps=eps, kappa=1.0, a=0.05, b=0.05, c=0.05)
     rep = theoretical_constants(base, M=0.25)
     return (
         ModelParams(
-            d=1.0, delta=1e-3**1.5, eps=1e-3, kappa=0.5 * rep.kappa_bound,
+            d=1.0, delta=eps**1.5, eps=eps, kappa=0.5 * rep.kappa_bound,
             a=0.05, b=0.05, c=0.05,
         ),
         rep,
@@ -248,7 +250,8 @@ def test_lp_sweep_horizon_error_when_explicit_t_back_too_short(monkeypatch, no_c
 def test_lp_band_without_fast_modes_rejected(fast_band):
     p = linear_params()
     split = splitting_parameters(10.0)
-    with pytest.raises(ConfigurationError, match="no fast v-modes"):
+    needs = rf"^fast_band must be an integer >= 1, got {fast_band}$"
+    with pytest.raises(ConfigurationError, match=needs):
         lyapunov_perron_sweep([np.ones(split.k0)], p, split, fast_band=fast_band)
 
 
@@ -298,13 +301,17 @@ BAD_LP_OPTIONS = [
     ("n_t", 4, {"t_back": 0.05}),  # a short horizon too: still n_t's ConfigurationError
     ("max_iter", 0),  # no sweep: u = 0 would come back as a graph point
     ("max_iter", -3),
+    ("n_t", 64.5),  # a float reached range() or a slice: TypeError
+    ("max_iter", 2.5),
+    ("fast_band", 2.5),
 ]
 LP_OPTION_NEEDS = {
     "clip_bound": "finite and > 0",
     "t_back": "finite and > 0",
     "tol": "in (0, 1)",
-    "n_t": ">= 8",
-    "max_iter": ">= 1",
+    "n_t": "an integer >= 8",
+    "max_iter": "an integer >= 1",
+    "fast_band": "an integer >= 1",
 }
 
 
@@ -327,6 +334,19 @@ def test_lp_rejects_a_bad_option_before_any_sweep(monkeypatch, case):
     needs = re.escape(LP_OPTION_NEEDS[name])
     with pytest.raises(ConfigurationError, match=rf"^{name} must be {needs}, got "):
         lyapunov_perron_sweep([v0, v0], p, split, **opts)
+
+
+def test_lp_takes_numpy_integer_options():
+    p = linear_params()
+    split = splitting_parameters(10.0)
+    v0 = np.full(split.k0, 0.3)
+    opts = dict(n_t=64, max_iter=50, fast_band=4)
+    want = lyapunov_perron_sweep([v0], p, split, **opts).points[0]
+    numpy_opts = dict(n_t=np.int64(64), max_iter=np.int32(50), fast_band=np.int16(4))
+    got = lyapunov_perron_sweep([v0], p, split, **numpy_opts).points[0]
+    assert got.iterations == want.iterations and got.converged
+    assert np.array_equal(got.u_coeffs, want.u_coeffs)
+    assert np.array_equal(got.v_fast_coeffs, want.v_fast_coeffs)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -498,23 +518,28 @@ def test_lp_noncontraction_raises_with_report():
     assert err.value.gap_report is rep
 
 
-def test_lp_nonlinear_agrees_with_attraction():
-    p, consts = small_nonlinear()
+def test_lp_nonlinear_graph_is_within_order_eps_of_the_critical_manifold():
+    # the slow manifold is an O(eps) perturbation of u = h_kappa(v) (Fenichel
+    # 1979); the slow data keeps v > 0 at every node, where h_kappa applies
     split = splitting_parameters(26.0)
-    lips = lipschitz_estimates(p, 0.25, constants=consts)
-    rep = validate_assumptions(p, split, lips)
-    assert rep.passes
-    v0 = np.array([0.02, 0.015, 0.0, 0.005, 0.0])
-    pt = lyapunov_perron_sweep(
-        [v0], p, split, n_t=768, tol=1e-7, gap_report=rep, clip_bound=consts.K0
-    ).points[0]
-    assert pt.converged
-    assert pt.contraction <= rep.total + 0.1
-    samp = attraction_projection(v0, p, split)
-    assert samp.grid == pt.grid
-    du = SpectralField(pt.grid, pt.u_coeffs - samp.u_coeffs)
-    dv = SpectralField(pt.grid, pt.v_fast_coeffs - samp.v_fast_coeffs)
-    assert sobolev_norm(du, 1) + sobolev_norm(dv, 1) <= 5.0 * p.eps
+    v0 = np.array([0.03, 0.015, 0.0, 0.005, 0.0])
+    eps_list = (2e-3, 1e-3, 5e-4)
+    distances = []
+    for eps in eps_list:
+        p, consts = small_nonlinear(eps)
+        rep = validate_assumptions(p, split, lipschitz_estimates(p, 0.25, constants=consts))
+        assert rep.passes
+        pt = lyapunov_perron_sweep(
+            [v0], p, split, n_t=1024, tol=1e-10, gap_report=rep, clip_bound=consts.K0
+        ).points[0]
+        assert pt.converged
+        assert pt.contraction <= rep.total + 0.1
+        v = np.pad(v0, (0, pt.grid.N - split.k0)) + pt.v_fast_coeffs
+        u_critical = critical_map_u_of_v(SpectralField(pt.grid, v), p.kappa)
+        distances.append(sobolev_norm(pt.u - u_critical, 1))
+        assert distances[-1] <= 5.0 * eps
+    order, _ = fit_order(eps_list, distances)
+    assert 0.9 <= order <= 1.1
 
 
 def test_lp_graph_lipschitz_bound():
@@ -718,48 +743,69 @@ def test_scans_in_work_buffers_equal_the_allocating_passes(n_t):
 
 
 # ---------------------------------------------------------------------------
-# attraction projection
-
-
-def test_attraction_tau_zero_returns_critical_point():
-    p = linear_params()
-    split = splitting_parameters(10.0)
-    v0 = np.array([0.2, 1.0, 0.0])
-    samp = attraction_projection(v0, p, split, tau=0.0)
-    assert np.allclose(samp.v_slow, v0)
-    assert np.allclose(samp.u_coeffs[: split.k0], 0.5 * v0)
-    assert np.max(np.abs(samp.v_fast_coeffs)) == 0.0
-
-
-def test_attraction_linear_terminal_ratio():
-    p = linear_params(eps=0.01, delta=0.05)
-    split = splitting_parameters(10.0)
-    v0 = np.array([0.0, 1.0, 0.0])
-    samp = attraction_projection(v0, p, split)
-    slope = mode_spectrum(p, 1).slope
-    assert abs(samp.u_coeffs[1] / samp.v_slow[1] - slope) <= 2 * p.eps
-
-
-@pytest.mark.parametrize("eps", [1.0, 2.0])
-def test_attraction_default_tau_needs_eps_below_one(eps):
-    # 5 eps ln(1/eps) is 0 at eps = 1 and negative above
-    p = linear_params(eps=eps)
-    split = splitting_parameters(10.0)
-    with pytest.raises(ConfigurationError, match=r"eps < 1.*pass tau"):
-        attraction_projection(np.array([0.2, 1.0, 0.0]), p, split)
-
-
-def test_attraction_explicit_tau_at_large_eps():
-    p = linear_params(eps=2.0)
-    split = splitting_parameters(10.0)
-    samp = attraction_projection(np.array([0.2, 1.0, 0.0]), p, split, tau=0.5)
-    assert samp.tau == 0.5
-    assert np.all(np.isfinite(samp.u_coeffs))
-    assert 0.0 < samp.v_slow[1] < 1.0  # mode 1 decayed over tau
-
-
-# ---------------------------------------------------------------------------
 # resolvent bounds
+
+
+@dataclass(frozen=True)
+class ResolventReport:
+    alpha: float
+    beta: float
+    worst_ratio_resolvent: float
+    worst_mode_resolvent: int
+    worst_ratio_shifted: float
+    worst_mode_shifted: int
+    passes: bool
+
+
+def resolvent_bound_check(params: ModelParams, grid: Grid, alpha: float, beta: float) -> ResolventReport:
+    """Per-mode check of the two resolvent estimates of (eps (d+delta) Dxx - Id)^-1.
+
+    The first quantity mu^(alpha-beta) / |eps (d+delta) lam - 1| is tested
+    against 1 for alpha <= beta and eps^{2(beta-alpha)} for alpha > beta,
+    over every retained mode; the second quantity (the Id-shifted operator)
+    against eps^{2(beta-alpha)} over the resolvent-scale modes
+    mu <= 1/(eps (d+delta)) only: above that scale the shifted operator
+    approaches the identity mode-wise and the stated bound provably fails
+    (the quantity grows like mu^(alpha-beta) unchecked).  Mode 0 uses the
+    conventions 0^0 = 1 and 0^positive = 0 and is skipped where the
+    exponent is negative.
+    """
+    if not (0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0):
+        raise ConfigurationError("alpha and beta must lie in [0, 1]")
+    eps, dd = params.eps, params.d + params.delta
+    expo = alpha - beta
+    bound1 = 1.0 if alpha <= beta else eps ** (2.0 * (beta - alpha))
+    bound2 = eps ** (2.0 * (beta - alpha))
+    mu_resolvent = 1.0 / (eps * dd) if dd > 0 else float("inf")
+    worst1, arg1 = 0.0, 0
+    worst2, arg2 = 0.0, 0
+    for k in range(grid.N):
+        mu = grid.mu[k]
+        denom = eps * dd * mu + 1.0
+        if mu == 0.0:
+            if expo > 0:
+                power = 0.0
+            elif expo == 0:
+                power = 1.0
+            else:
+                continue
+        else:
+            power = mu**expo
+        q1 = power / denom
+        q2 = eps * dd * mu * power / denom
+        if q1 / bound1 > worst1:
+            worst1, arg1 = q1 / bound1, k
+        if mu <= mu_resolvent and q2 / bound2 > worst2:
+            worst2, arg2 = q2 / bound2, k
+    return ResolventReport(
+        alpha=alpha,
+        beta=beta,
+        worst_ratio_resolvent=worst1,
+        worst_mode_resolvent=arg1,
+        worst_ratio_shifted=worst2,
+        worst_mode_shifted=arg2,
+        passes=bool(worst1 <= 1.0 + 1e-12 and worst2 <= 1.0 + 1e-12),
+    )
 
 
 def test_resolvent_equal_orders():

@@ -9,11 +9,11 @@ from fastslow import (
     build_grid,
     critical_map_u_of_v,
     initial_layer,
-    sharp_embedding_constant_numeric,
     solve_limit_system,
     theoretical_constants,
 )
 from fastslow.errors import ConfigurationError, DivergenceError, DomainError
+from oracles import sharp_embedding_constant_numeric
 
 # the model of the initial-layer tests: only its kind and kappa = 1 matter
 NONLINEAR = ModelParams(d=1.0, delta=0.0, eps=1e-3, kappa=1.0)
