@@ -181,7 +181,12 @@ def validate_assumptions(params: ModelParams, split: SplittingParams, lips) -> G
 
 @dataclass(frozen=True)
 class ManifoldPoint:
-    """t = 0 slice of a Lyapunov-Perron fixed point over slow data v_slow."""
+    """t = 0 slice of a Lyapunov-Perron fixed point over slow data v_slow.
+
+    ``contraction`` is the largest ratio of successive sweep distances after
+    the first ratio (the first where it is the only one), and nan where the
+    point converged before any ratio was measured.
+    """
 
     grid: Grid
     v_slow: np.ndarray
@@ -463,7 +468,7 @@ def _graph_solver(params, split, fast_band, t_back, n_t, tol, max_iter, gap_repo
             if dist < tol:
                 converged = True
                 break
-        contraction = max(ratios[1:], default=(ratios[0] if ratios else 0.0))
+        contraction = max(ratios[1:], default=(ratios[0] if ratios else math.nan))
         u_end, v_end = Y[:, -1]
         return ManifoldPoint(
             grid=grid,

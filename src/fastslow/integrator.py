@@ -34,6 +34,19 @@ the samples, one preallocated array per run.  The CLI's ``simulate`` and
 ``limit`` commands read the same samples (``_simulate_samples``,
 ``reduction._limit_samples``) and reduce each one to its CSV row, so they
 never hold a trajectory.
+
+The loop allocates its buffers once per run (``_Workspace``): the padded
+node rows, the remainders n0 and na, the stage a, the products and the sum
+of the per-mode matrix-vector product ``_apply``, and two states that the
+steps write in turn, so a sample's y is valid until the loop resumes.  The
+matrix transforms of grids up to N = 128 write into them
+(``spectral_core._dealiased`` with ``nodes`` and ``out``), and the node maps
+overwrite the node rows in place, with one work buffer per call for their
+temporaries.  On those grids a step allocates nothing of the state's size
+beyond that work buffer; the real FFT pair of larger grids allocates its
+node values, half spectra and result as before.  Each buffer receives the
+result of the numpy operation that would otherwise allocate it, so the bits
+do not depend on the buffers.
 """
 
 from __future__ import annotations
@@ -174,9 +187,10 @@ class ModePropagator:
     W2: np.ndarray
 
 
-def _apply(P: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-mode matrix-vector product of P (n, n, N) with y (n, N)."""
-    return (P * y).sum(axis=1)
+def _apply(P: np.ndarray, y: np.ndarray, prod: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per-mode matrix-vector product of P (n, n, N) with y (n, N), written
+    into ``out`` (n, N) from the products formed in ``prod`` (n, n, N)."""
+    return np.add.reduce(np.multiply(P, y, out=prod), axis=1, out=out)
 
 
 def _system_matrices(params: ModelParams, grid: Grid) -> np.ndarray:
@@ -221,7 +235,9 @@ def _full_propagator(params: ModelParams, grid: Grid, dt: float) -> ModePropagat
 
 def _full_node_map(params: ModelParams, vals: np.ndarray) -> np.ndarray:
     """node_remainder(u, v) in place of the node values of the first two rows (u, v)."""
-    vals[0], vals[1] = node_remainder(params, vals[0], vals[1])
+    u, v = vals[0], vals[1]
+    # an assignment of a row to itself copies nothing
+    vals[0], vals[1] = node_remainder(params, u, v, (u, v))
     return vals
 
 
@@ -238,16 +254,37 @@ def _block_diagonal(props) -> ModePropagator:
     return ModePropagator(dt=props[0].dt, **out)
 
 
-def _etd2_step(y: np.ndarray, prop: ModePropagator, remainder) -> tuple:
+class _Workspace:
+    """The buffers of ``_etd2_step`` for states of shape (n, N), allocated
+    once per time loop: the padded node rows of a remainder and the
+    remainders n0 and na (written on the matrix transform path), the stage
+    a, the (n, n, N) products of ``_apply`` and the sum that it forms from
+    them."""
+
+    def __init__(self, shape: tuple, padded_size: int):
+        n, N = shape
+        self.nodes = np.empty((n, padded_size))
+        self.n0, self.na, self.a, self.sum = (np.empty(shape) for _ in range(4))
+        self.prod = np.empty((n, n, N))
+
+
+def _etd2_step(y: np.ndarray, prop: ModePropagator, remainder, ws: _Workspace, out) -> tuple:
     """One exponential RK2 step (Cox & Matthews 2002) of y' = M y + N(y).
 
-    Returns the new state and the step's intermediates (n0, a, na), in the
-    order they are computed.
+    The new state is written into ``out`` and the step's intermediates
+    (n0, a, na) into the workspace ``ws``; returns the new state and the
+    intermediates, in the order they are computed.  ``remainder(y, buf)``
+    returns N(y), written into ``buf`` where the transforms allow it (a
+    new array on the FFT path, a shared zero where N is zero).  Every
+    product and sum is the one of the written formula a + W2 (na - n0),
+    a = E y + W1 n0, so the bits do not depend on the buffers.
     """
-    n0 = remainder(y)
-    a = _apply(prop.E, y) + _apply(prop.W1, n0)
-    na = remainder(a)
-    return a + _apply(prop.W2, na - n0), (n0, a, na)
+    n0 = remainder(y, ws.n0)
+    a = _apply(prop.E, y, ws.prod, ws.a)
+    a += _apply(prop.W1, n0, ws.prod, ws.sum)
+    na = remainder(a, ws.na)
+    correction = _apply(prop.W2, np.subtract(na, n0, out=ws.sum), ws.prod, ws.sum)
+    return np.add(a, correction, out=out), (n0, a, na)
 
 
 def _diverged_row(y: np.ndarray, intermediates) -> int:
@@ -300,26 +337,36 @@ def _time_loop(grid, y0, t0, n_steps, prop, node_map, what, sample_every):
     remainder is zero).  Yields (t, y) for the initial state, every
     ``sample_every``-th one and the final one: ``_sample_count(n_steps,
     sample_every)`` samples, a count that its callers take first, since it
-    also checks ``sample_every``.  Each y after y0 is a new array that the
-    loop does not touch again.  A step whose state leaves
+    also checks ``sample_every``.  A step whose state leaves
     |y| <= BLOWUP_LIMIT (or is not finite) raises ``DivergenceError`` named
     ``what[r]`` after the row r that first left it (``_diverged_row``).
+
+    The buffers are allocated once (``_Workspace``, and two states that the
+    steps write in turn; see the module docstring).  y0 is only read, and
+    each later y is valid until the loop resumes: a consumer that keeps a
+    sample copies it.
     """
+    ws = _Workspace(y0.shape, grid.padded_size)
     if node_map is None:
-        remainder = np.zeros_like
+        zero = np.zeros_like(y0)
+
+        def remainder(y, buf):
+            return zero
+
     else:
-        remainder = partial(_dealiased, grid, node_map=node_map)
+
+        def remainder(y, buf):
+            return _dealiased(grid, y, node_map, ws.nodes, buf)
+
+    states = (np.empty_like(y0), np.empty_like(y0))
     yield t0, y0
     y = y0
     for step in range(1, n_steps + 1):
-        y, intermediates = _etd2_step(y, prop, remainder)
+        y, intermediates = _etd2_step(y, prop, remainder, ws, states[step % 2])
         t = t0 + step * prop.dt
-        if not np.max(np.abs(y)) <= BLOWUP_LIMIT:
+        if not np.abs(y, out=ws.sum).max() <= BLOWUP_LIMIT:
             row = _diverged_row(y, intermediates)
             raise DivergenceError(f"{what[row]} diverged at t={t:.6g}", t=t)
-        # free them before the next step allocates its own: held across it,
-        # they slowed the N=4096 stepping by about 6 %
-        del intermediates
         if step % sample_every == 0 or step == n_steps:
             yield t, y
 

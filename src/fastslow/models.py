@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,19 +73,32 @@ class ModelParams:
     def is_linear(self) -> bool:
         return self.model_kind == LINEAR
 
+    @cached_property
+    def _node_scalars(self) -> tuple:
+        """(a, b, c, kappa/eps) as read-only 0-d arrays, the operands of the
+        remainders' ufunc calls: a ufunc converts a Python float operand
+        anew on every call, which on converge's 192 padded nodes cost about
+        a third of the call."""
+        scalars = tuple(np.array(v) for v in (self.a, self.b, self.c, self.kappa / self.eps))
+        for arr in scalars:
+            arr.flags.writeable = False
+        return scalars
 
-def _competition(params: ModelParams, x, y):
+
+def _competition(params: ModelParams, x, y, out=None, temp=None):
     """The Lotka-Volterra factor a - b x - c y of phi = (.) x and psi = (.) y,
-    as a new array."""
+    written into ``out``, with c y formed in ``temp`` (new arrays where not
+    given)."""
+    a, b, c, _ = params._node_scalars
     # (a - b x) - c y in one buffer, in the order of the written expression
     # and so with its bits
-    lv = np.multiply(x, params.b)
-    np.subtract(params.a, lv, out=lv)
-    lv -= np.multiply(y, params.c)
+    lv = np.multiply(x, b, out=out)
+    np.subtract(a, lv, out=lv)
+    lv -= np.multiply(y, c, out=temp)
     return lv
 
 
-def node_remainder(params: ModelParams, x, y):
+def node_remainder(params: ModelParams, x, y, out=None, work=None):
     """The remainder (kappa f~(x, y)/eps + phi(x, y), psi(x, y)) at node values.
 
     This is the part of the nonlinear kind's right-hand side that the
@@ -92,25 +106,37 @@ def node_remainder(params: ModelParams, x, y):
     -x/eps part of g is linear); every solver evaluates it here, on the
     padded nodes, and transforms the result back.  The limit system's
     remainder is its second component alone, ``node_psi``.
+
+    ``out``, a pair of arrays of x's shape, receives the two components and
+    may be (x, y) itself: the solvers' node maps overwrite their node rows
+    so.  Without it they are new arrays, and x and y are left as they are.
+    The two temporaries are formed in ``work[0]`` and ``work[1]`` (a new
+    buffer where not given).
     """
-    lv = _competition(params, x, y)
-    # (kappa/eps) (y - x)^2 + lv x with two temporaries instead of six;
-    # IEEE products and sums commute, so the bits are those of the formula
-    w = np.subtract(y, x)
+    if work is None:
+        work = np.empty((2,) + x.shape)
+    # (kappa/eps) (y - x)^2 + lv x; IEEE products and sums commute, so the
+    # bits are those of the formula
+    lv = _competition(params, x, y, work[0], work[1])
+    w = np.subtract(y, x, out=work[1])
     w *= w
-    w *= params.kappa / params.eps
-    n_u = np.multiply(lv, x)
+    w *= params._node_scalars[3]
+    n_u, n_v = (None, None) if out is None else out
+    # x and y are read for the last time here, so out may be (x, y)
+    n_u = np.multiply(lv, x, out=n_u)
     n_u += w
-    lv *= y
-    return n_u, lv
+    return n_u, np.multiply(lv, y, out=n_v)
 
 
-def node_psi(params: ModelParams, x, y):
+def node_psi(params: ModelParams, x, y, out=None, work=None):
     """psi(x, y) = (a - b x - c y) y at node values, the second component of
-    ``node_remainder`` computed alone."""
-    lv = _competition(params, x, y)
-    lv *= y
-    return lv
+    ``node_remainder`` computed alone, written into ``out`` (which may be y)
+    where given, with its temporaries in ``work[0]`` and ``work[1]`` as
+    there."""
+    if work is None:
+        work = np.empty((2,) + x.shape)
+    lv = _competition(params, x, y, work[0], work[1])
+    return np.multiply(lv, y, out=out)
 
 
 def _reaction_gradients(params: ModelParams, x, y):

@@ -62,10 +62,28 @@ NODE_TOL = 1e-12
 HS_INFLATION = 1.5
 
 
-def _critical_pointwise(v: np.ndarray, kappa: float) -> np.ndarray:
-    v = np.maximum(np.asarray(v, dtype=float), 0.0)
-    s = 1.0 + np.sqrt(1.0 + 4.0 * kappa * v)
-    return 4.0 * kappa * v**2 / s**2
+# 0-d operands of ``_critical_pointwise``'s ufunc calls (see ModelParams._node_scalars)
+_ZERO, _ONE = np.array(0.0), np.array(1.0)
+_ZERO.flags.writeable = _ONE.flags.writeable = False
+
+
+def _critical_pointwise(v: np.ndarray, kappa: float, out=None, temp=None) -> np.ndarray:
+    """h_kappa(max(v, 0)) = 4 kappa v^2 / (1 + sqrt(1 + 4 kappa v))^2 at node
+    values, written into ``out`` (which may be v) with the temporary
+    denominator in ``temp`` (new arrays where not given)."""
+    u = np.maximum(v, _ZERO, out=np.empty_like(v) if out is None else out)
+    # in the order of the written formula and so with its bits: v**2 is
+    # np.square, and IEEE products and sums commute
+    four_kappa = np.array(4.0 * kappa)
+    s = np.multiply(u, four_kappa, out=np.empty_like(u) if temp is None else temp)
+    s += _ONE
+    np.sqrt(s, out=s)
+    s += _ONE
+    np.square(u, out=u)
+    u *= four_kappa
+    np.square(s, out=s)
+    u /= s
+    return u
 
 
 def critical_map_u_of_v(v, kappa: float):
@@ -280,7 +298,11 @@ def _limit_propagator(params: ModelParams, grid: Grid, dt: float) -> ModePropaga
 
 def _limit_node_map(params: ModelParams, vals: np.ndarray) -> np.ndarray:
     """psi(h_kappa(v), v) in place of the node values of the last row v."""
-    vals[-1] = node_psi(params, _critical_pointwise(vals[-1], params.kappa), vals[-1])
+    v = vals[-1]
+    work = np.empty((3,) + v.shape)
+    # h_kappa(v) in the row of the work buffer that node_psi leaves alone
+    h = _critical_pointwise(v, params.kappa, work[2], work[0])
+    vals[-1] = node_psi(params, h, v, v, work)
     return vals
 
 

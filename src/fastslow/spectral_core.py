@@ -292,13 +292,17 @@ def _padded_matrices(n: int, k: int) -> tuple:
     return inverse, forward
 
 
-def _rowwise(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+def _rowwise(a: np.ndarray, m: np.ndarray, out=None) -> np.ndarray:
     # one (1, K) @ (K, M) product per row: a row's bits do not depend on the
-    # rows stacked with it, which the plain product ``a @ m`` does not promise
-    return (a[..., None, :] @ m)[..., 0, :]
+    # rows stacked with it, which the plain product ``a @ m`` does not promise;
+    # ``out`` (..., M), where given, receives them through the same gufunc
+    if out is None:
+        return (a[..., None, :] @ m)[..., 0, :]
+    np.matmul(a[..., None, :], m, out=out[..., None, :])
+    return out
 
 
-def _dealiased(grid: Grid, coeffs: np.ndarray, node_map) -> np.ndarray:
+def _dealiased(grid: Grid, coeffs: np.ndarray, node_map, nodes=None, out=None) -> np.ndarray:
     """Amplitudes of a pointwise map of fields given by their amplitudes.
 
     ``coeffs`` (..., K) holds the first K <= N amplitudes (the rest zero) and
@@ -307,6 +311,12 @@ def _dealiased(grid: Grid, coeffs: np.ndarray, node_map) -> np.ndarray:
     return it), and the result is transformed back and truncated to the same
     K modes.  Exact for quadratic maps.  Band in, band out: for every K the
     result equals the first K amplitudes of the N-wide call bit for bit.
+    On the matrix path with K = N, ``nodes`` (..., 3N/2) and ``out``
+    (coeffs' shape), where given, receive the padded node values and the
+    result, with the same bits: a caller that maps many arrays of one shape
+    (``integrator._time_loop``) then allocates neither.  Elsewhere they are
+    not used and the result is a new array, so a caller reads the returned
+    array, not ``out``.
 
     Up to N = _MATRIX_MAX_N the transforms are products with the band pair
     ``_padded_matrices(N, K)``: on these grids a transform call costs more
@@ -335,7 +345,7 @@ def _dealiased(grid: Grid, coeffs: np.ndarray, node_map) -> np.ndarray:
         inverse, forward = _padded_matrices(grid.N, k)
         width = inverse.shape[0]
         if width == k:
-            return _rowwise(node_map(_rowwise(coeffs, inverse)), forward)
+            return _rowwise(node_map(_rowwise(coeffs, inverse, nodes)), forward, out)
         padded = np.zeros(coeffs.shape[:-1] + (width,))
         padded[..., :k] = coeffs
         return _rowwise(node_map(_rowwise(padded, inverse)), forward)[..., :k]

@@ -683,6 +683,18 @@ def test_constants_chain_does_not_depend_on_the_seed(tmp_path, command):
     assert [l for l in lines[0] if l != "seed,0"] == [l for l in lines[3] if l != "seed,3"]
 
 
+def test_point_converged_before_any_ratio_reports_nan_contraction(tmp_path):
+    # zero slow data converge in the first sweep, before two distances give
+    # a ratio: the contraction was never observed, and 0 would read as perfect
+    payload = nonlinear_manifold_payload(n_graph_samples=1, sample_amplitude=0.0, n_t=64)
+    cfg = write_config(tmp_path, payload)
+    assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    header, row = (tmp_path / "out.csv").read_text().split("\n")[:2]
+    point = dict(zip(header.split(","), row.split(",")))
+    assert (point["iterations"], point["converged"]) == ("1", "true")
+    assert point["contraction"] == "nan"
+
+
 def test_manifold_galerkin_point_failure_exit_3_forked_or_not(
     tmp_path, capsys, monkeypatch, no_child_left
 ):

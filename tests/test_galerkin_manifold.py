@@ -220,6 +220,8 @@ def test_lp_zero_data_gives_zero_graph():
     pt = lyapunov_perron_sweep([np.zeros(split.k0)], p, split, n_t=128, tol=1e-10).points[0]
     assert np.max(np.abs(pt.u_coeffs)) == 0.0
     assert np.max(np.abs(pt.v_fast_coeffs)) == 0.0
+    # converged in the first sweep, before any ratio of two distances
+    assert pt.converged and pt.iterations == 1 and math.isnan(pt.contraction)
 
 
 def test_lp_horizon_error_when_explicit_t_back_too_short():

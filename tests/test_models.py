@@ -120,3 +120,85 @@ def test_node_remainder_matches_the_reaction_formulas(kw):
     np.testing.assert_allclose(n_u, (p.kappa / p.eps) * (y - x) ** 2 + lv * x, rtol=1e-14, atol=0)
     np.testing.assert_allclose(n_v, lv * y, rtol=1e-14, atol=0)
     np.testing.assert_allclose(node_psi(p, x, y), lv * y, rtol=1e-14, atol=0)
+
+
+def node_values(seed, shape):
+    # seeded node values of either sign over 303 orders of magnitude, with
+    # exact zeros and 1e-300 among them
+    rng = np.random.default_rng(seed)
+    vals = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+    flat = vals.reshape(-1)
+    flat[::7] = 0.0
+    flat[3::11] = 1e-300
+    flat[5::13] = -1e-300
+    flat[1::17] = 1e3
+    return vals
+
+
+def remainder_formula(p, x, y):
+    # the written formulas, each evaluated into new arrays
+    lv = p.a - p.b * x - p.c * y
+    return (p.kappa / p.eps) * (y - x) ** 2 + lv * x, lv * y
+
+
+def critical_formula(v, kappa):
+    v = np.maximum(v, 0.0)
+    return 4.0 * kappa * v**2 / (1.0 + np.sqrt(1.0 + 4.0 * kappa * v)) ** 2
+
+
+IN_PLACE_PARAMS = [{}, {"kappa": 0.0}, {"a": 0.0, "b": 0.0, "c": 0.0},
+                   {"kappa": 3.7, "eps": 1e-4, "a": 2.0, "b": 0.3, "c": 1.7}]
+
+
+@pytest.mark.parametrize("kw", IN_PLACE_PARAMS)
+@pytest.mark.parametrize("shape", [(192,), (5, 96)], ids=["row", "block"])
+def test_in_place_node_maps_equal_the_allocating_formulas(kw, shape):
+    # the solvers' node maps overwrite their node rows; every bit must be
+    # that of the formula evaluated into new arrays (shape (5, 96) is a
+    # Lyapunov-Perron block of time nodes)
+    from fastslow.integrator import _full_node_map
+    from fastslow.reduction import _critical_pointwise, _limit_node_map, _paired_node_map
+
+    p = nonlinear(**kw)
+    for seed in range(4):
+        vals = node_values(seed, (3,) + shape)
+        x, y, v = vals.copy()
+        n_u, n_v = remainder_formula(p, x, y)
+        h = critical_formula(v, p.kappa)
+        psi = remainder_formula(p, h, v)[1]
+
+        out = vals.copy()
+        assert _paired_node_map(p, out) is out
+        assert np.array_equal(out, np.stack([n_u, n_v, psi]))
+        out = vals[:2].copy()
+        _full_node_map(p, out)
+        assert np.array_equal(out, np.stack([n_u, n_v]))
+        out = vals[2:].copy()
+        _limit_node_map(p, out)
+        assert np.array_equal(out[0], psi)
+
+        rows = vals.copy()
+        r0, r1 = node_remainder(p, rows[0], rows[1], (rows[0], rows[1]))
+        assert r0.base is rows and r1.base is rows
+        assert np.array_equal(rows[:2], np.stack([n_u, n_v]))
+        assert np.array_equal(node_psi(p, x, rows[2], rows[2]), remainder_formula(p, x, v)[1])
+        assert np.array_equal(_critical_pointwise(v.copy(), p.kappa, out=rows[2]), h)
+        assert np.array_equal(rows[2], h)
+
+
+@pytest.mark.parametrize("kw", IN_PLACE_PARAMS)
+def test_callers_arrays_are_left_unchanged(kw):
+    p = nonlinear(**kw)
+    x, y = node_values(7, (2, 64))
+    x0, y0 = x.copy(), y.copy()
+    n_u, n_v = node_remainder(p, x, y)
+    assert np.array_equal(x, x0) and np.array_equal(y, y0)
+    assert not np.shares_memory(n_u, x) and not np.shares_memory(n_v, y)
+    assert np.array_equal(np.stack([n_u, n_v]), np.stack(remainder_formula(p, x0, y0)))
+    assert np.array_equal(node_psi(p, x, y), remainder_formula(p, x0, y0)[1])
+    assert np.array_equal(x, x0) and np.array_equal(y, y0)
+    v = np.abs(y)
+    v0 = v.copy()
+    assert np.array_equal(critical_map_u_of_v(v, p.kappa), critical_formula(v0, p.kappa))
+    assert np.array_equal(v, v0)
+    assert critical_map_u_of_v(2.0, p.kappa) == critical_formula(2.0, p.kappa)

@@ -250,11 +250,12 @@ def test_plateau_flag_with_fixed_initial_layer():
 
 
 @pytest.mark.parametrize("kind", ["nonlinear", "linear"])
-@pytest.mark.parametrize("n", [8, 64])
+@pytest.mark.parametrize("n", [8, 64, 128, 256])
 def test_study_members_equal_separate_solver_runs(kind, n):
     # each member steps both systems in one loop; its trajectories and norms
     # must be exactly those of the two public solvers run apart with the same
-    # dt and stride
+    # dt and stride (n = 128, converge's grid, is the largest on the matrix
+    # transform path, n = 256 on the real FFT path)
     from fastslow.reduction import _simulate_with_limit
 
     g = build_grid(math.pi, n)

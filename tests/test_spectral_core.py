@@ -308,6 +308,23 @@ def test_dealiased_rows_independent_of_their_stack(N, width, rows):
         assert np.array_equal(out[r], _dealiased(g, coeffs[r], node_map))
 
 
+@pytest.mark.parametrize("N", [8, 64, _MATRIX_MAX_N])
+@pytest.mark.parametrize("rows", [2, 3])
+def test_dealiased_into_buffers_keeps_the_bits(N, rows):
+    # on the full-width matrix path, the one that takes buffers, the padded
+    # node values and the result written into them, as the time loop does,
+    # are the allocating call's bits, and the buffers are reused from call
+    # to call
+    g = build_grid(np.pi, N)
+    rng = np.random.default_rng(N + rows)
+    nodes, out = np.empty((rows, g.padded_size)), np.empty((rows, N))
+    for _ in range(2):
+        coeffs = rng.standard_normal((rows, N))
+        expected = _dealiased(g, coeffs, quadratic_map)
+        assert _dealiased(g, coeffs, quadratic_map, nodes, out) is out
+        assert np.array_equal(out, expected)
+
+
 def test_field_rejects_nonfinite():
     g = build_grid(np.pi, 16)
     c = np.zeros(16)
