@@ -48,7 +48,6 @@ in a child as in this process, where the points run in turn on one CPU.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import warnings
@@ -502,16 +501,21 @@ class ManifoldGraph:
         if len(self.points) < 2:
             return
         nw = _h2_weights(self.points[0].grid)
-        ratios = []
-        for a, b in itertools.combinations(self.points, 2):
-            dv = a.v_slow - b.v_slow
-            dnorm = math.sqrt(float(np.sum(nw[: self.k0] * dv**2)))
-            if dnorm < 1e-14:
-                continue
-            du = math.sqrt(float(np.sum(nw * (a.u_coeffs - b.u_coeffs) ** 2)))
-            dvf = math.sqrt(float(np.sum(nw * (a.v_fast_coeffs - b.v_fast_coeffs) ** 2)))
-            ratios.append((du + dvf) / dnorm)
-        self.lipschitz_ratio = max(ratios, default=math.nan)
+
+        def distances(name, i, j, weights):
+            # one row per pair; a row's sum is the one of its pair alone
+            data = np.array([getattr(p, name) for p in self.points])
+            return np.sqrt(np.sum(weights * (data[i] - data[j]) ** 2, axis=-1))
+
+        i, j = np.triu_indices(len(self.points), 1)
+        dnorm = distances("v_slow", i, j, nw[: self.k0])
+        distinct = ~(dnorm < 1e-14)
+        if not distinct.any():
+            return
+        i, j, dnorm = i[distinct], j[distinct], dnorm[distinct]
+        du = distances("u_coeffs", i, j, nw)
+        dvf = distances("v_fast_coeffs", i, j, nw)
+        self.lipschitz_ratio = float(np.max((du + dvf) / dnorm))
 
 
 def lyapunov_perron_sweep(

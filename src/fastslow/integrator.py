@@ -35,16 +35,16 @@ the samples, one preallocated array per run.  The CLI's ``simulate`` and
 ``reduction._limit_samples``) and reduce each one to its CSV row, so they
 never hold a trajectory.
 
-The loop allocates its buffers once per run (``_Workspace``): the padded
-node rows, the remainders n0 and na, the stage a, the products and the sum
-of the per-mode matrix-vector product ``_apply``, and two states that the
-steps write in turn, so a sample's y is valid until the loop resumes.  The
-matrix transforms of grids up to N = 128 write into them
-(``spectral_core._dealiased`` with ``nodes`` and ``out``), and the node maps
-overwrite the node rows in place, with one work buffer per call for their
-temporaries.  On those grids a step allocates nothing of the state's size
-beyond that work buffer; the real FFT pair of larger grids allocates its
-node values, half spectra and result as before.  Each buffer receives the
+The loop allocates its buffers once per run (``_Workspace``): the stage a,
+the products and the sum of the per-mode matrix-vector product ``_apply``,
+two states that the steps write in turn, so a sample's y is valid until the
+loop resumes, and, where the matrix transforms write them, the padded node
+rows and the remainders n0 and na.  The matrix transforms of grids up to
+N = 128 write into them (``spectral_core._dealiased`` with ``nodes`` and
+``out``), and the node maps overwrite the node rows in place, with one
+work buffer per call for their temporaries.  On those grids a step
+allocates nothing of the state's size beyond that work buffer; the real FFT
+pair of larger grids allocates its node values, half spectra and result.  Each buffer receives the
 result of the numpy operation that would otherwise allocate it, so the bits
 do not depend on the buffers.
 """
@@ -59,7 +59,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
 from .models import ModelParams, node_remainder
-from .spectral_core import Grid, SpectralField, _dealiased, _permuted_inverse
+from .spectral_core import _MATRIX_MAX_N, Grid, SpectralField, _dealiased, _permuted_inverse
 
 __all__ = [
     "FastSlowState",
@@ -256,15 +256,19 @@ def _block_diagonal(props) -> ModePropagator:
 
 class _Workspace:
     """The buffers of ``_etd2_step`` for states of shape (n, N), allocated
-    once per time loop: the padded node rows of a remainder and the
-    remainders n0 and na (written on the matrix transform path), the stage
-    a, the (n, n, N) products of ``_apply`` and the sum that it forms from
-    them."""
+    once per time loop: the stage a, the (n, n, N) products of ``_apply``
+    and the sum that it forms from them and, where the matrix transforms
+    write a remainder (``padded_size`` given), its padded node rows and the
+    remainders n0 and na.  Elsewhere, where the remainder is zero or comes
+    from the real FFT pair, those three are None."""
 
-    def __init__(self, shape: tuple, padded_size: int):
+    def __init__(self, shape: tuple, padded_size: int | None):
         n, N = shape
-        self.nodes = np.empty((n, padded_size))
-        self.n0, self.na, self.a, self.sum = (np.empty(shape) for _ in range(4))
+        self.nodes = self.n0 = self.na = None
+        if padded_size is not None:
+            self.nodes = np.empty((n, padded_size))
+            self.n0, self.na = np.empty(shape), np.empty(shape)
+        self.a, self.sum = np.empty(shape), np.empty(shape)
         self.prod = np.empty((n, n, N))
 
 
@@ -346,7 +350,8 @@ def _time_loop(grid, y0, t0, n_steps, prop, node_map, what, sample_every):
     each later y is valid until the loop resumes: a consumer that keeps a
     sample copies it.
     """
-    ws = _Workspace(y0.shape, grid.padded_size)
+    matrix_path = node_map is not None and grid.N <= _MATRIX_MAX_N
+    ws = _Workspace(y0.shape, grid.padded_size if matrix_path else None)
     if node_map is None:
         zero = np.zeros_like(y0)
 

@@ -25,6 +25,7 @@ sample arrives (``_limit_state``).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -60,6 +61,14 @@ __all__ = [
 NODE_TOL = 1e-12
 # Factor on the numeric smoothing constant, a lower bound, in ``theoretical_constants``.
 HS_INFLATION = 1.5
+# Relative margin on the sup-norm bounds of ``_estimate_smoothing_constant``:
+# a computed ratio can exceed its bound, a sum of magnitudes, only by the
+# rounding of a 48-term product and a few operations (about 1e-14
+# relative), so a t is skipped only when not even that rounding could let
+# its ratio reach the maximum.
+_BOUND_MARGIN = 1e-9
+# e^{lambda_1 t} at the estimate's last t = 1 overflows beyond this exponent
+_EXP_MAX = math.log(sys.float_info.max)
 
 
 # 0-d operands of ``_critical_pointwise``'s ufunc calls (see ModelParams._node_scalars)
@@ -179,7 +188,23 @@ def _estimate_smoothing_constant(d, L):
 
     maximized over 200 random fields on 48 modes, sampled at 512 points, 40
     log-spaced t in [1e-3, 1] and p in {2, inf}.  The fields are drawn from
-    ``default_rng(0)``, so the bound is a function of (d, L) alone."""
+    ``default_rng(0)``, so the bound is a function of (d, L) alone.
+
+    The L2 ratio of every t is computed; the sup-norm ratio, a (200, 48) @
+    (48, 512) product each, only at the t that can still set the maximum.
+    The sine amplitudes st_fk of field f at time t bound its sup norm from
+    above by sum_k |st_fk|, so the sup-norm ratio at t is at most
+
+        bound(t) = max_f sum_k |st_fk| / ||w_f||_inf * sqrt(t) e^{lambda_1 t},
+
+    all 40 of them from one (200, 48) @ (48, 40) product of |s| with the
+    decay table.  The t are visited in decreasing bound, each evaluated by
+    the exhaustive loop's own expression, until a bound falls below the
+    maximum so far (up to ``_BOUND_MARGIN``); every later t has a smaller
+    bound and so cannot raise the maximum.  The result is the maximum over
+    all 80 ratios bit for bit (``tests/oracles.py`` keeps that loop); at
+    (d, L) = (1, pi) one product runs.
+    """
     rng = np.random.default_rng(0)
     n_fields, n_modes, fine = 200, 48, 512
     lam1 = (math.pi / L) ** 2
@@ -191,18 +216,24 @@ def _estimate_smoothing_constant(d, L):
     w_l2 = np.sqrt((L / 2) * np.sum(coeffs**2, axis=1))
     w_linf = np.max(np.abs(coeffs @ cos_tab), axis=1)
     s = -coeffs * (k * np.pi / L)  # sine amplitudes of w_x
-    # one buffer for the node values of every t: a fresh array of this size
-    # each time can be mapped anew by the allocator, one page fault per page
-    vals = np.empty((n_fields, fine))
+    ts = np.logspace(-3, 0, 40)
+    decay = np.exp(-d * (k * np.pi / L) ** 2 * ts[:, None])  # row i: the decay at ts[i]
+    scales = [math.sqrt(t) * math.exp(lam1 * t) for t in ts]
     best = 0.0
-    for t in np.logspace(-3, 0, 40):
-        decay = np.exp(-d * (k * np.pi / L) ** 2 * t)
-        st = s * decay
+    for row, scale in zip(decay, scales):
+        st = s * row
         n_l2 = np.sqrt((L / 2) * np.sum(st**2, axis=1))
-        n_linf = np.max(np.abs(np.matmul(st, sin_tab, out=vals), out=vals), axis=1)
-        scale = math.sqrt(t) * math.exp(lam1 * t)
         best = max(best, float(np.max(n_l2 / w_l2)) * scale)
-        best = max(best, float(np.max(n_linf / w_linf)) * scale)
+    bounds = np.max((np.abs(s) @ decay.T) / w_linf[:, None], axis=0) * scales
+    # the node values of one t; a fresh array of this size each time can be
+    # mapped anew by the allocator, one page fault per page
+    vals = np.empty((n_fields, fine))
+    for i in np.argsort(-bounds, kind="stable"):
+        if bounds[i] * (1.0 + _BOUND_MARGIN) < best:
+            break
+        st = s * decay[i]
+        n_linf = np.max(np.abs(np.matmul(st, sin_tab, out=vals), out=vals), axis=1)
+        best = max(best, float(np.max(n_linf / w_linf)) * scales[i])
     return best
 
 
@@ -212,13 +243,22 @@ def theoretical_constants(params: ModelParams, M: float) -> ConstantsReport:
     C_star = sqrt(coth(L)) is the sharp sup-norm embedding constant of
     H1(0, L) (reproducing-kernel closed form); C_HS is a numeric lower bound
     inflated by HS_INFLATION and is only used for the conservative
-    admissibility report, never by the solvers.
+    admissibility report, never by the solvers.  The smoothing estimate
+    scales by e^{lambda_1 t} up to t = 1, which overflows for
+    L < pi / sqrt(ln(max float)) ~ 0.1179: such an L raises
+    ``ConfigurationError`` before any work.
     """
     if not 0 < M < math.inf:
         raise ConfigurationError(f"ball radius must be finite and positive, got M={M}")
     L = params.L
-    C_star = math.sqrt(1.0 / math.tanh(L))
     lam1 = (math.pi / L) ** 2
+    if not lam1 <= _EXP_MAX:
+        raise ConfigurationError(
+            f"the constants chain needs a domain length L >= pi/sqrt(ln(max float)) = "
+            f"{math.pi / math.sqrt(_EXP_MAX):.6g}, got L={L}: the smoothing estimate's "
+            f"e^(lambda_1 t) overflows at t = 1"
+        )
+    C_star = math.sqrt(1.0 / math.tanh(L))
     C_HS = HS_INFLATION * _estimate_smoothing_constant(params.d, L)
     a, b, c = params.a, params.b, params.c
     K0 = C_star * M + (a / c if c > 0 else 0.0)

@@ -37,6 +37,7 @@ from fastslow.galerkin_manifold import (
 )
 from fastslow.integrator import _full_node_map, _phi
 from fastslow.spectral_core import _MATRIX_MAX_N, _dealiased
+from oracles import lipschitz_ratio_pairwise
 
 
 def linear_params(eps=0.01, delta=0.001, d=1.0):
@@ -564,6 +565,19 @@ def test_lp_graph_lipschitz_ratio_nan_without_distinct_slow_data(n_points):
     graph = lyapunov_perron_sweep([np.full(split.k0, 0.3)] * n_points, p, split, n_t=64)
     assert len(graph.points) == n_points
     assert math.isnan(graph.lipschitz_ratio)
+
+
+def test_lp_graph_lipschitz_ratio_equals_pairwise_loop():
+    # 16 points, the last with the slow data of the fourth: that pair is
+    # skipped, and the other 119 give the ratio of the loop over pairs
+    p = linear_params(eps=0.01, delta=0.001)
+    split = splitting_parameters(10.0)
+    rng = np.random.default_rng(5)
+    samples = [0.5 * rng.standard_normal(split.k0) for _ in range(15)]
+    samples.append(samples[3].copy())
+    graph = lyapunov_perron_sweep(samples, p, split, n_t=64)
+    assert len(graph.points) == 16
+    assert graph.lipschitz_ratio == lipschitz_ratio_pairwise(graph.points, split.k0)
 
 
 def test_lp_distance_to_critical_frozen_constant():

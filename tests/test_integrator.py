@@ -151,6 +151,37 @@ def test_self_convergence_second_order():
     assert 3.2 <= errs[0] / errs[1] <= 4.8
 
 
+@pytest.mark.parametrize("kappa", [1.0, 0.3])
+def test_second_order_against_radau_on_constant_data(kappa):
+    # spatially constant data stays constant, so mode 0 follows the reaction
+    # ODE u' = -u/eps + (kappa/eps)(v - u)^2 + (1 - u - v) u, v' = (1 - u - v) v,
+    # which an independent stiff solver resolves far below the ETD2 error
+    integrate = pytest.importorskip("scipy.integrate")
+    g = build_grid(np.pi, 8)
+    p = nonlinear_params(eps=1e-2, kappa=kappa)
+    u0, v0, T = 0.05, 0.6, 0.5
+
+    def reaction(t, y):
+        u, v = y
+        lv = 1.0 - u - v
+        return [-u / p.eps + (p.kappa / p.eps) * (v - u) ** 2 + lv * u, lv * v]
+
+    ref = integrate.solve_ivp(
+        reaction, (0.0, T), [u0, v0], method="Radau", rtol=1e-13, atol=1e-15
+    ).y[:, -1]
+    s0 = FastSlowState(
+        SpectralField.from_values(g, np.full(g.N, u0)),
+        SpectralField.from_values(g, np.full(g.N, v0)),
+        0.0,
+    )
+    errs = []
+    for m in (2, 4, 8, 16):
+        end = simulate(s0, p, T, dt=p.eps / m, sample_every=10**9).final()
+        errs.append(max(abs(end.u.coeffs[0] - ref[0]), abs(end.v.coeffs[0] - ref[1])))
+    orders = np.log2(np.array(errs[:-1]) / errs[1:])
+    assert np.all((1.9 <= orders) & (orders <= 2.2)), orders
+
+
 def test_mode_zero_conservation_reactions_off():
     # a = b = c = 0: psi vanishes, so the v mass (mode 0) is conserved
     g = build_grid(np.pi, 32)

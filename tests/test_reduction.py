@@ -9,11 +9,13 @@ from fastslow import (
     build_grid,
     critical_map_u_of_v,
     initial_layer,
+    lipschitz_estimates,
     solve_limit_system,
     theoretical_constants,
 )
 from fastslow.errors import ConfigurationError, DivergenceError, DomainError
-from oracles import sharp_embedding_constant_numeric
+from fastslow.reduction import HS_INFLATION, _estimate_smoothing_constant
+from oracles import sharp_embedding_constant_numeric, smoothing_constant_exhaustive
 
 # the model of the initial-layer tests: only its kind and kappa = 1 matter
 NONLINEAR = ModelParams(d=1.0, delta=0.0, eps=1e-3, kappa=1.0)
@@ -127,6 +129,44 @@ def test_constants_rejects_bad_radius():
     for bad in (-1.0, np.inf, np.nan):
         with pytest.raises(ConfigurationError):
             theoretical_constants(p, M=bad)
+
+
+@pytest.mark.parametrize(
+    "d, L",
+    [(1, math.pi), (0.1, math.pi), (1, 10), (0.05, 1), (2, 0.5), (0.3, 2), (5, 7)],
+)
+def test_smoothing_constant_equals_exhaustive_loop(d, L):
+    # the sup-norm products skipped by their bound cannot change the maximum;
+    # at (5, 7) the bounds stay close to it and 30 of the 40 products run
+    assert _estimate_smoothing_constant(d, L) == smoothing_constant_exhaustive(d, L)
+
+
+def test_smoothing_constant_runs_one_product_on_the_default_domain(monkeypatch):
+    # d = 1, L = pi (manifold-galerkin and gap-check): one sup-norm product
+    # of the 40 sets the maximum, and the bounds skip the rest
+    calls = []
+    matmul = np.matmul
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting)
+    value = _estimate_smoothing_constant(1.0, math.pi)
+    monkeypatch.undo()
+    assert calls == [(200, 48)]
+    assert value == smoothing_constant_exhaustive(1.0, math.pi)
+
+
+def test_constants_reject_domains_too_short_for_the_smoothing_estimate():
+    # e^{lambda_1 t} at t = 1 overflows for L < pi / sqrt(ln(max float)) ~ 0.1179
+    short = ModelParams(d=1, delta=0, eps=1e-3, kappa=1e-3, L=0.1)
+    for chain in (theoretical_constants, lipschitz_estimates):
+        with pytest.raises(ConfigurationError, match=r"0\.11792, got L=0\.1:"):
+            chain(short, 0.25)
+    rep = theoretical_constants(ModelParams(d=1, delta=0, eps=1e-3, kappa=1e-3, L=0.12), 0.25)
+    assert rep.C_HS == HS_INFLATION * smoothing_constant_exhaustive(1, 0.12)
+    assert abs(rep.C_HS - 42.77) < 0.005
 
 
 def test_sharp_embedding_constant_matches_closed_form():
