@@ -16,9 +16,10 @@ mode-wise exactly; the sources (N_u, psi) are the time loop's remainder
 (``integrator._full_node_map`` in place of the padded node values, through
 ``spectral_core._dealiased``), reconstructed piecewise-linearly between grid
 points (exponential trapezoid weights).  The sources are evaluated in
-blocks of time nodes whose padded node values stay in cache; the bits are
-those of one call over all nodes, because ``_dealiased`` transforms every
-row on its own and the node map is pointwise.  On the time grid each
+blocks of time nodes whose padded node values stay in cache, each block's
+transforms as one stacked product: a point's bits depend on the block rows
+(``_source_block_rows``), but not on the other points, the worker count or
+the BLAS thread count.  On the time grid each
 integral becomes a first-order linear recurrence per mode, forward in time
 for u and v_F and backward for v_S; the recurrences are evaluated as
 log-depth prefix scans over the time nodes (Blelloch 1990), not node by
@@ -238,9 +239,12 @@ def _sources(params: ModelParams, grid: Grid, Y, clip_bound, out):
     The time nodes are evaluated in blocks of ``_source_block_rows(grid)``,
     whose padded node values stay in cache through the clip and the
     remainder's passes; the whole (2, n_t, 3N/2) node array would stream
-    from memory on every pass.  The bits are those of one call over all
-    nodes: ``_dealiased`` transforms each row on its own (``_rowwise``, or
-    the real FFT pair along the last axis) and the node map is pointwise."""
+    from memory on every pass.  On the matrix path each block's transforms
+    are one stacked product (``_dealiased(stacked=True)``), which rounds a
+    row depending on the rows of its block.  So the bits depend on the
+    block rows, but not on the other graph points, the worker count or the
+    BLAS thread count, and they equal one row-by-row call over all nodes to
+    roundoff."""
     if params.is_linear:
         np.divide(Y[1], params.eps, out=out[0])
         out[1] = 0.0
@@ -255,7 +259,7 @@ def _sources(params: ModelParams, grid: Grid, Y, clip_bound, out):
 
     rows = _source_block_rows(grid)
     for i in range(0, Y.shape[1], rows):
-        out[:, i : i + rows] = _dealiased(grid, Y[:, i : i + rows], node_map)
+        out[:, i : i + rows] = _dealiased(grid, Y[:, i : i + rows], node_map, stacked=True)
     return out
 
 

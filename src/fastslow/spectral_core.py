@@ -19,10 +19,12 @@ amplitudes give the first K of the result (the Lyapunov-Perron sweep passes
 its Galerkin band, every other caller all N).  On grids up to
 N = _MATRIX_MAX_N the two transforms of ``_dealiased`` are products with
 matrices, since there a transform call costs more in dispatch than the
-product costs in arithmetic.  The pair is cached per (N, K) as C-contiguous
-band matrices whose width is K rounded up to a multiple of 4: contiguous,
-because a product through strided columns is slower, and rounded, because
-only then does a band call keep the bits of the N-wide one.
+product costs in arithmetic; they are taken row by row, except for the
+Lyapunov-Perron sources, one stacked product per block of time nodes.  The
+pair is cached per (N, K) as C-contiguous band matrices whose width is K
+rounded up to a multiple of 4: contiguous, because a product through
+strided columns is slower, and rounded, because only then does a band call
+keep the bits of the N-wide one.
 
 The cosine transforms are numpy's real FFT pair after Makhoul's even/odd
 node permutation (IEEE Trans. ASSP 28, 1980): the even nodes in order, then
@@ -302,15 +304,18 @@ def _rowwise(a: np.ndarray, m: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _dealiased(grid: Grid, coeffs: np.ndarray, node_map, nodes=None, out=None) -> np.ndarray:
+def _dealiased(
+    grid: Grid, coeffs: np.ndarray, node_map, nodes=None, out=None, *, stacked=False
+) -> np.ndarray:
     """Amplitudes of a pointwise map of fields given by their amplitudes.
 
     ``coeffs`` (..., K) holds the first K <= N amplitudes (the rest zero) and
     is evaluated on the 3N/2 padded nodes, ``node_map`` takes those node
     values and returns the mapped ones (it may overwrite its argument and
     return it), and the result is transformed back and truncated to the same
-    K modes.  Exact for quadratic maps.  Band in, band out: for every K the
-    result equals the first K amplitudes of the N-wide call bit for bit.
+    K modes.  Exact for quadratic maps.  By default, band in, band out: for
+    every K the result equals the first K amplitudes of the N-wide call bit
+    for bit, and each row equals its single-row call bit for bit.
     On the matrix path with K = N, ``nodes`` (..., 3N/2) and ``out``
     (coeffs' shape), where given, receive the padded node values and the
     result, with the same bits: a caller that maps many arrays of one shape
@@ -318,14 +323,21 @@ def _dealiased(grid: Grid, coeffs: np.ndarray, node_map, nodes=None, out=None) -
     not used and the result is a new array, so a caller reads the returned
     array, not ``out``.
 
+    ``stacked=True`` is for a caller whose rows are one problem
+    (``galerkin_manifold._sources``): on the matrix path each transform is
+    then one stacked product, about 2.5x faster than row by row on a
+    (2, 170, 20) block at N = 64.  A row's bits then depend on the rows
+    stacked with it, and agree with the default to roundoff.  On the real
+    FFT path the keyword changes nothing.
+
     Up to N = _MATRIX_MAX_N the transforms are products with the band pair
     ``_padded_matrices(N, K)``: on these grids a transform call costs more
     in dispatch than the product costs in arithmetic (at N = 256 the
     transform pair is already faster on one to three rows).  The products
-    are taken one row at a time (``_rowwise``), because a plain stacked
-    product rounds a row differently depending on the rows stacked with it:
-    the paired converge members would then differ from the separate solver
-    runs, and a band call from the N-wide one.  The band pair is cached per
+    are taken one row at a time (``_rowwise``) by default, because a plain
+    stacked product rounds a row differently depending on the rows stacked
+    with it: the paired converge members would then differ from the
+    separate solver runs, and a band call from the N-wide one.  The band pair is cached per
     (N, K) as C-contiguous copies: a product through the strided columns of
     the N-wide ``forward`` took about 1.5x as long (160 against 104 us for
     a (2, 170) block at N = 64, K = 20, one BLAS thread).  Its width is K rounded up to a
@@ -344,11 +356,12 @@ def _dealiased(grid: Grid, coeffs: np.ndarray, node_map, nodes=None, out=None) -
     if grid.N <= _MATRIX_MAX_N:
         inverse, forward = _padded_matrices(grid.N, k)
         width = inverse.shape[0]
+        product = np.matmul if stacked else _rowwise
         if width == k:
-            return _rowwise(node_map(_rowwise(coeffs, inverse, nodes)), forward, out)
+            return product(node_map(product(coeffs, inverse, nodes)), forward, out)
         padded = np.zeros(coeffs.shape[:-1] + (width,))
         padded[..., :k] = coeffs
-        return _rowwise(node_map(_rowwise(padded, inverse)), forward)[..., :k]
+        return product(node_map(product(padded, inverse)), forward)[..., :k]
     return _permuted_forward(node_map(_permuted_inverse(coeffs, grid.padded_size)), k)
 
 

@@ -88,3 +88,14 @@ def lipschitz_ratio_pairwise(points, k0):
         dvf = math.sqrt(float(np.sum(nw * (a.v_fast_coeffs - b.v_fast_coeffs) ** 2)))
         ratios.append((du + dvf) / dnorm)
     return max(ratios, default=math.nan)
+
+
+def reflected(coeffs):
+    """The cosine amplitudes (..., K) of w(L - x): c_k -> (-1)^k c_k.
+
+    The reflection x -> L - x maps the half-sample nodes onto themselves in
+    reverse order; every node map and the clip are pointwise, so a solution
+    built from reflected data is the reflected solution."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    sign = np.where(np.arange(coeffs.shape[-1]) % 2 == 0, 1.0, -1.0)
+    return coeffs * sign

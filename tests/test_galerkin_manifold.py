@@ -37,7 +37,7 @@ from fastslow.galerkin_manifold import (
 )
 from fastslow.integrator import _full_node_map, _phi
 from fastslow.spectral_core import _MATRIX_MAX_N, _dealiased
-from oracles import lipschitz_ratio_pairwise
+from oracles import lipschitz_ratio_pairwise, reflected
 
 
 def linear_params(eps=0.01, delta=0.001, d=1.0):
@@ -476,7 +476,9 @@ BLOCK_CASES = [(0, 8), (1, -1), (1, 0), (1, 1), (2, 3), (0, 2048)]
 )
 def test_sources_in_time_blocks_equal_one_call(monkeypatch, N, blocks, extra):
     # the blocked sources tile the time nodes once, in blocks of at most B
-    # rows, and equal one _dealiased call over all nodes bit for bit
+    # rows, and the whole equals one row-wise call over all nodes to roundoff.
+    # The per-block check is a write-back check: the spy makes the same
+    # stacked call, so it shows that each block's result lands in its rows.
     assert 64 <= _MATRIX_MAX_N < 256
     p, consts = small_nonlinear()
     grid = build_grid(p.L, N)
@@ -486,9 +488,10 @@ def test_sources_in_time_blocks_equal_one_call(monkeypatch, N, blocks, extra):
     Y = rng.standard_normal((2, n_t, 20)) * (0.8 / (1.0 + np.arange(20)))
     seen = []
 
-    def spy(grid, coeffs, node_map):
-        seen.append(coeffs.shape[1])
-        return _dealiased(grid, coeffs, node_map)
+    def spy(grid, coeffs, node_map, *, stacked):
+        assert stacked
+        seen.append(coeffs.copy())
+        return _dealiased(grid, coeffs, node_map, stacked=True)
 
     results = {}
     for clip in (None, consts.K0):
@@ -503,10 +506,44 @@ def test_sources_in_time_blocks_equal_one_call(monkeypatch, N, blocks, extra):
         with monkeypatch.context() as m:
             m.setattr(galerkin_manifold, "_dealiased", spy)
             results[clip] = _sources(p, grid, Y, clip, np.empty_like(Y))
-        assert sum(seen) == n_t and max(seen) <= rows
         assert results[clip].shape == Y.shape
-        assert np.array_equal(results[clip], whole)
+        assert [block.shape[1] for block in seen] == [
+            min(rows, n_t - i) for i in range(0, n_t, rows)
+        ]
+        assert np.array_equal(np.concatenate(seen, axis=1), Y)
+        start = 0
+        for block in seen:
+            stop = start + block.shape[1]
+            expected = _dealiased(grid, block, node_map, stacked=True)
+            assert np.array_equal(results[clip][:, start:stop], expected)
+            start = stop
+        scale = np.max(np.abs(whole))
+        assert np.max(np.abs(results[clip] - whole)) <= 1e-14 * scale
     assert not np.array_equal(results[None], results[consts.K0])  # the clip is active
+
+
+@pytest.mark.parametrize("case", ["clip-0.01", "clip-K0"])
+def test_lp_graph_commutes_with_the_reflection(case):
+    # oracle from an exact symmetry: the reflection x -> L - x maps slow data
+    # c_k to (-1)^k c_k, and the graph's u and v_F amplitudes map the same way
+    # in as many sweeps.  Independent of the sources' bits: the reflected
+    # data take other roundoff through the stacked products.
+    p, consts = small_nonlinear()
+    split = splitting_parameters(26.0)
+    clip, amplitude = {"clip-0.01": (0.01, 0.02), "clip-K0": (consts.K0, 0.5)}[case]
+    rng = np.random.default_rng(18)
+    samples = [amplitude * rng.standard_normal(split.k0) for _ in range(2)]
+    n = len(samples)
+    graph = lyapunov_perron_sweep(
+        samples + [reflected(v0) for v0 in samples], p, split,
+        n_t=512, tol=1e-10, clip_bound=clip,
+    )
+    for pt, mirror in zip(graph.points[:n], graph.points[n:]):
+        assert pt.converged and mirror.converged
+        assert mirror.iterations == pt.iterations
+        for got, ref in ((mirror.u_coeffs, pt.u_coeffs), (mirror.v_fast_coeffs, pt.v_fast_coeffs)):
+            assert np.any(ref != 0.0)
+            assert np.max(np.abs(got - reflected(ref))) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_lp_noncontraction_raises_with_report():

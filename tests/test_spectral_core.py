@@ -308,6 +308,24 @@ def test_dealiased_rows_independent_of_their_stack(N, width, rows):
         assert np.array_equal(out[r], _dealiased(g, coeffs[r], node_map))
 
 
+@pytest.mark.parametrize("N", [8, 64, _MATRIX_MAX_N, 2 * _MATRIX_MAX_N])
+@pytest.mark.parametrize("width", ["full", "band", "3/4+1"])
+def test_dealiased_stacked_agrees_with_the_rowwise_call(N, width):
+    # one stacked product per transform rounds differently from the row-wise
+    # products on the matrix path, but only at roundoff; the real FFT path
+    # is stacked along the last axis either way, so there the bits agree
+    g = build_grid(np.pi, N)
+    K = band_width(N, width)
+    coeffs = np.random.default_rng(N + K).standard_normal((2, 170, K)) / (1.0 + np.arange(K))
+    stacked = _dealiased(g, coeffs, quadratic_map, stacked=True)
+    rowwise = _dealiased(g, coeffs, quadratic_map)
+    assert stacked.shape == rowwise.shape == coeffs.shape
+    if N > _MATRIX_MAX_N:
+        assert np.array_equal(stacked, rowwise)
+    else:
+        assert np.max(np.abs(stacked - rowwise)) <= 1e-14 * np.max(np.abs(rowwise))
+
+
 @pytest.mark.parametrize("N", [8, 64, _MATRIX_MAX_N])
 @pytest.mark.parametrize("rows", [2, 3])
 def test_dealiased_into_buffers_keeps_the_bits(N, rows):
