@@ -21,9 +21,16 @@ transforms as one stacked product: a point's bits depend on the block rows
 (``_source_block_rows``), but not on the other points, the worker count or
 the BLAS thread count.  On the time grid each
 integral becomes a first-order linear recurrence per mode, forward in time
-for u and v_F and backward for v_S; the recurrences are evaluated as
-log-depth prefix scans over the time nodes (Blelloch 1990), not node by
-node (``_scan_kernel``, ``_linear_scan``).  The iterate (U, V) lives on the
+for u and v_F and backward for v_S.  The recurrences are evaluated as
+blocked scans over the time nodes (the chunked prefix scan; Blelloch 1990,
+Dao & Gu 2024), not node by node (``_scan_kernel``, ``_linear_scan``): the
+nodes are cut into blocks of _SCAN_BLOCK, a batched product gives every
+block's end, a log-depth scan over the block ends gives each block's
+carry, and one batched product of every block's carry and sources with a
+per-mode matrix (the Toeplitz factor of the powers of e^{lam h}, with the
+trapezoid weights folded in) gives all values.  So a point's bits also
+depend on _SCAN_BLOCK and n_t, and again not on the other points, the
+worker count or the BLAS thread count.  The iterate (U, V) lives on the
 Galerkin band of n_modes retained modes as one (2, n_t, n_modes) array,
 since the sources vanish above it; a graph point is padded to all N modes.
 Convergence and the observed contraction factor are measured in the
@@ -32,10 +39,10 @@ weighted sup norm sup_t e^{-eta t} (||u||_H2 + ||v_F||_H2 + ||v_S||_H2).
 ``lyapunov_perron_sweep`` is the one solver; a single point is the graph
 of one sample.  Its builder, ``_graph_solver``, checks every option before
 it builds anything, then builds, as locals shared by a graph's points, the
-per-mode rates, the horizon, the scan kernels' weights and factor powers,
-the norm weights and the work buffers (the ping-pong pair of iterates, the
-sources, the coupled source and the scans' temporaries, with their
-contiguous views), which every sweep of every point reuses instead of
+per-mode rates, the horizon, the scan kernels' block matrices and carry
+powers, the norm weights and the work buffers (the ping-pong pair of
+iterates, the sources, the coupled source, the scans' work buffer and the
+norms' temporaries), which every sweep of every point reuses instead of
 allocating its own; it returns the iteration over one point's slow data as
 a closure, so a point is the same bits in a graph of one as in a graph of
 many.  The sweep checks every sample before any point runs.  With two or
@@ -79,6 +86,8 @@ __all__ = [
 
 # Byte budget of one block of ``_sources``' padded node values (both fields).
 _SOURCE_BLOCK_BYTES = 256 * 1024
+# Time nodes per block of ``_linear_scan``.
+_SCAN_BLOCK = 32
 
 GAP_FORMULA_NOTE = (
     "splitting formulas give N_S - N_F = k0 - 2 (not k0); implemented as written"
@@ -265,86 +274,135 @@ def _sources(params: ModelParams, grid: Grid, Y, clip_bound, out):
 
 @dataclass(frozen=True)
 class _ScanKernel:
-    """The per-sweep constants of one recurrence, set up once per graph.
+    """The constants of one recurrence over n_t time nodes, set up once per graph.
 
-    ``wA``, ``wB`` are the exponential trapezoid weights of the left and
-    right source node, ``factor`` the per-step factor e^{lam h} (forward) or
-    e^{-lam h} (backward) and ``powers`` its powers for s = 1, 2, 4, .. < n_t,
-    the factors of ``_linear_scan``'s passes.
+    The recurrence is y_j = a y_{j-1} + wA G_{j-1} + wB G_j for j = 1, ..,
+    n_t - 1 from a given y_0, with one factor a and weight pair per mode (K
+    modes).  Its nodes 1, .., n_t - 1 are cut into ``blocks`` blocks of B
+    nodes and a tail of ``tail`` < B nodes.  ``matrix`` (K, B + 2, B) maps a
+    block's input row (the carry y before the block, then G at the node
+    before the block and at its B nodes) to its B values: row 0 holds
+    a^1, .., a^B and row 1 + q the weight of G at offset q, the lower
+    triangular Toeplitz factor a^(t-i) times the weights, wA a^(t-q) +
+    wB a^(t+1-q).  ``carry`` holds a^(sB) for s = 1, 2, 4, .. <= ``blocks``,
+    the factors of the scan over the carries.
     """
 
-    wA: np.ndarray
-    wB: np.ndarray
-    factor: np.ndarray
-    powers: tuple
+    matrix: np.ndarray
+    carry: tuple
+    blocks: int
+    tail: int
+
+    @property
+    def work_size(self) -> int:
+        """Elements of the flat work buffer ``_linear_scan`` needs."""
+        K, rows, B = self.matrix.shape
+        return K * (self.blocks + 1) * (rows + B + 2)
 
 
 def _scan_kernel(lam, h, n_t, backward=False) -> _ScanKernel:
     """The kernel of the recurrence over n_t nodes with step h and rates lam.
 
-    a^s is formed as exp(s log a), not by repeated squaring, whose rounding
-    doubles with every pass, and only for s < n_t: a growing factor never
-    forms an unused power that could overflow.
+    Forward, a = e^{lam h} and (wA, wB) are the exponential trapezoid
+    weights of the left and right source node.  Backward, the recurrence
+    runs in reversed time: a = e^{-lam h}, and the weights are those of
+    v_{j-1} = a (v_j - wA F_{j-1} - wB F_j), with G the reversed sources.
+    The block is B = min(_SCAN_BLOCK, n_t - 1) nodes.  a^m is formed as
+    exp(m log a), the power of the rounded factor, and only for m <= n_t - 1:
+    a growing factor never forms a power beyond the horizon, which could
+    overflow.  A factor that underflowed to 0 gives a = 0 and the identity
+    Toeplitz factor.
     """
     z = lam * h
     factor = np.exp(-z if backward else z)
-    with np.errstate(divide="ignore"):  # a = 0 where a stiff decay underflowed
-        log_a = np.log(factor)
-    powers = []
-    s = 1
-    while s < n_t:
-        powers.append(np.exp(s * log_a))
-        s *= 2
     phi2 = _phi(2, z)
-    return _ScanKernel(h * (_phi(1, z) - phi2), h * phi2, factor, tuple(powers))
-
-
-def _linear_scan(powers, x, temp):
-    """In place, x[j] = a x[j-1] + x[j] along axis 0, for j = 1, 2, ... in turn.
-
-    Evaluated as ceil(log2 n) doubling passes x[s:] += a^s x[:-s] for
-    s = 1, 2, 4, ... (an inclusive prefix scan of the first-order linear
-    recurrence), so there is no Python loop over the rows; ``powers`` holds
-    a^s for every s < n (``_scan_kernel``).  Each product a^s x[:-s] is
-    formed in ``temp``, an array of x's shape that x does not overlap.
-    """
-    n = len(x)
+    wA, wB = h * (_phi(1, z) - phi2), h * phi2
+    if backward:
+        wA, wB = -factor * wB, -factor * wA
+    with np.errstate(divide="ignore"):  # a = 0 where a stiff decay underflowed
+        log_a = np.log(factor)[:, None]
+    B = min(_SCAN_BLOCK, n_t - 1)
+    blocks, tail = divmod(n_t - 1, B)
+    # a^0, .., a^B, then a zero column for the weights outside the triangle
+    powers = np.zeros((len(factor), B + 2))
+    powers[:, 0] = 1.0
+    powers[:, 1 : B + 1] = np.exp(np.arange(1, B + 1) * log_a)
+    q, t = np.arange(B + 1)[:, None], np.arange(B)
+    left = np.where(q <= t, t - q, B + 1)
+    right = np.where((1 <= q) & (q <= t + 1), t + 1 - q, B + 1)
+    matrix = np.empty((len(factor), B + 2, B))
+    matrix[:, 0] = powers[:, 1 : B + 1]
+    matrix[:, 1:] = wA[:, None, None] * powers[:, left] + wB[:, None, None] * powers[:, right]
+    carry = []
     s = 1
-    for a_s in powers:
-        x[s:] += np.multiply(a_s, x[:-s], out=temp[: n - s])
+    while s <= blocks:
+        carry.append(np.exp(s * B * log_a))
         s *= 2
-    return x
+    return _ScanKernel(matrix, tuple(carry), blocks, tail)
 
 
-def _convolve_forward(kernel: _ScanKernel, F, out, temp):
+def _linear_scan(kernel: _ScanKernel, G, y0, work):
+    """y_1, .., y_{n-1} of ``kernel``'s recurrence over the (n, K) sources G
+    from y_0 = y0, as a (K, n - 1) view into ``work`` (a flat array of at
+    least ``kernel.work_size`` elements, which G does not overlap).
+
+    A blocked scan (Blelloch 1990; the chunked form of Dao & Gu 2024): the
+    ends of the blocks at zero carry are one batched product, a log-depth
+    scan over them gives each block's carry, and one batched product of
+    every block's input row with ``kernel.matrix`` gives all values; the
+    tail takes the matrix's leading part.  There is no Python loop over
+    the nodes, and each value's rounding depends on B and n but not on the
+    other modes, other calls or the BLAS thread count.
+    """
+    K, rows, B = kernel.matrix.shape
+    C, r = kernel.blocks, kernel.tail
+    m = K * (C + 1)
+    X = work[: m * rows].reshape(K, C + 1, rows)
+    Y = work[m * rows : m * (rows + B)].reshape(K, C + 1, B)
+    carry, temp = work[m * (rows + B) : m * (rows + B + 2)].reshape(2, K, C + 1)
+    Gt = G.T
+    # block c's row: its carry, then G at nodes cB (before it) .. cB + B
+    X[:, :C, 1] = Gt[:, : C * B : B]
+    X[:, :C, 2:] = Gt[:, 1 : C * B + 1].reshape(K, C, B)
+    carry[:, 0] = y0
+    ends = np.matmul(X[:, :C, 1:], kernel.matrix[:, 1:, B - 1 :], out=Y[:, :C, :1])
+    carry[:, 1:] = ends[:, :, 0]
+    s = 1
+    for a_sB in kernel.carry:
+        carry[:, s:] += np.multiply(a_sB, carry[:, :-s], out=temp[:, : C + 1 - s])
+        s *= 2
+    X[:, :, 0] = carry
+    np.matmul(X[:, :C], kernel.matrix, out=Y[:, :C])
+    if r:
+        X[:, C, 1 : r + 2] = Gt[:, C * B :]
+        np.matmul(X[:, C:, : r + 2], kernel.matrix[:, : r + 2, :r], out=Y[:, C:, :r])
+    return Y.reshape(K, -1)[:, : C * B + r]
+
+
+def _convolve_forward(kernel: _ScanKernel, F, out, work):
     """I(t_j) = int_{-T}^{t_j} e^{lam (t_j - s)} F(s) ds with F piecewise linear.
 
     ``F`` has shape (n_t, K) for the K rates of ``kernel``; the result is
-    written into ``out`` (the same shape) and returned.  The recurrence
-    I_j = e^{lam h} I_{j-1} + wA F_{j-1} + wB F_j from I_0 = 0 is evaluated
-    as a log-depth scan over the time nodes; ``temp`` (F's shape) holds
-    its temporaries.  Neither may overlap F.
+    written into ``out`` (the same shape, which may be strided) and
+    returned.  The recurrence I_j = e^{lam h} I_{j-1} + wA F_{j-1} + wB F_j
+    from I_0 = 0 is evaluated by ``_linear_scan`` in ``work``.
     """
     out[0] = 0.0
-    np.multiply(kernel.wA, F[:-1], out=out[1:])
-    out[1:] += np.multiply(kernel.wB, F[1:], out=temp[:-1])
-    return _linear_scan(kernel.powers, out, temp)
+    out[1:] = _linear_scan(kernel, F, 0.0, work).T
+    return out
 
 
-def _propagate_slow_backward(kernel: _ScanKernel, v0, F, rev, temp):
+def _propagate_slow_backward(kernel: _ScanKernel, v0, F, out, work):
     """Solve v' = lam v + F backward from v(0) = v0 on the slow block.
 
     The recurrence v_{j-1} = e^{-lam h} (v_j - wA F_{j-1} - wB F_j) is
-    evaluated as a log-depth scan in reversed time, in ``rev`` (F's shape,
-    C-contiguous: a scan over a reversed view is about twice as slow);
-    returns the reversed view of ``rev``.  ``kernel`` is the backward one,
-    and ``temp`` is as in ``_convolve_forward``.
+    evaluated by ``_linear_scan`` in reversed time, with ``kernel`` the
+    backward one; the result is written into ``out`` (F's shape) and
+    returned, and ``work`` is as in ``_convolve_forward``.
     """
-    rev[0] = v0
-    src = np.multiply(kernel.wA, F[:-1], out=temp[:-1])
-    src += np.multiply(kernel.wB, F[1:], out=rev[1:])
-    np.multiply(-kernel.factor, src, out=rev[:0:-1])
-    return _linear_scan(kernel.powers, rev, temp)[::-1]
+    out[-1] = v0
+    out[-2::-1] = _linear_scan(kernel, F[::-1], v0, work).T
+    return out
 
 
 def _graph_grid(params: ModelParams, n_modes: int) -> Grid:
@@ -361,11 +419,11 @@ def _graph_solver(params, split, fast_band, t_back, n_t, tol, max_iter, gap_repo
     ConfigurationError, and HorizonError for a short ``t_back``), builds once
     what a graph's points share, and returns ``solve(v0)``, the fixed point
     over the checked slow data v0.  The work buffers: the ping-pong pair of
-    iterates, the sources, the coupled source ``S``, and two flat buffers
-    viewed as C-contiguous (n_t, width) columns, ``work`` for the v scans (a
-    scan over the iterate's strided columns is about twice as slow) and
-    ``temp`` for the scans' products and the norms.  A point leaves nothing
-    in them that the next reads.
+    iterates, the sources, the coupled source ``S``, ``work`` for the
+    scans, which read their sources from and write their values into the
+    strided columns of ``S`` and the iterate, and ``temp``, a flat buffer
+    viewed as C-contiguous (n_t, width) columns for the norms.  A point
+    leaves nothing in them that the next reads.
     """
     for name, value in (("t_back", t_back), ("clip_bound", clip_bound)):
         if value is not None and not 0 < value < math.inf:
@@ -414,8 +472,7 @@ def _graph_solver(params, split, fast_band, t_back, n_t, tol, max_iter, gap_repo
     iterates = (np.empty((2, n_t, n_modes)), np.empty((2, n_t, n_modes)))
     sources = np.empty((2, n_t, n_modes))
     S = np.empty((n_t, n_modes))
-    work, temp = np.empty(n_t * n_modes), np.empty(n_t * n_modes)
-    work_vf, work_vs = (work[: n_t * w].reshape(n_t, w) for w in (n_modes - k0, k0))
+    work, temp = np.empty(kernel_u.work_size), np.empty(n_t * n_modes)
     temp_u, temp_vf, temp_vs = (
         temp[: n_t * w].reshape(n_t, w) for w in (n_modes, n_modes - k0, k0)
     )
@@ -445,13 +502,11 @@ def _graph_solver(params, split, fast_band, t_back, n_t, tol, max_iter, gap_repo
         converged = False
         for iterations in range(1, max_iter + 1):
             n_u, psi = _sources(params, grid, Y, clip_bound, sources)
-            _convolve_forward(kernel_u, n_u, Y_new[0], temp_u)
+            _convolve_forward(kernel_u, n_u, Y_new[0], work)
             np.multiply(coupling, Y[0], out=S)
             np.add(S, psi, out=S)
-            Y_new[1, :, fast] = _convolve_forward(kernel_vf, S[:, fast], work_vf, temp_vf)
-            Y_new[1, :, slow] = _propagate_slow_backward(
-                kernel_vs, v0, S[:, slow], work_vs, temp_vs
-            )
+            _convolve_forward(kernel_vf, S[:, fast], Y_new[1, :, fast], work)
+            _propagate_slow_backward(kernel_vs, v0, S[:, slow], Y_new[1, :, slow], work)
             dist = weighted_distance(Y_new, Y)
             Y, Y_new = Y_new, Y
             if not np.isfinite(dist):

@@ -99,3 +99,13 @@ def reflected(coeffs):
     coeffs = np.asarray(coeffs, dtype=float)
     sign = np.where(np.arange(coeffs.shape[-1]) % 2 == 0, 1.0, -1.0)
     return coeffs * sign
+
+
+def spread_modes(coeffs, m):
+    """The cosine amplitudes (..., m K) of w(m x) from those (..., K) of w:
+    mode k moves to mode m k, so w on (0, L / m) becomes the same values
+    repeated, by reflection, over (0, L)."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    out = np.zeros(coeffs.shape[:-1] + (m * coeffs.shape[-1],))
+    out[..., ::m] = coeffs
+    return out

@@ -29,6 +29,7 @@ from fastslow.errors import (
 )
 from fastslow import _parallel, galerkin_manifold
 from fastslow.galerkin_manifold import (
+    _SCAN_BLOCK,
     _convolve_forward,
     _propagate_slow_backward,
     _scan_kernel,
@@ -690,16 +691,21 @@ def loop_propagate_slow_backward(lam, h, v0, F):
     return out
 
 
-# float64 rounding accumulated over the log2(n_t) passes of the scan, relative
-# per mode column to the largest value of the envelope: the loop run on
-# absolute data, which bounds every partial sum of either evaluation order.
-# The loop's own values can cancel far below the loop's rounding error.
+# float64 rounding accumulated over the blocked scan, relative per mode
+# column to the largest value of the envelope: the loop run on absolute data,
+# which bounds every partial sum of either evaluation order.  The loop's own
+# values can cancel far below the loop's rounding error.
 SCAN_RTOL = 1e-13
 
+B = _SCAN_BLOCK
+# 8, 9, B - 1, B: one short block; B + 1 and 257: whole blocks; 2 B + 3 and
+# 2048: whole blocks and a tail
+SCAN_NODES = [8, 9, B - 1, B, B + 1, 2 * B + 3, 257, 2048]
 
-def buffers(F):
-    # the result and temporary arrays a scan writes into
-    return np.empty_like(F), np.empty_like(F)
+
+def buffers(kernel, F):
+    # the result array and the flat work buffer a scan writes into
+    return np.empty_like(F), np.empty(kernel.work_size)
 
 
 def assert_columns_close(new, ref, envelope):
@@ -708,7 +714,7 @@ def assert_columns_close(new, ref, envelope):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("n_t", [8, 9, 257, 2048])
+@pytest.mark.parametrize("n_t", SCAN_NODES)
 def test_convolve_forward_scan_matches_loop(n_t):
     rng = np.random.default_rng(n_t)
     for K in (1, 5, 20):
@@ -719,15 +725,16 @@ def test_convolve_forward_scan_matches_loop(n_t):
                 z[0] = first
             lam = z / h
             F = rng.standard_normal((n_t, K))
+            kernel = _scan_kernel(lam, h, n_t)
             assert_columns_close(
-                _convolve_forward(_scan_kernel(lam, h, n_t), F, *buffers(F)),
+                _convolve_forward(kernel, F, *buffers(kernel, F)),
                 loop_convolve_forward(lam, h, F),
                 loop_convolve_forward(lam, h, np.abs(F)),
             )
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("n_t", [8, 9, 257, 2048])
+@pytest.mark.parametrize("n_t", SCAN_NODES)
 def test_propagate_slow_backward_scan_matches_loop(n_t):
     # growing slow modes: up to e^40 over the horizon, and one column near
     # e^600, where a factor power beyond the horizon would overflow
@@ -741,43 +748,80 @@ def test_propagate_slow_backward_scan_matches_loop(n_t):
             lam = z / h
             v0 = rng.standard_normal(K)
             F = rng.standard_normal((n_t, K))
+            kernel = _scan_kernel(lam, h, n_t, backward=True)
             assert_columns_close(
-                _propagate_slow_backward(
-                    _scan_kernel(lam, h, n_t, backward=True), v0, F, *buffers(F)
-                ),
+                _propagate_slow_backward(kernel, v0, F, *buffers(kernel, F)),
                 loop_propagate_slow_backward(lam, h, v0, F),
                 loop_propagate_slow_backward(lam, h, np.abs(v0), -np.abs(F)),
             )
 
 
-def allocating_scan(powers, x):
-    # the doubling passes as they were before the scans took a temporary buffer
-    s = 1
-    for a_s in powers:
-        x[s:] += a_s * x[:-s]
-        s *= 2
-    return x
-
-
-def allocating_convolve_forward(kernel, F):
-    out = np.empty_like(F)
-    out[0] = 0.0
-    out[1:] = kernel.wA * F[:-1] + kernel.wB * F[1:]
-    return allocating_scan(kernel.powers, out)
-
-
-def allocating_propagate_slow_backward(kernel, v0, F):
-    rev = np.empty_like(F)
-    rev[0] = v0
-    rev[1:] = (-kernel.factor * (kernel.wA * F[:-1] + kernel.wB * F[1:]))[::-1]
-    return allocating_scan(kernel.powers, rev)[::-1]
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n_t", SCAN_NODES)
+def test_scan_kernel_forms_no_power_beyond_the_horizon(n_t):
+    # a backward factor that grows by e^700 over the horizon: a^(n_t - 1) is
+    # finite, a^n_t would overflow for n_t <= 72
+    h = 1e-3
+    lam = -np.array([700.0, 1.0, 0.0]) / ((n_t - 1) * h)
+    kernel = _scan_kernel(lam, h, n_t, backward=True)
+    block = min(B, n_t - 1)
+    assert kernel.matrix.shape == (3, block + 2, block)
+    assert (kernel.blocks, kernel.tail) == divmod(n_t - 1, block)
+    assert kernel.blocks * block + kernel.tail == n_t - 1
+    assert len(kernel.carry) == math.floor(math.log2(kernel.blocks)) + 1
+    for table in (kernel.matrix, *kernel.carry):
+        assert np.all(np.isfinite(table))
+    # the largest power formed is the carry's a^(sB) <= a^(n_t - 1)
+    largest = max(np.max(kernel.matrix[0, 0]), *(c[0, 0] for c in kernel.carry))
+    assert largest <= math.exp(700.0 * (1 + 1e-12))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("n_t", [8, 9, 257, 2048])
+def test_underflowed_factor_gives_the_identity_toeplitz_factor():
+    # lam h = -1e5: e^{lam h} is 0.0, and log 0 = -inf must not reach a 0 * inf
+    n_t, h = 2 * B + 3, 1e-3
+    kernel = _scan_kernel(np.array([-1e5 / h, -1.0]), h, n_t)
+    matrix = kernel.matrix[0]
+    assert np.all(matrix[0] == 0.0)  # a^1 .. a^B
+    weights = matrix[1:]  # wA a^(t-q) + wB a^(t+1-q): only q = t and q = t + 1 remain
+    band = np.eye(B + 1, B, dtype=bool) | np.eye(B + 1, B, k=-1, dtype=bool)
+    assert np.all(weights[~band] == 0.0)
+    assert np.all(weights[band] != 0.0)
+    assert all(c[0, 0] == 0.0 for c in kernel.carry)
+
+
+def allocating_scan(kernel, G, y0):
+    # the blocked scan with a fresh array for every product
+    K, rows, B = kernel.matrix.shape
+    C, r = kernel.blocks, kernel.tail
+    windows = np.array([[G[c * B : (c + 1) * B + 1, k] for c in range(C)] for k in range(K)])
+    ends = windows @ kernel.matrix[:, 1:, B - 1 :]
+    carry = np.concatenate([np.broadcast_to(y0, (K,))[:, None], ends[:, :, 0]], axis=1)
+    s = 1
+    for a_sB in kernel.carry:
+        carry[:, s:] += a_sB * carry[:, :-s]
+        s *= 2
+    full = np.concatenate([carry[:, :C, None], windows], axis=2) @ kernel.matrix
+    values = [full.reshape(K, C * B)]
+    if r:
+        row = np.concatenate([carry[:, C:], G[C * B :].T], axis=1)[:, None]
+        values.append((row @ kernel.matrix[:, : r + 2, :r])[:, 0])
+    return np.concatenate(values, axis=1)
+
+
+def allocating_convolve_forward(kernel, F):
+    return np.concatenate([np.zeros((1, F.shape[1])), allocating_scan(kernel, F, 0.0).T])
+
+
+def allocating_propagate_slow_backward(kernel, v0, F):
+    return np.concatenate([allocating_scan(kernel, F[::-1], v0).T[::-1], v0[None]])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n_t", SCAN_NODES)
 def test_scans_in_work_buffers_equal_the_allocating_passes(n_t):
-    # bit for bit, in buffers that hold stale values, on the strided columns
-    # a sweep passes (S[:, fast], S[:, slow])
+    # bit for bit, in buffers that hold stale values, from and into the
+    # strided columns a sweep passes (S[:, fast], S[:, slow], the iterate's)
     rng = np.random.default_rng(n_t)
     h = 1e-3
     for K in (1, 5, 20):
@@ -786,13 +830,17 @@ def test_scans_in_work_buffers_equal_the_allocating_passes(n_t):
         v0 = rng.standard_normal(K)
         forward = _scan_kernel(-(10.0 ** rng.uniform(-3, 6, K)), h, n_t)
         backward = _scan_kernel(-rng.uniform(0.0, 40.0 / ((n_t - 1) * h), K), h, n_t, backward=True)
-        out, temp = np.full((n_t, K), np.nan), np.full((n_t, K), np.nan)
-        assert _convolve_forward(forward, F, out, temp) is out
-        assert np.array_equal(out, allocating_convolve_forward(forward, F))
-        out[:], temp[:] = np.nan, np.nan
-        got = _propagate_slow_backward(backward, v0, F, out, temp)
-        assert got.base is out
-        assert np.array_equal(got, allocating_propagate_slow_backward(backward, v0, F))
+        for kernel, scan, expected in (
+            (forward, lambda o, w: _convolve_forward(forward, F, o, w),
+             allocating_convolve_forward(forward, F)),
+            (backward, lambda o, w: _propagate_slow_backward(backward, v0, F, o, w),
+             allocating_propagate_slow_backward(backward, v0, F)),
+        ):
+            Y = np.full((n_t, K + 2), np.nan)
+            work = np.full(kernel.work_size, np.nan)
+            assert scan(Y[:, 2:], work).base is Y
+            assert np.array_equal(Y[:, 2:], expected)
+            assert np.all(np.isnan(Y[:, :2]))
 
 
 # ---------------------------------------------------------------------------

@@ -17,16 +17,19 @@ into this working tree.  Each holds the ref the tree came from, the
 environment, the settings and every run: its stdout lines and its JSON
 result line.  Then prints, for each (workload, seed) and each end-to-end
 metric of BENCHMARK.json, the two medians, the parent's interquartile range
-(IQR), the relative change of the medians and the pairs the change won (ties
-count for neither side).  A gain meets the pairing rule when the change
-wins at least 9 in 10 pairs and the medians differ by more than the
-parent's IQR.  Exits 1 when any run fails or reports an operation failed.
+(IQR), the relative change of the medians, the pairs the change won (ties
+count for neither side) and the exact two-sided sign-test p-value of the
+pairs won and lost.  A gain meets the pairing rule when, over at least 10
+pairs, the change wins at least 9 in 10 of them and the medians differ by
+more than the parent's IQR.  Exits 1 when any run fails or reports an
+operation failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import shutil
 import statistics
@@ -77,6 +80,15 @@ def quartiles(values):
     return q1, q3
 
 
+def sign_test(won: int, lost: int) -> float:
+    """Exact two-sided sign-test p-value of ``won`` against ``lost`` pairs
+    (ties dropped): the chance of a split at least this uneven when either
+    tree wins a pair with probability 1/2."""
+    n = won + lost
+    tail = sum(math.comb(n, i) for i in range(min(won, lost) + 1))
+    return min(1.0, 2 * tail / 2**n)
+
+
 def summarize(runs: dict, metrics: list, workload: str, seed: int) -> list:
     """Lines comparing the two sides' runs of one (workload, seed)."""
     pairs = list(zip(*(
@@ -90,13 +102,16 @@ def summarize(runs: dict, metrics: list, workload: str, seed: int) -> list:
         parent = [p[name]["value"] for p, _ in pairs]
         change = [c[name]["value"] for _, c in pairs]
         won = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        lost = sum((c > p) if lower else (c < p) for p, c in zip(parent, change))
         mp, mc = statistics.median(parent), statistics.median(change)
         q1, q3 = quartiles(parent) if len(parent) > 1 else (mp, mp)
         gain = (mp - mc) if lower else (mc - mp)
-        rule = "meets" if won >= 0.9 * len(pairs) and gain > q3 - q1 else "does not meet"
+        met = len(pairs) >= 10 and won >= 0.9 * len(pairs) and gain > q3 - q1
+        rule = "meets" if met else "does not meet"
         out.append(
             f"  {name:12s} parent {mp:.6g} (IQR {q3 - q1:.3g})  change {mc:.6g}  "
-            f"{(mc - mp) / mp:+.1%}  won {won}/{len(pairs)}  {rule} the pairing rule"
+            f"{(mc - mp) / mp:+.1%}  won {won}/{len(pairs)} (sign test p {sign_test(won, lost):.3g})  "
+            f"{rule} the pairing rule"
         )
     return out
 
