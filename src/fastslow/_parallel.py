@@ -15,24 +15,30 @@ itself, so a caller that wants its longest task run in its own process
 The children inherit ``fn`` and ``tasks`` through the fork, so neither is
 pickled: ``fn`` may be a closure over buffers built once in the caller, and
 each child works in its own copy of them.  A child sends ``(index, ok,
-result or exception)`` for each of its tasks back over its own pipe and
-ends with ``os._exit``; the caller runs its share, then reads the
-children's pipes and reaps them.  The results are in ``tasks`` order, and
-a task's exception reaches the caller from the first failing task in that
-order, as in one process (an exception raised in a child keeps its type,
-message and attributes, not its traceback).  No child outlives the call:
-one that ends before sending all its outcomes makes the caller raise
-``RuntimeError``, and on any error in the caller the children still
-running are killed and reaped.
+result or exception)`` for each of its tasks back over its own pipe, as a
+pickle after its length, and ends with ``os._exit``.  Between its own tasks
+the caller drains the children's pipes: it reads what they hold and, where
+a child has begun an outcome, the rest of it.  So a child whose outcome
+does not fit the pipe (64 KiB) waits in its write for at most one of the
+caller's tasks, not for the caller's whole share, and takes the next task
+as soon as the outcome is read.  After its share the caller reads the
+pipes to their ends and reaps the children.  The results are in ``tasks``
+order, and a task's exception reaches the caller from the first failing
+task in that order, as in one process (an exception raised in a child
+keeps its type, message and attributes, not its traceback).  No child
+outlives the call: one that ends before sending all its outcomes makes the
+caller raise ``RuntimeError``, and on any error in the caller the children
+still running are killed and reaped.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
+import select
 
-_BATON_BYTES = 8
+_INT_BYTES = 8  # the baton's task index and an outcome's length
+_READ_BYTES = 1 << 16
 
 
 def _worker_count(n_tasks: int) -> int:
@@ -50,8 +56,8 @@ def _worker_count(n_tasks: int) -> int:
 def _take(baton) -> int:
     """The index of the next task to run, off the baton pipe."""
     take, put = baton
-    i = int.from_bytes(os.read(take, _BATON_BYTES), "little")
-    os.write(put, (i + 1).to_bytes(_BATON_BYTES, "little"))
+    i = int.from_bytes(os.read(take, _INT_BYTES), "little")
+    os.write(put, (i + 1).to_bytes(_INT_BYTES, "little"))
     return i
 
 
@@ -85,10 +91,50 @@ def _child(fn, tasks, baton, out: int, inherited: list):
                     record = pickle.dumps((i, ok, value))
                 except Exception as exc:  # a result that cannot be pickled fails its task
                     record = pickle.dumps((i, False, exc))
-                sink.write(record)
+                sink.write(len(record).to_bytes(_INT_BYTES, "little") + record)
+                sink.flush()
         status = 0
     finally:
         os._exit(status)
+
+
+class _Inbox:
+    """The outcomes of one forked child as they come over its pipe: each
+    a pickle after its length in _INT_BYTES bytes."""
+
+    def __init__(self, pid: int, fd: int):
+        self.pid, self.fd = pid, fd
+        self.open = True
+        self.outcomes = []
+        self._pending = bytearray()  # the start of an outcome not yet complete
+        os.set_blocking(fd, False)
+
+    def drain(self) -> None:
+        """Reads what the pipe holds and, if an outcome has begun, waits
+        for the rest of it: the child is then in its write, which ends."""
+        while self.open:
+            try:
+                chunk = os.read(self.fd, _READ_BYTES)
+            except BlockingIOError:
+                if not self._pending:
+                    return
+                select.select([self.fd], [], [])
+                continue
+            if not chunk:
+                self.open = False
+                return
+            self._pending += chunk
+            self._unpack()
+
+    def _unpack(self) -> None:
+        # every complete outcome at the front of the pending bytes
+        pending = self._pending
+        while len(pending) >= _INT_BYTES:
+            end = _INT_BYTES + int.from_bytes(pending[:_INT_BYTES], "little")
+            if len(pending) < end:
+                return
+            self.outcomes.append(pickle.loads(pending[_INT_BYTES:end]))
+            del pending[:end]
 
 
 def _fork_map(fn, tasks) -> list:
@@ -106,13 +152,13 @@ def _fork_map(fn, tasks) -> list:
     import signal  # on the parallel branch only, so importing the package does not load it
 
     baton = os.pipe()
-    children = []  # (pid, the file its outcomes come back on), not yet reaped
+    children = []  # the _Inbox of each child not yet reaped
     try:
         # the caller keeps the first task for itself
-        os.write(baton[1], (1).to_bytes(_BATON_BYTES, "little"))
+        os.write(baton[1], (1).to_bytes(_INT_BYTES, "little"))
         for _ in range(workers - 1):
             r, w = os.pipe()
-            inherited = [r, *(source.fileno() for _, source in children)]
+            inherited = [r, *(child.fd for child in children)]
             try:
                 pid = os.fork()
             except OSError:
@@ -122,27 +168,33 @@ def _fork_map(fn, tasks) -> list:
             if pid == 0:
                 _child(fn, tasks, baton, w, inherited)  # never returns
             os.close(w)
-            children.append((pid, open(r, "rb")))
-        outcomes = list(_run_share(fn, tasks, baton, 0))
+            children.append(_Inbox(pid, r))
+        outcomes = []
+        for outcome in _run_share(fn, tasks, baton, 0):
+            outcomes.append(outcome)
+            for child in children:
+                child.drain()
+        while any(child.open for child in children):
+            ready = select.select([child.fd for child in children if child.open], [], [])[0]
+            for child in children:
+                if child.fd in ready:
+                    child.drain()
         while children:
-            pid, source = children[0]
-            with source:
-                data = source.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            child = children[0]
+            code = os.waitstatus_to_exitcode(os.waitpid(child.pid, 0)[1])
             del children[0]
+            os.close(child.fd)
             if code != 0:
                 how = f"exit status {code}" if code > 0 else f"signal {-code}"
                 raise RuntimeError(
-                    f"worker process {pid} ended with {how} before sending back its tasks"
+                    f"worker process {child.pid} ended with {how} before sending back its tasks"
                 )
-            records = io.BytesIO(data)
-            while records.tell() < len(data):
-                outcomes.append(pickle.load(records))
+            outcomes += child.outcomes
     finally:
-        for pid, source in children:
-            source.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for child in children:
+            os.close(child.fd)
+            os.kill(child.pid, signal.SIGKILL)
+            os.waitpid(child.pid, 0)
         os.close(baton[0])
         os.close(baton[1])
     outcomes.sort(key=lambda outcome: outcome[0])

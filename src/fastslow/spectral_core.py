@@ -19,12 +19,15 @@ amplitudes give the first K of the result (the Lyapunov-Perron sweep passes
 its Galerkin band, every other caller all N).  On grids up to
 N = _MATRIX_MAX_N the two transforms of ``_dealiased`` are products with
 matrices, since there a transform call costs more in dispatch than the
-product costs in arithmetic; they are taken row by row, except for the
-Lyapunov-Perron sources, one stacked product per block of time nodes.  The
-pair is cached per (N, K) as C-contiguous band matrices whose width is K
-rounded up to a multiple of 4: contiguous, because a product through
-strided columns is slower, and rounded, because only then does a band call
-keep the bits of the N-wide one.
+product costs in arithmetic.  By default they are taken row by row, which
+keeps band in, band out bit for bit.  The time loop (one gemm over the
+state's rows per transform, a lone row beside a zero partner row) and the
+Lyapunov-Perron sources (one per block of time nodes) take them stacked:
+under gemm a row's bits do not depend on its neighbours, but a band's do
+depend on its width.  The pair is cached per (N, K) as C-contiguous band
+matrices whose width is K rounded up to a multiple of 4: contiguous,
+because a product through strided columns is slower, and rounded, because
+only then does a row-by-row band call keep the bits of the N-wide one.
 
 The cosine transforms are numpy's real FFT pair after Makhoul's even/odd
 node permutation (IEEE Trans. ASSP 28, 1980): the even nodes in order, then
@@ -295,9 +298,9 @@ def _padded_matrices(n: int, k: int) -> tuple:
 
 
 def _rowwise(a: np.ndarray, m: np.ndarray, out=None) -> np.ndarray:
-    # one (1, K) @ (K, M) product per row: a row's bits do not depend on the
-    # rows stacked with it, which the plain product ``a @ m`` does not promise;
-    # ``out`` (..., M), where given, receives them through the same gufunc
+    # one (1, K) @ (K, M) product per row, the product that a band call and
+    # the N-wide one round alike; ``out`` (..., M), where given, receives
+    # them through the same gufunc
     if out is None:
         return (a[..., None, :] @ m)[..., 0, :]
     np.matmul(a[..., None, :], m, out=out[..., None, :])
@@ -316,53 +319,75 @@ def _dealiased(
     K modes.  Exact for quadratic maps.  By default, band in, band out: for
     every K the result equals the first K amplitudes of the N-wide call bit
     for bit, and each row equals its single-row call bit for bit.
-    On the matrix path with K = N, ``nodes`` (..., 3N/2) and ``out``
-    (coeffs' shape), where given, receive the padded node values and the
-    result, with the same bits: a caller that maps many arrays of one shape
-    (``integrator._time_loop``) then allocates neither.  Elsewhere they are
-    not used and the result is a new array, so a caller reads the returned
-    array, not ``out``.
 
-    ``stacked=True`` is for a caller whose rows are one problem
-    (``galerkin_manifold._sources``): on the matrix path each transform is
-    then one stacked product, about 2.5x faster than row by row on a
-    (2, 170, 20) block at N = 64.  A row's bits then depend on the rows
-    stacked with it, and agree with the default to roundoff.  On the real
-    FFT path the keyword changes nothing.
+    ``stacked=True`` takes each transform of the matrix path as one BLAS-3
+    product (gemm) over all rows, which reads the matrix once per call
+    rather than once per row: 2.5x faster than row by row on a (2, 170, 20)
+    block at N = 64, and on a converge member's three rows at N = 128 the
+    remainder took 24 against 35 us (one CPU, with an in-place map).  A
+    lone row (one row in all) goes through it beside a zero partner row
+    that the node map does not see.  In a 2-D stack each row's bits then do
+    not depend on the rows stacked with it, so they equal its single-row
+    call's; they agree with the default's to roundoff.  Band in, band out
+    does not hold.
+
+    On the full-width matrix path ``nodes`` (rows, 3N/2) and ``out``
+    (coeffs' shape), where given and ``coeffs`` is not a lone row, receive
+    the padded node values and the result with the same bits, so that a
+    caller that maps many arrays of one shape (``integrator._time_loop``,
+    whose workspace pads an odd row count with a zero partner row itself)
+    allocates neither.  Elsewhere they are not used and the result is a new
+    array, so a caller reads the returned array, not ``out``.
 
     Up to N = _MATRIX_MAX_N the transforms are products with the band pair
     ``_padded_matrices(N, K)``: on these grids a transform call costs more
     in dispatch than the product costs in arithmetic (at N = 256 the
-    transform pair is already faster on one to three rows).  The products
-    are taken one row at a time (``_rowwise``) by default, because a plain
-    stacked product rounds a row differently depending on the rows stacked
-    with it: the paired converge members would then differ from the
-    separate solver runs, and a band call from the N-wide one.  The band pair is cached per
-    (N, K) as C-contiguous copies: a product through the strided columns of
-    the N-wide ``forward`` took about 1.5x as long (160 against 104 us for
-    a (2, 170) block at N = 64, K = 20, one BLAS thread).  Its width is K rounded up to a
-    multiple of 4, the amplitudes are zero-filled to that width and the
-    result is truncated back to K.  With OpenBLAS a band of any other width
-    rounded differently from the N-wide call (K = 1 goes through numpy's
-    unit-stride dot), while zero-filled widths that are multiples of 4 kept
-    its bits for every K checked (N <= 128).  Larger grids
-    call the real FFT pair; their two matrices would take about 200 MB each
-    at N = 4096.  There ``node_map`` sees the padded nodes in the permuted
-    order of ``_permuted_inverse``, not in the order of x, so it must be
-    pointwise: its value at a node may depend only on the input values at
-    that node (across the leading axes).
+    transform pair is already faster on one to three rows).  Two properties
+    of OpenBLAS (0.3.31, AVX-512 kernels) decide which product a caller
+    takes.  A lone row goes through gemv, which rounds differently from
+    gemm.  And under gemm an amplitude's bits depend on its column's place
+    in an 8-wide tile, so band widths of 1-4 mod 8 round differently from
+    the N-wide call.  So the default takes the products one row at a time
+    (``_rowwise``), and band calls keep the N-wide call's bits; the
+    Lyapunov-Perron sources (``galerkin_manifold._sources``, K = 20) and
+    the time loop (K = N) take the stacked product.  Widening the sources'
+    band to 24 to make it bit-safe under gemm made a serial ``manifold``
+    run 8-10 % slower, so the stacked product is not the default.
+
+    The band pair is cached per (N, K) as C-contiguous copies: a product
+    through the strided columns of the N-wide ``forward`` took about 1.5x
+    as long (160 against 104 us for a (2, 170) block at N = 64, K = 20, one
+    BLAS thread).  Its width is K rounded up to a multiple of 4, the
+    amplitudes are zero-filled to that width and the result is truncated
+    back to K: row by row, zero-filled widths that are multiples of 4 kept
+    the N-wide call's bits for every K checked (N <= 128), and other widths
+    did not (K = 1 goes through numpy's unit-stride dot).  Larger grids
+    call the real FFT pair, on which ``stacked`` and the buffers change
+    nothing; their two matrices would take about 200 MB each at N = 4096.
+    There ``node_map`` sees the padded nodes in the permuted order of
+    ``_permuted_inverse``, not in the order of x, so it must be pointwise:
+    its value at a node may depend only on the input values at that node
+    (across the leading axes).
     """
     k = coeffs.shape[-1]
-    if grid.N <= _MATRIX_MAX_N:
-        inverse, forward = _padded_matrices(grid.N, k)
-        width = inverse.shape[0]
-        product = np.matmul if stacked else _rowwise
-        if width == k:
-            return product(node_map(product(coeffs, inverse, nodes)), forward, out)
-        padded = np.zeros(coeffs.shape[:-1] + (width,))
-        padded[..., :k] = coeffs
-        return product(node_map(product(padded, inverse)), forward)[..., :k]
-    return _permuted_forward(node_map(_permuted_inverse(coeffs, grid.padded_size)), k)
+    if grid.N > _MATRIX_MAX_N:
+        return _permuted_forward(node_map(_permuted_inverse(coeffs, grid.padded_size)), k)
+    inverse, forward = _padded_matrices(grid.N, k)
+    width = inverse.shape[0]
+    if stacked and coeffs.size == k:
+        # a lone row would go to gemv: it goes through gemm beside a zero
+        # partner row, which the node map does not see
+        pair = np.zeros((2, width))
+        pair[1, :k] = coeffs.reshape(k)
+        nodes = pair @ inverse
+        nodes[1] = node_map(nodes[1:].reshape(coeffs.shape[:-1] + (-1,)))
+        return (nodes @ forward)[1, :k].reshape(coeffs.shape)
+    product = np.matmul if stacked else _rowwise
+    if width == k:
+        return product(node_map(product(coeffs, inverse, nodes)), forward, out)
+    padded = np.zeros(coeffs.shape[:-1] + (width,))
+    padded[..., :k] = coeffs
+    return product(node_map(product(padded, inverse)), forward)[..., :k]
 
 
 def nonlinear_eval(fields, F) -> SpectralField:

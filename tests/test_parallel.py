@@ -5,6 +5,7 @@ Each test sets the worker count itself, so the map forks on one CPU too
 """
 
 import os
+import select
 import time
 
 import pytest
@@ -150,4 +151,44 @@ def test_many_trivial_tasks_complete(workers, no_child_left):
     # caller to read them while it works through its own share
     n = 20_000
     assert _fork_map(int.__neg__, [(i,) for i in range(n)]) == [-i for i in range(n)]
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2], indirect=True)
+def test_a_child_takes_tasks_while_the_caller_works_through_its_own(
+    workers, monkeypatch, tmp_path, no_child_left
+):
+    # the child's outcome (1 MiB) overfills its pipe.  The caller's first
+    # task waits until that outcome has begun to arrive, and its second
+    # until the child has started a second task, which the child can only
+    # do once the caller has read the outcome: between its own tasks
+    caller, log = os.getpid(), tmp_path / "log"
+    inboxes = []
+
+    class Inbox(_parallel._Inbox):
+        def __init__(self, *args):
+            super().__init__(*args)
+            inboxes.append(self)
+
+    monkeypatch.setattr(_parallel, "_Inbox", Inbox)
+
+    def task(i):
+        with open(log, "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()}\n")
+        if os.getpid() != caller:
+            return bytes(1 << 20)
+        mine = log.read_text().split().count(str(caller))
+        if mine == 1:
+            select.select([inboxes[0].fd], [], [])
+        else:
+            deadline = time.monotonic() + 30.0
+            while len(log.read_text().split()) - mine < 2:
+                assert time.monotonic() < deadline, "the child took no second task"
+                time.sleep(0.005)
+        return i
+
+    results = _fork_map(task, [(i,) for i in range(4)])
+    in_the_caller = [r == i for i, r in enumerate(results)]
+    assert in_the_caller[0] and in_the_caller.count(False) >= 2
+    assert all(r == bytes(1 << 20) for r, here in zip(results, in_the_caller) if not here)
     assert no_child_left()

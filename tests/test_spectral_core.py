@@ -343,6 +343,45 @@ def test_dealiased_into_buffers_keeps_the_bits(N, rows):
         assert np.array_equal(out, expected)
 
 
+@pytest.mark.parametrize("N", [8, 16, 32, 64, _MATRIX_MAX_N])
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("buffers", [False, True], ids=["new arrays", "buffers"])
+def test_dealiased_stacked_rows_independent_of_their_stack(N, rows, buffers):
+    # at the time loop's shapes (K = N), each row of a stacked call equals
+    # its single-row call and the same row inside another stack, bit for
+    # bit: a lone row goes through gemm too, beside a zero partner row.
+    # With buffers, as in the time loop's workspace, an odd stack sits
+    # behind a zero partner row, which the map keeps zero
+    g = build_grid(np.pi, N)
+    rng = np.random.default_rng(N + rows)
+    coeffs = rng.standard_normal((rows, N))
+    other = rng.standard_normal((rows + 2, N))
+    other[1 : rows + 1] = coeffs[::-1]
+
+    def node_map(vals):
+        return vals * vals + vals
+
+    def call(stack):
+        if not buffers:
+            return _dealiased(g, stack, node_map, stacked=True)
+        pad = len(stack) % 2
+        padded = np.zeros((pad + len(stack), N))
+        padded[pad:] = stack
+        nodes, out = np.empty((len(padded), g.padded_size)), np.empty_like(padded)
+        assert _dealiased(g, padded, node_map, nodes, out, stacked=True) is out
+        assert not np.any(out[:pad])
+        return out[pad:]
+
+    out = call(coeffs)
+    assert out.shape == coeffs.shape
+    in_other = call(other)[1 : rows + 1][::-1]
+    for r in range(rows):
+        assert np.array_equal(out[r], call(coeffs[r : r + 1])[0]), r
+        assert np.array_equal(out[r], in_other[r]), r
+        if not buffers:
+            assert np.array_equal(out[r], _dealiased(g, coeffs[r], node_map, stacked=True)), r
+
+
 def test_field_rejects_nonfinite():
     g = build_grid(np.pi, 16)
     c = np.zeros(16)
