@@ -32,14 +32,16 @@ The loop is a generator of samples (t, y): it yields each sampled state as
 it is reached and keeps none.  The solvers fill their ``Trajectory`` from
 the samples, one preallocated array per run.  The CLI's ``simulate`` and
 ``limit`` commands read the same samples (``_simulate_samples``,
-``reduction._limit_samples``) and reduce each one to its CSV row, so they
-never hold a trajectory.
+``reduction._limit_samples``), copy them into blocks of ``_block_len``
+samples and reduce each block to its CSV rows, so they never hold a
+trajectory.  ``Trajectory``'s sups and the CLI's rows take the node sups of
+a block in one call (``_block_sups``).
 
 The loop allocates its buffers once per run (``_Workspace``): the stage a,
-the products and the sum of the per-mode matrix-vector product ``_apply``,
-two states that the steps write in turn, so a sample's y is valid until the
-loop resumes, and, where the matrix transforms write them, the padded node
-rows and the remainders n0 and na.  On grids up to N = 128 each transform
+a sum for the per-mode matrix-vector product ``_apply`` (one einsum, with
+no product array), two states that the steps write in turn, so a sample's
+y is valid until the loop resumes, and, where the matrix transforms write
+them, the padded node rows and the remainders n0 and na.  On grids up to N = 128 each transform
 of a remainder is one gemm over all rows, written into those buffers
 (``spectral_core._dealiased`` with ``stacked=True``, ``nodes`` and
 ``out``), and the node maps overwrite the node rows in place, with one work
@@ -195,10 +197,16 @@ class ModePropagator:
     W2: np.ndarray
 
 
-def _apply(P: np.ndarray, y: np.ndarray, prod: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _apply(P: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Per-mode matrix-vector product of P (n, n, N) with y (n, N), written
-    into ``out`` (n, N) from the products formed in ``prod`` (n, n, N)."""
-    return np.add.reduce(np.multiply(P, y, out=prod), axis=1, out=out)
+    into ``out`` (n, N), which must not overlap y.
+
+    One einsum, with no product array, and with the bits of the written
+    formula ``np.add.reduce(P * y, axis=1)``: per mode, the products summed
+    in order of j, each rounded.  That holds where numpy's einsum does not
+    fuse a multiply and an add, as in its x86-64 builds;
+    ``test_apply_has_the_bits_of_the_written_formula`` fails where it does."""
+    return np.einsum("ijk,jk->ik", P, y, out=out)
 
 
 def _system_matrices(params: ModelParams, grid: Grid) -> np.ndarray:
@@ -265,8 +273,7 @@ def _block_diagonal(props) -> ModePropagator:
 class _Workspace:
     """The buffers of ``_etd2_step`` for states of shape (n, N), allocated
     once per time loop: two states that the steps write in turn, the stage
-    a, the (n, n, N) products of ``_apply`` and the sum that it forms from
-    them and, where the matrix transforms write a remainder
+    a, a sum for ``_apply`` and, where the matrix transforms write a remainder
     (``padded_size`` given), its padded node rows and the remainders n0 and
     na; elsewhere, where the remainder is zero or comes from the real FFT
     pair, those three are None.
@@ -294,7 +301,6 @@ class _Workspace:
 
         self.states = (rows(), rows())
         self.a, self.sum = rows(), np.empty(shape)
-        self.prod = np.empty((n, n, N))
         self.nodes = self.n0 = self.na = None
         if padded_size is not None:
             self.nodes = np.empty((stack[0], padded_size))
@@ -310,13 +316,14 @@ def _etd2_step(y: np.ndarray, prop: ModePropagator, remainder, ws: _Workspace, o
     returns N(y), written into ``buf`` where the transforms allow it (a
     new array on the FFT path, a shared zero where N is zero).  Every
     product and sum is the one of the written formula a + W2 (na - n0),
-    a = E y + W1 n0, so the bits do not depend on the buffers.
+    a = E y + W1 n0, so the bits do not depend on the buffers; the
+    correction W2 (na - n0) is formed in ``out`` before a is added to it.
     """
     n0 = remainder(y, ws.n0)
-    a = _apply(prop.E, y, ws.prod, ws.a)
-    a += _apply(prop.W1, n0, ws.prod, ws.sum)
+    a = _apply(prop.E, y, ws.a)
+    a += _apply(prop.W1, n0, ws.sum)
     na = remainder(a, ws.na)
-    correction = _apply(prop.W2, np.subtract(na, n0, out=ws.sum), ws.prod, ws.sum)
+    correction = _apply(prop.W2, np.subtract(na, n0, out=ws.sum), out)
     return np.add(a, correction, out=out), (n0, a, na)
 
 
@@ -422,12 +429,32 @@ def _time_loop(grid, y0, t0, n_steps, prop, node_map, what, sample_every):
             yield t, y
 
 
-def _sample_sups(grid: Grid, y: np.ndarray) -> tuple:
-    """The node sups of u1 = u and of u2 = v - u of one sample y = (u, v)."""
-    # a sup does not depend on the node order, so the values stay in the
-    # permuted order of the real FFT inverse
-    u, v = _permuted_inverse(y, grid.N)
-    return np.max(np.abs(u)), np.max(np.abs(v - u))
+# The blocks of the sample reductions (``_block_len``): the sups of
+# ``Trajectory`` and the CLI's rows.  Eight samples amortise a block's numpy
+# calls (and, in the CLI, its hand-over to the worker thread) at N = 4096,
+# where they take 512 KiB; the byte cap keeps larger grids from holding more.
+_BLOCK_SAMPLES = 8
+_BLOCK_BYTES = 1 << 19
+
+
+def _block_len(grid: Grid) -> int:
+    """States (u, v) per block of the sample reductions: ``_BLOCK_SAMPLES``,
+    or as many as fit in ``_BLOCK_BYTES`` where fewer do, at least one."""
+    return max(1, min(_BLOCK_SAMPLES, _BLOCK_BYTES // (2 * grid.N * 8)))
+
+
+def _block_sups(grid: Grid, states: np.ndarray) -> np.ndarray:
+    """The node sups of u1 = u and of u2 = v - u of each state (u, v) of a
+    block ``states`` (n, 2, N), shape (2, n).
+
+    One inverse transform for the block; a state's sups have the bits of
+    its own call, since a sup does not depend on the node order or on the
+    other states.  So the values stay in the permuted order of the real
+    FFT inverse, and u2 and the absolute values are formed in place.
+    """
+    vals = _permuted_inverse(states, grid.N)
+    np.subtract(vals[:, 1], vals[:, 0], out=vals[:, 1])
+    return np.abs(vals, out=vals).max(axis=-1).T
 
 
 @dataclass
@@ -446,9 +473,11 @@ class Trajectory:
 
     @cached_property
     def _sups(self) -> np.ndarray:
-        # one sample at a time: the node values of all samples at once would
-        # be a temporary as large as the trajectory
-        return np.array([_sample_sups(self.grid, row) for row in self.coeffs]).T
+        # a block at a time: the node values of all samples at once would be
+        # a temporary as large as the trajectory
+        step = _block_len(self.grid)
+        blocks = range(0, len(self.coeffs), step)
+        return np.hstack([_block_sups(self.grid, self.coeffs[i : i + step]) for i in blocks])
 
     @property
     def u1_linf(self) -> np.ndarray:

@@ -125,13 +125,17 @@ def _permuted_inverse(coeffs: np.ndarray, p: int) -> np.ndarray:
     """Values at p >= K nodes, in permuted order, of the K amplitudes ``coeffs``.
 
     The half spectrum is Z_k = t_k (c_k - i c_{p-k}), k = 0 .. p/2, with c_j
-    zero for j >= K; the c_{p-k} term is present only for K > p/2.
+    zero for j >= K; the c_{p-k} term is present only for K > p/2.  Z is
+    written in place: the amplitudes, their negated mirror and zeros only
+    where neither reaches.
     """
     k, h = coeffs.shape[-1], p // 2
-    z = np.zeros(coeffs.shape[:-1] + (h + 1,), dtype=complex)
+    z = np.empty(coeffs.shape[:-1] + (h + 1,), dtype=complex)
     z.real[..., :k] = coeffs[..., : h + 1]
-    if k > h:
-        z.imag[..., p - k + 1 :] = -coeffs[..., h:k][..., ::-1]
+    z.real[..., k:] = 0.0
+    mirror = p - k + 1  # the first imaginary part the mirror writes (none for K <= p/2)
+    z.imag[..., :mirror] = 0.0
+    np.negative(coeffs[..., h:k][..., ::-1], out=z.imag[..., mirror:])
     z *= _twiddles(p)[0]
     return np.fft.irfft(z, n=p)
 
@@ -149,7 +153,7 @@ def _permuted_forward(vals: np.ndarray, k: int) -> np.ndarray:
     out = np.empty(vals.shape[:-1] + (k,))
     out[..., : h + 1] = t.real[..., :k]
     if k > h + 1:
-        out[..., h + 1 :] = -t.imag[..., p - k + 1 : h][..., ::-1]
+        np.negative(t.imag[..., p - k + 1 : h][..., ::-1], out=out[..., h + 1 :])
     return out
 
 

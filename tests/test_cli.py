@@ -859,3 +859,120 @@ def test_converge_svg_with_a_diverging_member(tmp_path, capsys):
     cfg = write_config(tmp_path, diverging_converge_payload([0.01, 0.005]), name="all.yaml")
     assert main(["--config", cfg, "--out", str(tmp_path / "all"), "--quiet"]) == 1
     assert "finite point" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# simulate and limit rows, reduced a block at a time in line or on a thread
+
+
+def on_cpus(monkeypatch, cpus):
+    # blocks of any size take the thread: the tests' grids are small
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_parallel, "_PIPELINE_MIN_BYTES", 0)
+
+
+def run_on_cpus(monkeypatch, cpus, cfg, out_dir):
+    on_cpus(monkeypatch, cpus)
+    return main(["--config", cfg, "--out", str(out_dir), "--quiet"])
+
+
+@pytest.mark.parametrize("command", ["simulate", "limit"])
+@pytest.mark.parametrize("N", [32, 256])  # the matrix path and the real FFT pair
+@pytest.mark.parametrize("n_samples", [1, 7, 8, 9, 17])  # blocks of 8, the last one short
+def test_threaded_rows_equal_inline_rows_and_the_trajectory(
+    tmp_path, monkeypatch, threads_started, command, N, n_samples
+):
+    from fastslow.config import build_initial_data, load_config
+    from fastslow.integrator import FastSlowState, _block_len, simulate
+    from fastslow.reduction import solve_limit_system
+    from fastslow.spectral_core import _sobolev_squares, build_grid
+
+    assert _block_len(build_grid(math.pi, N)) == 8
+    T, dt = 0.004 * (n_samples - 1), 0.004
+    cfg = write_config(tmp_path, simulate_payload(command, N, T=T, dt=dt))
+    assert run_on_cpus(monkeypatch, 1, cfg, tmp_path / "inline") == 0
+    assert threads_started == []
+    assert run_on_cpus(monkeypatch, 2, cfg, tmp_path / "threaded") == 0
+    assert len(threads_started) == (n_samples > 8)  # a thread only for two blocks or more
+    threaded = (tmp_path / "threaded" / "out.csv").read_bytes()
+    assert threaded == (tmp_path / "inline" / "out.csv").read_bytes()
+
+    config = load_config(cfg)
+    u_in, v_in = build_initial_data(config)
+    if command == "simulate":
+        traj = simulate(FastSlowState(u_in, v_in, 0.0), config.model, T, dt)
+    else:
+        traj = solve_limit_system(v_in, config.model, T, dt)
+    assert len(traj.times) == n_samples
+    sq0, _, sq2 = _sobolev_squares(traj.grid, traj.coeffs, 2)
+    expected = {
+        "t": traj.times,
+        "u_L2": np.sqrt(sq0[:, 0]),
+        "v_L2": np.sqrt(sq0[:, 1]),
+        "u_H2": np.sqrt(sq2[:, 0]),
+        "v_H2": np.sqrt(sq2[:, 1]),
+        "u1_linf": traj.u1_linf,
+        "u2_linf": traj.u2_linf,
+    }
+    emit_csv(expected, tmp_path / "trajectory.csv", footer=[("seed", 2)])
+    assert threaded == (tmp_path / "trajectory.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "limit"])
+def test_a_run_that_diverges_raises_the_same_error_inline_and_threaded(
+    tmp_path, monkeypatch, threads_started, command
+):
+    # c = 0 removes the saturation: both systems blow up after many blocks
+    from fastslow.cli import run
+    from fastslow.config import load_config
+    from fastslow.errors import DivergenceError
+
+    payload = simulate_payload(command, 16, T=2.0, dt=0.01)
+    payload["model"] = base_model(a=40.0, b=0.0, c=0.0, eps=0.05)
+    cfg = load_config(write_config(tmp_path, payload))
+    errors = []
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        with pytest.raises(DivergenceError) as err, np.errstate(over="ignore"):
+            run(cfg, tmp_path / f"cpus{cpus}", quiet=True)
+        errors.append((str(err.value), err.value.t))
+        assert not (tmp_path / f"cpus{cpus}" / "out.csv").exists()
+    assert len(threads_started) == 1
+    assert errors[0] == errors[1]
+    assert 0.1 < errors[0][1] < 2.0  # mid-way: after more than one block of 8 samples
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_an_error_in_the_row_reduction_reaches_the_caller(
+    tmp_path, monkeypatch, threads_started, cpus
+):
+    from fastslow import cli
+
+    calls = []
+    block_rows = cli._block_rows
+
+    def fails_on_the_second_block(grid, block):
+        calls.append(len(block[0]))
+        if len(calls) == 2:
+            raise ArithmeticError("in the second block")
+        return block_rows(grid, block)
+
+    monkeypatch.setattr(cli, "_block_rows", fails_on_the_second_block)
+    cfg = write_config(tmp_path, simulate_payload("simulate", 32, T=0.1, dt=0.004))
+    with pytest.raises(ArithmeticError, match="in the second block"):
+        run_on_cpus(monkeypatch, cpus, cfg, tmp_path)
+    assert calls[:2] == [8, 8]
+    assert len(threads_started) == cpus - 1
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("N, threads", [(2048, 0), (4096, 1)])
+def test_rows_take_a_thread_from_blocks_of_512_kib_on(
+    tmp_path, monkeypatch, threads_started, N, threads
+):
+    # 8 samples of (u, v) take 512 KiB at N = 4096; on smaller grids a
+    # thread was slower than the rows in line
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
+    cfg = write_config(tmp_path, simulate_payload("simulate", N, T=0.004 * 16, dt=0.004))
+    assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    assert len(threads_started) == threads

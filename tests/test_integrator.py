@@ -610,3 +610,26 @@ def test_matrix_path_remainders_allocate_nothing_of_the_state_size(rows):
 
     peak_of_the_steps(node_map)  # the transform matrices are cached on first use
     assert peak_of_the_steps(node_map) - peak_of_the_steps(None) < rows * g.N * 8
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("N", [8, 128, 4096])
+@pytest.mark.parametrize("padded", [False, True])  # True: the matrix path's .base[pad:] rows
+def test_apply_has_the_bits_of_the_written_formula(rows, N, padded):
+    # per mode, sum_j P[i, j] y[j] with each product rounded and the sums
+    # taken in order of j: a fused multiply-add would round once per term,
+    # and random operands show it
+    from fastslow.integrator import _apply, _Workspace
+
+    rng = np.random.default_rng(rows * N)
+    ws = _Workspace((rows, N), 3 * N // 2 if padded else None)
+    y, out = ws.states[0], ws.states[1]
+    assert y.shape == (rows, N) and len(y.base) == rows + (padded and rows % 2)
+    for P in (rng.standard_normal((rows, rows, N)), rng.standard_normal((N, rows, rows)).T):
+        y[...] = rng.standard_normal((rows, N))
+        written = P[:, 0] * y[0]
+        for j in range(1, rows):
+            written = written + P[:, j] * y[j]
+        assert _apply(P, y, out) is out
+        assert out.tobytes() == written.tobytes()
+        assert out.tobytes() == np.add.reduce(P * y, axis=1).tobytes()

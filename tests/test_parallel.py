@@ -1,7 +1,9 @@
-"""The fork map: task order, the caller's share, errors and clean-up.
+"""The fork map: task order, the caller's share, errors and clean-up; and
+the pipelined thread map: item order, its buffers, errors, its context.
 
-Each test sets the worker count itself, so the map forks on one CPU too
-(``taskset -c 0``), where the children and the caller take turns.
+Each test sets the worker count (or the usable CPUs) itself, so the maps
+fork or start their thread on one CPU too (``taskset -c 0``), where the
+workers and the caller take turns.
 """
 
 import os
@@ -11,7 +13,7 @@ import time
 import pytest
 
 from fastslow import _parallel
-from fastslow._parallel import _fork_map
+from fastslow._parallel import _fork_map, _pipelined_map
 
 
 class Boom(Exception):
@@ -192,3 +194,111 @@ def test_a_child_takes_tasks_while_the_caller_works_through_its_own(
     assert in_the_caller[0] and in_the_caller.count(False) >= 2
     assert all(r == bytes(1 << 20) for r, here in zip(results, in_the_caller) if not here)
     assert no_child_left()
+
+
+# ---------------------------------------------------------------------------
+# the pipelined thread map
+
+
+BIG = _parallel._PIPELINE_MIN_BYTES  # items worth a thread
+
+
+@pytest.fixture
+def cpus(monkeypatch, request, threads_started):
+    # threads_started checks that the worker has ended
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("cpus", [1, 2], indirect=True)
+@pytest.mark.parametrize("n_items", [0, 1, 2, 5])
+def test_pipelined_results_come_back_in_item_order(cpus, n_items):
+    assert _pipelined_map(int.__neg__, iter(range(n_items)), n_items, BIG) == [
+        -i for i in range(n_items)
+    ]
+
+
+@pytest.mark.parametrize("cpus", [1, 2], indirect=True)
+@pytest.mark.parametrize("n_items", [1, 3])
+@pytest.mark.parametrize("item_bytes", [BIG - 1, BIG])
+def test_a_thread_starts_only_for_two_cpus_and_items_of_the_least_size(
+    cpus, n_items, item_bytes, threads_started
+):
+    import threading
+
+    def where(i):
+        return threading.get_ident()
+
+    idents = _pipelined_map(where, iter(range(n_items)), n_items, item_bytes)
+    assert len(threads_started) == (cpus > 1 and n_items > 1 and item_bytes >= BIG)
+    assert (threading.get_ident() not in idents) == bool(threads_started)
+
+
+@pytest.mark.parametrize("cpus", [1, 2], indirect=True)
+def test_an_iterator_of_two_buffers_in_turn_is_never_read_while_written(cpus):
+    # fn is slow and reads its buffer twice: a buffer that the iterator
+    # overwrote in between would show as two different halves.  A short
+    # switch interval makes the threads take turns often
+    import sys
+
+    buffers = [[None, None], [None, None]]
+
+    def items():
+        for i in range(200):
+            buf = buffers[i % 2]
+            buf[0] = buf[1] = i
+            yield buf
+
+    def fn(buf):
+        first = buf[0]
+        time.sleep(0.002)
+        return first, buf[1]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _pipelined_map(fn, items(), 200, BIG) == [(i, i) for i in range(200)]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cpus", [1, 2], indirect=True)
+@pytest.mark.parametrize(
+    "fn_fails, items_fail, raised",
+    [(1, None, "fn 1"), (None, 3, "items 3"), (1, 3, "fn 1"), (2, 3, "fn 2")],
+)
+def test_the_first_failure_in_item_order_wins(cpus, fn_fails, items_fail, raised):
+    # as in one thread: fn(i) runs before item i + 1 is drawn
+    def items():
+        for i in range(6):
+            if i == items_fail:
+                raise Boom(f"items {i}")
+            yield i
+
+    def fn(i):
+        time.sleep(0.002)
+        if i == fn_fails:
+            raise Boom(f"fn {i}")
+        return i
+
+    with pytest.raises(Boom, match=raised):
+        _pipelined_map(fn, items(), 6, BIG)
+
+
+@pytest.mark.parametrize("cpus", [2], indirect=True)
+def test_the_pipelined_worker_runs_in_the_callers_context(cpus):
+    # np.errstate is a context variable: a thread started without the
+    # caller's context would compute inf and warn instead of raising
+    import threading
+
+    import numpy as np
+
+    def where(x):
+        return threading.get_ident(), np.geterr()["over"], x * 10.0
+
+    with np.errstate(over="raise"):
+        out = _pipelined_map(where, iter([1.0, 2.0]), 2, BIG)
+        assert [(mode, value) for _, mode, value in out] == [("raise", 10.0), ("raise", 20.0)]
+        assert threading.get_ident() not in [ident for ident, _, _ in out]
+        with pytest.raises(FloatingPointError):
+            _pipelined_map(where, iter([np.float64(1e308)] * 2), 2, BIG)
