@@ -7,32 +7,30 @@ caller (below).  ``_pipelined_map(fn, items, n_items, item_bytes)`` runs
 items (its own docstring).  Both take the usable CPUs from ``_usable_cpus``.
 
 ``_fork_map(fn, tasks)`` is ``[fn(*t) for t in tasks]``.  With two or more
-CPUs in ``os.sched_getaffinity(0)`` and ``os.fork``, it forks
-``_worker_count(len(tasks)) - 1`` children and the calling process works as
-one more worker; otherwise, and for a single task, the tasks run one after
-another in this process.  The workers take the tasks one at a time, in
-list order, from one queue: a pipe that holds a single baton, the index of
-the next task to take.  A worker reads the baton, writes the next index
-back and runs its task, so no two workers take the same task, and no
+CPUs in ``os.sched_getaffinity(0)`` and ``os.memfd_create`` (Linux), it
+forks ``_worker_count(len(tasks)) - 1`` children and the calling process
+works as one more worker; otherwise, and for a single task, the tasks run
+one after another in this process.  The workers take the tasks one at a
+time, in list order, from one queue: a pipe that holds a single baton, the
+index of the next task to take.  A worker reads the baton, writes the next
+index back and runs its task, so no two workers take the same task, and no
 thread or process pool is started.  The caller keeps the first task for
 itself, so a caller that wants its longest task run in its own process
 (or measured there) puts it first.
 
 The children inherit ``fn`` and ``tasks`` through the fork, so neither is
 pickled: ``fn`` may be a closure over buffers built once in the caller, and
-each child works in its own copy of them.  A child sends ``(index, ok,
-result or exception)`` for each of its tasks back over its own pipe, as a
-pickle after its length, and ends with ``os._exit``.  Between its own tasks
-the caller drains the children's pipes: it reads what they hold and, where
-a child has begun an outcome, the rest of it.  So a child whose outcome
-does not fit the pipe (64 KiB) waits in its write for at most one of the
-caller's tasks, not for the caller's whole share, and takes the next task
-as soon as the outcome is read.  After its share the caller reads the
-pipes to their ends and reaps the children.  The results are in ``tasks``
-order, and a task's exception reaches the caller from the first failing
-task in that order, as in one process (an exception raised in a child
-keeps its type, message and attributes, not its traceback).  No child
-outlives the call: one that ends before sending all its outcomes makes the
+each child works in its own copy of them.  Each child writes ``(index, ok,
+result or exception)`` for each of its tasks, as a pickle, to its own
+anonymous memory file, which the caller made just before the fork, and ends
+with ``os._exit``.  A write to a file never waits for a reader, so a child
+takes its next task as soon as it has written an outcome, while the caller
+works through its own share.  After its share the caller reaps each child
+and loads its outcomes from the start of its file.  The results are in
+``tasks`` order, and a task's exception reaches the caller from the first
+failing task in that order, as in one process (an exception raised in a
+child keeps its type, message and attributes, not its traceback).  No child
+outlives the call: one that ends before writing all its outcomes makes the
 caller raise ``RuntimeError``, and on any error in the caller the children
 still running are killed and reaped.
 """
@@ -42,11 +40,9 @@ from __future__ import annotations
 import contextvars
 import os
 import pickle
-import select
 import threading
 
-_INT_BYTES = 8  # the baton's task index and an outcome's length
-_READ_BYTES = 1 << 16
+_INT_BYTES = 8  # the baton's task index
 
 
 def _usable_cpus() -> int:
@@ -59,10 +55,11 @@ def _worker_count(n_tasks: int) -> int:
     """Processes to run ``n_tasks`` tasks in, the caller included; 1 runs
     them in this process.
 
-    One per usable CPU and task, and only where children can be forked.
+    One per usable CPU and task, and only where children can be forked
+    with a memory file each (``os.memfd_create``).
     """
     cpus = _usable_cpus()
-    if min(n_tasks, cpus) < 2 or not hasattr(os, "fork"):
+    if min(n_tasks, cpus) < 2 or not hasattr(os, "memfd_create"):
         return 1
     return min(n_tasks, cpus)
 
@@ -87,16 +84,13 @@ def _run_share(fn, tasks, baton, i: int):
         i = _take(baton)
 
 
-def _child(fn, tasks, baton, out: int, inherited: list):
-    """A forked worker: closes the caller's descriptors it ``inherited``,
-    runs its share, sends the outcomes over ``out`` and exits, with status 0
-    only when every outcome was sent."""
+def _child(fn, tasks, baton, out: int):
+    """A forked worker: runs its share, writes the outcomes to the file
+    ``out`` and exits, with status 0 only when every outcome was written."""
     import signal
 
     status = 1
     try:
-        for fd in inherited:
-            os.close(fd)
         # an interrupt reaches the caller too, which kills its children
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         with open(out, "wb") as sink:
@@ -105,50 +99,10 @@ def _child(fn, tasks, baton, out: int, inherited: list):
                     record = pickle.dumps((i, ok, value))
                 except Exception as exc:  # a result that cannot be pickled fails its task
                     record = pickle.dumps((i, False, exc))
-                sink.write(len(record).to_bytes(_INT_BYTES, "little") + record)
-                sink.flush()
+                sink.write(record)
         status = 0
     finally:
         os._exit(status)
-
-
-class _Inbox:
-    """The outcomes of one forked child as they come over its pipe: each
-    a pickle after its length in _INT_BYTES bytes."""
-
-    def __init__(self, pid: int, fd: int):
-        self.pid, self.fd = pid, fd
-        self.open = True
-        self.outcomes = []
-        self._pending = bytearray()  # the start of an outcome not yet complete
-        os.set_blocking(fd, False)
-
-    def drain(self) -> None:
-        """Reads what the pipe holds and, if an outcome has begun, waits
-        for the rest of it: the child is then in its write, which ends."""
-        while self.open:
-            try:
-                chunk = os.read(self.fd, _READ_BYTES)
-            except BlockingIOError:
-                if not self._pending:
-                    return
-                select.select([self.fd], [], [])
-                continue
-            if not chunk:
-                self.open = False
-                return
-            self._pending += chunk
-            self._unpack()
-
-    def _unpack(self) -> None:
-        # every complete outcome at the front of the pending bytes
-        pending = self._pending
-        while len(pending) >= _INT_BYTES:
-            end = _INT_BYTES + int.from_bytes(pending[:_INT_BYTES], "little")
-            if len(pending) < end:
-                return
-            self.outcomes.append(pickle.loads(pending[_INT_BYTES:end]))
-            del pending[:end]
 
 
 def _fork_map(fn, tasks) -> list:
@@ -166,49 +120,41 @@ def _fork_map(fn, tasks) -> list:
     import signal  # on the parallel branch only, so importing the package does not load it
 
     baton = os.pipe()
-    children = []  # the _Inbox of each child not yet reaped
+    children = []  # the pid and memory file of each child not yet reaped
     try:
         # the caller keeps the first task for itself
         os.write(baton[1], (1).to_bytes(_INT_BYTES, "little"))
         for _ in range(workers - 1):
-            r, w = os.pipe()
-            inherited = [r, *(child.fd for child in children)]
+            out = os.memfd_create("fastslow-outcomes")
             try:
                 pid = os.fork()
             except OSError:
-                os.close(r)
-                os.close(w)
+                os.close(out)
                 raise
             if pid == 0:
-                _child(fn, tasks, baton, w, inherited)  # never returns
-            os.close(w)
-            children.append(_Inbox(pid, r))
-        outcomes = []
-        for outcome in _run_share(fn, tasks, baton, 0):
-            outcomes.append(outcome)
-            for child in children:
-                child.drain()
-        while any(child.open for child in children):
-            ready = select.select([child.fd for child in children if child.open], [], [])[0]
-            for child in children:
-                if child.fd in ready:
-                    child.drain()
+                _child(fn, tasks, baton, out)  # never returns
+            children.append((pid, out))
+        outcomes = list(_run_share(fn, tasks, baton, 0))
         while children:
-            child = children[0]
-            code = os.waitstatus_to_exitcode(os.waitpid(child.pid, 0)[1])
+            pid, out = children[0]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[0]
-            os.close(child.fd)
-            if code != 0:
-                how = f"exit status {code}" if code > 0 else f"signal {-code}"
-                raise RuntimeError(
-                    f"worker process {child.pid} ended with {how} before sending back its tasks"
-                )
-            outcomes += child.outcomes
+            with open(out, "rb") as source:
+                if code != 0:
+                    how = f"exit status {code}" if code > 0 else f"signal {-code}"
+                    raise RuntimeError(
+                        f"worker process {pid} ended with {how} before writing all its outcomes"
+                    )
+                # the child's writes moved the offset it shares with the caller
+                source.seek(0)
+                end = os.fstat(out).st_size
+                while source.tell() < end:
+                    outcomes.append(pickle.load(source))
     finally:
-        for child in children:
-            os.close(child.fd)
-            os.kill(child.pid, signal.SIGKILL)
-            os.waitpid(child.pid, 0)
+        for pid, out in children:
+            os.close(out)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
         os.close(baton[0])
         os.close(baton[1])
     outcomes.sort(key=lambda outcome: outcome[0])

@@ -138,6 +138,8 @@ def invariance_and_distance(params: ModelParams, modes, T: float) -> list:
     rate of the off-manifold component over [0, 5 eps] against the fast rate.
     """
     _require_linear(params)
+    if not (math.isfinite(T) and T >= 0.0):
+        raise ConfigurationError(f"invariance check needs a finite T >= 0, got {T}")
     reports = []
     for k in modes:
         sp = mode_spectrum(params, k)

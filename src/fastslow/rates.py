@@ -73,10 +73,10 @@ def trajectory_error_norms(
     ta, tb = traj_eps.times, traj_limit.times
     if traj_eps.grid != traj_limit.grid:
         raise ShapeError("trajectories live on different grids")
-    if len(ta) != len(tb) or np.max(np.abs(ta - tb)) > 1e-10 * max(1.0, ta[-1]):
-        raise ShapeError("trajectories are sampled at different times")
     if len(ta) < 2:
         raise ShapeError("need at least two samples")
+    if len(ta) != len(tb) or np.max(np.abs(ta - tb)) > 1e-10 * max(1.0, ta[-1]):
+        raise ShapeError("trajectories are sampled at different times")
     steps = np.diff(ta)
     dt = float(steps[0])
     if np.max(np.abs(steps - dt)) > 1e-9 * abs(dt):
@@ -104,12 +104,21 @@ def trajectory_error_norms(
 
 
 def fit_order(eps_values, errors):
-    """Slope and residual of the least-squares fit of log(err) vs log(eps)."""
-    x = np.log(np.asarray(eps_values, dtype=float))
-    y = np.log(np.asarray(errors, dtype=float))
-    if len(x) < 2:
+    """Slope and residual of the least-squares fit of log(err) vs log(eps),
+    over distinct eps and one error per eps, all finite and positive."""
+    eps = np.asarray(eps_values, dtype=float)
+    err = np.asarray(errors, dtype=float)
+    if eps.shape != err.shape:
+        raise ConfigurationError(f"order fit got {eps.size} eps values and {err.size} errors")
+    if eps.size < 2:
         raise ConfigurationError("order fit needs at least two runs")
-    coef, res = np.polyfit(x, y, 1, full=True)[:2]
+    for name, values in (("eps", eps), ("error", err)):
+        bad = values[~(np.isfinite(values) & (values > 0.0))]
+        if bad.size:
+            raise ConfigurationError(f"order fit needs finite positive {name} values, got {bad[0]}")
+    if np.unique(eps).size < eps.size:
+        raise ConfigurationError(f"order fit needs distinct eps values, got {eps.tolist()}")
+    coef, res = np.polyfit(np.log(eps), np.log(err), 1, full=True)[:2]
     residual = float(res[0]) if len(res) else 0.0
     return float(coef[0]), residual
 

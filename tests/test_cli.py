@@ -432,6 +432,17 @@ def test_bad_horizon_or_step_exit_1(tmp_path, capsys, command, time):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("T", [float("inf"), float("nan"), -1.0], ids=["T=inf", "T=nan", "T<0"])
+def test_manifold_linear_bad_horizon_exit_1(tmp_path, capsys, T):
+    # not a CSV whose invariance defects are all nan
+    payload = determinism_payloads()["manifold-linear"]
+    payload["time"] = {"T": T}
+    cfg = write_config(tmp_path, payload)
+    assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 1
+    assert "T >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 MISTYPED_FIELDS = [
     # (command, block, key, value)
     ("simulate", "time", "dt", "0.01"),

@@ -7,7 +7,6 @@ workers and the caller take turns.
 """
 
 import os
-import select
 import time
 
 import pytest
@@ -149,8 +148,8 @@ def test_an_interrupt_in_the_caller_kills_the_children(workers, tmp_path, no_chi
 
 @pytest.mark.parametrize("workers", [2, 3], indirect=True)
 def test_many_trivial_tasks_complete(workers, no_child_left):
-    # 20 000 outcomes overfill a 64 KB pipe, so the children wait for the
-    # caller to read them while it works through its own share
+    # 20 000 outcomes, most of them written to the children's files while
+    # the caller works through its own share
     n = 20_000
     assert _fork_map(int.__neg__, [(i,) for i in range(n)]) == [-i for i in range(n)]
     assert no_child_left()
@@ -158,41 +157,62 @@ def test_many_trivial_tasks_complete(workers, no_child_left):
 
 @pytest.mark.parametrize("workers", [2], indirect=True)
 def test_a_child_takes_tasks_while_the_caller_works_through_its_own(
-    workers, monkeypatch, tmp_path, no_child_left
+    workers, tmp_path, no_child_left
 ):
-    # the child's outcome (1 MiB) overfills its pipe.  The caller's first
-    # task waits until that outcome has begun to arrive, and its second
-    # until the child has started a second task, which the child can only
-    # do once the caller has read the outcome: between its own tasks
+    # the caller's first task waits until the child has run three tasks,
+    # each with a 1 MiB result, more than a pipe holds unread: the child
+    # writes its outcomes without waiting for the caller to read them
     caller, log = os.getpid(), tmp_path / "log"
-    inboxes = []
-
-    class Inbox(_parallel._Inbox):
-        def __init__(self, *args):
-            super().__init__(*args)
-            inboxes.append(self)
-
-    monkeypatch.setattr(_parallel, "_Inbox", Inbox)
 
     def task(i):
-        with open(log, "a", encoding="ascii") as fh:
-            fh.write(f"{os.getpid()}\n")
         if os.getpid() != caller:
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{i}\n")
             return bytes(1 << 20)
-        mine = log.read_text().split().count(str(caller))
-        if mine == 1:
-            select.select([inboxes[0].fd], [], [])
-        else:
-            deadline = time.monotonic() + 30.0
-            while len(log.read_text().split()) - mine < 2:
-                assert time.monotonic() < deadline, "the child took no second task"
+        if i == 0:
+            deadline = time.monotonic() + 10.0
+            while not log.exists() or log.read_text().count("\n") < 3:
+                assert time.monotonic() < deadline, "the child did not run three tasks"
                 time.sleep(0.005)
         return i
 
-    results = _fork_map(task, [(i,) for i in range(4)])
-    in_the_caller = [r == i for i, r in enumerate(results)]
-    assert in_the_caller[0] and in_the_caller.count(False) >= 2
-    assert all(r == bytes(1 << 20) for r, here in zip(results, in_the_caller) if not here)
+    results = _fork_map(task, [(i,) for i in range(8)])
+    in_the_child = {int(i) for i in log.read_text().split()}
+    assert len(in_the_child) >= 3
+    assert results == [bytes(1 << 20) if i in in_the_child else i for i in range(8)]
+    assert no_child_left()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd to list")
+@pytest.mark.parametrize("workers", [3], indirect=True)
+def test_no_descriptor_stays_open(workers, tmp_path, no_child_left):
+    # a fork map that succeeds, one whose children exit with status 3 and
+    # one whose caller is interrupted each close every pipe and file they open
+    caller = os.getpid()
+    before = sorted(os.listdir("/proc/self/fd"))
+
+    def die_in_a_child(i):
+        if os.getpid() != caller:
+            with open(tmp_path / "died", "a", encoding="ascii") as fh:
+                fh.write(f"{i}\n")
+            os._exit(3)
+        wait_for_lines(tmp_path / "died", workers - 1)
+        return i
+
+    def interrupt_in_the_caller(i):
+        if os.getpid() == caller:
+            wait_for_lines(tmp_path / "asleep", workers - 1)
+            raise KeyboardInterrupt
+        with open(tmp_path / "asleep", "a", encoding="ascii") as fh:
+            fh.write(f"{i}\n")
+        time.sleep(10.0)
+
+    assert _fork_map(nap, [(i,) for i in range(6)]) == [i * i for i in range(6)]
+    with pytest.raises(RuntimeError, match="exit status 3"):
+        _fork_map(die_in_a_child, [(i,) for i in range(4)])
+    with pytest.raises(KeyboardInterrupt):
+        _fork_map(interrupt_in_the_caller, [(i,) for i in range(6)])
+    assert sorted(os.listdir("/proc/self/fd")) == before
     assert no_child_left()
 
 

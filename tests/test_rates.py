@@ -70,6 +70,15 @@ def test_mismatched_sampling_rejected():
         trajectory_error_norms(ta, tb)
 
 
+@pytest.mark.parametrize("n_samples", [0, 1])
+def test_fewer_than_two_samples_rejected(n_samples):
+    g = build_grid(np.pi, 16)
+    times = np.linspace(0.0, 1.0, n_samples)
+    traj = Trajectory(g, times, np.zeros((n_samples, 2, 16)))
+    with pytest.raises(ShapeError, match=r"^need at least two samples$"):
+        trajectory_error_norms(traj, traj)
+
+
 def test_non_uniform_sample_times_rejected():
     # 93 steps with stride 7: the last sample interval is 2 steps, not 7, and
     # a Riemann sum with one dt would weight it wrongly
@@ -310,6 +319,24 @@ def test_diverging_member_recorded_and_left_out_of_the_fit():
     assert all(r.norms is not None and r.failure is None for r in ok)
     order, _ = fit_order([r.eps for r in ok], [r.norms.E_LinfL2 for r in ok])
     assert rep.orders["E_LinfL2"] == order
+
+
+@pytest.mark.parametrize(
+    "eps, errors, named",
+    [
+        ([0.1, 0.01], [1e-2, 0.0], "positive error"),
+        ([0.1, 0.01], [1e-2, float("nan")], "positive error"),
+        ([0.1, -0.01], [1e-2, 1e-3], "positive eps"),
+        ([0.1, 0.01, 0.001], [1e-2, 1e-3], "3 eps values and 2 errors"),
+        ([0.1, 0.1], [1e-2, 1e-3], "distinct eps"),
+    ],
+    ids=["zero error", "nan error", "negative eps", "unequal lengths", "equal eps"],
+)
+def test_fit_order_rejects_bad_input(capfd, eps, errors, named):
+    # not a silent nan slope, a bare TypeError or LAPACK's lines on stderr
+    with pytest.raises(ConfigurationError, match=named):
+        fit_order(eps, errors)
+    assert capfd.readouterr().err == ""
 
 
 def test_forked_members_report_what_members_in_process_do(monkeypatch, tmp_path, no_child_left):

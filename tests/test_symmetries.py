@@ -6,6 +6,16 @@ the N-mode grid on (0, L/m) are those of the N/m-mode grid, and every node
 map is pointwise, so the two runs differ by roundoff alone.  At N = 256 ->
 128 the folded run takes the FFT transform pair and the other the matrix
 one (``spectral_core._MATRIX_MAX_N``).
+
+Reflection: x -> L - x maps the half-sample nodes onto themselves in
+reverse order, so the limit system run from reflected data is the reflected
+run (``oracles.reflected``).
+
+Parabolic scaling: w(x / s, t / s^2) solves the system on (0, s L) with
+eps -> s^2 eps and a, b, c -> (a, b, c) / s^2, and d, delta and kappa
+fixed.  Both runs take the same steps on the same nodes, with symbols and
+steps scaled by 1 / s^2 and s^2, so they differ by roundoff alone; s = 3,
+because scaling by a power of 2 is exact in binary.
 """
 
 import itertools
@@ -15,11 +25,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fastslow import FastSlowState, ModelParams, SpectralField, build_grid, simulate
+from fastslow import (
+    FastSlowState,
+    ModelParams,
+    SpectralField,
+    build_grid,
+    simulate,
+    solve_limit_system,
+)
 from fastslow.spectral_core import _MATRIX_MAX_N
-from oracles import spread_modes
+from oracles import reflected, spread_modes
 
 FOLD_RTOL = 1e-13
+REFLECT_RTOL = 1e-13
+SCALE_RTOL = 1e-12
 
 FOLD_CASES = list(itertools.product(("nonlinear", "linear"), (1e-1, 1e-3, 1e-6), (0.0, 0.1)))
 
@@ -45,3 +64,53 @@ def test_simulate_commutes_with_mode_folding(kind, eps, delta):
     assert np.max(np.abs(folded[..., ::2] - ref)) <= FOLD_RTOL * scale
     assert np.max(np.abs(folded[..., 1::2])) <= FOLD_RTOL * scale
     assert np.max(np.abs(ref[-1] - ref[0])) > 1e3 * FOLD_RTOL * scale  # the run moved
+
+
+# both transform paths: N = 8 and N = 256 (FFT) around _MATRIX_MAX_N
+SYMMETRY_CASES = list(itertools.product(
+    ("nonlinear", "linear"), (1e-1, 1e-3, 1e-6), (0.0, 0.1), (8, 2 * _MATRIX_MAX_N)
+))
+
+
+def symmetry_case(kind, eps, delta, N):
+    # seeded parameters and positive data with a decaying spectrum
+    rng = np.random.default_rng(SYMMETRY_CASES.index((kind, eps, delta, N)))
+    params = ModelParams(d=rng.uniform(0.5, 2.0), delta=delta, eps=eps,
+                         kappa=rng.choice([0.3, 1.0]), a=rng.uniform(0.5, 2.0),
+                         b=rng.uniform(0.5, 2.0), c=rng.uniform(0.5, 2.0),
+                         L=math.pi * rng.uniform(0.5, 2.0), model_kind=kind)
+    data = rng.standard_normal((2, N)) * 0.3 / (1.0 + np.arange(N)) ** 2
+    data[:, 0] += 1.0
+    return params, data, min(0.25 * eps, 1e-3)
+
+
+@pytest.mark.parametrize("kind,eps,delta,N", SYMMETRY_CASES)
+def test_solve_limit_system_commutes_with_reflection(kind, eps, delta, N):
+    params, data, dt = symmetry_case(kind, eps, delta, N)
+    grid = build_grid(params.L, N)
+    ref, mirrored = (
+        solve_limit_system(SpectralField(grid, v), params, T=8 * dt, dt=dt, sample_every=2).coeffs
+        for v in (data[1], reflected(data[1]))
+    )
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(mirrored - reflected(ref))) <= REFLECT_RTOL * scale
+    assert np.max(np.abs(ref[-1] - ref[0])) > 1e3 * REFLECT_RTOL * scale  # the run moved
+
+
+@pytest.mark.parametrize("kind,eps,delta,N", SYMMETRY_CASES)
+def test_simulate_commutes_with_parabolic_scaling(kind, eps, delta, N):
+    s = 3.0
+    params, data, dt = symmetry_case(kind, eps, delta, N)
+    scaled = replace(params, L=s * params.L, eps=s**2 * params.eps,
+                     a=params.a / s**2, b=params.b / s**2, c=params.c / s**2)
+    runs = []
+    for p, step in ((params, dt), (scaled, s**2 * dt)):
+        grid = build_grid(p.L, N)
+        state = FastSlowState(SpectralField(grid, data[0]), SpectralField(grid, data[1]), 0.0)
+        runs.append(simulate(state, p, T=8 * step, dt=step, sample_every=2))
+    ref, stretched = runs
+    assert np.allclose(stretched.times, s**2 * ref.times, rtol=1e-15, atol=0.0)
+    scale = np.max(np.abs(ref.coeffs))
+    assert np.max(np.abs(stretched.coeffs - ref.coeffs)) <= SCALE_RTOL * scale
+    moved = np.max(np.abs(ref.coeffs[-1] - ref.coeffs[0]))
+    assert moved > 1e3 * SCALE_RTOL * scale
