@@ -17,46 +17,70 @@ Lyapunov-Perron weights come from one family phi_k (``_phi``; Hochbruck &
 Ostermann 2010), and ``_matrix_phi`` splits each 2x2 symbol once for all k.
 
 That step (``_etd2_step``) and one time loop (``_time_loop``) serve every
-solver.  The loop steps one stacked state with one propagator and one node
-map over all its rows.  ``simulate`` steps the rows (u, v) with the
-(2, 2, N) propagator, ``reduction.solve_limit_system`` the row v with a
-(1, 1, N) one, and a member of ``rates.convergence_study`` (in the
-calling process or a forked child when two or more CPUs are usable)
-steps the rows (u, v, v_lim) with the block-diagonal propagator of both,
-so that one transform pair per remainder serves both systems.  Every
-propagator comes from ``_propagator``, and N is evaluated on the padded
-nodes through ``spectral_core._dealiased`` (``models.node_remainder`` for
-the full system).
+solver.  The loop steps one or two systems (``_System``): ``simulate`` the
+rows (u, v) with the (2, 2, N) propagator, ``reduction.solve_limit_system``
+the row v with a (1, 1, N) one, and a member of
+``rates.convergence_study`` (in the calling process or a forked child when
+two or more CPUs are usable) both, in step.  Every propagator comes from
+``_propagator``, and N is evaluated on padded nodes through
+``spectral_core._dealiased`` (``models.node_remainder`` for the full
+system).
 
-The loop is a generator of samples (t, y): it yields each sampled state as
-it is reached and keeps none.  The solvers fill their ``Trajectory`` from
-the samples, one preallocated array per run.  The CLI's ``simulate`` and
-``limit`` commands read the same samples (``_simulate_samples``,
-``reduction._limit_samples``), copy them into blocks of ``_block_len``
-samples and reduce each block to its CSV rows, so they never hold a
-trajectory.  ``Trajectory``'s sups and the CLI's rows take the node sups of
-a block in one call (``_block_sups``).
+The solutions are smooth, so their cosine amplitudes reach the roundoff
+floor within a few modes, and a spectral method truncates there (Boyd,
+*Chebyshev and Fourier Spectral Methods*, 2001, ch. 2).  So each system
+steps on its own band of its first K modes (``_Band``), a power of two
+from 8 to N: the smallest whose modes >= K/4 hold at most ``_BAND_TOL``
+(1e-15, the transforms' own roundoff) times the system's largest
+amplitude (``_band``).  A band of K modes has the first K modes of the
+system's propagator, which are elementwise in mu_k and so the bits of the
+K-mode grid's, and evaluates the remainder on that grid, 3K/2 padded
+nodes.  With the amplitudes from K/4 up at roundoff, the quadratic
+remainders of a step's two stages reach mode K at roundoff, and 3K/2
+nodes dealias them.  After a step that lifts a system's modes >= K/4
+above the level, its band grows, with zero fill, to the band of the new
+state; it never shrinks, and at K = N the loop steps as before this rule,
+bit for bit, with no check.  The limit system's first band is that of
+(h_kappa(v_in), v_in): h_kappa is not polynomial, and data with a few
+modes have an image with many.  Where the two systems of a member take
+one band, one block-diagonal propagator and one transform pair per
+remainder serve all three rows (u, v, v_lim); where they differ, each
+steps on its own band.
 
-The loop allocates its buffers once per run (``_Workspace``): the stage a,
-a sum for the per-mode matrix-vector product ``_apply`` (one einsum, with
-no product array), two states that the steps write in turn, so a sample's
-y is valid until the loop resumes, and, where the matrix transforms write
-them, the padded node rows and the remainders n0 and na.  On grids up to N = 128 each transform
-of a remainder is one gemm over all rows, written into those buffers
-(``spectral_core._dealiased`` with ``stacked=True``, ``nodes`` and
-``out``), and the node maps overwrite the node rows in place, with one work
-buffer per call for their temporaries.  A row's bits under gemm do not
-depend on the rows beside it, so the paired rows (u, v, v_lim) of a
-converge member get the bits of the separate ``simulate`` and
-``solve_limit_system`` runs.  A lone row would go through gemv instead, so
-the limit system's row v is transformed beside a zero partner row that the
-workspace holds: the states, the stage and the remainders are the last
-rows of buffers with a zero row in front of an odd row count, so the
-transforms copy nothing.  On those grids a step allocates nothing of the state's
-size beyond the node maps' work buffers; the real FFT pair of larger grids
-allocates its node values, half spectra and result.  Each buffer receives
-the result of the numpy operation that would otherwise allocate it, so the
-bits do not depend on the buffers.
+The loop is a generator of samples (t, y), the systems' rows zero-filled
+back to N: it yields each sampled state as it is reached and keeps none.
+The solvers fill their ``Trajectory`` from the samples, one preallocated
+array per run.  The CLI's ``simulate`` and ``limit`` commands read the
+same samples (``_simulate_samples``, ``reduction._limit_samples``), copy
+them into blocks of ``_block_len`` samples and reduce each block to its
+CSV rows, so they never hold a trajectory.  ``Trajectory``'s sups and the
+CLI's rows take the node sups of a block on all N nodes in one call
+(``_block_sups``).
+
+A band allocates its buffers once (``_Workspace``): the stage a, a sum
+for the per-mode matrix-vector product ``_apply`` (one einsum, with no
+product array), two states that the steps write in turn, and, where the
+matrix transforms write them, the padded node rows and the remainders n0
+and na.  On bands up to K = 128 each transform of a remainder is one gemm
+over all rows, written into those buffers (``spectral_core._dealiased``
+with ``stacked=True``, ``nodes`` and ``out``), and the node maps
+overwrite the node rows in place, with one work buffer per call for their
+temporaries.  A row's bits under gemm do not depend on the rows beside
+it, so the paired rows (u, v, v_lim) of a converge member get the bits of
+the separate ``simulate`` and ``solve_limit_system`` runs, whether they
+share a band or not: each system's band is chosen by the same rule from
+the same numbers as in its separate run.  A lone row would go through
+gemv instead, so the limit system's row v is transformed beside a zero
+partner row that the workspace holds: the states, the stage and the
+remainders are the last rows of buffers with a zero row in front of an
+odd row count, so the transforms copy nothing.  On those bands a step
+allocates nothing of the state's size beyond the node maps' work
+buffers; the real FFT pair of larger bands allocates its node values,
+half spectra and result.  Each buffer receives the result of the numpy
+operation that would otherwise allocate it, so the bits do not depend on
+the buffers.
+
+Every solver takes at most ``MAX_STEPS`` steps (``_step_count``).
 """
 
 from __future__ import annotations
@@ -64,12 +88,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
 from .models import ModelParams, node_remainder
-from .spectral_core import _MATRIX_MAX_N, Grid, SpectralField, _dealiased, _permuted_inverse
+from .spectral_core import (
+    _MATRIX_MAX_N,
+    Grid,
+    SpectralField,
+    _dealiased,
+    _permuted_inverse,
+    build_grid,
+)
 
 __all__ = [
     "FastSlowState",
@@ -84,6 +116,14 @@ DEFAULT_CT = 0.5  # stability fraction: dt <= DEFAULT_CT * eps for the nonlinear
 BLOWUP_LIMIT = 1e8
 PHI_SERIES_CUTOFF = 0.05
 EIGEN_GAP_CUTOFF = 1e-8
+# The most steps a solver takes: at 10 us to 1 ms a step, 1e7 steps take
+# minutes to hours, and a horizon or step that asks for more (T = 1e300,
+# dt = 1e-300) is an error.
+MAX_STEPS = 10**7
+# Amplitudes at most this fraction of a system's largest one are roundoff,
+# the level of the transforms' own: the time loop steps the modes above it
+# (``_band``).
+_BAND_TOL = 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +263,22 @@ def _system_matrices(params: ModelParams, grid: Grid) -> np.ndarray:
 
 
 def _propagator(M: np.ndarray, dt: float) -> ModePropagator:
-    """E = exp(dt M) and the ETD weights of a per-mode symbol M of shape (n, n, N), n <= 2."""
-    E, phi1, phi2 = _matrix_phi((0, 1, 2), dt * M)
-    return ModePropagator(dt=dt, M=M, E=E, W1=dt * phi1, W2=dt * phi2)
+    """E = exp(dt M) and the ETD weights of a per-mode symbol M of shape (n, n, N), n <= 2.
+
+    Raises ``ConfigurationError`` where E, W1 or W2 is not finite: a symbol
+    dt M_k whose entries pass about 1e154 (eps = 1e-200, say) overflows the
+    discriminant of ``_matrix_phi``, and no step could use the result.
+    """
+    with np.errstate(all="ignore"):
+        Z = dt * M
+        E, phi1, phi2 = _matrix_phi((0, 1, 2), Z)
+        W1, W2 = dt * phi1, dt * phi2
+    if not all(np.isfinite(w).all() for w in (E, W1, W2)):
+        raise ConfigurationError(
+            f"the exact propagator at dt={dt} is not finite: the symbol dt*M_k reaches "
+            f"{np.max(np.abs(Z)):.3g}, beyond the range of its closed form"
+        )
+    return ModePropagator(dt=dt, M=M, E=E, W1=W1, W2=W2)
 
 
 @lru_cache(maxsize=32)
@@ -271,12 +324,12 @@ def _block_diagonal(props) -> ModePropagator:
 
 
 class _Workspace:
-    """The buffers of ``_etd2_step`` for states of shape (n, N), allocated
-    once per time loop: two states that the steps write in turn, the stage
-    a, a sum for ``_apply`` and, where the matrix transforms write a remainder
-    (``padded_size`` given), its padded node rows and the remainders n0 and
-    na; elsewhere, where the remainder is zero or comes from the real FFT
-    pair, those three are None.
+    """The buffers of ``_etd2_step`` for states of shape (n, K), allocated
+    once per band of the time loop (``_Band``): two states that the steps
+    write in turn, the stage a, a sum for ``_apply`` and, where the matrix
+    transforms write a remainder (``padded_size`` given), its padded node
+    rows and the remainders n0 and na; elsewhere, where the remainder is
+    zero or comes from the real FFT pair, those three are None.
 
     On the matrix path the states, a, n0 and na are the last n rows of
     buffers with an even number of rows (``.base``): an odd n gets ``pad``
@@ -289,9 +342,9 @@ class _Workspace:
     ``converge`` ran 4 % faster for it."""
 
     def __init__(self, shape: tuple, padded_size: int | None):
-        n, N = shape
+        n, K = shape
         self.pad = n % 2 if padded_size is not None else 0
-        stack = (n + self.pad, N)
+        stack = (n + self.pad, K)
 
         def rows():
             # zero partner rows, which the transforms keep zero: their values
@@ -347,8 +400,9 @@ def _step_count(T: float, dt: float) -> tuple:
     """Number of steps to T, and the step shrunk so that they land exactly on it.
 
     The one check of every solver's horizon and step: T must be finite and
-    >= 0 and, for T > 0, dt finite and positive, or ``ConfigurationError``
-    is raised.  T = 0 takes no step, whatever dt: (0, None).
+    >= 0 and, for T > 0, dt finite and positive with at most ``MAX_STEPS``
+    steps to T, or ``ConfigurationError`` is raised.  T = 0 takes no step,
+    whatever dt: (0, None).
     """
     if not 0 <= T < math.inf:
         raise ConfigurationError(f"final time must be finite and >= 0, got T={T}")
@@ -357,6 +411,10 @@ def _step_count(T: float, dt: float) -> tuple:
     if not 0 < dt < math.inf or not T / dt < math.inf:
         raise ConfigurationError(f"time step must be finite and positive, got dt={dt}")
     n_steps = max(1, math.ceil(T / dt - 1e-9))
+    if n_steps > MAX_STEPS:
+        raise ConfigurationError(
+            f"T={T} at dt={dt} takes {n_steps:.3g} steps, more than the maximum {MAX_STEPS:.0e}"
+        )
     return n_steps, T / n_steps
 
 
@@ -368,65 +426,185 @@ def _sample_count(n_steps: int, sample_every: int) -> int:
     return 1 + n_steps // sample_every + (n_steps % sample_every != 0)
 
 
-def _time_loop(grid, y0, t0, n_steps, prop, node_map, what, sample_every):
-    """Step the stacked state y0 (rows, N) ``n_steps`` times from t0, yielding samples.
+class _System(NamedTuple):
+    """A system that ``_time_loop`` steps: its initial rows (rows, N), its
+    propagator, the node map of its remainder (None: the remainder is zero)
+    and the name its ``DivergenceError`` gives.  ``start``, where given,
+    holds the rows whose amplitudes choose its first band in place of y0."""
 
-    Every step applies the one propagator ``prop`` to all rows, and every
-    remainder is one transform pair for all rows, with ``node_map``
-    overwriting their padded node values in place by the remainder there
-    (None: the remainder is zero).  Yields (t, y) for the initial state, every
-    ``sample_every``-th one and the final one: ``_sample_count(n_steps,
-    sample_every)`` samples, a count that its callers take first, since it
-    also checks ``sample_every``.  A step whose state leaves
-    |y| <= BLOWUP_LIMIT (or is not finite) raises ``DivergenceError`` named
-    ``what[r]`` after the row r that first left it (``_diverged_row``).
+    y0: np.ndarray
+    prop: ModePropagator
+    node_map: object
+    what: str
+    start: np.ndarray | None = None
 
-    The buffers are allocated once (``_Workspace``, with the two states
-    that the steps write in turn; see the module docstring).  y0 is only
-    read, and each later y is valid until the loop resumes: a consumer that
-    keeps a sample copies it.
+
+def _band(y: np.ndarray, n: int) -> int:
+    """The band of the rows y, the first m <= n amplitudes of states on n
+    modes: the smallest power of two K >= 8 whose modes >= K/4 are all at
+    most ``_BAND_TOL`` times the largest amplitude of y, or n where no
+    smaller one is."""
+    mags = np.abs(y).max(axis=0)
+    # tail[k]: the largest amplitude at a mode >= k (zero from m on)
+    tail = np.append(np.maximum.accumulate(mags[::-1])[::-1], 0.0)
+    K = 8
+    while K < n and not tail[min(K // 4, len(mags))] <= _BAND_TOL * tail[0]:
+        K *= 2
+    return K
+
+
+def _first_modes(prop: ModePropagator, K: int) -> ModePropagator:
+    """The first K modes of ``prop``, C-contiguous.  Its arrays are per mode,
+    so these are the arrays of the K-mode grid bit for bit."""
+    arrays = {name: np.ascontiguousarray(getattr(prop, name)[..., :K]) for name in ("M", "E", "W1", "W2")}
+    return ModePropagator(dt=prop.dt, **arrays)
+
+
+def _stacked_map(maps, vals: np.ndarray) -> np.ndarray:
+    """Each system's node map on its own rows of the stacked node values."""
+    for node_map, rows in maps:
+        vals[rows] = node_map(vals[rows])
+    return vals
+
+
+class _Band:
+    """Systems stepped together on their band of K modes: one propagator,
+    one workspace (``_Workspace``) and one transform pair per remainder for
+    all their rows.
+
+    ``members`` are the indices of consecutive ``systems``, and
+    ``states[i]`` holds the rows of system i, which are copied in,
+    zero-filled to K.  Below K = N the propagator is the first K modes of
+    each system's own (``_first_modes``), and the remainders are evaluated
+    on ``build_grid(L, K)``, 3K/2 padded nodes.
     """
-    matrix_path = node_map is not None and grid.N <= _MATRIX_MAX_N
-    ws = _Workspace(y0.shape, grid.padded_size if matrix_path else None)
-    if node_map is None:
-        zero = np.zeros_like(y0)
 
-        def remainder(y, buf):
-            return zero
+    def __init__(self, grid: Grid, systems, members, K: int, states):
+        self.members, self.K, self.full = members, K, K == grid.N
+        sizes = [len(systems[i].y0) for i in members]
+        edges = np.cumsum([0] + sizes)
+        self.rows = [slice(a, b) for a, b in zip(edges, edges[1:])]
+        self.first = sum(len(s.y0) for s in systems[: members[0]])
+        self.what = [systems[i].what for i, n in zip(members, sizes) for _ in range(n)]
+        props = [systems[i].prop for i in members]
+        if not self.full:
+            props = [_first_modes(p, K) for p in props]
+        self.prop = props[0] if len(props) == 1 else _block_diagonal(props)
+        maps = [systems[i].node_map for i in members]
+        node_map = maps[0]
+        if len(maps) > 1 and node_map is not None:
+            node_map = partial(_stacked_map, tuple(zip(maps, self.rows)))
+        band_grid = grid if self.full else build_grid(grid.L, K)
+        matrix_path = node_map is not None and K <= _MATRIX_MAX_N
+        ws = self.ws = _Workspace((edges[-1], K), band_grid.padded_size if matrix_path else None)
+        if node_map is None:
+            zero = np.zeros((edges[-1], K))
 
-    elif matrix_path:
-        pad = ws.pad
+            def remainder(y, buf):
+                return zero
 
-        def own_rows(vals):
-            # the node map sees the state's rows, not the partner row
-            node_map(vals[pad:])
-            return vals
+        elif matrix_path:
+            pad = ws.pad
 
-        stack_map = own_rows if pad else node_map
+            def own_rows(vals):
+                # the node map sees the state's rows, not the partner row
+                node_map(vals[pad:])
+                return vals
 
-        def remainder(y, buf):
-            # y (a state or the stage) and buf are the last rows of workspace
-            # buffers: each transform is one gemm over the whole buffer
-            _dealiased(grid, y.base, stack_map, ws.nodes, buf.base, stacked=True)
-            return buf
+            stack_map = own_rows if pad else node_map
 
-    else:
+            def remainder(y, buf):
+                # y (a state or the stage) and buf are the last rows of workspace
+                # buffers: each transform is one gemm over the whole buffer
+                _dealiased(band_grid, y.base, stack_map, ws.nodes, buf.base, stacked=True)
+                return buf
 
-        def remainder(y, buf):
-            return _dealiased(grid, y, node_map)
+        else:
 
-    states = ws.states
+            def remainder(y, buf):
+                return _dealiased(band_grid, y, node_map)
+
+        self.remainder = remainder
+        self.y = ws.states[0]
+        for i, rows in zip(members, self.rows):
+            width = min(K, states[i].shape[-1])
+            self.y[rows, :width] = states[i][:, :width]
+
+    def step(self, t: float) -> list:
+        """One step of all rows to time t; returns the members whose band must grow.
+
+        A new state that leaves |y| <= BLOWUP_LIMIT (or is not finite) raises
+        ``DivergenceError`` named after the row that first left it
+        (``_diverged_row``).  Below K = N a member's band must grow where
+        the step lifts its modes >= K/4 above ``_BAND_TOL`` times its
+        largest amplitude.
+        """
+        ws = self.ws
+        out = ws.states[1] if self.y is ws.states[0] else ws.states[0]
+        self.y, intermediates = _etd2_step(self.y, self.prop, self.remainder, ws, out)
+        mags = np.abs(self.y, out=ws.sum)
+        if not mags.max() <= BLOWUP_LIMIT:
+            row = _diverged_row(self.y, intermediates)
+            raise DivergenceError(f"{self.what[row]} diverged at t={t:.6g}", t=t)
+        if self.full:
+            return []
+        return [
+            i
+            for i, rows in zip(self.members, self.rows)
+            if not mags[rows, self.K // 4 :].max() <= _BAND_TOL * mags[rows].max()
+        ]
+
+
+def _bands(grid: Grid, systems, members, bands: list, states) -> list:
+    """The ``_Band``s of the ``members``: one for all where their bands agree, one each otherwise."""
+    if len({bands[i] for i in members}) == 1:
+        return [_Band(grid, systems, members, bands[members[0]], states)]
+    return [_Band(grid, systems, [i], bands[i], states) for i in members]
+
+
+def _time_loop(grid, t0, n_steps, systems, sample_every):
+    """Step the ``systems`` (``_System``) together ``n_steps`` times from t0, yielding samples.
+
+    Yields (t, y), y the systems' rows stacked, (rows, N), for the initial
+    state, every ``sample_every``-th one and the final one:
+    ``_sample_count(n_steps, sample_every)`` samples, a count that its
+    callers take first, since it also checks ``sample_every``.
+
+    Each system steps on its own band of K modes, a power of two with
+    8 <= K <= N (``_Band``): the smallest one whose modes >= K/4 hold at
+    most ``_BAND_TOL`` times the largest amplitude of the system's rows
+    (``_band``; of ``start`` where given).  After a step that lifts those
+    modes above that level, the band grows, with zero fill, to that of the
+    new state; it never shrinks, and at K = N the step is the N-mode step
+    with no check.  Where all bands agree, one propagator and one transform
+    pair per remainder serve all rows; where they differ, each system steps
+    on its own.  A system's bits do not depend on the systems beside it
+    (see the module docstring).  The samples are the bands' rows
+    zero-filled to N.
+
+    The buffers are allocated before the first sample, and again when a
+    band grows.  The ``systems``' rows are only read, and each later y is
+    valid until the loop resumes: a consumer that keeps a sample copies it.
+    """
+    y0 = np.concatenate([s.y0 for s in systems])
+    if n_steps:
+        everyone = range(len(systems))
+        bands = [_band(s.y0 if s.start is None else s.start, grid.N) for s in systems]
+        groups = _bands(grid, systems, everyone, bands, [s.y0 for s in systems])
+        sample = np.zeros_like(y0)
     yield t0, y0
-    y = states[0]
-    y[...] = y0
     for step in range(1, n_steps + 1):
-        y, intermediates = _etd2_step(y, prop, remainder, ws, states[step % 2])
-        t = t0 + step * prop.dt
-        if not np.abs(y, out=ws.sum).max() <= BLOWUP_LIMIT:
-            row = _diverged_row(y, intermediates)
-            raise DivergenceError(f"{what[row]} diverged at t={t:.6g}", t=t)
+        t = t0 + step * systems[0].prop.dt
+        grown = [i for g in groups for i in g.step(t)]
+        if grown:
+            states = {i: g.y[rows] for g in groups for i, rows in zip(g.members, g.rows)}
+            for i in grown:
+                bands[i] = _band(states[i], grid.N)
+            groups = _bands(grid, systems, everyone, bands, states)
         if step % sample_every == 0 or step == n_steps:
-            yield t, y
+            for g in groups:
+                sample[g.first : g.first + len(g.y), : g.K] = g.y
+            yield t, sample
 
 
 # The blocks of the sample reductions (``_block_len``): the sups of
@@ -516,11 +694,8 @@ def _simulate_samples(state0: FastSlowState, params: ModelParams, T, dt, sample_
     grid = state0.u.grid
     prop = _full_propagator(params, grid, dt) if n_steps else None
     node_map = None if params.is_linear else partial(_full_node_map, params)
-    y0 = np.stack([state0.u.coeffs, state0.v.coeffs])
-    samples = _time_loop(
-        grid, y0, state0.t, n_steps, prop, node_map, ("state", "state"), sample_every
-    )
-    return n_samples, samples
+    system = _System(np.stack([state0.u.coeffs, state0.v.coeffs]), prop, node_map, "state")
+    return n_samples, _time_loop(grid, state0.t, n_steps, [system], sample_every)
 
 
 def simulate(

@@ -17,9 +17,10 @@ the full system (``integrator._etd2_step`` and ``integrator._time_loop``),
 as one row v with the (1, 1, N) propagator of the scalar per-mode symbol
 -d mu_k and the remainder psi(h_kappa(v), v) from ``models.node_psi``.  A
 convergence member steps it in the one loop together with the full system
-(``_simulate_with_limit``), sharing every transform pair.  The loop steps
-v only; each sample's u = h_kappa(v) is reconstructed from its v as the
-sample arrives (``_limit_state``).
+(``_simulate_with_limit``), sharing every transform pair while both take
+one band of modes.  Its first band is that of (h_kappa(v_in), v_in)
+(``_limit_system``).  The loop steps v only; each sample's u = h_kappa(v)
+is reconstructed from its v as the sample arrives (``_limit_state``).
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ from .integrator import (
     FastSlowState,
     ModePropagator,
     Trajectory,
-    _block_diagonal,
     _full_node_map,
     _full_propagator,
     _propagator,
     _sample_count,
     _step_count,
+    _System,
     _time_loop,
     _trajectory,
 )
@@ -346,11 +347,6 @@ def _limit_node_map(params: ModelParams, vals: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _paired_node_map(params: ModelParams, vals: np.ndarray) -> np.ndarray:
-    """The full remainder on the rows (u, v) and the limit one on v_lim."""
-    return _limit_node_map(params, _full_node_map(params, vals))
-
-
 def _limit_state(params: ModelParams, grid: Grid, v: np.ndarray) -> np.ndarray:
     """The state (u, v) = (h_kappa(v), v), shape (2, N), of a sampled limit state v."""
     state = np.empty((2, grid.N))
@@ -362,6 +358,16 @@ def _limit_state(params: ModelParams, grid: Grid, v: np.ndarray) -> np.ndarray:
         # when it touches the axis; the pointwise map clips there
         state[0] = _dealiased(grid, v, partial(_critical_pointwise, kappa=params.kappa))
     return state
+
+
+def _limit_system(params: ModelParams, v_in: SpectralField, prop) -> _System:
+    """The limit system's ``_System``: the row v, whose first band is that of
+    the state (h_kappa(v_in), v_in).  h_kappa is not polynomial, so its
+    amplitudes can reach far past those of v_in (data with a few cosine
+    modes), and the band must hold the remainder's first step."""
+    node_map = None if params.is_linear else partial(_limit_node_map, params)
+    start = _limit_state(params, v_in.grid, v_in.coeffs)
+    return _System(v_in.coeffs[None], prop, node_map, "limit system", start)
 
 
 def _check_limit_data(params: ModelParams, v_in: SpectralField) -> None:
@@ -384,10 +390,7 @@ def _limit_samples(v_in: SpectralField, params: ModelParams, T, dt=None, sample_
     n_samples = _sample_count(n_steps, sample_every)
     grid = v_in.grid
     prop = _limit_propagator(params, grid, dt) if n_steps else None
-    node_map = None if params.is_linear else partial(_limit_node_map, params)
-    loop = _time_loop(
-        grid, v_in.coeffs[None], 0.0, n_steps, prop, node_map, ("limit system",), sample_every
-    )
+    loop = _time_loop(grid, 0.0, n_steps, [_limit_system(params, v_in, prop)], sample_every)
     return n_samples, ((t, _limit_state(params, grid, y[0])) for t, y in loop)
 
 
@@ -417,26 +420,27 @@ def _simulate_with_limit(
     and ``solve_limit_system(state0.v, params, T, dt, sample_every)``, stepped
     together.
 
-    Both systems take the same steps, so one ``_time_loop`` steps the stacked
-    state (u, v, v_lim) with the block-diagonal propagator of both, and every
-    transform pair serves both.  Each trajectory is bit-for-bit the one its
-    own solver returns, except that both start at state0.t
+    Both systems take the same steps, so one ``_time_loop`` steps them, the
+    stacked rows (u, v, v_lim) with the block-diagonal propagator of both
+    and one transform pair per remainder while they take one band of
+    modes, each on its own otherwise.  Each trajectory is bit-for-bit the
+    one its own solver returns, except that both start at state0.t
     (solve_limit_system starts at 0).
     """
     n_steps, dt = _step_count(T, dt)
     _check_limit_data(params, state0.v)
     n_samples = _sample_count(n_steps, sample_every)
     grid = state0.u.grid
-    prop = None
+    full_prop = limit_prop = None
     if n_steps:
-        props = [_full_propagator(params, grid, dt), _limit_propagator(params, grid, dt)]
-        prop = _block_diagonal(props)
-    node_map = None if params.is_linear else partial(_paired_node_map, params)
-    y0 = np.stack([state0.u.coeffs, state0.v.coeffs, state0.v.coeffs])
-    loop = _time_loop(
-        grid, y0, state0.t, n_steps, prop, node_map,
-        ("state", "state", "limit system"), sample_every,
-    )
+        full_prop = _full_propagator(params, grid, dt)
+        limit_prop = _limit_propagator(params, grid, dt)
+    full_map = None if params.is_linear else partial(_full_node_map, params)
+    systems = [
+        _System(np.stack([state0.u.coeffs, state0.v.coeffs]), full_prop, full_map, "state"),
+        _limit_system(params, state0.v, limit_prop),
+    ]
+    loop = _time_loop(grid, state0.t, n_steps, systems, sample_every)
     times = np.empty(n_samples)
     full = np.empty((n_samples, 2, grid.N))
     limit = np.empty_like(full)

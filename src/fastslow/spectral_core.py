@@ -20,8 +20,9 @@ its Galerkin band, every other caller all N).  On grids up to
 N = _MATRIX_MAX_N the two transforms of ``_dealiased`` are products with
 matrices, since there a transform call costs more in dispatch than the
 product costs in arithmetic.  By default they are taken row by row, which
-keeps band in, band out bit for bit.  The time loop (one gemm over the
-state's rows per transform, a lone row beside a zero partner row) and the
+keeps band in, band out bit for bit.  The time loop (on each band's own
+grid of K modes, one gemm over the state's rows per transform, a lone
+row beside a zero partner row) and the
 Lyapunov-Perron sources (one per block of time nodes) take them stacked:
 under gemm a row's bits do not depend on its neighbours, but a band's do
 depend on its width.  The pair is cached per (N, K) as C-contiguous band
@@ -354,7 +355,7 @@ def _dealiased(
     the N-wide call.  So the default takes the products one row at a time
     (``_rowwise``), and band calls keep the N-wide call's bits; the
     Lyapunov-Perron sources (``galerkin_manifold._sources``, K = 20) and
-    the time loop (K = N) take the stacked product.  Widening the sources'
+    the time loop (all modes of its band's grid) take the stacked product.  Widening the sources'
     band to 24 to make it bit-safe under gemm made a serial ``manifold``
     run 8-10 % slower, so the stacked product is not the default.
 

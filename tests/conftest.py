@@ -33,3 +33,20 @@ def threads_started(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", counted)
     yield started
     assert threading.active_count() == before
+
+
+@pytest.fixture
+def bands_formed(monkeypatch):
+    """The (members, K) of every set of bands that ``integrator._time_loop``
+    forms from here on, in order."""
+    from fastslow import integrator
+
+    formed, bands = [], integrator._bands
+
+    def spy(*args):
+        out = bands(*args)
+        formed.append([(list(b.members), b.K) for b in out])
+        return out
+
+    monkeypatch.setattr(integrator, "_bands", spy)
+    return formed

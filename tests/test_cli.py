@@ -432,6 +432,45 @@ def test_bad_horizon_or_step_exit_1(tmp_path, capsys, command, time):
     assert not (tmp_path / "out.csv").exists()
 
 
+def astronomical_payloads():
+    converge = converge_payload()
+    converge["model"] = base_model(eps=0.01)
+    converge["study"].update(eps_list=[1e-2, 1e-300], delta_rule={"type": "zero"})
+    linear = simulate_payload(T=0.1)
+    linear["model"] = base_model(kind="linear", eps=1e-200, delta=0.01)
+    linear_converge = converge_payload()
+    linear_converge["study"]["eps_list"] = [1e-1, 1e-300]
+    return {
+        # more steps than the solvers take (integrator.MAX_STEPS)
+        "simulate T=1e300": (simulate_payload(T=1e300), "more than the maximum"),
+        "limit dt=1e-300": (simulate_payload("limit", T=0.1, dt=1e-300), "more than the maximum"),
+        "converge eps=1e-300": (converge, "more than the maximum"),
+        # an exact propagator that overflows
+        "linear eps=1e-200": (linear, "propagator at dt=0.0001 is not finite"),
+        "linear converge eps=1e-300": (linear_converge, "propagator at dt=0.00025 is not finite"),
+    }
+
+
+@pytest.mark.parametrize("case", list(astronomical_payloads()))
+def test_astronomical_runs_stop_at_once_with_one_error_line(tmp_path, capsys, case):
+    # no run without end, no RuntimeWarning from the phi functions and no
+    # divergence reported for a step never taken: exit 1 within a second
+    import time
+    import warnings
+
+    payload, message = astronomical_payloads()[case]
+    cfg = write_config(tmp_path, payload)
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert len(err.strip().split("\n")) == 1 and err.startswith("error:") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
 @pytest.mark.parametrize("T", [float("inf"), float("nan"), -1.0], ids=["T=inf", "T=nan", "T<0"])
 def test_manifold_linear_bad_horizon_exit_1(tmp_path, capsys, T):
     # not a CSV whose invariance defects are all nan

@@ -581,10 +581,13 @@ def test_matrix_path_remainders_allocate_nothing_of_the_state_size(rows):
     # taken with a zero remainder and with one through the matrix path (a
     # node map that works in place): the transforms may not raise the peak
     # of the steps by a state's size, the zero partner row of an odd stack
-    # included.  Each run's buffers exist from its first sample on.
+    # included.  Each run's buffers exist from its first sample on.  The
+    # steps are taken on all N modes and, from data that decay faster, on
+    # their band of K = 64 modes.
     import tracemalloc
 
-    from fastslow.integrator import _block_diagonal, _full_propagator, _time_loop
+    from fastslow import integrator
+    from fastslow.integrator import _block_diagonal, _full_propagator, _System, _time_loop
     from fastslow.reduction import _limit_propagator
 
     g = build_grid(np.pi, 128)
@@ -597,7 +600,7 @@ def test_matrix_path_remainders_allocate_nothing_of_the_state_size(rows):
         return np.multiply(vals, vals, out=vals)
 
     def peak_of_the_steps(node_map):
-        loop = _time_loop(g, y0, 0.0, 20, prop, node_map, ("state",) * rows, 20)
+        loop = _time_loop(g, 0.0, 20, [_System(y, prop, node_map, "state")], 20)
         next(loop)
         tracemalloc.start()
         try:
@@ -608,8 +611,10 @@ def test_matrix_path_remainders_allocate_nothing_of_the_state_size(rows):
         assert len(final) == 1 and np.all(np.isfinite(final[0]))
         return peak
 
-    peak_of_the_steps(node_map)  # the transform matrices are cached on first use
-    assert peak_of_the_steps(node_map) - peak_of_the_steps(None) < rows * g.N * 8
+    for y, K in ((y0, g.N), (y0 * np.exp(-3.0 * np.arange(g.N)), 64)):
+        assert integrator._band(y, g.N) == K
+        peak_of_the_steps(node_map)  # the transform matrices are cached on first use
+        assert peak_of_the_steps(node_map) - peak_of_the_steps(None) < rows * K * 8
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
@@ -633,3 +638,114 @@ def test_apply_has_the_bits_of_the_written_formula(rows, N, padded):
         assert _apply(P, y, out) is out
         assert out.tobytes() == written.tobytes()
         assert out.tobytes() == np.add.reduce(P * y, axis=1).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the band-held time loop
+
+
+def band_and_full(monkeypatch, run):
+    """``run()`` on the bands its data choose, and again with every band
+    forced to all N modes (no amplitude is at most -inf times the largest)."""
+    from fastslow import integrator
+
+    banded = run()
+    with monkeypatch.context() as m:
+        m.setattr(integrator, "_BAND_TOL", -np.inf)
+        full = run()
+    return [t if isinstance(t, tuple) else (t,) for t in (banded, full)]
+
+
+def filled_state(grid, seed):
+    # every amplitude far above the roundoff floor, and v > u > 0 on the nodes
+    rng = np.random.default_rng(seed)
+    taper = 0.05 * np.exp(-0.01 * np.arange(grid.N)) / (1.0 + np.arange(grid.N))
+    u, v = rng.standard_normal((2, grid.N)) * taper
+    u[0], v[0] = 0.3, 1.0
+    return FastSlowState(SpectralField(grid, u), SpectralField(grid, v), 0.0)
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("N, data", [(8, "two modes"), (8, "filled"), (64, "filled"), (256, "filled")])
+def test_every_mode_filled_or_n_8_keeps_the_bits_of_all_n_modes(
+    monkeypatch, bands_formed, solver, N, data
+):
+    # data that fill every mode, and every N = 8 grid, give the band K = N,
+    # where the loop is the N-mode loop bit for bit
+    from fastslow.reduction import _simulate_with_limit
+
+    g = build_grid(np.pi, N)
+    p = nonlinear_params(eps=0.02, kappa=0.5)
+    if data == "filled":
+        s0 = filled_state(g, N)
+    else:
+        v0 = SpectralField(g, np.r_[0.5, 0.4, np.zeros(N - 2)])
+        s0 = FastSlowState(0.5 * v0, v0, 0.0)
+
+    def run():
+        if solver == "simulate":
+            return simulate(s0, p, T=0.05, dt=0.005, sample_every=3)
+        if solver == "solve_limit_system":
+            return solve_limit_system(s0.v, p, T=0.05, dt=0.005, sample_every=3)
+        return _simulate_with_limit(s0, p, 0.05, 0.005, 3)
+
+    banded, full = band_and_full(monkeypatch, run)
+    assert all(K == N for bands in bands_formed for _, K in bands)
+    for a, b in zip(banded, full):
+        assert np.array_equal(a.times, b.times)
+        assert np.array_equal(a.coeffs, b.coeffs)
+        assert np.array_equal(a.u1_linf, b.u1_linf)
+        assert np.array_equal(a.u2_linf, b.u2_linf)
+
+
+def assert_close_to_the_full_run(banded, full, rtol):
+    assert np.array_equal(banded.times, full.times)
+    for name in ("coeffs", "u1_linf", "u2_linf"):
+        a, b = getattr(banded, name), getattr(full, name)
+        assert np.max(np.abs(a - b)) <= rtol * np.max(np.abs(b)), name
+
+
+@pytest.mark.parametrize("N", [64, 256, 1024])
+@pytest.mark.parametrize("kappa, eps", [(1.0, 0.05), (5.0, 0.02)])
+def test_a_band_that_grows_matches_the_run_on_all_n_modes(monkeypatch, bands_formed, N, kappa, eps):
+    # two cosine modes and a fast reaction: each quadratic remainder widens
+    # the spectrum, so the band starts at K = 8 and grows as the reaction
+    # feeds the modes above K/4 during the run
+    g = build_grid(np.pi, N)
+    p = nonlinear_params(eps=eps, kappa=kappa)
+    u0 = SpectralField(g, np.r_[0.2, 0.2, np.zeros(N - 2)])
+    v0 = SpectralField(g, np.r_[0.6, 0.6, np.zeros(N - 2)])
+    s0 = FastSlowState(u0, v0, 0.0)
+    (banded,), (full,) = band_and_full(
+        monkeypatch, lambda: simulate(s0, p, T=0.5, dt=0.4 * eps, sample_every=1)
+    )
+    # the bands of the run, then the forced run's K = N
+    grown = [bands[0][1] for bands in bands_formed]
+    assert grown[0] == 8 and grown[-1] == N and len(grown) > 3 and grown == sorted(grown)
+    assert not banded.coeffs[1, :, 8:].any() and banded.coeffs[-1, :, 8:].any()
+    assert_close_to_the_full_run(banded, full, 1e-12)
+
+
+@pytest.mark.parametrize("N", [32, 128, 256, 512])
+@pytest.mark.parametrize("kappa", [1.0, 20.0, 200.0])
+@pytest.mark.parametrize(
+    "coeffs", [[1.0, 0.05, 0.015], [1.0, 0.6, 0.18], [0.6, 0.6]],
+    ids=["ripple", "wave", "touches zero"],
+)
+def test_limit_system_far_from_linear_matches_the_run_on_all_n_modes(
+    monkeypatch, bands_formed, N, kappa, coeffs
+):
+    # 4 kappa v up to 4.8 to 960: h_kappa(v) is far from its quadratic
+    # start, and aliases on the band's 3K/2 padded nodes as it would not on
+    # 3N/2.  Where v touches zero, h_kappa(v) has many more modes than v:
+    # the first band holds (h_kappa(v_in), v_in), and a band from v_in
+    # alone moved these runs by 1e-9 to 3e-8
+    g = build_grid(np.pi, N)
+    p = nonlinear_params(eps=0.01, delta=0.0, kappa=kappa)
+    v0 = SpectralField(g, np.r_[coeffs, np.zeros(N - len(coeffs))])
+    (banded,), (full,) = band_and_full(
+        monkeypatch, lambda: solve_limit_system(v0, p, T=0.2, dt=0.002, sample_every=5)
+    )
+    if N >= 256 and coeffs[0] == 1.0:  # data away from zero take a band below N
+        assert bands_formed[0][0][1] < N
+    assert_close_to_the_full_run(banded, full, 1e-12)

@@ -155,9 +155,12 @@ IN_PLACE_PARAMS = [{}, {"kappa": 0.0}, {"a": 0.0, "b": 0.0, "c": 0.0},
 def test_in_place_node_maps_equal_the_allocating_formulas(kw, shape):
     # the solvers' node maps overwrite their node rows; every bit must be
     # that of the formula evaluated into new arrays (shape (5, 96) is a
-    # Lyapunov-Perron block of time nodes)
-    from fastslow.integrator import _full_node_map
-    from fastslow.reduction import _critical_pointwise, _limit_node_map, _paired_node_map
+    # Lyapunov-Perron block of time nodes); a converge member's two maps act
+    # on its stacked rows (u, v, v_lim) through the time loop's _stacked_map
+    from functools import partial
+
+    from fastslow.integrator import _full_node_map, _stacked_map
+    from fastslow.reduction import _critical_pointwise, _limit_node_map
 
     p = nonlinear(**kw)
     for seed in range(4):
@@ -168,7 +171,8 @@ def test_in_place_node_maps_equal_the_allocating_formulas(kw, shape):
         psi = remainder_formula(p, h, v)[1]
 
         out = vals.copy()
-        assert _paired_node_map(p, out) is out
+        paired = ((partial(_full_node_map, p), slice(0, 2)), (partial(_limit_node_map, p), slice(2, 3)))
+        assert _stacked_map(paired, out) is out
         assert np.array_equal(out, np.stack([n_u, n_v, psi]))
         out = vals[:2].copy()
         _full_node_map(p, out)

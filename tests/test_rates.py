@@ -297,6 +297,33 @@ def test_study_members_equal_separate_solver_runs(kind, n):
             assert np.array_equal(together.u2_linf, apart.u2_linf)
 
 
+@pytest.mark.parametrize("n, mode", [(128, 20), (512, 40)])
+def test_members_whose_systems_take_different_bands_equal_separate_runs(bands_formed, n, mode):
+    # u_in has energy at mode 20 or 40, v_in stops at mode 2: the full
+    # system steps on a wider band than the limit system, each on its own
+    # transforms, with the bits of its own solver (at n = 512 the full
+    # band of 256 modes takes the real FFT pair, the limit's the matrices)
+    from fastslow.reduction import _simulate_with_limit
+
+    g = build_grid(math.pi, n)
+    p = ModelParams(d=1.0, delta=1e-3, eps=1e-2, kappa=1e-3, a=1.0, b=1.0, c=1.0)
+    v_in = SpectralField(g, np.r_[0.5, 0.3, 0.05, np.zeros(n - 3)])
+    u_in = critical_map_u_of_v(v_in, p.kappa) + SpectralField(g, 1e-3 * (np.arange(n) == mode))
+    state0 = FastSlowState(u_in, v_in, 0.0)
+    T, dt, stride = 0.1, 0.005, 4
+    paired = _simulate_with_limit(state0, p, T, dt, stride)
+    (full, K_full), (limit, K_limit) = bands_formed[0]
+    assert (full, limit) == ([0], [1]) and K_full > K_limit
+    traj = simulate(state0, p, T, dt=dt, sample_every=stride)
+    limit = solve_limit_system(v_in, p, T, dt=dt, sample_every=stride)
+    for together, apart in zip(paired, (traj, limit)):
+        assert np.array_equal(together.times, apart.times)
+        assert np.array_equal(together.coeffs, apart.coeffs)
+        assert np.array_equal(together.u1_linf, apart.u1_linf)
+        assert np.array_equal(together.u2_linf, apart.u2_linf)
+    assert trajectory_error_norms(*paired) == trajectory_error_norms(traj, limit)
+
+
 def diverging_study():
     # c = 0 removes the Lotka-Volterra saturation: at a = 40 the member with
     # eps = 0.01 blows up before T = 0.1 while larger ones finish

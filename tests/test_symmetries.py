@@ -11,6 +11,10 @@ Reflection: x -> L - x maps the half-sample nodes onto themselves in
 reverse order, so the limit system run from reflected data is the reflected
 run (``oracles.reflected``).
 
+Mode folding of the closed forms: mode m k on (0, L) has mu = (m k pi / L)^2,
+that of mode k on (0, L/m), so ``linear_manifold``'s rates, slopes and
+mode solutions of the two agree to roundoff.
+
 Parabolic scaling: w(x / s, t / s^2) solves the system on (0, s L) with
 eps -> s^2 eps and a, b, c -> (a, b, c) / s^2, and d, delta and kappa
 fixed.  Both runs take the same steps on the same nodes, with symbols and
@@ -30,6 +34,8 @@ from fastslow import (
     ModelParams,
     SpectralField,
     build_grid,
+    closed_form_solution,
+    mode_spectrum,
     simulate,
     solve_limit_system,
 )
@@ -37,6 +43,7 @@ from fastslow.spectral_core import _MATRIX_MAX_N
 from oracles import reflected, spread_modes
 
 FOLD_RTOL = 1e-13
+CLOSED_FORM_RTOL = 1e-13
 REFLECT_RTOL = 1e-13
 SCALE_RTOL = 1e-12
 
@@ -114,3 +121,26 @@ def test_simulate_commutes_with_parabolic_scaling(kind, eps, delta, N):
     assert np.max(np.abs(stretched.coeffs - ref.coeffs)) <= SCALE_RTOL * scale
     moved = np.max(np.abs(ref.coeffs[-1] - ref.coeffs[0]))
     assert moved > 1e3 * SCALE_RTOL * scale
+
+
+CLOSED_FORM_CASES = list(itertools.product((1e-1, 1e-3, 1e-6), (0.0, 0.1), (2, 3, 5)))
+SPECTRUM_FIELDS = ("mu", "Omega", "w_plus", "w_minus", "slow_rate", "fast_rate", "slope",
+                   "asymptotic_slow_rate")
+
+
+@pytest.mark.parametrize("eps,delta,m", CLOSED_FORM_CASES)
+def test_linear_closed_forms_commute_with_mode_folding(eps, delta, m):
+    rng = np.random.default_rng(CLOSED_FORM_CASES.index((eps, delta, m)))
+    L = math.pi * rng.uniform(0.5, 2.0)
+    wide = ModelParams(d=rng.uniform(0.5, 2.0), delta=delta, eps=eps, L=L, model_kind="linear")
+    narrow = replace(wide, L=L / m)
+    times = np.linspace(0.0, min(1.0, 10 * eps), 5)
+    for k in range(9):
+        a, b = mode_spectrum(wide, m * k), mode_spectrum(narrow, k)
+        for name in SPECTRUM_FIELDS:
+            x, y = getattr(a, name), getattr(b, name)
+            assert abs(x - y) <= CLOSED_FORM_RTOL * max(abs(x), abs(y)), (k, name)
+        u0, v0 = rng.standard_normal(2)
+        for x, y in zip(closed_form_solution(u0, v0, wide, m * k, times),
+                        closed_form_solution(u0, v0, narrow, k, times)):
+            assert np.max(np.abs(x - y)) <= CLOSED_FORM_RTOL * np.max(np.abs(y)), k
