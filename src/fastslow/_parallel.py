@@ -1,10 +1,5 @@
-"""Every concurrency decision of the package: two maps, both in process on
-one usable CPU.
-
-``_fork_map(fn, tasks)`` runs independent tasks in forked children and the
-caller (below).  ``_pipelined_map(fn, items, n_items, item_bytes)`` runs
-``fn`` on one worker thread, one item behind a caller that produces the
-items (its own docstring).  Both take the usable CPUs from ``_usable_cpus``.
+"""Every concurrency decision of the package: one map, in process on one
+usable CPU.
 
 ``_fork_map(fn, tasks)`` is ``[fn(*t) for t in tasks]``.  With two or more
 CPUs in ``os.sched_getaffinity(0)`` and ``os.memfd_create`` (Linux), it
@@ -37,10 +32,8 @@ still running are killed and reaped.
 
 from __future__ import annotations
 
-import contextvars
 import os
 import pickle
-import threading
 
 _INT_BYTES = 8  # the baton's task index
 
@@ -163,81 +156,3 @@ def _fork_map(fn, tasks) -> list:
             raise value
     return [value for _, _, value in outcomes]
 
-
-_NO_MORE = object()  # tells the worker thread of _pipelined_map that no item follows
-
-# The smallest item worth a thread.  Below it the numpy calls on both sides
-# are short, and the two threads wait on each other's GIL hand-overs: the
-# CLI's rows of blocks of 8 samples took 31, 11 and 3 % longer on a thread
-# than in line at N = 256, 1024 and 2048 (256 KiB), and 4 and 19 % less at
-# N = 4096 and 8192 (512 KiB; 1000 steps in process on a 2-CPU host).
-_PIPELINE_MIN_BYTES = 1 << 19
-
-
-def _pipelined_map(fn, items, n_items: int, item_bytes: int) -> list:
-    """``[fn(x) for x in items]``, with ``fn`` on a worker thread one item
-    behind the caller, which draws the ``n_items`` items, of about
-    ``item_bytes`` each, from the iterator ``items``.
-
-    With two or more usable CPUs and items, and items of at least
-    ``_PIPELINE_MIN_BYTES``, one worker thread applies ``fn`` to the items
-    in order while the caller draws the next one, that is, runs the
-    iterator's code; otherwise both run in turn in the caller.  Worth it
-    only where ``fn`` and the iterator spend their time in long calls that
-    release the GIL (numpy's FFT, large ufuncs).  The caller draws an
-    item only while the worker holds at most the one before it, so an
-    iterator that fills two buffers in turn never writes the one ``fn``
-    reads; ``fn`` copies what it returns out of them.  The worker runs in a
-    copy of the caller's ``contextvars`` context, so ``np.errstate`` applies
-    in it too.
-
-    The first failure in item order is raised, as in one thread: an
-    exception from ``fn`` stops the drawing, and one from the iterator is
-    raised after ``fn`` has finished the items drawn before it without
-    failing.  The worker has ended when the call returns or raises.
-    """
-    if min(n_items, _usable_cpus()) < 2 or item_bytes < _PIPELINE_MIN_BYTES:
-        return [fn(x) for x in items]
-    import queue  # on the threaded branch only: importing the package does not load it
-
-    todo, done = queue.SimpleQueue(), queue.SimpleQueue()
-
-    def work():
-        while (item := todo.get()) is not _NO_MORE:
-            try:
-                done.put((True, fn(item)))
-            except BaseException as exc:
-                done.put((False, exc))
-
-    results, sent = [], 0
-
-    def collect():
-        ok, value = done.get()
-        if not ok:
-            raise value
-        results.append(value)
-
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(work,), daemon=True)
-    worker.start()
-    try:
-        items = iter(items)
-        while True:
-            if sent - len(results) == 2:
-                collect()  # the item the next one may overwrite
-            try:
-                item = next(items)
-            except StopIteration:
-                break
-            except BaseException:
-                # the items drawn before come first in item order
-                while len(results) < sent:
-                    collect()
-                raise
-            todo.put(item)
-            sent += 1
-        while len(results) < sent:
-            collect()
-    finally:
-        todo.put(_NO_MORE)
-        worker.join()
-    return results

@@ -6,23 +6,25 @@ and records passes=false; assumption failures only abort commands that rely
 on them (manifold-galerkin).
 
 ``simulate`` and ``limit`` write one row per sample without holding the
-trajectory: the samples are copied into blocks of a few samples as the
-solver yields them, and each block is reduced to its rows in one set of
-numpy calls (``_sample_series``), on a worker thread while the solver steps
-on where two CPUs are usable and the grid is large (N >= 4096).  The rows
-are the same bytes either way.
+trajectory: the samples are copied into one block of a few samples as the
+solver yields them, and each full block is reduced to its rows in line, in
+one set of numpy calls (``_sample_series``).  A block is reduced on the
+band its samples hold, the smallest power of two W >= 8 whose columns hold
+every nonzero amplitude (``integrator._band_width``): the Sobolev sums run
+over its first 2W columns and the node sups take W modes, which at
+N = 4096 and W <= 64 are two half-size matrix products instead of an
+N-point inverse FFT (``integrator._block_sups``).  Every row has the bits
+of its sample's ``Trajectory``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import _parallel
 from . import galerkin_manifold as gm
 from . import linear_manifold as lm
 from .config import ExperimentConfig, build_initial_data, load_config
@@ -34,7 +36,13 @@ from .errors import (
     HorizonError,
     SplittingError,
 )
-from .integrator import FastSlowState, _block_len, _block_sups, _simulate_samples
+from .integrator import (
+    FastSlowState,
+    _band_width,
+    _block_len,
+    _block_sups,
+    _simulate_samples,
+)
 from .output import emit_csv, emit_svg
 from .rates import convergence_study
 from .reduction import _limit_samples, initial_layer, lipschitz_estimates, theoretical_constants
@@ -46,16 +54,22 @@ __all__ = ["main", "run"]
 _SERIES = ("t", "u_L2", "v_L2", "u_H2", "v_H2", "u1_linf", "u2_linf")
 
 
-def _block_rows(grid, block) -> list:
+def _block_rows(grid, block, work) -> list:
     """The ``_SERIES`` columns, as lists, of a block (times (n,), states (n, 2, N)).
 
-    One ``_sobolev_squares`` and one ``_block_sups`` call for the block;
-    each value has the bits of its sample's own calls.
+    The block's band W (``_band_width``) holds all its nonzero amplitudes:
+    one ``_sobolev_squares`` call on its first 2W columns, whose sums have
+    the bits of the N-wide ones (numpy's pairwise sums group the terms by
+    the length summed, and on W columns the sums over the modes >= 1
+    grouped them otherwise), and one ``_block_sups`` call on its first W,
+    whose products ``work`` receives; each value has the bits of its
+    sample's own calls.
     """
     times, states = block
-    sq0, _, sq2 = _sobolev_squares(grid, states, 2)
+    width = _band_width(states)
+    sq0, _, sq2 = _sobolev_squares(grid, states[..., : 2 * width], 2)
     l2, h2 = np.sqrt(sq0), np.sqrt(sq2)
-    u1, u2 = _block_sups(grid, states)
+    u1, u2 = _block_sups(grid, states[..., :width], work)
     return [col.tolist() for col in (times, l2[:, 0], l2[:, 1], h2[:, 0], h2[:, 1], u1, u2)]
 
 
@@ -63,34 +77,21 @@ def _sample_series(grid, n_samples: int, samples):
     """The CSV columns of a ``simulate`` or ``limit`` run, one row per sample.
 
     The ``n_samples`` samples (t, (u, v)) are copied, as the solver yields
-    them, into blocks of ``_block_len(grid)`` samples, two blocks in turn,
-    and each full block (and the last, which may be short) is reduced to
-    its rows by ``_block_rows``.  Where two CPUs are usable and a block
-    takes 512 KiB (N >= 4096), that happens on a worker thread while the
-    solver steps on (``_parallel._pipelined_map``), otherwise in line.
-    Either way the run's trajectory is never held, and every row has the
-    bits of its sample's own reduction.
+    them, into one block of ``_block_len(grid)`` samples, and each full
+    block (and the last, which may be short) is reduced to its rows by
+    ``_block_rows`` before the solver steps on.  The run's trajectory is
+    never held, and every row has the bits of its sample's own reduction.
     """
     length = min(n_samples, _block_len(grid))
-    times, states = np.empty((2, length)), np.empty((2, length, 2, grid.N))
-
-    def blocks():
-        k = j = 0  # the block being filled, and its samples so far
-        for t, y in samples:
-            times[k, j], states[k, j] = t, y
-            j += 1
-            if j == length:
-                yield times[k], states[k]
-                k, j = 1 - k, 0
-        if j:
-            yield times[k, :j], states[k, :j]
-
-    n_blocks = -(-n_samples // length)
+    times, states = np.empty(length), np.empty((length, 2, grid.N))
+    work = np.empty((2, 2 * length, grid.N // 2))  # for _block_sups
     cols = {name: [] for name in _SERIES}
-    reduce_rows = partial(_block_rows, grid)
-    for rows in _parallel._pipelined_map(reduce_rows, blocks(), n_blocks, states[0].nbytes):
-        for name, col in zip(_SERIES, rows):
-            cols[name] += col
+    for i, (t, y) in enumerate(samples):
+        j = i % length  # the sample's place in the block
+        times[j], states[j] = t, y
+        if j == length - 1 or i == n_samples - 1:
+            for name, col in zip(_SERIES, _block_rows(grid, (times[: j + 1], states[: j + 1]), work)):
+                cols[name] += col
     return cols
 
 

@@ -54,8 +54,11 @@ array per run.  The CLI's ``simulate`` and ``limit`` commands read the
 same samples (``_simulate_samples``, ``reduction._limit_samples``), copy
 them into blocks of ``_block_len`` samples and reduce each block to its
 CSV rows, so they never hold a trajectory.  ``Trajectory``'s sups and the
-CLI's rows take the node sups of a block on all N nodes in one call
-(``_block_sups``).
+CLI's rows take the node sups of a block from the band it holds
+(``_band_width``), the zero fill of the loop's samples dropped: two
+half-size products with cached node cosines where they are small, which
+fold each node with its mirror node, and the real FFT inverse on N nodes
+elsewhere (``_block_sups``).
 
 A band allocates its buffers once (``_Workspace``): the stage a, a sum
 for the per-mode matrix-vector product ``_apply`` (one einsum, with no
@@ -609,8 +612,8 @@ def _time_loop(grid, t0, n_steps, systems, sample_every):
 
 # The blocks of the sample reductions (``_block_len``): the sups of
 # ``Trajectory`` and the CLI's rows.  Eight samples amortise a block's numpy
-# calls (and, in the CLI, its hand-over to the worker thread) at N = 4096,
-# where they take 512 KiB; the byte cap keeps larger grids from holding more.
+# calls at N = 4096, where they take 512 KiB; the byte cap keeps larger
+# grids from holding more.
 _BLOCK_SAMPLES = 8
 _BLOCK_BYTES = 1 << 19
 
@@ -621,18 +624,70 @@ def _block_len(grid: Grid) -> int:
     return max(1, min(_BLOCK_SAMPLES, _BLOCK_BYTES // (2 * grid.N * 8)))
 
 
-def _block_sups(grid: Grid, states: np.ndarray) -> np.ndarray:
-    """The node sups of u1 = u and of u2 = v - u of each state (u, v) of a
-    block ``states`` (n, 2, N), shape (2, n).
+def _band_width(states: np.ndarray) -> int:
+    """The band of a block of amplitude rows (..., N): the smallest power of
+    two W >= 8 (at most N) whose columns hold every nonzero amplitude.  The
+    columns from W on are exact zeros, so the block's values are those of
+    its first W columns."""
+    n = states.shape[-1]
+    nonzero = np.flatnonzero((np.reshape(states, (-1, n)) != 0).any(axis=0))
+    top = nonzero[-1] + 1 if len(nonzero) else 0
+    return min(n, max(8, 1 << (int(top) - 1).bit_length()))
 
-    One inverse transform for the block; a state's sups have the bits of
-    its own call, since a sup does not depend on the node order or on the
-    other states.  So the values stay in the permuted order of the real
-    FFT inverse, and u2 and the absolute values are formed in place.
+
+@lru_cache(maxsize=None)
+def _node_cosines(n: int, k: int) -> np.ndarray:
+    """cos(j pi x_i / L) at the first n/2 of the n nodes, for the even
+    modes j < k (``[0]``) and the odd ones (``[1]``): shape (2, k/2, n/2),
+    read-only.  Node n-1-i mirrors node i, where the even modes take the
+    same value and the odd ones its negative (see ``_block_sups``)."""
+    cosines = np.empty((2, k // 2, n // 2))
+    for parity, out in enumerate(cosines):
+        # j (2i + 1) reduced mod 4n first, so that every angle lies in [0, 2 pi)
+        phase = np.outer(np.arange(parity, k, 2), 2 * np.arange(n // 2) + 1) % (4 * n)
+        np.cos(np.multiply(phase, np.pi / (2 * n), out=out), out=out)
+    cosines.flags.writeable = False  # cached and shared by every caller
+    return cosines
+
+
+def _block_sups(grid: Grid, band: np.ndarray, work=None) -> np.ndarray:
+    """The node sups of u1 = u and of u2 = v - u of each state (u, v) of a
+    block, shape (2, n), from the block's band ``band`` (n, 2, W): its
+    first W <= N amplitudes, the rest zero (``_band_width``).
+
+    Where the two matrices of ``_node_cosines(N, W)``, 4 W N bytes, take
+    at most what the FFT path's temporaries take for a full block, twice
+    its bytes, and at most 2 x ``_BLOCK_BYTES`` (W <= 64 up to N = 4096,
+    W <= 32 at N = 8192, none from N = 65536 on), the sups are two
+    half-size products: with d = (u, v - u), E = d_even C_even and
+    O = d_odd C_odd at the first N/2 nodes, the value at node i is E_i + O_i
+    and at its mirror node N-1-i it is E_i - O_i, so the sup over all N
+    nodes is max_i (|E_i| + |O_i|).  Each product is one gemm over the
+    block's rows, so a state's sups have the bits of its own call, and
+    zero columns of a wider band beside it do not change them.  Above that
+    size the band goes through the real FFT inverse on N nodes, whose
+    values stay in its permuted order, since a sup does not depend on the
+    node order.
+
+    ``work`` (2, m >= 2n, N/2), where given, receives the products, so a
+    caller that reduces block after block does not map fresh pages for
+    each: a new (2, 16, 2048) product took about 110 page faults and twice
+    the time of the rest of the call (N = 4096, W = 64, two BLAS threads).
     """
-    vals = _permuted_inverse(states, grid.N)
-    np.subtract(vals[:, 1], vals[:, 0], out=vals[:, 1])
-    return np.abs(vals, out=vals).max(axis=-1).T
+    n, width = len(band), band.shape[-1]
+    if 4 * width * grid.N > 2 * min(_block_len(grid) * 2 * grid.N * 8, _BLOCK_BYTES):
+        vals = _permuted_inverse(band, grid.N)
+        np.subtract(vals[:, 1], vals[:, 0], out=vals[:, 1])
+        return np.abs(vals, out=vals).max(axis=-1).T
+    # (parity, sample, field, mode pair): the even and the odd modes of d
+    d = np.empty((2, n, 2, width // 2))
+    d[0], d[1] = band[..., 0::2], band[..., 1::2]
+    np.subtract(d[:, :, 1], d[:, :, 0], out=d[:, :, 1])
+    out = None if work is None else work[:, : 2 * n]
+    even, odd = np.matmul(d.reshape(2, 2 * n, -1), _node_cosines(grid.N, width), out=out)
+    np.abs(even, out=even)
+    even += np.abs(odd, out=odd)
+    return even.max(axis=-1).reshape(n, 2).T
 
 
 @dataclass
@@ -654,8 +709,9 @@ class Trajectory:
         # a block at a time: the node values of all samples at once would be
         # a temporary as large as the trajectory
         step = _block_len(self.grid)
-        blocks = range(0, len(self.coeffs), step)
-        return np.hstack([_block_sups(self.grid, self.coeffs[i : i + step]) for i in blocks])
+        work = np.empty((2, 2 * step, self.grid.N // 2))
+        blocks = (self.coeffs[i : i + step] for i in range(0, len(self.coeffs), step))
+        return np.hstack([_block_sups(self.grid, b[..., : _band_width(b)], work) for b in blocks])
 
     @property
     def u1_linf(self) -> np.ndarray:

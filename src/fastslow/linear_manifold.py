@@ -65,9 +65,16 @@ def mode_spectrum(params: ModelParams, k: int) -> ModeSpectrum:
     """Exact rates and slow-manifold slope of mode k (linear kind)."""
     _require_linear(params)
     eps, delta, d = params.eps, params.delta, params.d
-    mu = _mu(params, k)
-    x = eps * delta * mu
-    Omega = math.sqrt(x**2 + 4.0)
+    try:
+        mu = _mu(params, k)
+        x = eps * delta * mu
+        Omega = math.sqrt(x**2 + 4.0)  # OverflowError where x**2 overflows, inf where x does
+        if Omega == math.inf:
+            raise OverflowError
+    except OverflowError:
+        raise ConfigurationError(
+            f"mode {k}: mu_k = (k pi / L)^2 or (eps delta mu_k)^2 is beyond the range of floats"
+        ) from None
     w_plus = Omega - eps * (2 * d + delta) * mu - 2.0
     w_minus = -Omega - eps * (2 * d + delta) * mu - 2.0
     slope = 2.0 / (Omega + x + 2.0)
@@ -161,6 +168,14 @@ def invariance_and_distance(params: ModelParams, modes, T: float) -> list:
         u2, v2, _ = closed_form_solution(sp.slope + 1.0, 1.0, params, k, t_fit)
         w = u2 - sp.slope * v2  # pure fast eigen-coordinate
         mask = np.abs(w) > 1e-300
+        # the fit needs two points, and np.polyfit scales their times by
+        # their norm, which must be a normal float (not so at eps = 1e-300)
+        norm = math.sqrt(np.dot(t_fit[mask], t_fit[mask]))
+        if mask.sum() < 2 or not np.finfo(float).tiny <= norm < math.inf:
+            raise ConfigurationError(
+                f"mode {k}: the fast rate {sp.fast_rate:.3g} cannot be fitted over t <= 5 eps = "
+                f"{5 * params.eps:.3g}: too few points above 1e-300, or no scale"
+            )
         fitted = float(np.polyfit(t_fit[mask], np.log(np.abs(w[mask])), 1)[0])
         rel = abs(fitted - sp.fast_rate) / abs(sp.fast_rate)
         reports.append(

@@ -260,16 +260,21 @@ def _sobolev_weights(grid: Grid) -> tuple:
 
 
 def _sobolev_squares(grid: Grid, coeffs: np.ndarray, order: int) -> list:
-    """Squared L2, .., H^order norms of amplitude arrays along the last axis."""
+    """Squared L2, .., H^order norms of amplitude arrays along the last axis.
+
+    ``coeffs`` may hold only the first n <= N amplitudes, the rest zero;
+    the sums then run over those n.
+    """
     c2 = coeffs**2
+    n = c2.shape[-1]
     w, w_mu, w_mu2 = _sobolev_weights(grid)
-    total = np.sum(w * c2, axis=-1)
+    total = np.sum(w[:n] * c2, axis=-1)
     out = [total]
     if order >= 1:
-        total = total + np.sum(w_mu * c2[..., 1:], axis=-1)
+        total = total + np.sum(w_mu[: n - 1] * c2[..., 1:], axis=-1)
         out.append(total)
     if order == 2:
-        total = total + np.sum(w_mu2 * c2[..., 1:], axis=-1)
+        total = total + np.sum(w_mu2[: n - 1] * c2[..., 1:], axis=-1)
         out.append(total)
     return out
 

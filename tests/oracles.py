@@ -109,3 +109,24 @@ def spread_modes(coeffs, m):
     out = np.zeros(coeffs.shape[:-1] + (m * coeffs.shape[-1],))
     out[..., ::m] = coeffs
     return out
+
+
+def node_sups(states, N):
+    """The sups over all N half-sample nodes of u1 = u and u2 = v - u, shape
+    (2, n), of the states (n, 2, K) given by their first K <= N amplitudes,
+    and the sums of the absolute amplitudes of u1 and u2 that bound each
+    sup's rounding; node values summed in ``np.longdouble``.
+
+    The cosines cos(k pi (2j + 1) / 2N) come from one table of the 4N
+    angles m pi / 2N, so the node values take one product per block of
+    nodes, not a cosine per node and mode."""
+    states = np.asarray(states, dtype=float)
+    d = np.stack([states[:, 0], states[:, 1] - states[:, 0]], axis=1).astype(np.longdouble)
+    K = d.shape[-1]
+    table = np.cos(np.arange(4 * N, dtype=np.longdouble) * (np.pi / np.longdouble(2 * N)))
+    sups = np.zeros(d.shape[:-1], dtype=np.longdouble)
+    for start in range(0, N, 256):
+        nodes = 2 * np.arange(start, min(N, start + 256)) + 1
+        vals = d @ table[np.outer(np.arange(K), nodes) % (4 * N)]
+        sups = np.maximum(sups, np.abs(vals).max(axis=-1))
+    return sups.astype(float).T, np.abs(d).sum(axis=-1).astype(float).T

@@ -482,6 +482,27 @@ def test_manifold_linear_bad_horizon_exit_1(tmp_path, capsys, T):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "block, key, value, message",
+    [("model", "eps", 1e-300, "cannot be fitted"), ("model", "d", 1e300, "cannot be fitted"),
+     ("model", "delta", 1e300, "beyond the range of floats"),
+     ("model", "eps", 1e300, "beyond the range of floats"),
+     ("grid", "L", 1e-300, "beyond the range of floats")],
+)
+def test_manifold_linear_out_of_range_parameters_exit_1_with_one_error_line(
+    tmp_path, capfd, block, key, value, message
+):
+    # capfd, not capsys: LAPACK writes its own lines to the file descriptor
+    payload = determinism_payloads()["manifold-linear"]
+    payload[block][key] = value
+    cfg = write_config(tmp_path, payload)
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: mode 1: ") and message in err
+    assert not (tmp_path / "out" / "out.csv").exists()
+
+
 MISTYPED_FIELDS = [
     # (command, block, key, value)
     ("simulate", "time", "dt", "0.01"),
@@ -912,45 +933,38 @@ def test_converge_svg_with_a_diverging_member(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# simulate and limit rows, reduced a block at a time in line or on a thread
+# simulate and limit rows, reduced a block at a time on the band the block holds
 
 
-def on_cpus(monkeypatch, cpus):
-    # blocks of any size take the thread: the tests' grids are small
-    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(_parallel, "_PIPELINE_MIN_BYTES", 0)
-
-
-def run_on_cpus(monkeypatch, cpus, cfg, out_dir):
-    on_cpus(monkeypatch, cpus)
-    return main(["--config", cfg, "--out", str(out_dir), "--quiet"])
+def banded_payload(command, N, n_samples):
+    # data on three modes: the time loop steps them on a narrow band, so at
+    # N = 4096 the rows of simulate take the folded sups from the second
+    # block on (the initial u = h_kappa(v), and limit's u of every sample,
+    # fill every mode at roundoff)
+    payload = simulate_payload(command, N, T=0.004 * (n_samples - 1), dt=0.004)
+    payload["model"] = base_model(eps=0.01, delta=0.001, kappa=1e-3)
+    payload["initial"] = {"v_coeffs": [0.35, 0.2, 0.05], "well_prepared": True}
+    return payload
 
 
 @pytest.mark.parametrize("command", ["simulate", "limit"])
-@pytest.mark.parametrize("N", [32, 256])  # the matrix path and the real FFT pair
+@pytest.mark.parametrize("N", [32, 256, 4096])
 @pytest.mark.parametrize("n_samples", [1, 7, 8, 9, 17])  # blocks of 8, the last one short
-def test_threaded_rows_equal_inline_rows_and_the_trajectory(
-    tmp_path, monkeypatch, threads_started, command, N, n_samples
-):
+def test_band_rows_equal_the_trajectory_at_block_edges(tmp_path, command, N, n_samples):
     from fastslow.config import build_initial_data, load_config
-    from fastslow.integrator import FastSlowState, _block_len, simulate
+    from fastslow.integrator import FastSlowState, _band_width, _block_len, simulate
     from fastslow.reduction import solve_limit_system
     from fastslow.spectral_core import _sobolev_squares, build_grid
 
     assert _block_len(build_grid(math.pi, N)) == 8
-    T, dt = 0.004 * (n_samples - 1), 0.004
-    cfg = write_config(tmp_path, simulate_payload(command, N, T=T, dt=dt))
-    assert run_on_cpus(monkeypatch, 1, cfg, tmp_path / "inline") == 0
-    assert threads_started == []
-    assert run_on_cpus(monkeypatch, 2, cfg, tmp_path / "threaded") == 0
-    assert len(threads_started) == (n_samples > 8)  # a thread only for two blocks or more
-    threaded = (tmp_path / "threaded" / "out.csv").read_bytes()
-    assert threaded == (tmp_path / "inline" / "out.csv").read_bytes()
-
+    cfg = write_config(tmp_path, banded_payload(command, N, n_samples))
+    assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
     config = load_config(cfg)
     u_in, v_in = build_initial_data(config)
+    T, dt = 0.004 * (n_samples - 1), 0.004
     if command == "simulate":
         traj = simulate(FastSlowState(u_in, v_in, 0.0), config.model, T, dt)
+        assert _band_width(traj.coeffs[8:]) <= 64  # the folded sups
     else:
         traj = solve_limit_system(v_in, config.model, T, dt)
     assert len(traj.times) == n_samples
@@ -965,64 +979,48 @@ def test_threaded_rows_equal_inline_rows_and_the_trajectory(
         "u2_linf": traj.u2_linf,
     }
     emit_csv(expected, tmp_path / "trajectory.csv", footer=[("seed", 2)])
-    assert threaded == (tmp_path / "trajectory.csv").read_bytes()
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "trajectory.csv").read_bytes()
 
 
-@pytest.mark.parametrize("command", ["simulate", "limit"])
-def test_a_run_that_diverges_raises_the_same_error_inline_and_threaded(
-    tmp_path, monkeypatch, threads_started, command
-):
-    # c = 0 removes the saturation: both systems blow up after many blocks
-    from fastslow.cli import run
-    from fastslow.config import load_config
-    from fastslow.errors import DivergenceError
+@pytest.mark.parametrize("N", [64, 4096])
+def test_block_rows_have_the_bits_of_the_n_wide_norms(N):
+    # random blocks on bands of 8 to 64 modes: their norms on the band have
+    # the bits of the sums over all N modes
+    from fastslow.cli import _block_rows
+    from fastslow.integrator import _block_sups
+    from fastslow.spectral_core import _sobolev_squares, build_grid
 
-    payload = simulate_payload(command, 16, T=2.0, dt=0.01)
-    payload["model"] = base_model(a=40.0, b=0.0, c=0.0, eps=0.05)
-    cfg = load_config(write_config(tmp_path, payload))
-    errors = []
-    for cpus in (1, 2):
-        on_cpus(monkeypatch, cpus)
-        with pytest.raises(DivergenceError) as err, np.errstate(over="ignore"):
-            run(cfg, tmp_path / f"cpus{cpus}", quiet=True)
-        errors.append((str(err.value), err.value.t))
-        assert not (tmp_path / f"cpus{cpus}" / "out.csv").exists()
-    assert len(threads_started) == 1
-    assert errors[0] == errors[1]
-    assert 0.1 < errors[0][1] < 2.0  # mid-way: after more than one block of 8 samples
+    grid, rng = build_grid(math.pi, N), np.random.default_rng(N)
+    for W in (8, 16, 32, 64):
+        states = np.zeros((8, 2, N))
+        states[..., :W] = rng.standard_normal((8, 2, W)) * np.exp(-0.2 * np.arange(W))
+        times = np.arange(8.0)
+        rows = _block_rows(grid, (times, states), np.empty((2, 16, N // 2)))
+        sq0, _, sq2 = _sobolev_squares(grid, states, 2)
+        norms = [np.sqrt(sq0[:, 0]), np.sqrt(sq0[:, 1]), np.sqrt(sq2[:, 0]), np.sqrt(sq2[:, 1])]
+        assert rows[0] == times.tolist()
+        assert rows[1:5] == [col.tolist() for col in norms]
+        assert rows[5:] == [col.tolist() for col in _block_sups(grid, states[..., :W])]
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_an_error_in_the_row_reduction_reaches_the_caller(
-    tmp_path, monkeypatch, threads_started, cpus
-):
+def test_an_error_in_the_row_reduction_reaches_the_caller(tmp_path, monkeypatch, cpus):
+    # the rows are reduced in line, whatever the usable CPUs
     from fastslow import cli
 
     calls = []
     block_rows = cli._block_rows
 
-    def fails_on_the_second_block(grid, block):
+    def fails_on_the_second_block(grid, block, work):
         calls.append(len(block[0]))
         if len(calls) == 2:
             raise ArithmeticError("in the second block")
-        return block_rows(grid, block)
+        return block_rows(grid, block, work)
 
     monkeypatch.setattr(cli, "_block_rows", fails_on_the_second_block)
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: cpus)
     cfg = write_config(tmp_path, simulate_payload("simulate", 32, T=0.1, dt=0.004))
     with pytest.raises(ArithmeticError, match="in the second block"):
-        run_on_cpus(monkeypatch, cpus, cfg, tmp_path)
-    assert calls[:2] == [8, 8]
-    assert len(threads_started) == cpus - 1
+        main(["--config", cfg, "--out", str(tmp_path), "--quiet"])
+    assert calls == [8, 8]
     assert not (tmp_path / "out.csv").exists()
-
-
-@pytest.mark.parametrize("N, threads", [(2048, 0), (4096, 1)])
-def test_rows_take_a_thread_from_blocks_of_512_kib_on(
-    tmp_path, monkeypatch, threads_started, N, threads
-):
-    # 8 samples of (u, v) take 512 KiB at N = 4096; on smaller grids a
-    # thread was slower than the rows in line
-    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: 2)
-    cfg = write_config(tmp_path, simulate_payload("simulate", N, T=0.004 * 16, dt=0.004))
-    assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
-    assert len(threads_started) == threads

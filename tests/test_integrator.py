@@ -13,6 +13,7 @@ from fastslow import (
     solve_limit_system,
 )
 from fastslow.errors import ConfigurationError, DivergenceError
+from oracles import node_sups
 
 
 def linear_params(eps=0.1, delta=0.1, d=1.0):
@@ -486,20 +487,26 @@ def test_off_stride_final_sample_full_and_limit(kind):
             expected = critical_map_u_of_v(SpectralField(g, v), p.kappa).coeffs
         assert np.array_equal(u, expected)
     for traj in (full, limit):
-        for n, (u, v) in enumerate(traj.coeffs):
-            u_vals = SpectralField(g, u).values()
-            v_vals = SpectralField(g, v).values()
-            assert traj.u1_linf[n] == np.max(np.abs(u_vals))
-            assert traj.u2_linf[n] == np.max(np.abs(v_vals - u_vals))
+        assert_sups_near_the_oracle(traj.u1_linf, traj.u2_linf, traj.coeffs)
     end = full.final()
     assert end.t == 0.37
     assert np.array_equal(end.u.coeffs, full.coeffs[-1, 0])
     assert np.array_equal(end.v.coeffs, full.coeffs[-1, 1])
 
 
+def assert_sups_near_the_oracle(u1_linf, u2_linf, coeffs, N=None):
+    """The sups of the states ``coeffs`` (n, 2, K) on N >= K nodes (N = K
+    by default) within SUP_ULPS ulp of the sums of their absolute
+    amplitudes of the long-double node sups."""
+    sups, scale = node_sups(coeffs, N or coeffs.shape[-1])
+    got = np.stack([u1_linf, u2_linf])
+    assert np.all(np.abs(got - sups) <= SUP_ULPS * np.finfo(float).eps * scale)
+
+
 def test_sups_equal_node_value_sups_past_the_matrix_path():
-    # at N = 256 the sups come from the real FFT inverse in permuted node
-    # order; they equal the sups of the node values in the order of x
+    # at N = 256 the sups of these data, which fill every mode, come from
+    # the real FFT inverse in permuted node order; they are the sups of the
+    # node values in the order of x
     from fastslow.spectral_core import _MATRIX_MAX_N
 
     g = build_grid(np.pi, 256)
@@ -511,11 +518,129 @@ def test_sups_equal_node_value_sups_past_the_matrix_path():
         0.0,
     )
     traj = simulate(s0, nonlinear_params(eps=0.01), T=0.05, sample_every=5)
-    for n, (u, v) in enumerate(traj.coeffs):
-        u_vals = SpectralField(g, u).values()
-        v_vals = SpectralField(g, v).values()
-        assert traj.u1_linf[n] == np.max(np.abs(u_vals))
-        assert traj.u2_linf[n] == np.max(np.abs(v_vals - u_vals))
+    assert_sups_near_the_oracle(traj.u1_linf, traj.u2_linf, traj.coeffs)
+
+
+# Sups of the node values within this many ulp of the sum of the absolute
+# amplitudes, the size of the rounding of any sum of the amplitudes' terms;
+# the folded products and the FFT inverse stayed within 2.7 of it.
+SUP_ULPS = 4
+
+
+def folded(N, W):
+    from fastslow.integrator import _BLOCK_BYTES, _block_len
+
+    return 4 * W * N <= 2 * min(_block_len(build_grid(np.pi, N)) * 16 * N, _BLOCK_BYTES)
+
+
+def banded_states(rng, n, N, widths):
+    """n states (u, v) on N modes, the i-th holding its first widths[i] amplitudes, the last nonzero."""
+    states = np.zeros((n, 2, N))
+    for i, w in enumerate(widths):
+        states[i, :, :w] = rng.standard_normal((2, w)) * np.exp(-0.2 * np.arange(w))
+        states[i, :, w - 1] = rng.standard_normal(2)
+    return states
+
+
+@pytest.mark.parametrize("N", [8, 64, 256, 4096, 8192])
+def test_block_sups_equal_long_double_node_sups(N):
+    from fastslow.integrator import _block_sups
+
+    rng = np.random.default_rng(N)
+    g = build_grid(np.pi, N)
+    widths = sorted({w for w in (8, 16, 32, 64, 128) if w <= N} | {N})
+    for W in widths:
+        n = 1 if W > 1024 else 5  # the oracle's cost grows as W N
+        states = banded_states(rng, n, N, [W] * n)
+        u1, u2 = _block_sups(g, states[..., :W])
+        assert_sups_near_the_oracle(u1, u2, states[..., :W], N)
+    # both the folded products and the FFT inverse are checked
+    assert folded(N, 8) and (N <= 64 or not folded(N, N))
+
+
+def test_band_width_is_the_smallest_power_of_two_holding_every_nonzero_column():
+    from fastslow.integrator import _band_width
+
+    states = np.zeros((3, 2, 256))
+    assert _band_width(states) == 8
+    for top, W in [(0, 8), (7, 8), (8, 16), (16, 32), (17, 32), (128, 256), (255, 256)]:
+        states[1, 1, top] = -1e-300
+        assert _band_width(states) == W
+    assert _band_width(np.ones((1, 2, 8))) == 8
+
+
+@pytest.mark.parametrize("N", [8, 64, 256, 1024, 4096, 8192])
+def test_a_samples_sups_keep_their_bits_beside_samples_of_a_wider_band(N):
+    # each state alone, on its own band, against the block of all, on the
+    # widest band, wherever both take the same path (folded or FFT)
+    from fastslow.integrator import _band_width, _block_sups
+
+    rng = np.random.default_rng(N + 1)
+    g = build_grid(np.pi, N)
+    compared = set()
+    for _ in range(8):
+        n = int(rng.integers(1, 9))
+        widths = [min(N, 1 << int(rng.integers(0, 8))) for _ in range(n)]
+        states = banded_states(rng, n, N, widths)
+        W = _band_width(states)
+        block = _block_sups(g, states[..., :W])
+        for i in range(n):
+            own = _band_width(states[i : i + 1])
+            if folded(N, own) != folded(N, W):
+                continue
+            compared.add(folded(N, W))
+            alone = _block_sups(g, states[i : i + 1, :, :own])
+            assert np.array_equal(alone[:, 0], block[:, i])
+    assert True in compared
+    if N == 8192:
+        states = banded_states(rng, 3, N, [64, 128, 64])
+        assert not folded(N, 64)
+        block = _block_sups(g, states[..., :128])
+        for i in range(3):
+            width = _band_width(states[i : i + 1])
+            assert np.array_equal(_block_sups(g, states[i : i + 1, :, :width])[:, 0], block[:, i])
+
+
+@pytest.mark.parametrize("N", [8, 64, 256, 4096, 8192, 65536])
+def test_sobolev_squares_on_the_first_2w_columns_keep_the_bits_of_all_n(N):
+    # on the first W columns alone the sums over modes >= 1 round in
+    # another order, and the bits differ
+    from fastslow.spectral_core import _sobolev_squares
+
+    rng = np.random.default_rng(N + 2)
+    g = build_grid(np.pi, N)
+    W = 8
+    while W <= N:
+        for n in (1, 3, 8):
+            states = banded_states(rng, n, N, [W] * n)
+            full = _sobolev_squares(g, states, 2)
+            band = _sobolev_squares(g, states[..., : 2 * W], 2)
+            assert all(np.array_equal(a, b) for a, b in zip(full, band))
+        W *= 4 if N == 65536 else 2
+
+
+def test_no_node_matrix_above_the_cap(monkeypatch):
+    from fastslow import integrator
+
+    built, node_cosines = [], integrator._node_cosines
+
+    def spy(n, k):
+        built.append((n, k))
+        return node_cosines(n, k)
+
+    monkeypatch.setattr(integrator, "_node_cosines", spy)
+    rng = np.random.default_rng(3)
+    for N, W, expected in [(65536, 8, []), (32768, 8, [(32768, 8)]), (8192, 64, []),
+                           (8192, 32, [(8192, 32)]), (4096, 128, []), (4096, 64, [(4096, 64)]),
+                           (1024, 128, []), (1024, 64, [(1024, 64)])]:
+        built.clear()
+        states = banded_states(rng, 1, N, [W])
+        integrator._block_sups(build_grid(np.pi, N), states[..., :W])
+        assert built == expected, (N, W)
+        if expected:
+            matrices = node_cosines(N, W)
+            assert matrices.nbytes == 4 * W * N <= 1 << 20
+            assert not matrices.flags.writeable
 
 
 SOLVERS = ["simulate", "solve_limit_system", "_simulate_with_limit"]

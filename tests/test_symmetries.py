@@ -8,8 +8,9 @@ map is pointwise, so the two runs differ by roundoff alone.  At N = 256 ->
 one (``spectral_core._MATRIX_MAX_N``).
 
 Reflection: x -> L - x maps the half-sample nodes onto themselves in
-reverse order, so the limit system run from reflected data is the reflected
-run (``oracles.reflected``).
+reverse order, so the limit system run, and a convergence member's full
+and limit systems stepped together, from reflected data are the reflected
+runs (``oracles.reflected``).
 
 Mode folding of the closed forms: mode m k on (0, L) has mu = (m k pi / L)^2,
 that of mode k on (0, L/m), so ``linear_manifold``'s rates, slopes and
@@ -102,6 +103,29 @@ def test_solve_limit_system_commutes_with_reflection(kind, eps, delta, N):
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(mirrored - reflected(ref))) <= REFLECT_RTOL * scale
     assert np.max(np.abs(ref[-1] - ref[0])) > 1e3 * REFLECT_RTOL * scale  # the run moved
+
+
+@pytest.mark.parametrize("kind,eps,delta,N", SYMMETRY_CASES)
+def test_a_convergence_member_commutes_with_reflection(kind, eps, delta, N):
+    # a member of rates.convergence_study steps (u, v) and v_lim in one
+    # loop; from reflected data its rows are those of the separate solvers,
+    # bit for bit, and the reflected rows of the member from the data
+    from fastslow.reduction import _simulate_with_limit
+
+    params, data, dt = symmetry_case(kind, eps, delta, N)
+    grid = build_grid(params.L, N)
+    members = []
+    for coeffs in (data, reflected(data)):
+        state = FastSlowState(SpectralField(grid, coeffs[0]), SpectralField(grid, coeffs[1]), 0.0)
+        members.append(_simulate_with_limit(state, params, 8 * dt, dt, 2))
+    apart = (simulate(state, params, T=8 * dt, dt=dt, sample_every=2),
+             solve_limit_system(state.v, params, T=8 * dt, dt=dt, sample_every=2))
+    for together, alone in zip(members[1], apart):
+        assert np.array_equal(together.coeffs, alone.coeffs)
+    for ref, mirrored in zip(*members):
+        scale = np.max(np.abs(ref.coeffs))
+        assert np.max(np.abs(mirrored.coeffs - reflected(ref.coeffs))) <= REFLECT_RTOL * scale
+        assert np.max(np.abs(ref.coeffs[-1] - ref.coeffs[0])) > 1e3 * REFLECT_RTOL * scale
 
 
 @pytest.mark.parametrize("kind,eps,delta,N", SYMMETRY_CASES)

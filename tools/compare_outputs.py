@@ -16,12 +16,15 @@ Each tree's configs come from its own two files, which are only read.
 Every output file is compared byte for byte, except that a CSV with a
 ``wall_s`` column (``converge``) is compared without it, as
 ``tests/test_cli.without_wall_clock`` does.  Exits 0 when every file is
-identical, and 1, listing the files that differ, otherwise.
+identical, and 1, listing the files that differ, otherwise.  Under each
+CSV that differs it prints, for each column (and footer value) that moved,
+the largest absolute and the largest relative change of its numbers.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import runpy
 import subprocess
 import sys
@@ -85,6 +88,62 @@ def outputs(out: Path) -> dict:
     }
 
 
+def csv_values(text: str) -> dict:
+    """The values of a CSV of ``output.emit_csv`` by name: each column's
+    data, then each footer row's value (``name,value``)."""
+    rows = [line.split(",") for line in text.strip().split("\n")]
+    header, values = rows[0], {name: [] for name in rows[0]}
+    i = 1
+    while i < len(rows) and len(rows[i]) == len(header):
+        for name, cell in zip(header, rows[i]):
+            values[name].append(cell)
+        i += 1
+    for row in rows[i:]:
+        values.setdefault(row[0], []).append(",".join(row[1:]))
+    return values
+
+
+def number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def change(x: float, y: float) -> tuple:
+    """The absolute and relative change between two numbers; infinite
+    where one is not finite and they differ."""
+    if x == y:
+        return 0.0, 0.0
+    if not (math.isfinite(x) and math.isfinite(y)):
+        return math.inf, math.inf
+    return abs(x - y), abs(x - y) / max(abs(x), abs(y))
+
+
+def column_changes(ours: str, theirs: str) -> list:
+    """One line per column or footer value of two CSVs that differs: the
+    largest absolute and relative change of its numbers, or why there is none."""
+    a, b = csv_values(ours), csv_values(theirs)
+    lines = []
+    for name in list(a) + [n for n in b if n not in a]:
+        if name == "wall_s" or a.get(name) == b.get(name):
+            continue
+        if name not in a or name not in b:
+            lines.append(f"  {name}: only in {'this tree' if name in a else 'the ref'}")
+            continue
+        if len(a[name]) != len(b[name]):
+            lines.append(f"  {name}: {len(a[name])} values against {len(b[name])}")
+            continue
+        pairs = [(number(x), number(y)) for x, y in zip(a[name], b[name]) if x != y]
+        if any(x is None or y is None for x, y in pairs):
+            lines.append(f"  {name}: a value that is not a number changed")
+            continue
+        absolute, relative = (max(c) for c in zip(*(change(x, y) for x, y in pairs)))
+        lines.append(f"  {name}: {len(pairs)} values moved, by at most {absolute:.3g} "
+                     f"absolute and {relative:.3g} relative")
+    return lines
+
+
 def differing(names, ours: dict, theirs: dict, strip) -> list:
     bad = []
     for name in names:
@@ -114,8 +173,11 @@ def main(argv=None) -> int:
         ours, theirs = outputs(tmp / "tree_out"), outputs(tmp / "ref_out")
         names = sorted(set(ours) | set(theirs))
         bad = differing(names, ours, theirs, without_wall_clock())
-    for name in bad:
-        print(f"differs: {name}")
+        for name in bad:
+            print(f"differs: {name}")
+            if name.endswith(".csv") and name in ours and name in theirs:
+                for line in column_changes(ours[name].read_text(), theirs[name].read_text()):
+                    print(line)
     print(f"{len(names) - len(bad)} of {len(names)} outputs identical to {ref}")
     return 1 if bad else 0
 
