@@ -19,6 +19,23 @@ def no_child_left():
 
 
 @pytest.fixture
+def threads_started(monkeypatch):
+    """The threads started from here on; at the end, none of them is left."""
+    import threading
+
+    started, start = [], threading.Thread.start
+    before = threading.active_count()
+
+    def counted(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counted)
+    yield started
+    assert threading.active_count() == before
+
+
+@pytest.fixture
 def bands_formed(monkeypatch):
     """The (members, K) of every set of bands that ``integrator._time_loop``
     forms from here on, in order."""

@@ -947,10 +947,20 @@ def banded_payload(command, N, n_samples):
     return payload
 
 
+def run_on_cpus(monkeypatch, cpus, cfg, out_dir):
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: cpus)
+    return main(["--config", cfg, "--out", str(out_dir), "--quiet"])
+
+
 @pytest.mark.parametrize("command", ["simulate", "limit"])
 @pytest.mark.parametrize("N", [32, 256, 4096])
 @pytest.mark.parametrize("n_samples", [1, 7, 8, 9, 17])  # blocks of 8, the last one short
-def test_band_rows_equal_the_trajectory_at_block_edges(tmp_path, command, N, n_samples):
+def test_threaded_rows_equal_inline_rows_and_the_trajectory(
+    tmp_path, monkeypatch, threads_started, command, N, n_samples
+):
+    # at two usable CPUs, where the rows of large grids once went to a
+    # worker thread, they are reduced in line as at one: no thread starts,
+    # and both runs write the bytes of the Trajectory's rows
     from fastslow.config import build_initial_data, load_config
     from fastslow.integrator import FastSlowState, _band_width, _block_len, simulate
     from fastslow.reduction import solve_limit_system
@@ -958,7 +968,12 @@ def test_band_rows_equal_the_trajectory_at_block_edges(tmp_path, command, N, n_s
 
     assert _block_len(build_grid(math.pi, N)) == 8
     cfg = write_config(tmp_path, banded_payload(command, N, n_samples))
-    assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    assert run_on_cpus(monkeypatch, 1, cfg, tmp_path / "inline") == 0
+    assert run_on_cpus(monkeypatch, 2, cfg, tmp_path / "threaded") == 0
+    assert threads_started == []
+    threaded = (tmp_path / "threaded" / "out.csv").read_bytes()
+    assert threaded == (tmp_path / "inline" / "out.csv").read_bytes()
+
     config = load_config(cfg)
     u_in, v_in = build_initial_data(config)
     T, dt = 0.004 * (n_samples - 1), 0.004
@@ -979,7 +994,32 @@ def test_band_rows_equal_the_trajectory_at_block_edges(tmp_path, command, N, n_s
         "u2_linf": traj.u2_linf,
     }
     emit_csv(expected, tmp_path / "trajectory.csv", footer=[("seed", 2)])
-    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "trajectory.csv").read_bytes()
+    assert threaded == (tmp_path / "trajectory.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "limit"])
+def test_a_run_that_diverges_raises_the_same_error_inline_and_threaded(
+    tmp_path, monkeypatch, threads_started, command
+):
+    # c = 0 removes the saturation: both systems blow up after many blocks,
+    # at one usable CPU and at two, with the rows in line at both
+    from fastslow.cli import run
+    from fastslow.config import load_config
+    from fastslow.errors import DivergenceError
+
+    payload = simulate_payload(command, 16, T=2.0, dt=0.01)
+    payload["model"] = base_model(a=40.0, b=0.0, c=0.0, eps=0.05)
+    cfg = load_config(write_config(tmp_path, payload))
+    errors = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(_parallel, "_usable_cpus", lambda: cpus)
+        with pytest.raises(DivergenceError) as err, np.errstate(over="ignore"):
+            run(cfg, tmp_path / f"cpus{cpus}", quiet=True)
+        errors.append((str(err.value), err.value.t))
+        assert not (tmp_path / f"cpus{cpus}" / "out.csv").exists()
+    assert threads_started == []
+    assert errors[0] == errors[1]
+    assert 0.1 < errors[0][1] < 2.0  # mid-way: after more than one block of 8 samples
 
 
 @pytest.mark.parametrize("N", [64, 4096])
@@ -1018,9 +1058,8 @@ def test_an_error_in_the_row_reduction_reaches_the_caller(tmp_path, monkeypatch,
         return block_rows(grid, block, work)
 
     monkeypatch.setattr(cli, "_block_rows", fails_on_the_second_block)
-    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: cpus)
     cfg = write_config(tmp_path, simulate_payload("simulate", 32, T=0.1, dt=0.004))
     with pytest.raises(ArithmeticError, match="in the second block"):
-        main(["--config", cfg, "--out", str(tmp_path), "--quiet"])
+        run_on_cpus(monkeypatch, cpus, cfg, tmp_path)
     assert calls == [8, 8]
     assert not (tmp_path / "out.csv").exists()

@@ -1,12 +1,16 @@
-"""The fork map: task order, the caller's share, errors and clean-up.
+"""The fork map: task order, the caller's share, errors and clean-up; and
+the rows of ``simulate`` and ``limit``, reduced in line at any CPU count.
 
-Each test sets the worker count itself, so the map forks on one CPU too
-(``taskset -c 0``), where the workers and the caller take turns.
+Each test sets the worker count (or the usable CPUs) itself, so the map
+forks on one CPU too (``taskset -c 0``), where the workers and the caller
+take turns.
 """
 
+import math
 import os
 import time
 
+import numpy as np
 import pytest
 
 from fastslow import _parallel
@@ -213,3 +217,54 @@ def test_no_descriptor_stays_open(workers, tmp_path, no_child_left):
     assert sorted(os.listdir("/proc/self/fd")) == before
     assert no_child_left()
 
+
+# ---------------------------------------------------------------------------
+# the rows of simulate and limit: a block reduced as soon as it is full
+
+
+@pytest.fixture
+def cpus(monkeypatch, request, threads_started):
+    # threads_started checks that no thread is left
+    monkeypatch.setattr(_parallel, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("cpus", [1, 2], indirect=True)
+@pytest.mark.parametrize(
+    "fn_fails, items_fail, raised",
+    [(1, None, "fn 1"), (None, 3, "items 3"), (1, 3, "fn 1"), (2, 3, "fn 2")],
+)
+def test_the_first_failure_in_item_order_wins(
+    monkeypatch, cpus, threads_started, fn_fails, items_fail, raised
+):
+    # the items are the solver's blocks of samples and fn their rows: the
+    # rows of block i are reduced before the first sample of block i + 1
+    # is drawn, on the caller's thread at one usable CPU and at two
+    from fastslow import cli
+    from fastslow.spectral_core import build_grid
+
+    grid = build_grid(math.pi, 32)
+    length = cli._block_len(grid)
+
+    def samples():
+        for i in range(6 * length):
+            if items_fail is not None and i == items_fail * length:
+                raise Boom(f"items {i // length}")
+            yield float(i), np.zeros((2, grid.N))
+
+    reduced = []
+    block_rows = cli._block_rows
+
+    def fn(grid, block, work):
+        reduced.append(block[0][0] // length)
+        if reduced[-1] == fn_fails:
+            raise Boom(f"fn {fn_fails}")
+        return block_rows(grid, block, work)
+
+    monkeypatch.setattr(cli, "_block_rows", fn)
+    with pytest.raises(Boom, match=raised):
+        cli._sample_series(grid, 6 * length, samples())
+    # every block before the failure, and the block that failed in fn
+    last = fn_fails if raised.startswith("fn") else items_fail - 1
+    assert reduced == list(range(last + 1))
+    assert threads_started == []
