@@ -22,9 +22,12 @@ rows (u, v) with the (2, 2, N) propagator, ``reduction.solve_limit_system``
 the row v with a (1, 1, N) one, and a member of
 ``rates.convergence_study`` (in the calling process or a forked child when
 two or more CPUs are usable) both, in step.  Every propagator comes from
-``_propagator``, and N is evaluated on padded nodes through
-``spectral_core._dealiased`` (``models.node_remainder`` for the full
-system).
+``_propagator``, and N is evaluated on padded nodes by a node map that
+overwrites the node values in place: ``_full_node_map``
+(``models.node_remainder``) for the full system,
+``reduction._limit_node_map`` for the limit system, and
+``reduction._paired_node_map`` for a member's three rows (u, v, v_lim)
+while its two systems share one band.
 
 The solutions are smooth, so their cosine amplitudes reach the roundoff
 floor within a few modes, and a spectral method truncates there (Boyd,
@@ -43,9 +46,9 @@ state; it never shrinks, and at K = N the loop steps as before this rule,
 bit for bit, with no check.  The limit system's first band is that of
 (h_kappa(v_in), v_in): h_kappa is not polynomial, and data with a few
 modes have an image with many.  Where the two systems of a member take
-one band, one block-diagonal propagator and one transform pair per
-remainder serve all three rows (u, v, v_lim); where they differ, each
-steps on its own band.
+one band, one block-diagonal propagator, one transform pair and one node
+map per remainder serve all three rows (u, v, v_lim); where they differ,
+each steps on its own band with its own map.
 
 The loop is a generator of samples (t, y), the systems' rows zero-filled
 back to N: it yields each sampled state as it is reached and keeps none.
@@ -65,11 +68,13 @@ for the per-mode matrix-vector product ``_apply`` (one einsum, with no
 product array), two states that the steps write in turn, and, where the
 matrix transforms write them, the padded node rows and the remainders n0
 and na.  On bands up to K = 128 each transform of a remainder is one gemm
-over all rows, written into those buffers (``spectral_core._dealiased``
-with ``stacked=True``, ``nodes`` and ``out``), and the node maps
-overwrite the node rows in place, with one work buffer per call for their
-temporaries.  A row's bits under gemm do not depend on the rows beside
-it, so the paired rows (u, v, v_lim) of a converge member get the bits of
+over all rows with the pair ``spectral_core._padded_matrices(K, K)`` of
+the band's grid, written into those buffers (the product that
+``spectral_core._dealiased`` takes with ``stacked=True``), and the node
+map overwrites the node rows in place, with one work buffer per call for
+its temporaries.  A row's bits under gemm do not depend on the rows
+beside it, and the paired map has the bits of the two systems' own maps,
+so the paired rows (u, v, v_lim) of a converge member get the bits of
 the separate ``simulate`` and ``solve_limit_system`` runs, whether they
 share a band or not: each system's band is chosen by the same rule from
 the same numbers as in its separate run.  A lone row would go through
@@ -102,6 +107,7 @@ from .spectral_core import (
     Grid,
     SpectralField,
     _dealiased,
+    _padded_matrices,
     _permuted_inverse,
     build_grid,
 )
@@ -463,17 +469,11 @@ def _first_modes(prop: ModePropagator, K: int) -> ModePropagator:
     return ModePropagator(dt=prop.dt, **arrays)
 
 
-def _stacked_map(maps, vals: np.ndarray) -> np.ndarray:
-    """Each system's node map on its own rows of the stacked node values."""
-    for node_map, rows in maps:
-        vals[rows] = node_map(vals[rows])
-    return vals
-
-
 class _Band:
     """Systems stepped together on their band of K modes: one propagator,
     one workspace (``_Workspace``) and one transform pair per remainder for
-    all their rows.
+    all their rows, whose node values ``node_map`` maps in place (None: the
+    remainder is zero).
 
     ``members`` are the indices of consecutive ``systems``, and
     ``states[i]`` holds the rows of system i, which are copied in,
@@ -482,7 +482,7 @@ class _Band:
     on ``build_grid(L, K)``, 3K/2 padded nodes.
     """
 
-    def __init__(self, grid: Grid, systems, members, K: int, states):
+    def __init__(self, grid: Grid, systems, members, K: int, states, node_map):
         self.members, self.K, self.full = members, K, K == grid.N
         sizes = [len(systems[i].y0) for i in members]
         edges = np.cumsum([0] + sizes)
@@ -493,10 +493,6 @@ class _Band:
         if not self.full:
             props = [_first_modes(p, K) for p in props]
         self.prop = props[0] if len(props) == 1 else _block_diagonal(props)
-        maps = [systems[i].node_map for i in members]
-        node_map = maps[0]
-        if len(maps) > 1 and node_map is not None:
-            node_map = partial(_stacked_map, tuple(zip(maps, self.rows)))
         band_grid = grid if self.full else build_grid(grid.L, K)
         matrix_path = node_map is not None and K <= _MATRIX_MAX_N
         ws = self.ws = _Workspace((edges[-1], K), band_grid.padded_size if matrix_path else None)
@@ -507,19 +503,17 @@ class _Band:
                 return zero
 
         elif matrix_path:
-            pad = ws.pad
-
-            def own_rows(vals):
-                # the node map sees the state's rows, not the partner row
-                node_map(vals[pad:])
-                return vals
-
-            stack_map = own_rows if pad else node_map
+            # the product _dealiased(stacked=True) takes, into the workspace
+            inverse, forward = _padded_matrices(K, K)
+            nodes = ws.nodes
+            own_rows = nodes[ws.pad :]  # the node map does not see the partner row
 
             def remainder(y, buf):
                 # y (a state or the stage) and buf are the last rows of workspace
                 # buffers: each transform is one gemm over the whole buffer
-                _dealiased(band_grid, y.base, stack_map, ws.nodes, buf.base, stacked=True)
+                np.matmul(y.base, inverse, out=nodes)
+                node_map(own_rows)
+                np.matmul(nodes, forward, out=buf.base)
                 return buf
 
         else:
@@ -546,26 +540,31 @@ class _Band:
         out = ws.states[1] if self.y is ws.states[0] else ws.states[0]
         self.y, intermediates = _etd2_step(self.y, self.prop, self.remainder, ws, out)
         mags = np.abs(self.y, out=ws.sum)
-        if not mags.max() <= BLOWUP_LIMIT:
+        # a row's maximum is nan where the row holds one, and nan <= x is false
+        peaks = mags.max(axis=-1).tolist()
+        if not all(peak <= BLOWUP_LIMIT for peak in peaks):
             row = _diverged_row(self.y, intermediates)
             raise DivergenceError(f"{self.what[row]} diverged at t={t:.6g}", t=t)
         if self.full:
             return []
+        tails = mags[:, self.K // 4 :].max(axis=-1).tolist()
         return [
             i
             for i, rows in zip(self.members, self.rows)
-            if not mags[rows, self.K // 4 :].max() <= _BAND_TOL * mags[rows].max()
+            if not max(tails[rows]) <= _BAND_TOL * max(peaks[rows])
         ]
 
 
-def _bands(grid: Grid, systems, members, bands: list, states) -> list:
-    """The ``_Band``s of the ``members``: one for all where their bands agree, one each otherwise."""
+def _bands(grid: Grid, systems, members, bands: list, states, shared_map) -> list:
+    """The ``_Band``s of the ``members``: one for all where their bands
+    agree, with ``shared_map`` for two or more, and one each otherwise."""
     if len({bands[i] for i in members}) == 1:
-        return [_Band(grid, systems, members, bands[members[0]], states)]
-    return [_Band(grid, systems, [i], bands[i], states) for i in members]
+        node_map = systems[members[0]].node_map if len(members) == 1 else shared_map
+        return [_Band(grid, systems, members, bands[members[0]], states, node_map)]
+    return [_Band(grid, systems, [i], bands[i], states, systems[i].node_map) for i in members]
 
 
-def _time_loop(grid, t0, n_steps, systems, sample_every):
+def _time_loop(grid, t0, n_steps, systems, sample_every, shared_map=None):
     """Step the ``systems`` (``_System``) together ``n_steps`` times from t0, yielding samples.
 
     Yields (t, y), y the systems' rows stacked, (rows, N), for the initial
@@ -580,9 +579,11 @@ def _time_loop(grid, t0, n_steps, systems, sample_every):
     modes above that level, the band grows, with zero fill, to that of the
     new state; it never shrinks, and at K = N the step is the N-mode step
     with no check.  Where all bands agree, one propagator and one transform
-    pair per remainder serve all rows; where they differ, each system steps
-    on its own.  A system's bits do not depend on the systems beside it
-    (see the module docstring).  The samples are the bands' rows
+    pair per remainder serve all rows, and for two or more systems
+    ``shared_map`` maps all their node rows (it must have the bits of
+    their own node maps); where they differ, each system steps on its own.
+    A system's bits do not depend on the systems beside it (see the module
+    docstring).  The samples are the bands' rows
     zero-filled to N.
 
     The buffers are allocated before the first sample, and again when a
@@ -593,7 +594,7 @@ def _time_loop(grid, t0, n_steps, systems, sample_every):
     if n_steps:
         everyone = range(len(systems))
         bands = [_band(s.y0 if s.start is None else s.start, grid.N) for s in systems]
-        groups = _bands(grid, systems, everyone, bands, [s.y0 for s in systems])
+        groups = _bands(grid, systems, everyone, bands, [s.y0 for s in systems], shared_map)
         sample = np.zeros_like(y0)
     yield t0, y0
     for step in range(1, n_steps + 1):
@@ -603,7 +604,7 @@ def _time_loop(grid, t0, n_steps, systems, sample_every):
             states = {i: g.y[rows] for g in groups for i, rows in zip(g.members, g.rows)}
             for i in grown:
                 bands[i] = _band(states[i], grid.N)
-            groups = _bands(grid, systems, everyone, bands, states)
+            groups = _bands(grid, systems, everyone, bands, states, shared_map)
         if step % sample_every == 0 or step == n_steps:
             for g in groups:
                 sample[g.first : g.first + len(g.y), : g.K] = g.y

@@ -46,7 +46,7 @@ from .integrator import (
     _time_loop,
     _trajectory,
 )
-from .models import ModelParams, _reaction_gradients, node_psi
+from .models import ModelParams, _competition, _reaction_gradients, node_psi
 from .spectral_core import Grid, SpectralField, _dealiased, nonlinear_eval
 
 __all__ = [
@@ -134,18 +134,26 @@ def initial_layer(
     whose data must satisfy v_in >= u_in >= 0, and v_in - 2 u_in for the
     linear kind, whose data may take either sign.  Also returns u0, the
     u-component the limit system starts from (h_kappa(v_in), or v_in/2),
-    and the ratio ||u_in - u0||_H2 / eps_in.
+    and the ratio ||u_in - u0||_H2 / eps_in.  Raises ``ConfigurationError``
+    where eps_in leaves the floats (kappa = 1e300, say).
     """
     if params.is_linear:
-        eps_in = (v_in - 2.0 * u_in).sobolev_norm(2)
+        residual = v_in - 2.0 * u_in
         u0 = 0.5 * v_in
     else:
         u_vals, v_vals = u_in.values(), v_in.values()
         if np.min(u_vals) < -NODE_TOL or np.min(v_vals - u_vals) < -NODE_TOL:
             raise DomainError("initial data must satisfy v_in >= u_in >= 0 pointwise")
-        residual = nonlinear_eval([u_in, v_in], lambda x, y: -x + params.kappa * (y - x) ** 2)
-        eps_in = residual.sobolev_norm(2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            residual = nonlinear_eval([u_in, v_in], lambda x, y: -x + params.kappa * (y - x) ** 2)
         u0 = critical_map_u_of_v(v_in, params.kappa)
+    with np.errstate(over="ignore"):
+        eps_in = residual.sobolev_norm(2)
+    if not eps_in < math.inf:
+        raise ConfigurationError(
+            "eps_in, the H2 norm of the initial data's constraint residual, is beyond the "
+            "range of floats"
+        )
     if eps_in > 1e-13:
         ratio = (u_in - u0).sobolev_norm(2) / eps_in
     else:
@@ -347,6 +355,35 @@ def _limit_node_map(params: ModelParams, vals: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _paired_node_map(params: ModelParams, vals: np.ndarray) -> np.ndarray:
+    """The remainders of a convergence member's rows (u, v, v_lim) in place
+    of their node values: ``_full_node_map``'s in rows u and v and
+    ``_limit_node_map``'s in row v_lim, with their bits.
+
+    The time loop takes it while the member's two systems share one band.
+    h = h_kappa(v_lim) is formed once, the Lotka-Volterra factors of both
+    systems in one set of ufunc calls over the pairs x = (u, h) and
+    y = (v, v_lim), and psi goes into both rows of y with one multiply.  It
+    forms no value that the two maps do not form (``node_remainder`` on the
+    pairs would also square v_lim - h), so it raises no floating-point
+    warning that they do not raise.
+    """
+    u, v, y = vals[0], vals[1], vals[1:]
+    work = np.empty((4,) + u.shape)
+    x = work[:2]
+    x[0] = u  # beside h, so that one call forms both factors
+    _critical_pointwise(vals[2], params.kappa, x[1], work[2])
+    lv = _competition(params, x, y, x, work[2:])
+    # kappa f~/eps + phi in row u, as node_remainder forms it
+    w = np.subtract(v, u, out=work[2])
+    w *= w
+    w *= params._node_scalars[3]
+    np.multiply(lv[0], u, out=u)
+    u += w
+    np.multiply(lv, y, out=y)
+    return vals
+
+
 def _limit_state(params: ModelParams, grid: Grid, v: np.ndarray) -> np.ndarray:
     """The state (u, v) = (h_kappa(v), v), shape (2, N), of a sampled limit state v."""
     state = np.empty((2, grid.N))
@@ -435,12 +472,14 @@ def _simulate_with_limit(
     if n_steps:
         full_prop = _full_propagator(params, grid, dt)
         limit_prop = _limit_propagator(params, grid, dt)
-    full_map = None if params.is_linear else partial(_full_node_map, params)
+    full_map = paired_map = None
+    if not params.is_linear:
+        full_map, paired_map = partial(_full_node_map, params), partial(_paired_node_map, params)
     systems = [
         _System(np.stack([state0.u.coeffs, state0.v.coeffs]), full_prop, full_map, "state"),
         _limit_system(params, state0.v, limit_prop),
     ]
-    loop = _time_loop(grid, state0.t, n_steps, systems, sample_every)
+    loop = _time_loop(grid, state0.t, n_steps, systems, sample_every, paired_map)
     times = np.empty(n_samples)
     full = np.empty((n_samples, 2, grid.N))
     limit = np.empty_like(full)

@@ -11,21 +11,22 @@ quadratic products dealias exactly under 3/2 zero padding: a product of two
 fields with modes < N produces modes < 2N - 1, which on the padded grid of
 3N/2 nodes alias only onto modes >= N + 2, i.e. outside the retained band.
 
-Every dealiased pointwise map (``nonlinear_eval``, the remainder of the time
-loop, the limit system's u = h_kappa(v), and the Lyapunov-Perron sources)
-goes through one helper, ``_dealiased``: pad to the 3N/2 nodes, map the node
-values, transform back and truncate.  Band in, band out: the first K <= N
-amplitudes give the first K of the result (the Lyapunov-Perron sweep passes
-its Galerkin band, every other caller all N).  On grids up to
+Every dealiased pointwise map (``nonlinear_eval``, the limit system's
+u = h_kappa(v), the Lyapunov-Perron sources, and the remainder of the time
+loop on the real FFT pair) goes through one helper, ``_dealiased``: pad to
+the 3N/2 nodes, map the node values, transform back and truncate.  Band
+in, band out: the first K <= N amplitudes give the first K of the result
+(the Lyapunov-Perron sweep passes its Galerkin band, every other caller
+all N).  On grids up to
 N = _MATRIX_MAX_N the two transforms of ``_dealiased`` are products with
 matrices, since there a transform call costs more in dispatch than the
 product costs in arithmetic.  By default they are taken row by row, which
-keeps band in, band out bit for bit.  The time loop (on each band's own
-grid of K modes, one gemm over the state's rows per transform, a lone
-row beside a zero partner row) and the
-Lyapunov-Perron sources (one per block of time nodes) take them stacked:
-under gemm a row's bits do not depend on its neighbours, but a band's do
-depend on its width.  The pair is cached per (N, K) as C-contiguous band
+keeps band in, band out bit for bit.  The Lyapunov-Perron sources (one
+per block of time nodes) take them stacked, and the time loop takes the
+same stacked products with the pair of its band's grid of K modes, one
+gemm over the state's rows per transform, into its workspace: under gemm
+a row's bits do not depend on its neighbours, but a band's do depend on
+its width.  The pair is cached per (N, K) as C-contiguous band
 matrices whose width is K rounded up to a multiple of 4: contiguous,
 because a product through strided columns is slower, and rounded, because
 only then does a row-by-row band call keep the bits of the N-wide one.
@@ -85,8 +86,15 @@ class Grid:
                 f"node count must be a power of two >= 8, got N={self.N}"
             )
         j = np.arange(self.N)
+        with np.errstate(over="ignore"):
+            mu = (j * np.pi / self.L) ** 2
+        if not np.isfinite(mu[-1]):
+            raise ConfigurationError(
+                f"domain length L={self.L} puts the Laplacian eigenvalue (k pi/L)^2 of mode "
+                f"k={self.N - 1} beyond the range of floats"
+            )
         object.__setattr__(self, "nodes", self.L * (j + 0.5) / self.N)
-        object.__setattr__(self, "mu", (np.arange(self.N) * np.pi / self.L) ** 2)
+        object.__setattr__(self, "mu", mu)
 
     @property
     def K(self) -> int:
@@ -98,8 +106,9 @@ class Grid:
 
 
 def build_grid(L: float, N: int) -> Grid:
-    """Construct the collocation grid; rejects non-power-of-two N and a
-    non-finite or non-positive L."""
+    """Construct the collocation grid; rejects non-power-of-two N, a
+    non-finite or non-positive L, and an L so short that mu_k leaves the
+    floats."""
     return Grid(L=float(L), N=int(N))
 
 
@@ -307,19 +316,13 @@ def _padded_matrices(n: int, k: int) -> tuple:
     return inverse, forward
 
 
-def _rowwise(a: np.ndarray, m: np.ndarray, out=None) -> np.ndarray:
+def _rowwise(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     # one (1, K) @ (K, M) product per row, the product that a band call and
-    # the N-wide one round alike; ``out`` (..., M), where given, receives
-    # them through the same gufunc
-    if out is None:
-        return (a[..., None, :] @ m)[..., 0, :]
-    np.matmul(a[..., None, :], m, out=out[..., None, :])
-    return out
+    # the N-wide one round alike
+    return (a[..., None, :] @ m)[..., 0, :]
 
 
-def _dealiased(
-    grid: Grid, coeffs: np.ndarray, node_map, nodes=None, out=None, *, stacked=False
-) -> np.ndarray:
+def _dealiased(grid: Grid, coeffs: np.ndarray, node_map, *, stacked=False) -> np.ndarray:
     """Amplitudes of a pointwise map of fields given by their amplitudes.
 
     ``coeffs`` (..., K) holds the first K <= N amplitudes (the rest zero) and
@@ -330,54 +333,32 @@ def _dealiased(
     every K the result equals the first K amplitudes of the N-wide call bit
     for bit, and each row equals its single-row call bit for bit.
 
-    ``stacked=True`` takes each transform of the matrix path as one BLAS-3
-    product (gemm) over all rows, which reads the matrix once per call
-    rather than once per row: 2.5x faster than row by row on a (2, 170, 20)
-    block at N = 64, and on a converge member's three rows at N = 128 the
-    remainder took 24 against 35 us (one CPU, with an in-place map).  A
-    lone row (one row in all) goes through it beside a zero partner row
-    that the node map does not see.  In a 2-D stack each row's bits then do
-    not depend on the rows stacked with it, so they equal its single-row
-    call's; they agree with the default's to roundoff.  Band in, band out
-    does not hold.
-
-    On the full-width matrix path ``nodes`` (rows, 3N/2) and ``out``
-    (coeffs' shape), where given and ``coeffs`` is not a lone row, receive
-    the padded node values and the result with the same bits, so that a
-    caller that maps many arrays of one shape (``integrator._time_loop``,
-    whose workspace pads an odd row count with a zero partner row itself)
-    allocates neither.  Elsewhere they are not used and the result is a new
-    array, so a caller reads the returned array, not ``out``.
-
     Up to N = _MATRIX_MAX_N the transforms are products with the band pair
     ``_padded_matrices(N, K)``: on these grids a transform call costs more
-    in dispatch than the product costs in arithmetic (at N = 256 the
-    transform pair is already faster on one to three rows).  Two properties
-    of OpenBLAS (0.3.31, AVX-512 kernels) decide which product a caller
-    takes.  A lone row goes through gemv, which rounds differently from
-    gemm.  And under gemm an amplitude's bits depend on its column's place
-    in an 8-wide tile, so band widths of 1-4 mod 8 round differently from
-    the N-wide call.  So the default takes the products one row at a time
-    (``_rowwise``), and band calls keep the N-wide call's bits; the
-    Lyapunov-Perron sources (``galerkin_manifold._sources``, K = 20) and
-    the time loop (all modes of its band's grid) take the stacked product.  Widening the sources'
-    band to 24 to make it bit-safe under gemm made a serial ``manifold``
-    run 8-10 % slower, so the stacked product is not the default.
+    in dispatch than the product costs in arithmetic.  Two properties of
+    OpenBLAS (0.3.31, AVX-512 kernels) decide which product a caller takes.
+    A lone row goes through gemv, which rounds differently from gemm.  And
+    under gemm an amplitude's bits depend on its column's place in an
+    8-wide tile, so band widths of 1-4 mod 8 round differently from the
+    N-wide call.  So the default takes the products one row at a time
+    (``_rowwise``).  ``stacked=True`` takes each as one gemm over all rows,
+    2.5x faster on a (2, 170, 20) block at N = 64; a lone row goes through
+    it beside a zero partner row that the node map does not see.  A row's
+    bits then do not depend on the rows stacked with it, but band in, band
+    out does not hold.  The Lyapunov-Perron sources
+    (``galerkin_manifold._sources``, K = 20) take the stacked product, and
+    the time loop takes it itself, into its workspace
+    (``integrator._Band``); widening the sources' band to 24 to make it
+    bit-safe under gemm made ``manifold`` 8-10 % slower.
 
-    The band pair is cached per (N, K) as C-contiguous copies: a product
-    through the strided columns of the N-wide ``forward`` took about 1.5x
-    as long (160 against 104 us for a (2, 170) block at N = 64, K = 20, one
-    BLAS thread).  Its width is K rounded up to a multiple of 4, the
-    amplitudes are zero-filled to that width and the result is truncated
-    back to K: row by row, zero-filled widths that are multiples of 4 kept
-    the N-wide call's bits for every K checked (N <= 128), and other widths
-    did not (K = 1 goes through numpy's unit-stride dot).  Larger grids
-    call the real FFT pair, on which ``stacked`` and the buffers change
-    nothing; their two matrices would take about 200 MB each at N = 4096.
-    There ``node_map`` sees the padded nodes in the permuted order of
-    ``_permuted_inverse``, not in the order of x, so it must be pointwise:
-    its value at a node may depend only on the input values at that node
-    (across the leading axes).
+    The band pair is cached per (N, K) as C-contiguous copies, whose width
+    is K rounded up to a multiple of 4: row by row, zero-filled widths that
+    are multiples of 4 kept the N-wide call's bits for every K checked
+    (N <= 128), and other widths did not.  Larger grids call the real FFT
+    pair, on which ``stacked`` changes nothing.  There ``node_map`` sees the
+    padded nodes in the permuted order of ``_permuted_inverse``, so it must
+    be pointwise: its value at a node may depend only on the input values
+    at that node (across the leading axes).
     """
     k = coeffs.shape[-1]
     if grid.N > _MATRIX_MAX_N:
@@ -393,11 +374,11 @@ def _dealiased(
         nodes[1] = node_map(nodes[1:].reshape(coeffs.shape[:-1] + (-1,)))
         return (nodes @ forward)[1, :k].reshape(coeffs.shape)
     product = np.matmul if stacked else _rowwise
-    if width == k:
-        return product(node_map(product(coeffs, inverse, nodes)), forward, out)
-    padded = np.zeros(coeffs.shape[:-1] + (width,))
-    padded[..., :k] = coeffs
-    return product(node_map(product(padded, inverse)), forward)[..., :k]
+    if width > k:
+        padded = np.zeros(coeffs.shape[:-1] + (width,))
+        padded[..., :k] = coeffs
+        coeffs = padded
+    return product(node_map(product(coeffs, inverse)), forward)[..., :k]
 
 
 def nonlinear_eval(fields, F) -> SpectralField:

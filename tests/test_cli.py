@@ -503,6 +503,50 @@ def test_manifold_linear_out_of_range_parameters_exit_1_with_one_error_line(
     assert not (tmp_path / "out" / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "block, key, value, message",
+    [("model", "kappa", 1e300, "eps_in, the H2 norm of the initial data's constraint residual"),
+     ("grid", "L", 1e-300, "eigenvalue (k pi/L)^2 of mode k=31 beyond the range of floats")],
+)
+def test_initial_layer_out_of_range_parameters_exit_1_with_one_error_line(
+    tmp_path, capfd, block, key, value, message
+):
+    # not exit 0 with eps_in = inf, an overflow warning, or nan and inf rows
+    import warnings
+
+    payload = determinism_payloads()["initial-layer"]
+    payload[block][key] = value
+    cfg = write_config(tmp_path, payload)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and message in err
+    assert not (tmp_path / "out" / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "block, key, value", [("time", "T", 1e-300), ("grid", "L", 1e300)], ids=["T=1e-300", "L=1e300"]
+)
+def test_converge_with_every_error_zero_writes_nan_orders(tmp_path, block, key, value):
+    # no member moves off its data within T, or no mode but the constant is
+    # resolved on the domain: every error is 0, which has no logarithm, so
+    # no order is fitted, and the footer says nan (README)
+    payload = determinism_payloads()["converge"]
+    payload[block][key] = value
+    cfg = write_config(tmp_path, payload)
+    assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    header, *rows = [r.split(",") for r in (tmp_path / "out.csv").read_text().strip().split("\n")]
+    data = [dict(zip(header, r)) for r in rows if len(r) == len(header)]
+    footer = dict(r for r in rows if len(r) == 2)
+    assert len(data) == 4
+    for name in ("E_LinfL2", "E_L2H1", "E_LinfH2", "E_LinfL2_postlayer"):
+        assert [row[name] for row in data] == ["0"] * 4, name
+    for name in ("order_LinfL2", "order_L2H1", "order_LinfH2", "fit_residual"):
+        assert footer[name] == "nan", name
+
+
 MISTYPED_FIELDS = [
     # (command, block, key, value)
     ("simulate", "time", "dt", "0.01"),

@@ -397,25 +397,46 @@ def test_non_finite_remainder_raises_with_its_step_time(monkeypatch, system, bad
     assert str(err.value).startswith("state" if system == "full" else "limit system")
 
 
+def spoil_paired_map(monkeypatch, rows, n_good, bad):
+    """``reduction._paired_node_map``, the node map of a converge member's
+    rows (u, v, v_lim) while its systems share a band, with the node
+    ``rows`` of its output set to ``bad`` from the run's (n_good + 1)-th
+    remainder on.
+
+    In the paired runs below the full system takes a band of 8 modes and
+    the limit system one of 16 for the first step, which they take apart;
+    from the second step on they share 16 modes, so the paired map's
+    first call is the run's third remainder."""
+    from fastslow import reduction
+
+    paired_map = reduction._paired_node_map
+    calls = []
+
+    def spoiled(params, vals):
+        out = paired_map(params, vals)
+        calls.append(1)
+        if len(calls) > n_good - 2:
+            out[rows] = bad
+        return out
+
+    monkeypatch.setattr(reduction, "_paired_node_map", spoiled)
+
+
 @pytest.mark.parametrize(
     "spoiled, named",
     [(["full"], "state"), (["limit"], "limit system"), (["full", "limit"], "state")],
 )
 def test_paired_run_names_the_system_that_diverged(monkeypatch, spoiled, named):
-    # a huge but finite remainder from the 7th evaluation on pushes step 4
-    # past the blow-up bound in the spoiled systems only
-    from fastslow import integrator, reduction
+    # a huge but finite remainder in row u (the full system) or v_lim (the
+    # limit system) from the 7th evaluation on pushes step 4 past the
+    # blow-up bound in the spoiled systems only
     from fastslow.reduction import _simulate_with_limit
 
     g = build_grid(np.pi, 16)
     p = nonlinear_params(eps=0.05, kappa=0.5)
     v0 = SpectralField.from_values(g, 0.5 * (1.0 + np.cos(g.nodes)))
-    if "full" in spoiled:
-        monkeypatch.setattr(
-            integrator, "node_remainder", failing_after(integrator.node_remainder, 6, 1e12)
-        )
-    if "limit" in spoiled:
-        monkeypatch.setattr(reduction, "node_psi", failing_after(reduction.node_psi, 6, 1e12))
+    rows = {"full": 0, "limit": -1}
+    spoil_paired_map(monkeypatch, [rows[s] for s in spoiled], 6, 1e12)
     with pytest.raises(DivergenceError) as err:
         _simulate_with_limit(FastSlowState(0.5 * v0, v0, 0.0), p, 0.1, 0.01, 1)
     assert err.value.t == 4 * (0.1 / 10)
@@ -423,28 +444,15 @@ def test_paired_run_names_the_system_that_diverged(monkeypatch, spoiled, named):
 
 
 @pytest.mark.parametrize(
-    "map_name, row, named",
-    [("_full_node_map", 0, "state"), ("_limit_node_map", -1, "limit system")],
-    ids=["u", "v_lim"],
+    "row, named", [(0, "state"), (-1, "limit system")], ids=["u", "v_lim"]
 )
 @pytest.mark.parametrize("n_good", [6, 7])
-def test_paired_run_names_the_row_that_went_non_finite(monkeypatch, map_name, row, named, n_good):
+def test_paired_run_names_the_row_that_went_non_finite(monkeypatch, row, named, n_good):
     # a nan written to one node row by the 7th or 8th remainder spoils step 4;
     # the block-diagonal product spreads it to every row of the new state
-    from fastslow import reduction
     from fastslow.reduction import _simulate_with_limit
 
-    node_map = getattr(reduction, map_name)
-    calls = []
-
-    def spoiled(params, vals):
-        out = node_map(params, vals)
-        calls.append(1)
-        if len(calls) > n_good:
-            out[row] = np.nan
-        return out
-
-    monkeypatch.setattr(reduction, map_name, spoiled)
+    spoil_paired_map(monkeypatch, row, n_good, np.nan)
     g = build_grid(np.pi, 16)
     p = nonlinear_params(eps=0.05, kappa=0.5)
     v0 = SpectralField.from_values(g, 0.5 * (1.0 + np.cos(g.nodes)))

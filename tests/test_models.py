@@ -155,12 +155,10 @@ IN_PLACE_PARAMS = [{}, {"kappa": 0.0}, {"a": 0.0, "b": 0.0, "c": 0.0},
 def test_in_place_node_maps_equal_the_allocating_formulas(kw, shape):
     # the solvers' node maps overwrite their node rows; every bit must be
     # that of the formula evaluated into new arrays (shape (5, 96) is a
-    # Lyapunov-Perron block of time nodes); a converge member's two maps act
-    # on its stacked rows (u, v, v_lim) through the time loop's _stacked_map
-    from functools import partial
-
-    from fastslow.integrator import _full_node_map, _stacked_map
-    from fastslow.reduction import _critical_pointwise, _limit_node_map
+    # Lyapunov-Perron block of time nodes); a converge member's rows
+    # (u, v, v_lim) go through one paired map while its systems share a band
+    from fastslow.integrator import _full_node_map
+    from fastslow.reduction import _critical_pointwise, _limit_node_map, _paired_node_map
 
     p = nonlinear(**kw)
     for seed in range(4):
@@ -171,8 +169,7 @@ def test_in_place_node_maps_equal_the_allocating_formulas(kw, shape):
         psi = remainder_formula(p, h, v)[1]
 
         out = vals.copy()
-        paired = ((partial(_full_node_map, p), slice(0, 2)), (partial(_limit_node_map, p), slice(2, 3)))
-        assert _stacked_map(paired, out) is out
+        assert _paired_node_map(p, out) is out
         assert np.array_equal(out, np.stack([n_u, n_v, psi]))
         out = vals[:2].copy()
         _full_node_map(p, out)
@@ -188,6 +185,53 @@ def test_in_place_node_maps_equal_the_allocating_formulas(kw, shape):
         assert np.array_equal(node_psi(p, x, rows[2], rows[2]), remainder_formula(p, x, v)[1])
         assert np.array_equal(_critical_pointwise(v.copy(), p.kappa, out=rows[2]), h)
         assert np.array_equal(rows[2], h)
+
+
+def extreme_node_values(seed, case):
+    # node rows (u, v, v_lim): "mixed" puts values near 1e154 of either
+    # sign (where (v - u)^2 and h_kappa's v^2 overflow), nan and +-inf among
+    # node_values' zeros and negatives; "v_lim only" keeps u and v moderate
+    # and puts -1.2e154 into v_lim, where only a product with
+    # (v_lim - h_kappa(v_lim))^2 = v_lim^2 and kappa/eps would overflow
+    rng = np.random.default_rng(seed)
+    vals = node_values(seed, (3, 192))
+    flat = vals.reshape(-1)
+    if case == "mixed":
+        flat[2::19] = rng.choice([-1.0, 1.0], flat[2::19].shape) * 10.0 ** rng.uniform(
+            153.8, 154.2, flat[2::19].shape
+        )
+        flat[4::23] = np.nan
+        flat[6::29] = np.inf
+        flat[8::31] = -np.inf
+    else:
+        vals[2, ::5] = -1.2e154
+    return vals
+
+
+@pytest.mark.parametrize("kw", IN_PLACE_PARAMS)
+@pytest.mark.parametrize("case", ["mixed", "v_lim only"])
+@pytest.mark.parametrize("seed", range(3))
+def test_paired_node_map_has_the_bits_and_warnings_of_the_two_maps(kw, case, seed):
+    # a converge member's paired map writes the bits of _full_node_map into
+    # rows u and v and of _limit_node_map into row v_lim, and raises no
+    # floating-point warning that the two maps do not raise
+    import warnings
+
+    from fastslow.integrator import _full_node_map
+    from fastslow.reduction import _limit_node_map, _paired_node_map
+
+    p = nonlinear(**kw)
+    vals = extreme_node_values(seed, case)
+    with warnings.catch_warnings(record=True) as apart:
+        warnings.simplefilter("always")
+        full = _full_node_map(p, vals[:2].copy())
+        limit = _limit_node_map(p, vals[2:].copy())
+    with warnings.catch_warnings(record=True) as paired:
+        warnings.simplefilter("always")
+        out = _paired_node_map(p, vals.copy())
+    for row, expected in zip(out, [full[0], full[1], limit[0]]):
+        assert row.tobytes() == expected.tobytes()
+    assert {str(w.message) for w in paired} <= {str(w.message) for w in apart}
 
 
 @pytest.mark.parametrize("kw", IN_PLACE_PARAMS)

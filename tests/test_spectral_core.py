@@ -326,21 +326,45 @@ def test_dealiased_stacked_agrees_with_the_rowwise_call(N, width):
         assert np.max(np.abs(stacked - rowwise)) <= 1e-14 * np.max(np.abs(rowwise))
 
 
+def band_remainder(coeffs, node_map):
+    """The time loop's remainder of the rows ``coeffs`` (rows, N) on a band
+    of all N modes (``integrator._Band``): its own gemms, with the padded
+    node values and the result written into its workspace, which holds a
+    zero partner row in front of an odd row count, and ``node_map``'s values
+    written over the node rows.  Returns the band and a function that
+    takes the remainder of new rows through the same buffers."""
+    from fastslow.integrator import _Band, _System
+
+    grid = build_grid(np.pi, coeffs.shape[-1])
+
+    def in_place(vals):
+        vals[...] = node_map(vals)
+
+    # the remainder reads no propagator
+    band = _Band(grid, [_System(coeffs, None, in_place, "rows")], [0], grid.N, [coeffs], in_place)
+
+    def remainder(new):
+        band.y[...] = new
+        return band.remainder(band.y, band.ws.n0)
+
+    return band, remainder
+
+
 @pytest.mark.parametrize("N", [8, 64, _MATRIX_MAX_N])
 @pytest.mark.parametrize("rows", [2, 3])
 def test_dealiased_into_buffers_keeps_the_bits(N, rows):
-    # on the full-width matrix path, the one that takes buffers, the padded
-    # node values and the result written into them, as the time loop does,
-    # are the allocating call's bits, and the buffers are reused from call
-    # to call
-    g = build_grid(np.pi, N)
+    # the time loop takes the stacked product of the full-width matrix path
+    # itself, with the padded node values and the result written into its
+    # workspace: the bits are those of the allocating stacked call, and the
+    # buffers are reused from call to call
     rng = np.random.default_rng(N + rows)
-    nodes, out = np.empty((rows, g.padded_size)), np.empty((rows, N))
+    coeffs = rng.standard_normal((rows, N))
+    band, remainder = band_remainder(coeffs, quadratic_map)
     for _ in range(2):
+        expected = _dealiased(build_grid(np.pi, N), coeffs, quadratic_map, stacked=True)
+        assert remainder(coeffs) is band.ws.n0
+        assert np.array_equal(band.ws.n0, expected)
         coeffs = rng.standard_normal((rows, N))
-        expected = _dealiased(g, coeffs, quadratic_map)
-        assert _dealiased(g, coeffs, quadratic_map, nodes, out) is out
-        assert np.array_equal(out, expected)
 
 
 @pytest.mark.parametrize("N", [8, 16, 32, 64, _MATRIX_MAX_N])
@@ -350,8 +374,9 @@ def test_dealiased_stacked_rows_independent_of_their_stack(N, rows, buffers):
     # at the time loop's shapes (K = N), each row of a stacked call equals
     # its single-row call and the same row inside another stack, bit for
     # bit: a lone row goes through gemm too, beside a zero partner row.
-    # With buffers, as in the time loop's workspace, an odd stack sits
-    # behind a zero partner row, which the map keeps zero
+    # With buffers, the time loop's own products into its workspace, an odd
+    # stack sits behind a zero partner row, which the map does not see and
+    # the products keep zero
     g = build_grid(np.pi, N)
     rng = np.random.default_rng(N + rows)
     coeffs = rng.standard_normal((rows, N))
@@ -364,13 +389,10 @@ def test_dealiased_stacked_rows_independent_of_their_stack(N, rows, buffers):
     def call(stack):
         if not buffers:
             return _dealiased(g, stack, node_map, stacked=True)
-        pad = len(stack) % 2
-        padded = np.zeros((pad + len(stack), N))
-        padded[pad:] = stack
-        nodes, out = np.empty((len(padded), g.padded_size)), np.empty_like(padded)
-        assert _dealiased(g, padded, node_map, nodes, out, stacked=True) is out
-        assert not np.any(out[:pad])
-        return out[pad:]
+        band, remainder = band_remainder(stack, node_map)
+        out = remainder(stack)
+        assert not np.any(out.base[: band.ws.pad])
+        return out
 
     out = call(coeffs)
     assert out.shape == coeffs.shape
