@@ -17,7 +17,7 @@ mode-wise exactly; the sources (N_u, psi) are the time loop's remainder
 ``spectral_core._dealiased``), reconstructed piecewise-linearly between grid
 points (exponential trapezoid weights).  The sources are evaluated in
 blocks of time nodes whose padded node values stay in cache, each block's
-transforms as one stacked product: a point's bits depend on the block rows
+transforms as one gemm product: a point's bits depend on the block rows
 (``_source_block_rows``), but not on the other points, the worker count or
 the BLAS thread count.  On the time grid each
 integral becomes a first-order linear recurrence per mode, forward in time
@@ -249,11 +249,9 @@ def _sources(params: ModelParams, grid: Grid, Y, clip_bound, out):
     whose padded node values stay in cache through the clip and the
     remainder's passes; the whole (2, n_t, 3N/2) node array would stream
     from memory on every pass.  On the matrix path each block's transforms
-    are one stacked product (``_dealiased(stacked=True)``), which rounds a
-    row depending on the rows of its block.  So the bits depend on the
-    block rows, but not on the other graph points, the worker count or the
-    BLAS thread count, and they equal one row-by-row call over all nodes to
-    roundoff."""
+    are one gemm product (``_dealiased``).  So the bits depend on the block
+    rows, but not on the other graph points, the worker count or the BLAS
+    thread count, and they equal one call over all nodes to roundoff."""
     if params.is_linear:
         np.divide(Y[1], params.eps, out=out[0])
         out[1] = 0.0
@@ -268,7 +266,7 @@ def _sources(params: ModelParams, grid: Grid, Y, clip_bound, out):
 
     rows = _source_block_rows(grid)
     for i in range(0, Y.shape[1], rows):
-        out[:, i : i + rows] = _dealiased(grid, Y[:, i : i + rows], node_map, stacked=True)
+        out[:, i : i + rows] = _dealiased(grid, Y[:, i : i + rows], node_map)
     return out
 
 

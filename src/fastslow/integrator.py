@@ -70,12 +70,12 @@ matrix transforms write them, the padded node rows and the remainders n0
 and na.  On bands up to K = 128 each transform of a remainder is one gemm
 over all rows with the pair ``spectral_core._padded_matrices(K, K)`` of
 the band's grid, written into those buffers (the product that
-``spectral_core._dealiased`` takes with ``stacked=True``), and the node
-map overwrites the node rows in place, with one work buffer per call for
-its temporaries.  A row's bits under gemm do not depend on the rows
-beside it, and the paired map has the bits of the two systems' own maps,
-so the paired rows (u, v, v_lim) of a converge member get the bits of
-the separate ``simulate`` and ``solve_limit_system`` runs, whether they
+``spectral_core._dealiased`` takes), and the node map overwrites the node
+rows in place, with one work buffer per call for its temporaries.  A
+row's bits under gemm do not depend on the values of the rows beside it,
+and the paired map has the bits of the two systems' own maps, so the
+paired rows (u, v, v_lim) of a converge member get the bits of the
+separate ``simulate`` and ``solve_limit_system`` runs, whether they
 share a band or not: each system's band is chosen by the same rule from
 the same numbers as in its separate run.  A lone row would go through
 gemv instead, so the limit system's row v is transformed beside a zero
@@ -503,7 +503,7 @@ class _Band:
                 return zero
 
         elif matrix_path:
-            # the product _dealiased(stacked=True) takes, into the workspace
+            # the product _dealiased takes, into the workspace
             inverse, forward = _padded_matrices(K, K)
             nodes = ws.nodes
             own_rows = nodes[ws.pad :]  # the node map does not see the partner row

@@ -16,20 +16,15 @@ u = h_kappa(v), the Lyapunov-Perron sources, and the remainder of the time
 loop on the real FFT pair) goes through one helper, ``_dealiased``: pad to
 the 3N/2 nodes, map the node values, transform back and truncate.  Band
 in, band out: the first K <= N amplitudes give the first K of the result
-(the Lyapunov-Perron sweep passes its Galerkin band, every other caller
-all N).  On grids up to
-N = _MATRIX_MAX_N the two transforms of ``_dealiased`` are products with
-matrices, since there a transform call costs more in dispatch than the
-product costs in arithmetic.  By default they are taken row by row, which
-keeps band in, band out bit for bit.  The Lyapunov-Perron sources (one
-per block of time nodes) take them stacked, and the time loop takes the
-same stacked products with the pair of its band's grid of K modes, one
-gemm over the state's rows per transform, into its workspace: under gemm
-a row's bits do not depend on its neighbours, but a band's do depend on
-its width.  The pair is cached per (N, K) as C-contiguous band
-matrices whose width is K rounded up to a multiple of 4: contiguous,
-because a product through strided columns is slower, and rounded, because
-only then does a row-by-row band call keep the bits of the N-wide one.
+to roundoff (the Lyapunov-Perron sweep passes its Galerkin band, every
+other caller all N).  On grids up to N = _MATRIX_MAX_N the two transforms
+of ``_dealiased`` are products with matrices, since there a transform
+call costs more in dispatch than the product costs in arithmetic.  Each
+is one gemm over all rows, a lone row beside a zero partner row, so a
+row's bits do not depend on the values of the rows beside it; the time
+loop takes the same products with the pair of its band's grid itself,
+into its workspace.  The pair is cached per (N, K) as C-contiguous
+matrices.
 
 The cosine transforms are numpy's real FFT pair after Makhoul's even/odd
 node permutation (IEEE Trans. ASSP 28, 1980): the even nodes in order, then
@@ -292,18 +287,17 @@ def _sobolev_squares(grid: Grid, coeffs: np.ndarray, order: int) -> list:
 def _padded_matrices(n: int, k: int) -> tuple:
     """The dealiased transform pair of an N = n grid on its first k modes.
 
-    ``inverse`` (W, 3N/2) maps the first W amplitudes to the padded node
+    ``inverse`` (k, 3N/2) maps the first k amplitudes to the padded node
     values (the halving of DCT-III's k >= 1 inputs and the zero padding
-    folded in); ``forward`` (3N/2, W) maps node values back to the first W
+    folded in); ``forward`` (3N/2, k) maps node values back to the first k
     amplitudes (DCT-II's 1/n scaling, the halving of mode 0 and the
-    truncation folded in).  W is k rounded up to a multiple of 4, at most
-    n; both matrices are C-contiguous (see ``_dealiased``).
+    truncation folded in).  Both are C-contiguous: a product through
+    strided columns is slower.
     """
     p = (3 * n) // 2
     if k < n:
         inverse, forward = _padded_matrices(n, n)
-        width = min(n, -(-k // 4) * 4)
-        inverse, forward = inverse[:width], np.ascontiguousarray(forward[:, :width])
+        inverse, forward = inverse[:k], np.ascontiguousarray(forward[:, :k])
     else:
         # k (2j + 1) reduced mod 4p first, so that every angle lies in
         # [0, 2 pi) and the cosines of large k j keep full precision
@@ -316,69 +310,40 @@ def _padded_matrices(n: int, k: int) -> tuple:
     return inverse, forward
 
 
-def _rowwise(a: np.ndarray, m: np.ndarray) -> np.ndarray:
-    # one (1, K) @ (K, M) product per row, the product that a band call and
-    # the N-wide one round alike
-    return (a[..., None, :] @ m)[..., 0, :]
+def _gemm(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """a @ m as gemm: a lone row goes beside a zero partner row, since BLAS
+    would take it through gemv, which rounds differently."""
+    if a.size != a.shape[-1]:
+        return a @ m
+    pair = np.zeros((2, a.shape[-1]))
+    pair[1] = a.reshape(-1)
+    return (pair @ m)[1].reshape(a.shape[:-1] + m.shape[1:])
 
 
-def _dealiased(grid: Grid, coeffs: np.ndarray, node_map, *, stacked=False) -> np.ndarray:
+def _dealiased(grid: Grid, coeffs: np.ndarray, node_map) -> np.ndarray:
     """Amplitudes of a pointwise map of fields given by their amplitudes.
 
     ``coeffs`` (..., K) holds the first K <= N amplitudes (the rest zero) and
     is evaluated on the 3N/2 padded nodes, ``node_map`` takes those node
     values and returns the mapped ones (it may overwrite its argument and
     return it), and the result is transformed back and truncated to the same
-    K modes.  Exact for quadratic maps.  By default, band in, band out: for
-    every K the result equals the first K amplitudes of the N-wide call bit
-    for bit, and each row equals its single-row call bit for bit.
+    K modes.  Exact for quadratic maps.
 
-    Up to N = _MATRIX_MAX_N the transforms are products with the band pair
-    ``_padded_matrices(N, K)``: on these grids a transform call costs more
-    in dispatch than the product costs in arithmetic.  Two properties of
-    OpenBLAS (0.3.31, AVX-512 kernels) decide which product a caller takes.
-    A lone row goes through gemv, which rounds differently from gemm.  And
-    under gemm an amplitude's bits depend on its column's place in an
-    8-wide tile, so band widths of 1-4 mod 8 round differently from the
-    N-wide call.  So the default takes the products one row at a time
-    (``_rowwise``).  ``stacked=True`` takes each as one gemm over all rows,
-    2.5x faster on a (2, 170, 20) block at N = 64; a lone row goes through
-    it beside a zero partner row that the node map does not see.  A row's
-    bits then do not depend on the rows stacked with it, but band in, band
-    out does not hold.  The Lyapunov-Perron sources
-    (``galerkin_manifold._sources``, K = 20) take the stacked product, and
-    the time loop takes it itself, into its workspace
-    (``integrator._Band``); widening the sources' band to 24 to make it
-    bit-safe under gemm made ``manifold`` 8-10 % slower.
-
-    The band pair is cached per (N, K) as C-contiguous copies, whose width
-    is K rounded up to a multiple of 4: row by row, zero-filled widths that
-    are multiples of 4 kept the N-wide call's bits for every K checked
-    (N <= 128), and other widths did not.  Larger grids call the real FFT
-    pair, on which ``stacked`` changes nothing.  There ``node_map`` sees the
-    padded nodes in the permuted order of ``_permuted_inverse``, so it must
-    be pointwise: its value at a node may depend only on the input values
-    at that node (across the leading axes).
+    Up to N = _MATRIX_MAX_N each transform is one gemm with the pair
+    ``_padded_matrices(N, K)`` (``_gemm``), so a row's bits do not depend
+    on the values of the rows beside it (at some K they do on their
+    number); those of a band of K < N modes agree with the N-wide call's
+    first K amplitudes to roundoff, not bit for bit.  Larger grids call
+    the real FFT pair.  There ``node_map`` sees the padded nodes in the
+    permuted order of ``_permuted_inverse``, so it must be pointwise: its
+    value at a node may depend only on the input values at that node
+    (across the leading axes).
     """
     k = coeffs.shape[-1]
     if grid.N > _MATRIX_MAX_N:
         return _permuted_forward(node_map(_permuted_inverse(coeffs, grid.padded_size)), k)
     inverse, forward = _padded_matrices(grid.N, k)
-    width = inverse.shape[0]
-    if stacked and coeffs.size == k:
-        # a lone row would go to gemv: it goes through gemm beside a zero
-        # partner row, which the node map does not see
-        pair = np.zeros((2, width))
-        pair[1, :k] = coeffs.reshape(k)
-        nodes = pair @ inverse
-        nodes[1] = node_map(nodes[1:].reshape(coeffs.shape[:-1] + (-1,)))
-        return (nodes @ forward)[1, :k].reshape(coeffs.shape)
-    product = np.matmul if stacked else _rowwise
-    if width > k:
-        padded = np.zeros(coeffs.shape[:-1] + (width,))
-        padded[..., :k] = coeffs
-        coeffs = padded
-    return product(node_map(product(coeffs, inverse)), forward)[..., :k]
+    return _gemm(node_map(_gemm(coeffs, inverse)), forward)
 
 
 def nonlinear_eval(fields, F) -> SpectralField:

@@ -477,9 +477,9 @@ BLOCK_CASES = [(0, 8), (1, -1), (1, 0), (1, 1), (2, 3), (0, 2048)]
 )
 def test_sources_in_time_blocks_equal_one_call(monkeypatch, N, blocks, extra):
     # the blocked sources tile the time nodes once, in blocks of at most B
-    # rows, and the whole equals one row-wise call over all nodes to roundoff.
+    # rows, and the whole equals one call over all nodes to roundoff.
     # The per-block check is a write-back check: the spy makes the same
-    # stacked call, so it shows that each block's result lands in its rows.
+    # call, so it shows that each block's result lands in its rows.
     assert 64 <= _MATRIX_MAX_N < 256
     p, consts = small_nonlinear()
     grid = build_grid(p.L, N)
@@ -489,10 +489,9 @@ def test_sources_in_time_blocks_equal_one_call(monkeypatch, N, blocks, extra):
     Y = rng.standard_normal((2, n_t, 20)) * (0.8 / (1.0 + np.arange(20)))
     seen = []
 
-    def spy(grid, coeffs, node_map, *, stacked):
-        assert stacked
+    def spy(grid, coeffs, node_map):
         seen.append(coeffs.copy())
-        return _dealiased(grid, coeffs, node_map, stacked=True)
+        return _dealiased(grid, coeffs, node_map)
 
     results = {}
     for clip in (None, consts.K0):
@@ -515,7 +514,7 @@ def test_sources_in_time_blocks_equal_one_call(monkeypatch, N, blocks, extra):
         start = 0
         for block in seen:
             stop = start + block.shape[1]
-            expected = _dealiased(grid, block, node_map, stacked=True)
+            expected = _dealiased(grid, block, node_map)
             assert np.array_equal(results[clip][:, start:stop], expected)
             start = stop
         scale = np.max(np.abs(whole))
@@ -528,7 +527,7 @@ def test_lp_graph_commutes_with_the_reflection(case):
     # oracle from an exact symmetry: the reflection x -> L - x maps slow data
     # c_k to (-1)^k c_k, and the graph's u and v_F amplitudes map the same way
     # in as many sweeps.  Independent of the sources' bits: the reflected
-    # data take other roundoff through the stacked products.
+    # data take other roundoff through the gemm products.
     p, consts = small_nonlinear()
     split = splitting_parameters(26.0)
     clip, amplitude = {"clip-0.01": (0.01, 0.02), "clip-K0": (consts.K0, 0.5)}[case]

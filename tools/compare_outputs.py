@@ -18,7 +18,10 @@ Every output file is compared byte for byte, except that a CSV with a
 ``tests/test_cli.without_wall_clock`` does.  Exits 0 when every file is
 identical, and 1, listing the files that differ, otherwise.  Under each
 CSV that differs it prints, for each column (and footer value) that moved,
-the largest absolute and the largest relative change of its numbers.
+the largest absolute and the largest relative change of its numbers, and
+whether every move lies within the tolerance of the benchmark's reference
+check, ``REFERENCE_RTOL * max(|a|, |b|) + REFERENCE_ATOL``
+(``perfbench/workloads.py``).
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import REFERENCE_ATOL, REFERENCE_RTOL  # noqa: E402
 
 # Run in a fresh interpreter: argv = tree, output directory.
 RUN_TREE = """
@@ -120,9 +126,17 @@ def change(x: float, y: float) -> tuple:
     return abs(x - y), abs(x - y) / max(abs(x), abs(y))
 
 
+def within_reference(x: float, y: float) -> bool:
+    """Whether x and y agree as the benchmark's reference check asks; never
+    where one is not finite and they differ."""
+    d = x - y
+    return x == y or (math.isfinite(d) and abs(d) <= REFERENCE_RTOL * max(abs(x), abs(y)) + REFERENCE_ATOL)
+
+
 def column_changes(ours: str, theirs: str) -> list:
     """One line per column or footer value of two CSVs that differs: the
-    largest absolute and relative change of its numbers, or why there is none."""
+    largest absolute and relative change of its numbers and whether every
+    move is within the reference tolerance, or why there are no numbers."""
     a, b = csv_values(ours), csv_values(theirs)
     lines = []
     for name in list(a) + [n for n in b if n not in a]:
@@ -139,8 +153,10 @@ def column_changes(ours: str, theirs: str) -> list:
             lines.append(f"  {name}: a value that is not a number changed")
             continue
         absolute, relative = (max(c) for c in zip(*(change(x, y) for x, y in pairs)))
+        within = "all" if all(within_reference(x, y) for x, y in pairs) else "not all"
         lines.append(f"  {name}: {len(pairs)} values moved, by at most {absolute:.3g} "
-                     f"absolute and {relative:.3g} relative")
+                     f"absolute and {relative:.3g} relative, {within} within "
+                     f"rtol {REFERENCE_RTOL:g} + atol {REFERENCE_ATOL:g}")
     return lines
 
 
