@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 validation or usage error, 2 numerical
 divergence, 3 assumption-check failure.  A gap-check whose condition fails still exits 0
 and records passes=false; assumption failures only abort commands that rely
-on them (manifold-galerkin).
+on them (manifold-galerkin).  A run reports trouble through its exit code,
+its one stderr line and its CSV values, so numpy's floating-point warnings
+are off while it runs.
 
 ``simulate`` and ``limit`` write one row per sample without holding the
 trajectory: the samples are copied into one block of a few samples as the
@@ -305,7 +307,8 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         cfg = load_config(args.config, seed_override=args.seed)
-        return run(cfg, args.out, quiet=args.quiet)
+        with np.errstate(all="ignore"):
+            return run(cfg, args.out, quiet=args.quiet)
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 2

@@ -21,34 +21,32 @@ solver.  The loop steps one or two systems (``_System``): ``simulate`` the
 rows (u, v) with the (2, 2, N) propagator, ``reduction.solve_limit_system``
 the row v with a (1, 1, N) one, and a member of
 ``rates.convergence_study`` (in the calling process or a forked child when
-two or more CPUs are usable) both, in step.  Every propagator comes from
-``_propagator``, and N is evaluated on padded nodes by a node map that
-overwrites the node values in place: ``_full_node_map``
+two or more CPUs are usable) both, in step, with the block-diagonal
+propagator of both.  Every propagator comes from ``_propagator``, and N is
+evaluated on padded nodes by the run's one node map, which overwrites the
+node values of all its rows in place: ``_full_node_map``
 (``models.node_remainder``) for the full system,
 ``reduction._limit_node_map`` for the limit system, and
-``reduction._paired_node_map`` for a member's three rows (u, v, v_lim)
-while its two systems share one band.
+``reduction._paired_node_map`` for a member's three rows (u, v, v_lim).
 
 The solutions are smooth, so their cosine amplitudes reach the roundoff
 floor within a few modes, and a spectral method truncates there (Boyd,
-*Chebyshev and Fourier Spectral Methods*, 2001, ch. 2).  So each system
-steps on its own band of its first K modes (``_Band``), a power of two
-from 8 to N: the smallest whose modes >= K/4 hold at most ``_BAND_TOL``
-(1e-15, the transforms' own roundoff) times the system's largest
-amplitude (``_band``).  A band of K modes has the first K modes of the
-system's propagator, which are elementwise in mu_k and so the bits of the
-K-mode grid's, and evaluates the remainder on that grid, 3K/2 padded
-nodes.  With the amplitudes from K/4 up at roundoff, the quadratic
-remainders of a step's two stages reach mode K at roundoff, and 3K/2
-nodes dealias them.  After a step that lifts a system's modes >= K/4
-above the level, its band grows, with zero fill, to the band of the new
-state; it never shrinks, and at K = N the loop steps as before this rule,
-bit for bit, with no check.  The limit system's first band is that of
-(h_kappa(v_in), v_in): h_kappa is not polynomial, and data with a few
-modes have an image with many.  Where the two systems of a member take
-one band, one block-diagonal propagator, one transform pair and one node
-map per remainder serve all three rows (u, v, v_lim); where they differ,
-each steps on its own band with its own map.
+*Chebyshev and Fourier Spectral Methods*, 2001, ch. 2).  So a run steps
+on one band of its first K modes (``_Band``), a power of two from 8 to N.
+Each system's own band is the smallest whose modes >= K/4 hold at most
+``_BAND_TOL`` (1e-15, the transforms' own roundoff) times the system's
+largest amplitude (``_band``), and the run's K is the widest of them.  A
+band of K modes has the first K modes of the run's propagator, which are
+elementwise in mu_k and so the bits of the K-mode grid's, and evaluates
+the remainder on that grid, 3K/2 padded nodes.  With the amplitudes from
+K/4 up at roundoff, the quadratic remainders of a step's two stages reach
+mode K at roundoff, and 3K/2 nodes dealias them.  After a step that lifts
+any system's modes >= K/4 above the level, the band grows, with zero
+fill, to the widest band of the new state; it never shrinks, and at
+K = N the loop steps as before this rule, bit for bit, with no check.
+The limit system's band is chosen from (h_kappa(v_in), v_in) at the
+start: h_kappa is not polynomial, and data with a few modes have an image
+with many.
 
 The loop is a generator of samples (t, y), the systems' rows zero-filled
 back to N: it yields each sampled state as it is reached and keeps none.
@@ -75,9 +73,11 @@ rows in place, with one work buffer per call for its temporaries.  A
 row's bits under gemm do not depend on the values of the rows beside it,
 and the paired map has the bits of the two systems' own maps, so the
 paired rows (u, v, v_lim) of a converge member get the bits of the
-separate ``simulate`` and ``solve_limit_system`` runs, whether they
-share a band or not: each system's band is chosen by the same rule from
-the same numbers as in its separate run.  A lone row would go through
+separate ``simulate`` and ``solve_limit_system`` runs where their bands
+agree: each system's band is chosen by the same rule from the same
+numbers as in its separate run.  Where they differ, the narrower system
+steps on the wider band with its extra modes at roundoff, and moves from
+its separate run by roundoff only.  A lone row would go through
 gemv instead, so the limit system's row v is transformed beside a zero
 partner row that the workspace holds: the states, the stage and the
 remainders are the last rows of buffers with a zero row in front of an
@@ -290,16 +290,11 @@ def _propagator(M: np.ndarray, dt: float) -> ModePropagator:
     return ModePropagator(dt=dt, M=M, E=E, W1=W1, W2=W2)
 
 
-@lru_cache(maxsize=32)
-def _cached_propagator(params: ModelParams, grid: Grid, dt: float) -> ModePropagator:
-    return _propagator(_system_matrices(params, grid), dt)
-
-
 def linear_propagator(params: ModelParams, grid: Grid, dt: float) -> ModePropagator:
     """Exact per-mode propagator and ETD weights for a finite time step dt >= 0."""
     if not 0 <= dt < math.inf:
         raise ConfigurationError(f"time step must be finite and >= 0, got {dt}")
-    return _cached_propagator(params, grid, float(dt))
+    return _propagator(_system_matrices(params, grid), float(dt))
 
 
 def _full_propagator(params: ModelParams, grid: Grid, dt: float) -> ModePropagator:
@@ -437,13 +432,11 @@ def _sample_count(n_steps: int, sample_every: int) -> int:
 
 class _System(NamedTuple):
     """A system that ``_time_loop`` steps: its initial rows (rows, N), its
-    propagator, the node map of its remainder (None: the remainder is zero)
-    and the name its ``DivergenceError`` gives.  ``start``, where given,
-    holds the rows whose amplitudes choose its first band in place of y0."""
+    propagator and the name its ``DivergenceError`` gives.  ``start``, where
+    given, holds the rows whose amplitudes choose its band in place of y0."""
 
     y0: np.ndarray
     prop: ModePropagator
-    node_map: object
     what: str
     start: np.ndarray | None = None
 
@@ -470,34 +463,27 @@ def _first_modes(prop: ModePropagator, K: int) -> ModePropagator:
 
 
 class _Band:
-    """Systems stepped together on their band of K modes: one propagator,
-    one workspace (``_Workspace``) and one transform pair per remainder for
-    all their rows, whose node values ``node_map`` maps in place (None: the
-    remainder is zero).
-
-    ``members`` are the indices of consecutive ``systems``, and
-    ``states[i]`` holds the rows of system i, which are copied in,
-    zero-filled to K.  Below K = N the propagator is the first K modes of
-    each system's own (``_first_modes``), and the remainders are evaluated
-    on ``build_grid(L, K)``, 3K/2 padded nodes.
+    """The rows of a run's ``systems`` stepped together on a band of K
+    modes: one propagator, the first K modes of the run's ``prop``
+    (``_first_modes``; ``prop`` itself at K = N), one workspace
+    (``_Workspace``) and one transform pair per remainder for all rows,
+    whose node values ``node_map`` maps in place (None: the remainder is
+    zero).  The rows ``y`` (rows, m) are copied in, zero-filled to K, and
+    below K = N the remainders are evaluated on ``build_grid(L, K)``, 3K/2
+    padded nodes.
     """
 
-    def __init__(self, grid: Grid, systems, members, K: int, states, node_map):
-        self.members, self.K, self.full = members, K, K == grid.N
-        sizes = [len(systems[i].y0) for i in members]
-        edges = np.cumsum([0] + sizes)
+    def __init__(self, grid: Grid, systems, prop, K: int, y: np.ndarray, node_map):
+        self.K, self.full = K, K == grid.N
+        edges = np.cumsum([0] + [len(s.y0) for s in systems])
         self.rows = [slice(a, b) for a, b in zip(edges, edges[1:])]
-        self.first = sum(len(s.y0) for s in systems[: members[0]])
-        self.what = [systems[i].what for i, n in zip(members, sizes) for _ in range(n)]
-        props = [systems[i].prop for i in members]
-        if not self.full:
-            props = [_first_modes(p, K) for p in props]
-        self.prop = props[0] if len(props) == 1 else _block_diagonal(props)
+        self.what = [s.what for s in systems for _ in s.y0]
+        self.prop = prop if self.full else _first_modes(prop, K)
         band_grid = grid if self.full else build_grid(grid.L, K)
         matrix_path = node_map is not None and K <= _MATRIX_MAX_N
-        ws = self.ws = _Workspace((edges[-1], K), band_grid.padded_size if matrix_path else None)
+        ws = self.ws = _Workspace((len(y), K), band_grid.padded_size if matrix_path else None)
         if node_map is None:
-            zero = np.zeros((edges[-1], K))
+            zero = np.zeros((len(y), K))
 
             def remainder(y, buf):
                 return zero
@@ -523,18 +509,17 @@ class _Band:
 
         self.remainder = remainder
         self.y = ws.states[0]
-        for i, rows in zip(members, self.rows):
-            width = min(K, states[i].shape[-1])
-            self.y[rows, :width] = states[i][:, :width]
+        width = min(K, y.shape[-1])
+        self.y[:, :width] = y[:, :width]
 
-    def step(self, t: float) -> list:
-        """One step of all rows to time t; returns the members whose band must grow.
+    def step(self, t: float) -> bool:
+        """One step of all rows to time t; returns whether the band must grow.
 
         A new state that leaves |y| <= BLOWUP_LIMIT (or is not finite) raises
         ``DivergenceError`` named after the row that first left it
-        (``_diverged_row``).  Below K = N a member's band must grow where
-        the step lifts its modes >= K/4 above ``_BAND_TOL`` times its
-        largest amplitude.
+        (``_diverged_row``).  Below K = N the band must grow where the step
+        lifts any system's modes >= K/4 above ``_BAND_TOL`` times that
+        system's largest amplitude.
         """
         ws = self.ws
         out = ws.states[1] if self.y is ws.states[0] else ws.states[0]
@@ -546,25 +531,12 @@ class _Band:
             row = _diverged_row(self.y, intermediates)
             raise DivergenceError(f"{self.what[row]} diverged at t={t:.6g}", t=t)
         if self.full:
-            return []
+            return False
         tails = mags[:, self.K // 4 :].max(axis=-1).tolist()
-        return [
-            i
-            for i, rows in zip(self.members, self.rows)
-            if not max(tails[rows]) <= _BAND_TOL * max(peaks[rows])
-        ]
+        return not all(max(tails[rows]) <= _BAND_TOL * max(peaks[rows]) for rows in self.rows)
 
 
-def _bands(grid: Grid, systems, members, bands: list, states, shared_map) -> list:
-    """The ``_Band``s of the ``members``: one for all where their bands
-    agree, with ``shared_map`` for two or more, and one each otherwise."""
-    if len({bands[i] for i in members}) == 1:
-        node_map = systems[members[0]].node_map if len(members) == 1 else shared_map
-        return [_Band(grid, systems, members, bands[members[0]], states, node_map)]
-    return [_Band(grid, systems, [i], bands[i], states, systems[i].node_map) for i in members]
-
-
-def _time_loop(grid, t0, n_steps, systems, sample_every, shared_map=None):
+def _time_loop(grid, t0, n_steps, systems, node_map, sample_every):
     """Step the ``systems`` (``_System``) together ``n_steps`` times from t0, yielding samples.
 
     Yields (t, y), y the systems' rows stacked, (rows, N), for the initial
@@ -572,42 +544,38 @@ def _time_loop(grid, t0, n_steps, systems, sample_every, shared_map=None):
     ``_sample_count(n_steps, sample_every)`` samples, a count that its
     callers take first, since it also checks ``sample_every``.
 
-    Each system steps on its own band of K modes, a power of two with
-    8 <= K <= N (``_Band``): the smallest one whose modes >= K/4 hold at
-    most ``_BAND_TOL`` times the largest amplitude of the system's rows
-    (``_band``; of ``start`` where given).  After a step that lifts those
-    modes above that level, the band grows, with zero fill, to that of the
-    new state; it never shrinks, and at K = N the step is the N-mode step
-    with no check.  Where all bands agree, one propagator and one transform
-    pair per remainder serve all rows, and for two or more systems
-    ``shared_map`` maps all their node rows (it must have the bits of
-    their own node maps); where they differ, each system steps on its own.
-    A system's bits do not depend on the systems beside it (see the module
-    docstring).  The samples are the bands' rows
-    zero-filled to N.
+    All rows step on one band of K modes (``_Band``), with the
+    block-diagonal propagator of the systems, built once per run, and
+    ``node_map``, which maps the node values of all rows.  K is the widest
+    of the systems' own bands, each the smallest power of two with
+    8 <= K <= N whose modes >= K/4 hold at most ``_BAND_TOL`` times the
+    largest amplitude of the system's rows (``_band``; of ``start`` where
+    given).  After a step that lifts any system's modes >= K/4 above that
+    level, the band grows, with zero fill, to the widest band of the new
+    state; it never shrinks, and at K = N the step is the N-mode step with
+    no check.  A system whose own band is narrower steps with its extra
+    modes at roundoff, so it moves from its separate run by roundoff only;
+    where the bands agree, it keeps its bits (see the module docstring).
+    The samples are the band's rows zero-filled to N.
 
-    The buffers are allocated before the first sample, and again when a
+    The buffers are allocated before the first sample, and again when the
     band grows.  The ``systems``' rows are only read, and each later y is
     valid until the loop resumes: a consumer that keeps a sample copies it.
     """
     y0 = np.concatenate([s.y0 for s in systems])
     if n_steps:
-        everyone = range(len(systems))
-        bands = [_band(s.y0 if s.start is None else s.start, grid.N) for s in systems]
-        groups = _bands(grid, systems, everyone, bands, [s.y0 for s in systems], shared_map)
+        prop = systems[0].prop if len(systems) == 1 else _block_diagonal([s.prop for s in systems])
+        K = max(_band(s.y0 if s.start is None else s.start, grid.N) for s in systems)
+        band = _Band(grid, systems, prop, K, y0, node_map)
         sample = np.zeros_like(y0)
     yield t0, y0
     for step in range(1, n_steps + 1):
-        t = t0 + step * systems[0].prop.dt
-        grown = [i for g in groups for i in g.step(t)]
-        if grown:
-            states = {i: g.y[rows] for g in groups for i, rows in zip(g.members, g.rows)}
-            for i in grown:
-                bands[i] = _band(states[i], grid.N)
-            groups = _bands(grid, systems, everyone, bands, states, shared_map)
+        t = t0 + step * prop.dt
+        if band.step(t):
+            K = max(_band(band.y[rows], grid.N) for rows in band.rows)
+            band = _Band(grid, systems, prop, K, band.y, node_map)
         if step % sample_every == 0 or step == n_steps:
-            for g in groups:
-                sample[g.first : g.first + len(g.y), : g.K] = g.y
+            sample[:, : band.K] = band.y
             yield t, sample
 
 
@@ -751,8 +719,8 @@ def _simulate_samples(state0: FastSlowState, params: ModelParams, T, dt, sample_
     grid = state0.u.grid
     prop = _full_propagator(params, grid, dt) if n_steps else None
     node_map = None if params.is_linear else partial(_full_node_map, params)
-    system = _System(np.stack([state0.u.coeffs, state0.v.coeffs]), prop, node_map, "state")
-    return n_samples, _time_loop(grid, state0.t, n_steps, [system], sample_every)
+    system = _System(np.stack([state0.u.coeffs, state0.v.coeffs]), prop, "state")
+    return n_samples, _time_loop(grid, state0.t, n_steps, [system], node_map, sample_every)
 
 
 def simulate(

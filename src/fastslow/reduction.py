@@ -17,9 +17,9 @@ the full system (``integrator._etd2_step`` and ``integrator._time_loop``),
 as one row v with the (1, 1, N) propagator of the scalar per-mode symbol
 -d mu_k and the remainder psi(h_kappa(v), v) from ``models.node_psi``.  A
 convergence member steps it in the one loop together with the full system
-(``_simulate_with_limit``), sharing every transform pair while both take
-one band of modes.  Its first band is that of (h_kappa(v_in), v_in)
-(``_limit_system``).  The loop steps v only; each sample's u = h_kappa(v)
+(``_simulate_with_limit``), on one band of modes with one transform pair
+per remainder.  Its band is chosen from (h_kappa(v_in), v_in) at the
+start (``_limit_system``).  The loop steps v only; each sample's u = h_kappa(v)
 is reconstructed from its v as the sample arrives (``_limit_state``).
 """
 
@@ -37,7 +37,6 @@ from .integrator import (
     FastSlowState,
     ModePropagator,
     Trajectory,
-    _full_node_map,
     _full_propagator,
     _propagator,
     _sample_count,
@@ -360,7 +359,6 @@ def _paired_node_map(params: ModelParams, vals: np.ndarray) -> np.ndarray:
     of their node values: ``_full_node_map``'s in rows u and v and
     ``_limit_node_map``'s in row v_lim, with their bits.
 
-    The time loop takes it while the member's two systems share one band.
     h = h_kappa(v_lim) is formed once, the Lotka-Volterra factors of both
     systems in one set of ufunc calls over the pairs x = (u, h) and
     y = (v, v_lim), and psi goes into both rows of y with one multiply.  It
@@ -398,13 +396,12 @@ def _limit_state(params: ModelParams, grid: Grid, v: np.ndarray) -> np.ndarray:
 
 
 def _limit_system(params: ModelParams, v_in: SpectralField, prop) -> _System:
-    """The limit system's ``_System``: the row v, whose first band is that of
-    the state (h_kappa(v_in), v_in).  h_kappa is not polynomial, so its
+    """The limit system's ``_System``: the row v, whose band at the start is
+    that of the state (h_kappa(v_in), v_in).  h_kappa is not polynomial, so its
     amplitudes can reach far past those of v_in (data with a few cosine
     modes), and the band must hold the remainder's first step."""
-    node_map = None if params.is_linear else partial(_limit_node_map, params)
     start = _limit_state(params, v_in.grid, v_in.coeffs)
-    return _System(v_in.coeffs[None], prop, node_map, "limit system", start)
+    return _System(v_in.coeffs[None], prop, "limit system", start)
 
 
 def _check_limit_data(params: ModelParams, v_in: SpectralField) -> None:
@@ -427,7 +424,9 @@ def _limit_samples(v_in: SpectralField, params: ModelParams, T, dt=None, sample_
     n_samples = _sample_count(n_steps, sample_every)
     grid = v_in.grid
     prop = _limit_propagator(params, grid, dt) if n_steps else None
-    loop = _time_loop(grid, 0.0, n_steps, [_limit_system(params, v_in, prop)], sample_every)
+    node_map = None if params.is_linear else partial(_limit_node_map, params)
+    system = _limit_system(params, v_in, prop)
+    loop = _time_loop(grid, 0.0, n_steps, [system], node_map, sample_every)
     return n_samples, ((t, _limit_state(params, grid, y[0])) for t, y in loop)
 
 
@@ -458,11 +457,13 @@ def _simulate_with_limit(
     together.
 
     Both systems take the same steps, so one ``_time_loop`` steps them, the
-    stacked rows (u, v, v_lim) with the block-diagonal propagator of both
-    and one transform pair per remainder while they take one band of
-    modes, each on its own otherwise.  Each trajectory is bit-for-bit the
-    one its own solver returns, except that both start at state0.t
-    (solve_limit_system starts at 0).
+    stacked rows (u, v, v_lim) with the block-diagonal propagator of both,
+    one band of modes, the wider of the two systems' bands, and one
+    transform pair and one ``_paired_node_map`` call per remainder.  Where
+    the two bands agree, each trajectory is bit-for-bit the one its own
+    solver returns, except that both start at state0.t (solve_limit_system
+    starts at 0); where they differ, the narrower system's moves from it by
+    roundoff.
     """
     n_steps, dt = _step_count(T, dt)
     _check_limit_data(params, state0.v)
@@ -472,14 +473,12 @@ def _simulate_with_limit(
     if n_steps:
         full_prop = _full_propagator(params, grid, dt)
         limit_prop = _limit_propagator(params, grid, dt)
-    full_map = paired_map = None
-    if not params.is_linear:
-        full_map, paired_map = partial(_full_node_map, params), partial(_paired_node_map, params)
+    node_map = None if params.is_linear else partial(_paired_node_map, params)
     systems = [
-        _System(np.stack([state0.u.coeffs, state0.v.coeffs]), full_prop, full_map, "state"),
+        _System(np.stack([state0.u.coeffs, state0.v.coeffs]), full_prop, "state"),
         _limit_system(params, state0.v, limit_prop),
     ]
-    loop = _time_loop(grid, state0.t, n_steps, systems, sample_every, paired_map)
+    loop = _time_loop(grid, state0.t, n_steps, systems, node_map, sample_every)
     times = np.empty(n_samples)
     full = np.empty((n_samples, 2, grid.N))
     limit = np.empty_like(full)

@@ -37,16 +37,16 @@ def threads_started(monkeypatch):
 
 @pytest.fixture
 def bands_formed(monkeypatch):
-    """The (members, K) of every set of bands that ``integrator._time_loop``
+    """The K of every ``integrator._Band`` that ``integrator._time_loop``
     forms from here on, in order."""
     from fastslow import integrator
 
-    formed, bands = [], integrator._bands
+    formed, band = [], integrator._Band
 
     def spy(*args):
-        out = bands(*args)
-        formed.append([(list(b.members), b.K) for b in out])
+        out = band(*args)
+        formed.append(out.K)
         return out
 
-    monkeypatch.setattr(integrator, "_bands", spy)
+    monkeypatch.setattr(integrator, "_Band", spy)
     return formed

@@ -471,6 +471,48 @@ def test_astronomical_runs_stop_at_once_with_one_error_line(tmp_path, capsys, ca
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
+TYPED_EXIT_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import fastslow.cli
+sys.exit(fastslow.cli.main(["--config", sys.argv[2], "--out", sys.argv[3], "--quiet"]))
+"""
+
+
+def overflowing_payloads():
+    """Runs that overflow on their way to a typed exit: (payload, exit
+    status, start of the stderr line)."""
+    fast_growth, fast_limit, infinite, stiff = (
+        determinism_payloads()[c] for c in ("simulate", "limit", "simulate", "manifold-galerkin")
+    )
+    fast_growth["model"] = {**fast_growth["model"], "a": 1e300}
+    fast_limit["model"] = {**fast_limit["model"], "a": 1e300}
+    infinite["initial"] = {**infinite["initial"], "amplitude": math.inf}
+    stiff["model"] = {**stiff["model"], "d": 1e300}
+    return {
+        "simulate a=1e300": (fast_growth, 2, "divergence: state diverged"),
+        "limit a=1e300": (fast_limit, 2, "divergence: limit system diverged"),
+        "simulate amplitude=inf": (infinite, 1, "error: non-finite coefficient"),
+        "manifold-galerkin d=1e300": (stiff, 3, "assumption check failed: "),
+    }
+
+
+@pytest.mark.parametrize("case", list(overflowing_payloads()))
+def test_a_typed_exit_writes_only_its_one_line(tmp_path, case):
+    # a fresh interpreter shows each RuntimeWarning of numpy's overflow or
+    # invalid-value checks on stderr under its default filters: the CLI
+    # reports the trouble by its exit status and one line, without them
+    payload, status, line = overflowing_payloads()[case]
+    src = Path(fastslow.__file__).resolve().parents[1]
+    cfg = write_config(tmp_path, payload)
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", TYPED_EXIT_SCRIPT, str(src), cfg, str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == status, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(line), proc.stderr
+
+
 @pytest.mark.parametrize("T", [float("inf"), float("nan"), -1.0], ids=["T=inf", "T=nan", "T<0"])
 def test_manifold_linear_bad_horizon_exit_1(tmp_path, capsys, T):
     # not a CSV whose invariance defects are all nan

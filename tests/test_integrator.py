@@ -399,14 +399,12 @@ def test_non_finite_remainder_raises_with_its_step_time(monkeypatch, system, bad
 
 def spoil_paired_map(monkeypatch, rows, n_good, bad):
     """``reduction._paired_node_map``, the node map of a converge member's
-    rows (u, v, v_lim) while its systems share a band, with the node
-    ``rows`` of its output set to ``bad`` from the run's (n_good + 1)-th
-    remainder on.
+    rows (u, v, v_lim), with the node ``rows`` of its output set to ``bad``
+    from the run's (n_good + 1)-th remainder on.
 
-    In the paired runs below the full system takes a band of 8 modes and
-    the limit system one of 16 for the first step, which they take apart;
-    from the second step on they share 16 modes, so the paired map's
-    first call is the run's third remainder."""
+    A member's rows step on one band from the first step on, so every
+    remainder of the run is a call of the paired map: its calls count
+    the run's remainders."""
     from fastslow import reduction
 
     paired_map = reduction._paired_node_map
@@ -415,7 +413,7 @@ def spoil_paired_map(monkeypatch, rows, n_good, bad):
     def spoiled(params, vals):
         out = paired_map(params, vals)
         calls.append(1)
-        if len(calls) > n_good - 2:
+        if len(calls) > n_good:
             out[rows] = bad
         return out
 
@@ -733,7 +731,7 @@ def test_matrix_path_remainders_allocate_nothing_of_the_state_size(rows):
         return np.multiply(vals, vals, out=vals)
 
     def peak_of_the_steps(node_map):
-        loop = _time_loop(g, 0.0, 20, [_System(y, prop, node_map, "state")], 20)
+        loop = _time_loop(g, 0.0, 20, [_System(y, prop, "state")], node_map, 20)
         next(loop)
         tracemalloc.start()
         try:
@@ -823,7 +821,7 @@ def test_every_mode_filled_or_n_8_keeps_the_bits_of_all_n_modes(
         return _simulate_with_limit(s0, p, 0.05, 0.005, 3)
 
     banded, full = band_and_full(monkeypatch, run)
-    assert all(K == N for bands in bands_formed for _, K in bands)
+    assert all(K == N for K in bands_formed)
     for a, b in zip(banded, full):
         assert np.array_equal(a.times, b.times)
         assert np.array_equal(a.coeffs, b.coeffs)
@@ -853,8 +851,8 @@ def test_a_band_that_grows_matches_the_run_on_all_n_modes(monkeypatch, bands_for
         monkeypatch, lambda: simulate(s0, p, T=0.5, dt=0.4 * eps, sample_every=1)
     )
     # the bands of the run, then the forced run's K = N
-    grown = [bands[0][1] for bands in bands_formed]
-    assert grown[0] == 8 and grown[-1] == N and len(grown) > 3 and grown == sorted(grown)
+    assert bands_formed[0] == 8 and bands_formed[-1] == N and len(bands_formed) > 3
+    assert bands_formed == sorted(bands_formed)
     assert not banded.coeffs[1, :, 8:].any() and banded.coeffs[-1, :, 8:].any()
     assert_close_to_the_full_run(banded, full, 1e-12)
 
@@ -880,5 +878,5 @@ def test_limit_system_far_from_linear_matches_the_run_on_all_n_modes(
         monkeypatch, lambda: solve_limit_system(v0, p, T=0.2, dt=0.002, sample_every=5)
     )
     if N >= 256 and coeffs[0] == 1.0:  # data away from zero take a band below N
-        assert bands_formed[0][0][1] < N
+        assert bands_formed[0] < N
     assert_close_to_the_full_run(banded, full, 1e-12)

@@ -375,7 +375,7 @@ def band_remainder(coeffs, node_map):
         vals[...] = node_map(vals)
 
     # the remainder reads no propagator
-    band = _Band(grid, [_System(coeffs, None, in_place, "rows")], [0], grid.N, [coeffs], in_place)
+    band = _Band(grid, [_System(coeffs, None, "rows")], None, grid.N, coeffs, in_place)
 
     def remainder(new):
         band.y[...] = new
